@@ -3,8 +3,9 @@
 The robustness of a formula at time t is the largest uniform shift of the
 trace values that provably preserves the verdict: positive means satisfied
 with that much margin, negative means violated by that much.  For coverage
-operators it is computed by bracketing the level r at which the coverage of
-{values above r} drops through the threshold, then bisecting.
+operators it is the level r at which the coverage of {values above r} drops
+through the threshold: the kernel-weighted quantile of the window's values,
+which is always one of those values and is returned exactly.
 """
 
 import numpy as np
@@ -52,4 +53,6 @@ for t, v in zip(rt.times, rt.values):
     bar = "#" * int(round(20 * min(abs(v), 1.0)))
     sign = "+" if v >= 0 else "-"
     print(f"  t={t:4.1f}  rho={v:+.4f}  {sign}{bar}")
-print(f"(bisection tolerance: {rt.tolerance})")
+window_levels = set(values[:, 0].tolist())
+exact = all(v in window_levels for v in rt.values)
+print(f"(every value above is one of the trace's own levels: {exact})")

@@ -4,13 +4,19 @@ Subcommands::
 
     scl-mon check --trace t.csv --spec f.scl [--delta D] [--evaluator E]
                   [--out DIR] [--format csv|json] [--oracle-grid G]
-    scl-mon rho   --trace t.csv --spec f.scl [--r-tol T] [--time-grid G]
+    scl-mon rho   --trace t.csv --spec f.scl [--time-grid G] [--delta D]
                   [--out DIR] [--format csv|json]
     scl-mon gen   --kind step-train|sine-quantized|glucose-like --seed S
                   --out t.csv [--noise-std N] [--duration D] [...]
     scl-mon exp noise-agreement --n N --seed S [--noise-std N] [--out FILE]
     scl-mon exp falsify --spec f.scl --budget B --seed S [--out FILE]
                   [--witness-out t.csv]
+
+``rho`` samples each formula's robustness on a uniform time grid
+(``--time-grid``, default: the narrowest window / 1000).  Every sample is
+exact, a kernel-weighted quantile of the window's values, so the JSON
+``robustness.tolerance`` is always 0.  ``--delta`` sets the integration step
+of the Boolean verdict behind the exit code.
 
 Exit codes: 0 when every formula is satisfied at time 0, 1 when any is
 violated, 2 on error.  ``SCL_MON_THREADS`` caps parallel formula evaluation
@@ -52,11 +58,9 @@ class RunConfig:
     evaluator: str = "efficient"
     delta: float | None = None
     oracle_grid: float | None = None
-    r_tolerance: float = 1e-6
     time_grid: float | None = None
     output_format: str = "csv"
     out_dir: str | None = None
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.mode not in ("boolean", "robustness", "both"):
@@ -67,15 +71,13 @@ class RunConfig:
             v = getattr(self, name)
             if v is not None and v <= 0:
                 raise SclError(f"{name} must be positive")
-        if self.r_tolerance <= 0:
-            raise SclError("r_tolerance must be positive")
 
     def monitor_config(self) -> MonitorConfig:
         return MonitorConfig(evaluator=self.evaluator, delta=self.delta,
                              oracle_grid=self.oracle_grid)
 
     def rho_config(self) -> RhoConfig:
-        return RhoConfig(tolerance=self.r_tolerance, time_grid=self.time_grid)
+        return RhoConfig(time_grid=self.time_grid)
 
 
 def _threads() -> int:
@@ -168,7 +170,7 @@ def _result_json(result: FormulaResult, cfg: RunConfig) -> dict:
         doc["crossings"] = list(result.verdict.crossings)
     if result.robustness is not None:
         doc["robustness"] = {
-            "tolerance": result.robustness.tolerance,
+            "tolerance": 0.0,  # robustness values are exact quantiles
             "times": [float(t) for t in result.robustness.times],
             "values": [float(v) for v in result.robustness.values],
         }
@@ -220,8 +222,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_rho(args: argparse.Namespace) -> int:
-    cfg = RunConfig(mode="robustness", delta=args.delta,
-                    r_tolerance=args.r_tol, time_grid=args.time_grid,
+    cfg = RunConfig(mode="robustness", delta=args.delta, time_grid=args.time_grid,
                     output_format=args.format, out_dir=args.out)
     return _run_and_emit(args, cfg)
 
@@ -302,7 +303,6 @@ def _build_parser() -> argparse.ArgumentParser:
     rho_p = sub.add_parser("rho", help="robustness traces for a spec file")
     rho_p.add_argument("--trace", required=True)
     rho_p.add_argument("--spec", required=True)
-    rho_p.add_argument("--r-tol", type=float, default=1e-6)
     rho_p.add_argument("--time-grid", type=float, default=None)
     rho_p.add_argument("--delta", type=float, default=None)
     rho_p.add_argument("--out", default=None)

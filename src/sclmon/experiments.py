@@ -149,7 +149,6 @@ def falsify_demo(formula: Formula, budget: int, seed: int,
             f"falsification traces only provide variable 'G'; formula uses {sorted(unknown)}"
         )
     rng = np.random.default_rng(seed)
-    rho_config = rho_config or RhoConfig()
     evaluations: list[FalsifyEvaluation] = []
     best_idx = 0
     best_trace: PiecewiseConstantSignal | None = None

@@ -174,6 +174,10 @@ class _TruthRuns:
             self._run_start = self._pos
         self._pos = end
 
+    def end_piece_at(self, end: float) -> None:
+        """Move the end of the last pushed piece onto ``end``."""
+        self._pos = end
+
     def finish(self) -> list[tuple[float, float]]:
         if self._truth:
             self._true_runs.append((self._run_start, self._pos))
@@ -364,6 +368,9 @@ def _integrate_conv(kernel: BoundedKernel, p: float, sig: BooleanSignal,
                 runs.push(t + x_j, th_prev >= 0.0)
             x_prev = x_j
             th_prev = th_j
+        # t + span can fall an ulp short of stretch_end; a run ending there
+        # would leave a false sliver before the next stretch or the domain end
+        runs.end_piece_at(stretch_end)
 
         if stretch_end == t_end and delicate:
             # this stretch's windows reach the trace end, so extending the

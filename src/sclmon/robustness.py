@@ -4,11 +4,14 @@ verdict flips.
 For atoms the robustness is the signed distance to the threshold; Boolean
 connectives take max/min/negation pointwise.  For a convolution node the
 robustness at t is the supremum of all levels r such that the kernel-weighted
-coverage of ``{inner robustness > r}`` still meets the threshold.  Coverage
-is a nonincreasing step function of r (asserted during bracketing), so the
-supremum is found by scanning a coarse r-grid for the sign change and
-bisecting down to the configured tolerance; the reported value is the final
-bracket midpoint.
+coverage of ``{inner robustness > r}`` still meets the threshold.  Over a
+piecewise-constant inner signal that coverage only drops where r passes one of
+the window's segment values, so the supremum is one of them: the
+kernel-weighted threshold-quantile of the window.  It is returned exactly,
+with no tolerance.  A cumulative mass only proposes the level; the coverage
+sum over the window's segments in time order decides it, so the answer at a
+coverage that sits exactly on the threshold does not depend on the order in
+which the levels were sorted.
 
 The inner robustness of atoms and their Boolean combinations is an exact
 piecewise-constant function of time; nested convolution nodes are sampled on
@@ -43,33 +46,23 @@ _MASS_SNAP = 1e-9  # coverage sums get snapped onto the exact bounds 0 / 1
 
 @dataclass
 class RhoConfig:
-    tolerance: float = 1e-6        # bisection resolution in r
     time_grid: float | None = None  # sampling pitch; default: window width / 1000
-    grid_points: int = 16          # initial r-grid size
-    max_expansions: int = 32       # outward doublings before giving up
 
     def __post_init__(self) -> None:
-        if self.tolerance <= 0:
-            raise SclError("tolerance must be positive")
         if self.time_grid is not None and self.time_grid <= 0:
             raise SclError("time grid must be positive")
-        if self.grid_points < 2:
-            raise SclError("r grid needs at least two points")
 
 
 @dataclass(frozen=True)
 class RobustnessTrace:
-    """Sampled robustness t -> rho(t) with the bisection tolerance used."""
+    """Sampled robustness t -> rho(t)."""
 
     times: np.ndarray
     values: np.ndarray
-    tolerance: float
 
     def __post_init__(self) -> None:
         if len(self.times) != len(self.values):
             raise SclError("times and values must have equal length")
-        if self.tolerance <= 0:
-            raise SclError("tolerance must be positive")
 
 
 class _StepFunction:
@@ -85,12 +78,6 @@ class _StepFunction:
 
     def negated(self) -> "_StepFunction":
         return _StepFunction(self.start, self.end, self.times, -self.values)
-
-    def restricted(self, end: float) -> "_StepFunction":
-        if end >= self.end:
-            return self
-        keep = self.times <= end
-        return _StepFunction(self.start, end, self.times[keep], self.values[keep])
 
     def combined(self, other: "_StepFunction", op) -> "_StepFunction":
         end = min(self.end, other.end)
@@ -114,8 +101,14 @@ class _StepFunction:
 
 
 def _coverage_supremum(kernel: BoundedKernel, threshold: float,
-                       inner: _StepFunction, t: float, cfg: RhoConfig) -> float:
-    """sup { r | kernel-weighted measure of {inner > r} in the window >= threshold }."""
+                       inner: _StepFunction, t: float) -> float:
+    """sup { r | kernel-weighted measure of {inner > r} in the window >= threshold }.
+
+    For r just below a level u the set {inner > r} is {inner >= u}, so the
+    supremum is the highest finite level u whose coverage(u) reaches the
+    threshold.  A cumulative mass over the levels proposes it; coverage(u),
+    one masked sum in time order, decides it.
+    """
     lo, hi = t + kernel.lower, t + kernel.upper
     eps = 1e-9 * max(1.0, abs(inner.start), abs(inner.end))
     if lo < inner.start - eps or hi > inner.end + eps:
@@ -130,14 +123,6 @@ def _coverage_supremum(kernel: BoundedKernel, threshold: float,
         np.clip(seg_hi - t, kernel.lower, kernel.upper),
     ), dtype=float)
 
-    def coverage(r: float) -> float:
-        total = float(np.sum(masses[seg_vals > r]))
-        if abs(total) <= _MASS_SNAP:
-            return 0.0
-        if abs(total - 1.0) <= _MASS_SNAP:
-            return 1.0
-        return total
-
     finite = np.isfinite(seg_vals)
     top = float(np.sum(masses[seg_vals == np.inf]))       # coverage above all finite levels
     bottom = float(np.sum(masses[seg_vals > -np.inf]))    # coverage below all finite levels
@@ -149,31 +134,26 @@ def _coverage_supremum(kernel: BoundedKernel, threshold: float,
         return math.inf
     if bottom < threshold:
         return -math.inf
-    vmin = float(np.min(seg_vals[finite]))
-    vmax = float(np.max(seg_vals[finite]))
 
-    r_lo, r_hi = vmin - 1.0, vmax + 1.0
-    for _ in range(cfg.max_expansions + 1):
-        grid = np.linspace(r_lo, r_hi, cfg.grid_points)
-        cov = np.array([coverage(r) for r in grid])
-        if np.any(np.diff(cov) > 1e-12):
-            raise SclError("coverage is not nonincreasing in r; bracketing is unsound")
-        below = np.nonzero(cov < threshold)[0]
-        if cov[0] >= threshold and len(below):
-            lo_r = float(grid[below[0] - 1])
-            hi_r = float(grid[below[0]])
-            while hi_r - lo_r > cfg.tolerance:
-                mid = 0.5 * (lo_r + hi_r)
-                if coverage(mid) >= threshold:
-                    lo_r = mid
-                else:
-                    hi_r = mid
-            return 0.5 * (lo_r + hi_r)
-        span = r_hi - r_lo
-        r_lo, r_hi = r_lo - span, r_hi + span
-    raise SclError(
-        f"no robustness bracket found after {cfg.max_expansions} grid expansions"
-    )
+    levels, level_of = np.unique(seg_vals[finite], return_inverse=True)
+    levels = levels[::-1]
+    level_mass = np.bincount(level_of, weights=masses[finite])[::-1]
+
+    def covers(k: int) -> bool:
+        total = float(np.sum(masses[seg_vals >= levels[k]]))
+        if abs(total) <= _MASS_SNAP:
+            total = 0.0
+        elif abs(total - 1.0) <= _MASS_SNAP:
+            total = 1.0
+        return total >= threshold
+
+    last = len(levels) - 1
+    k = min(int(np.searchsorted(top + np.cumsum(level_mass), threshold)), last)
+    while k < last and not covers(k):
+        k += 1
+    while k > 0 and covers(k - 1):
+        k -= 1
+    return float(levels[k])
 
 
 def _atom_step_function(trace: PiecewiseConstantSignal, atom: Atom) -> _StepFunction:
@@ -215,7 +195,7 @@ def _rho_signal(trace: PiecewiseConstantSignal, f: Formula,
             if ts[-1] < end - 1e-12:
                 ts = np.append(ts, end)
             vals = np.array([
-                _coverage_supremum(kernel, threshold, inner, t, cfg) for t in ts
+                _coverage_supremum(kernel, threshold, inner, t) for t in ts
             ])
             return _StepFunction(inner.start, end, ts, vals)
         case ConvDual(kernel, threshold, child):
@@ -251,7 +231,7 @@ def rho(trace: PiecewiseConstantSignal, f: Formula, t: float = 0.0,
             return max(-rho(trace, left, t, cfg), rho(trace, right, t, cfg))
         case Conv(kernel, threshold, child):
             inner = _rho_signal(trace, child, cfg)
-            return _coverage_supremum(kernel, threshold, inner, t, cfg)
+            return _coverage_supremum(kernel, threshold, inner, t)
         case ConvDual(kernel, threshold, child):
             return rho(trace, Not(Conv(kernel, 1.0 - threshold, Not(child))), t, cfg)
     raise SclError(f"not a formula: {f!r}")
@@ -276,7 +256,7 @@ def rho_trace(trace: PiecewiseConstantSignal, f: Formula,
     if ts[-1] < end - 1e-12:
         ts = np.append(ts, end)
     vals = np.array([sf.value_at(t) for t in ts])
-    return RobustnessTrace(ts, vals, cfg.tolerance)
+    return RobustnessTrace(ts, vals)
 
 
 def _default_pitch(f: Formula, span: float) -> float:

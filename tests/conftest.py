@@ -118,7 +118,7 @@ def rho_conv_enumeration(kernel, threshold: float, seg_bounds: np.ndarray,
 
     ``seg_bounds``/``seg_values`` describe the inner robustness as a step
     function.  Coverage of each candidate level is measured with a dense
-    midpoint sum, so this shares nothing with the bisection implementation.
+    midpoint sum, so this shares nothing with the library's quantile search.
     """
     lo, hi = t + kernel.lower, t + kernel.upper
     xs = np.linspace(lo, hi, 160_001)

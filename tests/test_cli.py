@@ -166,6 +166,7 @@ class TestRho:
         doc = json.loads((out / "formula_000.json").read_text())
         jsonschema.validate(doc, VERDICT_JSON_SCHEMA)
         assert doc["robustness"]["values"][0] < 0
+        assert doc["robustness"]["tolerance"] == 0.0  # exact quantiles
 
 
 class TestGen:

@@ -148,3 +148,18 @@ class TestOfflineEquivalence:
         sm.finish(trace.duration)
         sm.poll()
         assert sm.resolved_signal() == monitor(trace, f, cfg).signal
+
+    def test_last_substep_ends_exactly_at_stretch_end(self):
+        # 5-minute CGM pitch: t + (stretch_end - t) falls an ulp short of
+        # stretch_end here, which once left false slivers at poll boundaries
+        times = np.arange(151) / 12
+        g = np.where((times >= 2.0) & (times < times[32]), 60.0, 100.0)
+        trace = PiecewiseConstantSignal(("G",), times, g.reshape(-1, 1), float(times[-1]))
+        f = parse("<flat[0,1], 0.8> (G >= 70)")
+        sm = StreamingMonitor(f, ("G",))
+        for t, row in zip(times, trace.values):
+            sm.push(float(t), row)
+            sm.poll()
+        sm.finish(trace.duration)
+        sm.poll()
+        assert sm.resolved_signal() == monitor(trace, f).signal
