@@ -21,9 +21,7 @@ from .formula import (
     Implies,
     Not,
     Or,
-    desugar,
     eventually,
-    formula_size,
     globally,
     horizon,
     variables,
@@ -56,7 +54,6 @@ from .signals import (
     boolean_and,
     boolean_not,
     boolean_or,
-    decompose,
     restrict_domain,
 )
 from .streaming import StreamingMonitor
@@ -78,14 +75,13 @@ __all__ = [
     "Interval", "MonitorConfig", "Not", "Or", "ParseError",
     "PiecewiseConstantSignal", "RhoConfig", "RobustnessTrace", "SclError",
     "StreamingMonitor", "TRUE", "TraceError", "VerdictSignal", "add_noise",
-    "boolean_and", "boolean_not", "boolean_or", "decompose", "desugar",
-    "eval_atom", "eval_conv_efficient", "eval_conv_incremental",
-    "eval_conv_oracle", "evaluate", "eventually", "formula_size",
-    "generate_glucose_like", "generate_sine_quantized", "generate_step_train",
-    "globally", "horizon", "integral", "monitor", "parse",
-    "parse_formula_file", "pretty_print", "read_trace_csv", "restrict_domain",
-    "rho", "rho_trace", "trace_to_csv", "variables", "weighted_integral",
-    "write_trace_csv",
+    "boolean_and", "boolean_not", "boolean_or", "eval_atom",
+    "eval_conv_efficient", "eval_conv_incremental", "eval_conv_oracle",
+    "evaluate", "eventually", "generate_glucose_like",
+    "generate_sine_quantized", "generate_step_train", "globally", "horizon",
+    "integral", "monitor", "parse", "parse_formula_file", "pretty_print",
+    "read_trace_csv", "restrict_domain", "rho", "rho_trace", "trace_to_csv",
+    "variables", "weighted_integral", "write_trace_csv",
 ]
 
 __version__ = "0.1.0"

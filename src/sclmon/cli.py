@@ -3,7 +3,7 @@
 Subcommands::
 
     scl-mon check --trace t.csv --spec f.scl [--delta D] [--evaluator E]
-                  [--out DIR] [--format csv|json] [--oracle-grid G]
+                  [--out DIR] [--format csv|json]
     scl-mon rho   --trace t.csv --spec f.scl [--time-grid G] [--delta D]
                   [--out DIR] [--format csv|json]
     scl-mon gen   --kind step-train|sine-quantized|glucose-like --seed S
@@ -19,9 +19,8 @@ exact, a kernel-weighted quantile of the window's values, so the JSON
 of the Boolean verdict behind the exit code.
 
 Exit codes: 0 when every formula is satisfied at time 0, 1 when any is
-violated, 2 on error.  ``SCL_MON_THREADS`` caps parallel formula evaluation
-(default: available cores).  Time numbers are unitless and must match the
-trace; outputs are written atomically per formula.
+violated, 2 on error.  Time numbers are unitless and must match the trace;
+outputs are written atomically per formula.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import SclError
@@ -57,7 +55,6 @@ class RunConfig:
     mode: str = "boolean"            # boolean | robustness | both
     evaluator: str = "efficient"
     delta: float | None = None
-    oracle_grid: float | None = None
     time_grid: float | None = None
     output_format: str = "csv"
     out_dir: str | None = None
@@ -67,30 +64,16 @@ class RunConfig:
             raise SclError(f"unknown mode {self.mode!r}")
         if self.output_format not in ("csv", "json"):
             raise SclError(f"unknown output format {self.output_format!r}")
-        for name in ("delta", "oracle_grid", "time_grid"):
+        for name in ("delta", "time_grid"):
             v = getattr(self, name)
             if v is not None and v <= 0:
                 raise SclError(f"{name} must be positive")
 
     def monitor_config(self) -> MonitorConfig:
-        return MonitorConfig(evaluator=self.evaluator, delta=self.delta,
-                             oracle_grid=self.oracle_grid)
+        return MonitorConfig(evaluator=self.evaluator, delta=self.delta)
 
     def rho_config(self) -> RhoConfig:
         return RhoConfig(time_grid=self.time_grid)
-
-
-def _threads() -> int:
-    raw = os.environ.get("SCL_MON_THREADS", "").strip()
-    if raw:
-        try:
-            n = int(raw)
-        except ValueError:
-            raise SclError(f"SCL_MON_THREADS must be an integer, got {raw!r}") from None
-        if n < 1:
-            raise SclError("SCL_MON_THREADS must be at least 1")
-        return n
-    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -104,12 +87,11 @@ class FormulaResult:
 
 def run_monitor(trace: PiecewiseConstantSignal, formulas: list[tuple[int, str, Formula]],
                 cfg: RunConfig) -> list[FormulaResult]:
-    """Evaluate every formula against the trace; order-preserving, parallel."""
+    """Evaluate every formula against the trace, in order."""
     mon_cfg = cfg.monitor_config()
     rho_cfg = cfg.rho_config()
 
-    def evaluate(item: tuple[int, tuple[int, str, Formula]]) -> FormulaResult:
-        index, (_, source, f) = item
+    def evaluate(index: int, source: str, f: Formula) -> FormulaResult:
         verdict = monitor(trace, f, mon_cfg)
         robustness = rho_trace(trace, f, rho_cfg) if cfg.mode in ("robustness", "both") else None
         return FormulaResult(
@@ -120,8 +102,7 @@ def run_monitor(trace: PiecewiseConstantSignal, formulas: list[tuple[int, str, F
             robustness=robustness,
         )
 
-    with ThreadPoolExecutor(max_workers=_threads()) as pool:
-        return list(pool.map(evaluate, enumerate(formulas)))
+    return [evaluate(index, source, f) for index, (_, source, f) in enumerate(formulas)]
 
 
 def _verdict_segments(sig: BooleanSignal) -> list[tuple[float, float, bool]]:
@@ -216,8 +197,7 @@ def _emit_results(results: list[FormulaResult], cfg: RunConfig) -> None:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     cfg = RunConfig(mode="boolean", evaluator=args.evaluator, delta=args.delta,
-                    oracle_grid=args.oracle_grid, output_format=args.format,
-                    out_dir=args.out)
+                    output_format=args.format, out_dir=args.out)
     return _run_and_emit(args, cfg)
 
 
@@ -295,7 +275,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="max integration step (default: window/1000 per operator)")
     check.add_argument("--evaluator", choices=("efficient", "oracle", "incremental"),
                        default="efficient")
-    check.add_argument("--oracle-grid", type=float, default=None)
     check.add_argument("--out", default=None, help="output directory (default: stdout)")
     check.add_argument("--format", choices=("csv", "json"), default="csv")
     check.set_defaults(func=_cmd_check)

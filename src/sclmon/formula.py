@@ -7,8 +7,7 @@ equivalent to ``Not(Conv(kernel, 1 - threshold, Not(child)))``.
 
 ``globally``/``eventually`` are flat-kernel abbreviations with thresholds 1
 and 0; ``And``/``Implies`` are kept as AST nodes so formulas print the way
-they were written, and :func:`desugar` rewrites everything into the core
-fragment (constants, atoms, Not, Or, Conv).
+they were written.
 """
 
 from __future__ import annotations
@@ -134,44 +133,6 @@ def horizon(f: Formula) -> float:
         case Conv(kernel, _, child) | ConvDual(kernel, _, child):
             return kernel.upper + horizon(child)
     raise SclError(f"not a formula: {f!r}")
-
-
-def desugar(f: Formula) -> Formula:
-    """Rewrite into the core fragment (Const, Atom, Not, Or, Conv); idempotent."""
-    match f:
-        case Const() | Atom():
-            return f
-        case Not(child):
-            return Not(desugar(child))
-        case Or(left, right):
-            return Or(desugar(left), desugar(right))
-        case And(left, right):
-            return Not(Or(Not(desugar(left)), Not(desugar(right))))
-        case Implies(left, right):
-            return Or(Not(desugar(left)), desugar(right))
-        case Conv(kernel, threshold, child):
-            return Conv(kernel, threshold, desugar(child))
-        case ConvDual(kernel, threshold, child):
-            return Not(Conv(kernel, 1.0 - threshold, Not(desugar(child))))
-    raise SclError(f"not a formula: {f!r}")
-
-
-def formula_size(f: Formula) -> int:
-    """Number of operator nodes in the desugared formula."""
-
-    def count(g: Formula) -> int:
-        match g:
-            case Const() | Atom():
-                return 0
-            case Not(child):
-                return 1 + count(child)
-            case Or(left, right):
-                return 1 + count(left) + count(right)
-            case Conv(_, _, child):
-                return 1 + count(child)
-        raise SclError(f"unexpected node after desugaring: {g!r}")
-
-    return count(desugar(f))
 
 
 def variables(f: Formula) -> tuple[str, ...]:

@@ -71,21 +71,18 @@ class MonitorConfig:
     """Knobs for :func:`monitor`.
 
     ``delta`` is the maximum integration step (default: window width / 1000,
-    chosen per convolution node); ``oracle_grid`` the sampling pitch of the
-    brute-force evaluator (default ``delta / 2``).
+    chosen per convolution node); the brute-force evaluator samples at
+    ``delta / 2``.
     """
 
     evaluator: str = "efficient"   # efficient | oracle | incremental
     delta: float | None = None
-    oracle_grid: float | None = None
 
     def __post_init__(self) -> None:
         if self.evaluator not in ("efficient", "oracle", "incremental"):
             raise SclError(f"unknown evaluator {self.evaluator!r}")
         if self.delta is not None and self.delta <= 0:
             raise SclError("delta must be positive")
-        if self.oracle_grid is not None and self.oracle_grid <= 0:
-            raise SclError("oracle grid must be positive")
 
 
 @dataclass(frozen=True)
@@ -516,8 +513,7 @@ def _conv_dispatch(kernel: BoundedKernel, threshold: float, sig: BooleanSignal,
                    config: MonitorConfig) -> ConvEvaluation:
     delta = config.delta if config.delta is not None else kernel.width / 1000.0
     if config.evaluator == "oracle":
-        grid = config.oracle_grid if config.oracle_grid is not None else delta / 2.0
-        return eval_conv_oracle(kernel, threshold, sig, grid)
+        return eval_conv_oracle(kernel, threshold, sig, delta / 2.0)
     if config.evaluator == "incremental" and isinstance(kernel, (FlatKernel, ExponentialKernel)):
         return eval_conv_incremental(kernel, threshold, sig, delta)
     return eval_conv_efficient(kernel, threshold, sig, delta)

@@ -13,9 +13,12 @@ sum over the window's segments in time order decides it, so the answer at a
 coverage that sits exactly on the threshold does not depend on the order in
 which the levels were sorted.
 
-The inner robustness of atoms and their Boolean combinations is an exact
-piecewise-constant function of time; nested convolution nodes are sampled on
-a uniform time grid, one trace per nesting level.
+One recursion evaluates every node as a step function over only the span it
+reads: ``rho(t)`` asks the formula for ``[t, t]``, and a convolution node asks
+its child for its window around that span, ``[lo + lower, hi + upper]``.  The
+robustness of atoms and their Boolean combinations is exact and piecewise
+constant; a convolution node is sampled on a uniform time grid from the start
+of its span, with a last sample at the span's end.
 """
 
 from __future__ import annotations
@@ -156,51 +159,45 @@ def _coverage_supremum(kernel: BoundedKernel, threshold: float,
     return float(levels[k])
 
 
-def _atom_step_function(trace: PiecewiseConstantSignal, atom: Atom) -> _StepFunction:
-    vals = trace.variable_values(atom.variable)
-    signed = vals - atom.threshold if atom.op in (">=", ">") else atom.threshold - vals
-    return _StepFunction(0.0, trace.duration, trace.times, signed)
-
-
-def _rho_signal(trace: PiecewiseConstantSignal, f: Formula,
-                cfg: RhoConfig) -> _StepFunction:
+def _rho_signal(trace: PiecewiseConstantSignal, f: Formula, cfg: RhoConfig,
+                lo: float, hi: float) -> _StepFunction:
+    """Robustness of ``f`` as a step function on ``[lo, hi]`` only."""
     match f:
         case Const(value):
             v = math.inf if value else -math.inf
-            return _StepFunction(0.0, trace.duration, np.array([0.0]), np.array([v]))
+            return _StepFunction(lo, hi, np.array([lo]), np.array([v]))
         case Atom():
-            return _atom_step_function(trace, f)
+            hi = min(hi, trace.duration)  # the trace ends here; windows clip to it
+            i = int(np.searchsorted(trace.times, lo, side="right")) - 1
+            j = int(np.searchsorted(trace.times, hi, side="right"))
+            vals = trace.variable_values(f.variable)[i:j]
+            signed = vals - f.threshold if f.op in (">=", ">") else f.threshold - vals
+            return _StepFunction(lo, hi, np.concatenate([[lo], trace.times[i + 1:j]]), signed)
         case Not(child):
-            return _rho_signal(trace, child, cfg).negated()
+            return _rho_signal(trace, child, cfg, lo, hi).negated()
         case Or(left, right):
-            return _rho_signal(trace, left, cfg).combined(
-                _rho_signal(trace, right, cfg), np.maximum)
+            return _rho_signal(trace, left, cfg, lo, hi).combined(
+                _rho_signal(trace, right, cfg, lo, hi), np.maximum)
         case And(left, right):
-            return _rho_signal(trace, left, cfg).combined(
-                _rho_signal(trace, right, cfg), np.minimum)
+            return _rho_signal(trace, left, cfg, lo, hi).combined(
+                _rho_signal(trace, right, cfg, lo, hi), np.minimum)
         case Implies(left, right):
-            return _rho_signal(trace, left, cfg).negated().combined(
-                _rho_signal(trace, right, cfg), np.maximum)
+            return _rho_signal(trace, left, cfg, lo, hi).negated().combined(
+                _rho_signal(trace, right, cfg, lo, hi), np.maximum)
         case Conv(kernel, threshold, child):
-            inner = _rho_signal(trace, child, cfg)
-            end = inner.end - kernel.upper
-            if end < inner.start - 1e-12:
-                raise HorizonError(
-                    f"trace too short for nested window [{kernel.lower}, {kernel.upper}]"
-                )
-            end = max(end, inner.start)
+            inner = _rho_signal(trace, child, cfg, lo + kernel.lower, hi + kernel.upper)
             pitch = cfg.time_grid if cfg.time_grid is not None else kernel.width / 1000.0
-            n = int(math.floor((end - inner.start) / pitch)) if end > inner.start else 0
-            ts = inner.start + pitch * np.arange(n + 1)
-            if ts[-1] < end - 1e-12:
-                ts = np.append(ts, end)
+            n = int(math.floor((hi - lo) / pitch)) if hi > lo else 0
+            ts = lo + pitch * np.arange(n + 1)
+            if ts[-1] < hi - 1e-12:
+                ts = np.append(ts, hi)
             vals = np.array([
                 _coverage_supremum(kernel, threshold, inner, t) for t in ts
             ])
-            return _StepFunction(inner.start, end, ts, vals)
+            return _StepFunction(lo, hi, ts, vals)
         case ConvDual(kernel, threshold, child):
             return _rho_signal(
-                trace, Not(Conv(kernel, 1.0 - threshold, Not(child))), cfg)
+                trace, Not(Conv(kernel, 1.0 - threshold, Not(child))), cfg, lo, hi)
     raise SclError(f"not a formula: {f!r}")
 
 
@@ -214,27 +211,7 @@ def rho(trace: PiecewiseConstantSignal, f: Formula, t: float = 0.0,
             f"time {t} outside evaluable horizon [0, {trace.duration - needed:.6g}] "
             f"(formula horizon {needed:.6g})"
         )
-    match f:
-        case Const(value):
-            return math.inf if value else -math.inf
-        case Atom():
-            return float(trace.value_at(t, f.variable) - f.threshold) \
-                if f.op in (">=", ">") \
-                else float(f.threshold - trace.value_at(t, f.variable))
-        case Not(child):
-            return -rho(trace, child, t, cfg)
-        case Or(left, right):
-            return max(rho(trace, left, t, cfg), rho(trace, right, t, cfg))
-        case And(left, right):
-            return min(rho(trace, left, t, cfg), rho(trace, right, t, cfg))
-        case Implies(left, right):
-            return max(-rho(trace, left, t, cfg), rho(trace, right, t, cfg))
-        case Conv(kernel, threshold, child):
-            inner = _rho_signal(trace, child, cfg)
-            return _coverage_supremum(kernel, threshold, inner, t)
-        case ConvDual(kernel, threshold, child):
-            return rho(trace, Not(Conv(kernel, 1.0 - threshold, Not(child))), t, cfg)
-    raise SclError(f"not a formula: {f!r}")
+    return _rho_signal(trace, f, cfg, t, t).value_at(t)
 
 
 def rho_trace(trace: PiecewiseConstantSignal, f: Formula,
@@ -247,7 +224,7 @@ def rho_trace(trace: PiecewiseConstantSignal, f: Formula,
             f"formula horizon {needed:.6g} exceeds trace duration {trace.duration:.6g}"
         )
     end = max(trace.duration - needed, 0.0)
-    sf = _rho_signal(trace, f, cfg)
+    sf = _rho_signal(trace, f, cfg, 0.0, end)
     pitch = cfg.time_grid
     if pitch is None:
         pitch = _default_pitch(f, end)

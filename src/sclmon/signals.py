@@ -124,11 +124,6 @@ class BooleanSignal:
         return not self.intervals
 
 
-def decompose(sig: BooleanSignal) -> tuple[Interval, ...]:
-    """Split into unitary components (one per true-interval)."""
-    return sig.intervals
-
-
 def boolean_not(sig: BooleanSignal) -> BooleanSignal:
     """Complement within the domain."""
     if sig.start == sig.end:

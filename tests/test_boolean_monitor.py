@@ -311,17 +311,6 @@ class TestMonitor:
             for (s1, e1), (s2, e2) in zip(other.intervals, base.intervals):
                 assert abs(s1 - s2) <= 2e-3 and abs(e1 - e2) <= 2e-3
 
-    def test_desugaring_preserves_boolean_semantics(self):
-        from sclmon import desugar
-        rng = np.random.default_rng(93)
-        for _ in range(20):
-            trace = _random_trace(rng, duration=4.0)
-            k = random_kernel(rng, 0.0, 1.0)
-            f = ConvDual(k, float(rng.uniform(0.1, 0.9)), Atom("v", ">=", 0.0))
-            once = desugar(f)
-            assert desugar(once) == once
-            assert monitor(trace, f).signal == monitor(trace, once).signal
-
     def test_incremental_config_falls_back_for_unsupported_shapes(self):
         trace = _random_trace(np.random.default_rng(91), duration=4.0)
         f = parse("<gauss(0.5, 0.3)[0,1], 0.5> (v >= 0)")

@@ -136,14 +136,6 @@ class TestCheck:
                          "--evaluator", evaluator, "--out",
                          str(workdir / f"out-{evaluator}")]) == 0
 
-    def test_thread_cap_env(self, workdir, glucose_trace, monkeypatch):
-        monkeypatch.setenv("SCL_MON_THREADS", "2")
-        spec = write(workdir / "f.scl", "true\nfalse\nG >= 0\n")
-        assert main(["check", "--trace", glucose_trace, "--spec", spec,
-                     "--out", str(workdir / "out")]) == 1
-        monkeypatch.setenv("SCL_MON_THREADS", "zero")
-        assert main(["check", "--trace", glucose_trace, "--spec", spec]) == 2
-
 
 class TestRho:
     def test_rho_csv(self, workdir, glucose_trace):

@@ -1,6 +1,5 @@
-"""Formula AST: horizon, desugaring, size, validation."""
+"""Formula AST: horizon, validation, variables."""
 
-import numpy as np
 import pytest
 
 from sclmon import (
@@ -10,12 +9,9 @@ from sclmon import (
     ConvDual,
     FlatKernel,
     Implies,
-    Not,
     Or,
     SclError,
-    desugar,
     eventually,
-    formula_size,
     globally,
     horizon,
     variables,
@@ -45,49 +41,10 @@ class TestHorizon:
         f = Or(globally(0, 2, G70), globally(0, 5, G70))
         assert horizon(f) == 5.0
 
-    def test_desugaring_preserves_horizon(self):
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            f = _random_formula(rng, depth=3)
-            assert horizon(desugar(f)) == horizon(f)
 
-
-class TestDesugar:
-    def test_globally_is_full_coverage(self):
-        f = globally(0.0, 2.0, G70)
-        assert f == Conv(FlatKernel(0.0, 2.0), 1.0, G70)
-        assert desugar(f) == f
-
-    def test_eventually_is_complement_chain(self):
-        f = eventually(0.0, 2.0, G70)
-        assert f == ConvDual(FlatKernel(0.0, 2.0), 0.0, G70)
-        assert desugar(f) == Not(Conv(FlatKernel(0.0, 2.0), 1.0, Not(G70)))
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(5)
-        for _ in range(200):
-            f = _random_formula(rng, depth=3)
-            once = desugar(f)
-            assert desugar(once) == once
-
-    def test_and_implies_expand(self):
-        a, b = Atom("x", ">", 0.0), Atom("y", "<", 1.0)
-        assert desugar(And(a, b)) == Not(Or(Not(a), Not(b)))
-        assert desugar(Implies(a, b)) == Or(Not(a), b)
-
-
-class TestSize:
-    def test_atom(self):
-        assert formula_size(G70) == 0
-
-    def test_not_or(self):
-        assert formula_size(Or(Not(G70), Atom("I", "<=", 0.0))) == 2
-
-    def test_conv_with_negation(self):
-        assert formula_size(Conv(FlatKernel(0, 1), 0.5, Not(G70))) == 2
-
-    def test_dual_counts_via_expansion(self):
-        assert formula_size(eventually(0, 1, G70)) == 3  # Not, Conv, Not
+def test_globally_and_eventually_are_flat_windows():
+    assert globally(0.0, 2.0, G70) == Conv(FlatKernel(0.0, 2.0), 1.0, G70)
+    assert eventually(0.0, 2.0, G70) == ConvDual(FlatKernel(0.0, 2.0), 0.0, G70)
 
 
 class TestValidation:
@@ -109,23 +66,3 @@ class TestValidation:
 def test_variables_in_first_use_order():
     f = Or(And(Atom("b", ">", 0), Atom("a", ">", 0)), Atom("b", "<", 1))
     assert variables(f) == ("b", "a")
-
-
-def _random_formula(rng, depth):
-    if depth == 0 or rng.random() < 0.3:
-        return Atom("v", str(rng.choice([">=", "<=", ">", "<"])), float(rng.uniform(-1, 1)))
-    pick = rng.random()
-    child = _random_formula(rng, depth - 1)
-    if pick < 0.2:
-        return Not(child)
-    if pick < 0.4:
-        return Or(child, _random_formula(rng, depth - 1))
-    if pick < 0.55:
-        return And(child, _random_formula(rng, depth - 1))
-    if pick < 0.7:
-        return Implies(child, _random_formula(rng, depth - 1))
-    lo = float(rng.uniform(0, 1))
-    hi = lo + float(rng.uniform(0.1, 2))
-    if pick < 0.85:
-        return Conv(FlatKernel(lo, hi), float(rng.uniform(0, 1)), child)
-    return ConvDual(FlatKernel(lo, hi), float(rng.uniform(0, 1)), child)

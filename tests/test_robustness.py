@@ -19,6 +19,7 @@ from sclmon import (
     SclError,
     eventually,
     globally,
+    horizon,
     monitor,
     parse,
     rho,
@@ -159,6 +160,33 @@ class TestRhoValues:
             ("G", "I"), times, np.column_stack([g, i_bad]), 30.0)
         assert not monitor(bad, f).satisfied_at_zero
         assert rho(bad, f, 0.0) < 0
+
+    def test_rho_reads_only_its_horizon(self):
+        rng = np.random.default_rng(97)
+        trace = random_trace(rng, 6.0, 60)
+        nested = [
+            parse("G[0.5,1.5] (<flat[0,1], 0.5> (v > 0))"),
+            parse("<flat[0.25,1], 0.3> (<exp(2)[0.5,1], 0.6> (v >= 0) | v < -1)"),
+            parse("F[0.2,0.8] (<gauss(0.5, 0.3)[0,1], 0.4> (v >= 0) -> G[0.1,0.4] (v <= 1))"),
+        ]
+        for f in nested:
+            for t in (0.3, 1.7, 6.0 - horizon(f)):
+                end = t + horizon(f)
+                keep = trace.times <= end
+                cut = PiecewiseConstantSignal(
+                    ("v",), trace.times[keep], trace.values[keep], end)
+                assert rho(trace, f, t) == rho(cut, f, t)
+
+        # rho(t) and rho_trace share one recursion: equal on the grid
+        single = [
+            (parse("<flat[0.25,1], 0.4> (v > 0)"), None),
+            (parse("<exp(-1.5)[0.5,2], 0.7>* (v >= 0.5)"), None),
+            (parse("<flat[0,1], 0.5> (v > 0) | G[0.5,1] (v >= -1)"), RhoConfig(time_grid=0.05)),
+        ]
+        for f, cfg in single:
+            rt = rho_trace(trace, f, cfg)
+            for i in [*range(0, len(rt.times), 41), len(rt.times) - 1]:
+                assert rho(trace, f, float(rt.times[i]), cfg) == rt.values[i]
 
 
 class TestRhoTrace:

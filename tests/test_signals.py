@@ -1,4 +1,4 @@
-"""Interval algebra: decomposition, Boolean combinations, restriction."""
+"""Interval algebra: normalization, Boolean combinations, restriction."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from sclmon import (
     boolean_and,
     boolean_not,
     boolean_or,
-    decompose,
     restrict_domain,
 )
 from conftest import random_boolean_signal
@@ -22,22 +21,9 @@ def sig(start, end, *intervals):
     return BooleanSignal.from_intervals(start, end, intervals)
 
 
-class TestDecompose:
-    def test_single_interval(self):
-        assert decompose(sig(0, 1, (0.3, 0.9))) == (Interval(0.3, 0.9),)
-
-    def test_constant_false(self):
-        assert decompose(sig(0, 1)) == ()
-
+class TestNormalization:
     def test_adjacent_intervals_merge(self):
-        assert decompose(sig(0, 1, (0.0, 0.2), (0.2, 0.5))) == (Interval(0.0, 0.5),)
-
-    def test_reassembly_is_identity(self):
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            s = random_boolean_signal(rng, 0.0, 10.0)
-            rebuilt = BooleanSignal.from_intervals(s.start, s.end, decompose(s))
-            assert rebuilt == s
+        assert sig(0, 1, (0.0, 0.2), (0.2, 0.5)).intervals == (Interval(0.0, 0.5),)
 
     def test_zero_length_intervals_dropped(self):
         assert sig(0, 1, (0.5, 0.5)).intervals == ()
