@@ -1,19 +1,24 @@
 """Formula AST: horizon, validation, variables."""
 
+import numpy as np
 import pytest
 
 from sclmon import (
     And,
     Atom,
+    BooleanSignal,
     Conv,
     ConvDual,
     FlatKernel,
     Implies,
+    Not,
     Or,
+    PiecewiseConstantSignal,
     SclError,
     eventually,
     globally,
     horizon,
+    monitor,
     variables,
 )
 
@@ -42,9 +47,23 @@ class TestHorizon:
         assert horizon(f) == 5.0
 
 
-def test_globally_and_eventually_are_flat_windows():
-    assert globally(0.0, 2.0, G70) == Conv(FlatKernel(0.0, 2.0), 1.0, G70)
-    assert eventually(0.0, 2.0, G70) == ConvDual(FlatKernel(0.0, 2.0), 0.0, G70)
+class TestDesugar:
+    TRACE = PiecewiseConstantSignal(
+        ("G",), np.array([0.0, 1.0, 2.5, 4.0]),
+        np.array([[80.0], [60.0], [90.0], [75.0]]), 8.0)
+
+    def test_globally_is_full_coverage(self):
+        f = globally(0.0, 2.0, G70)
+        assert f == Conv(FlatKernel(0.0, 2.0), 1.0, G70)
+        # G >= 70 fails on [1, 2.5), so only windows starting at 2.5 or later hold.
+        assert monitor(self.TRACE, f).signal == BooleanSignal.from_intervals(
+            0.0, 6.0, [(2.5, 6.0)])
+
+    def test_eventually_is_complement_chain(self):
+        f = eventually(0.0, 2.0, G70)
+        assert f == ConvDual(FlatKernel(0.0, 2.0), 0.0, G70)
+        assert monitor(self.TRACE, f).signal == monitor(
+            self.TRACE, Not(Conv(FlatKernel(0.0, 2.0), 1.0, Not(G70)))).signal
 
 
 class TestValidation:
