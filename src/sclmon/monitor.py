@@ -7,11 +7,12 @@ of the child truth signal in the window anchored at t) and threshold it:
   integrals, crossings by linear interpolation.  Ground truth for the others.
 * :func:`eval_conv_efficient` -- sliding window: integration is split into
   stretches bounded by the events where a window boundary meets a true-interval
-  edge, so the edge set inside the window is constant per stretch; within a
-  stretch H is advanced on substeps of at most ``max_step`` using the exact
-  mass flux of the edges (for flat kernels this equals the first-order update,
-  which is exact there).  Threshold crossings are located by bisection
-  (closed form for flat kernels) to 1e-9 in time.
+  edge, so the edge set inside the window is constant per stretch.  There H is
+  linear (flat kernels) or ``C + D*exp(-rate*x)`` (exponential kernels), so it
+  is evaluated once, at the stretch end, and a crossing is solved in closed
+  form.  Gaussian windows are advanced on substeps of at most ``max_step``
+  using the exact mass flux of the edges, and their crossings are bisected to
+  1e-9 in time.
 * :func:`eval_conv_incremental` -- flat/exponential kernels only: H is slid
   along using edge-strip masses (flat) or the semigroup rescale
   ``H(t+h) = exp(-rate*h) * (H(t) - left_strip + right_strip)`` (exponential),
@@ -70,9 +71,11 @@ _H_DRIFT = 1e-6        # hard bound on numerical drift of H outside [0, 1]
 class MonitorConfig:
     """Knobs for :func:`monitor`.
 
-    ``delta`` is the maximum integration step (default: window width / 1000,
-    chosen per convolution node); the brute-force evaluator samples at
-    ``delta / 2``.
+    ``delta`` is the maximum integration step of Gaussian windows and of the
+    incremental evaluator (default: window width / 1000, chosen per
+    convolution node); the efficient evaluator solves flat and exponential
+    windows per stretch and needs no step.  The brute-force evaluator samples
+    at ``delta / 2``.
     """
 
     evaluator: str = "efficient"   # efficient | oracle | incremental
@@ -282,15 +285,43 @@ def _sub_crossings(phi: Callable[[float], float], p: float, x_lo: float, x_hi: f
     return roots
 
 
+def _stretch_root(kernel: BoundedKernel, span: float, th0: float, th1: float) -> float:
+    """Offset of the crossing inside one stretch of a flat or exponential
+    window, where H(t + x) is linear or ``C + D*exp(-rate*x)`` in x.
+
+    ``th0`` and ``th1`` are theta at the stretch ends, of opposite sign or
+    with exactly one of them zero; an end on the threshold is the root.
+    """
+    if th0 == 0.0:
+        return 0.0
+    if th1 == 0.0:
+        return span
+    if isinstance(kernel, FlatKernel):
+        x = span * (-th0 / (th1 - th0))
+    elif kernel.rate > 0.0:
+        rate = kernel.rate
+        x = -math.log1p(-th0 / (th1 - th0) * math.expm1(-rate * span)) / rate
+    else:
+        # measured from the far end the exponent stays non-positive, so
+        # expm1 cannot overflow however long the stretch
+        rate = kernel.rate
+        x = span - math.log1p(-th1 / (th0 - th1) * math.expm1(rate * span)) / rate
+    return min(max(x, 0.0), span)
+
+
 def _integrate_conv(kernel: BoundedKernel, p: float, sig: BooleanSignal,
                     max_step: float, make_stretch: Callable,
                     re_anchor: Callable | None = None,
-                    max_stretch: float = math.inf) -> ConvEvaluation:
+                    max_stretch: float = math.inf,
+                    closed_form: bool = False) -> ConvEvaluation:
     """Event-aligned driver shared by the efficient and incremental schemes.
 
     ``make_stretch(t, stretch_end, h_now)`` must return ``(phi_vec, phi,
     bound_rate)``: the exact H at ``t + x`` for a vector / scalar of offsets
-    ``x`` within the stretch, and a bound on ``|dH/dx|`` there.
+    ``x`` within the stretch, and a bound on ``|dH/dx|`` there.  With
+    ``closed_form`` H must be monotone within each stretch: every stretch is
+    then one substep, decided from its two end values, and its crossing comes
+    from :func:`_stretch_root`.
     """
     if max_step <= 0:
         raise SclError("integration step must be positive")
@@ -321,7 +352,7 @@ def _integrate_conv(kernel: BoundedKernel, p: float, sig: BooleanSignal,
         if span <= 0:
             t = stretch_end
             continue
-        n_sub = max(1, math.ceil(span / max_step - 1e-12))
+        n_sub = 1 if closed_form else max(1, math.ceil(span / max_step - 1e-12))
         xs = max_step * np.arange(1.0, n_sub + 1.0)
         np.minimum(xs, span, out=xs)
         xs[-1] = span
@@ -343,9 +374,25 @@ def _integrate_conv(kernel: BoundedKernel, p: float, sig: BooleanSignal,
                 continue
             th_j = _theta(hs_list[j], p)
             flip = (th_prev >= 0.0) != (th_j >= 0.0)
-            risky = flip or abs(th_prev) <= max(bound_rate * sub_w, 1e-11)
+            if closed_form:
+                # a one-sided touch of the threshold is an exact-equality
+                # plateau edge, which belongs in the crossings
+                risky = flip or (th_prev == 0.0) != (th_j == 0.0)
+            else:
+                risky = flip or abs(th_prev) <= max(bound_rate * sub_w, 1e-11)
             delicate = delicate or risky or abs(th_j) <= 1e-11
-            if risky:
+            roots: list[float] = []
+            if not risky:
+                runs.push(t + x_j, th_prev >= 0.0)
+            elif closed_form:
+                x_root = _stretch_root(kernel, x_j, th_prev, th_j)
+                roots.append(x_root)
+                # H is monotone, so each side of the root has its end's sign
+                if x_root > 0.0:
+                    runs.push(t + x_root, th_prev >= 0.0)
+                if x_root < x_j:
+                    runs.push(t + x_j, th_j >= 0.0)
+            else:
                 roots = _sub_crossings(phi, p, x_prev, x_j, th_prev, th_j, linear)
                 if roots:
                     bounds = [x_prev] + roots + [x_j]
@@ -354,15 +401,13 @@ def _integrate_conv(kernel: BoundedKernel, p: float, sig: BooleanSignal,
                             continue
                         xm = 0.5 * (bounds[i] + bounds[i + 1])
                         runs.push(t + bounds[i + 1], _theta(phi(xm), p) >= 0.0)
-                    for r in roots:
-                        rt = t + r
-                        if not crossings or abs(rt - crossings[-1]) > _ZERO_BAND:
-                            crossings.append(rt)
                 else:
                     rep = th_prev if th_prev != 0.0 else th_j
                     runs.push(t + x_j, rep >= 0.0)
-            else:
-                runs.push(t + x_j, th_prev >= 0.0)
+            for r in roots:
+                rt = t + r
+                if not crossings or abs(rt - crossings[-1]) > _ZERO_BAND:
+                    crossings.append(rt)
             x_prev = x_j
             th_prev = th_j
         # t + span can fall an ulp short of stretch_end; a run ending there
@@ -391,7 +436,12 @@ def _integrate_conv(kernel: BoundedKernel, p: float, sig: BooleanSignal,
 
 def eval_conv_efficient(kernel: BoundedKernel, threshold: float, sig: BooleanSignal,
                         max_step: float | None = None) -> ConvEvaluation:
-    """Sliding-window evaluator: event-aligned stretches, exact edge flux."""
+    """Sliding-window evaluator: event-aligned stretches, exact edge flux.
+
+    Flat and exponential windows take one H evaluation per stretch and a
+    closed-form crossing, so ``max_step`` only bounds the substeps of
+    Gaussian windows.
+    """
     if max_step is None:
         max_step = kernel.width / 1000.0
     starts = sig.starts_array
@@ -429,7 +479,8 @@ def eval_conv_efficient(kernel: BoundedKernel, threshold: float, sig: BooleanSig
 
         return phi_vec, phi, 2.0 * max(m, 1) * sup_k
 
-    return _integrate_conv(kernel, threshold, sig, max_step, make_stretch)
+    return _integrate_conv(kernel, threshold, sig, max_step, make_stretch,
+                           closed_form=isinstance(kernel, (FlatKernel, ExponentialKernel)))
 
 
 def eval_conv_incremental(kernel: BoundedKernel, threshold: float, sig: BooleanSignal,

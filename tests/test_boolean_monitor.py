@@ -140,6 +140,45 @@ class TestEfficient:
             allowed.update(round(c, 6) for c in ev.verdict.crossings)
             assert marks <= allowed
 
+    def test_plateau_edges_are_crossings(self):
+        # H rises to exactly 0.5 at t=0.5, holds on [0.5, 1.25], then falls;
+        # on the complement it falls onto the plateau and rises off it
+        sig = BooleanSignal.from_intervals(0.0, 3.5, [(1.0, 1.5), (2.0, 2.25)])
+        ev = eval_conv_efficient(FlatKernel(0.0, 1.0), 0.5, sig, 1e-3)
+        assert ev.verdict.crossings == pytest.approx([0.5, 1.25], abs=1e-9)
+        intervals_close(ev.verdict.signal.intervals, ((0.5, 1.25),), 1e-9)
+        ev = eval_conv_efficient(FlatKernel(0.0, 1.0), 0.5, boolean_not(sig), 1e-3)
+        assert ev.verdict.crossings == pytest.approx([0.5, 1.25], abs=1e-9)
+        assert ev.verdict.signal.is_always_true()
+
+    def test_closed_form_crossings_are_exact(self):
+        """Flat and exponential windows (rates of both signs, |rate|*width up
+        to 600): every crossing sits on the threshold to 1e-11, the result
+        does not depend on the step, and H is evaluated once per stretch."""
+        rng = np.random.default_rng(71)
+        for i in range(150):
+            width = float(rng.uniform(0.5, 2.0))
+            lo = float(rng.uniform(0.0, 0.3 * width))
+            sig = random_boolean_signal(rng, 0.0, lo + width * 3.0,
+                                        max_intervals=10, min_feature=width / 100.0)
+            if i % 3 == 0:
+                k = FlatKernel(lo, lo + width)
+            else:
+                scale = rng.uniform(550.0, 600.0) if i % 3 == 2 else rng.uniform(0.3, 8.0)
+                sign = 1.0 if rng.random() < 0.5 else -1.0
+                k = ExponentialKernel(sign * float(scale) / width, lo, lo + width)
+            p = float(rng.uniform(0.05, 0.95))
+            ev = eval_conv_efficient(k, p, sig, width / 1000.0)
+            for c in ev.verdict.crossings:
+                assert abs(k.weighted_integral(sig, c) - p) <= 1e-11, (k, c)
+            coarse = eval_conv_efficient(k, p, sig, width / 7.0)
+            assert coarse.verdict == ev.verdict
+            edges = np.concatenate([sig.starts_array, sig.ends_array])
+            events = np.unique(np.concatenate([edges - k.lower, edges - k.upper]))
+            t_end = sig.end - k.upper
+            n_events = int(np.sum((events > sig.start) & (events < t_end)))
+            assert len(ev.times) <= n_events + 2
+
     def test_nonpositive_step_rejected(self):
         with pytest.raises(SclError):
             eval_conv_efficient(FlatKernel(0, 0.5), 0.5, REF, 0.0)
