@@ -3,9 +3,9 @@
 The windowed operator ``<kernel[T0,T1], p>`` holds at time t when the
 kernel-weighted fraction of ``[t+T0, t+T1]`` on which its subformula holds is
 at least p; the starred form requires strictly more than p.  This package
-provides Boolean monitoring (event-aligned sliding-window integration with a
-brute-force oracle and incremental semigroup variants), streaming monitoring,
-quantitative robustness, a formula text syntax, trace generators and a CLI.
+provides Boolean monitoring (event-aligned sliding-window integration checked
+against a brute-force oracle), streaming monitoring, quantitative robustness,
+a formula text syntax, trace generators and a CLI.
 """
 
 from .errors import HorizonError, ParseError, SclError, TraceError
@@ -41,7 +41,6 @@ from .monitor import (
     VerdictSignal,
     eval_atom,
     eval_conv_efficient,
-    eval_conv_incremental,
     eval_conv_oracle,
     monitor,
 )
@@ -76,7 +75,7 @@ __all__ = [
     "PiecewiseConstantSignal", "RhoConfig", "RobustnessTrace", "SclError",
     "StreamingMonitor", "TRUE", "TraceError", "VerdictSignal", "add_noise",
     "boolean_and", "boolean_not", "boolean_or", "eval_atom",
-    "eval_conv_efficient", "eval_conv_incremental", "eval_conv_oracle",
+    "eval_conv_efficient", "eval_conv_oracle",
     "evaluate", "eventually", "generate_glucose_like",
     "generate_sine_quantized", "generate_step_train", "globally", "horizon",
     "integral", "monitor", "parse", "parse_formula_file", "pretty_print",

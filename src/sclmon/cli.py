@@ -16,10 +16,9 @@ Subcommands::
 (``--time-grid``, default: the narrowest window / 1000).  Every sample is
 exact, a kernel-weighted quantile of the window's values, so the JSON
 ``robustness.tolerance`` is always 0.  ``--delta`` sets the integration step
-of the Boolean verdict behind the exit code.  Only Gaussian windows, the
-incremental evaluator and the oracle grid (``delta / 2``) use it; the default
-evaluator solves flat and exponential windows exactly per event-aligned
-stretch.
+of the Boolean verdict behind the exit code.  Only Gaussian windows and the
+oracle grid (``delta / 2``) use it; the default evaluator solves flat and
+exponential windows exactly per event-aligned stretch.
 
 Exit codes: 0 when every formula is satisfied at time 0, 1 when any is
 violated, 2 on error.  Time numbers are unitless and must match the trace;
@@ -275,10 +274,9 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--trace", required=True)
     check.add_argument("--spec", required=True)
     check.add_argument("--delta", type=float, default=None,
-                       help="max integration step of Gaussian windows, the incremental "
-                            "evaluator and the oracle grid (default: window/1000 per "
-                            "operator)")
-    check.add_argument("--evaluator", choices=("efficient", "oracle", "incremental"),
+                       help="max integration step of Gaussian windows and the oracle "
+                            "grid (default: window/1000 per operator)")
+    check.add_argument("--evaluator", choices=("efficient", "oracle"),
                        default="efficient")
     check.add_argument("--out", default=None, help="output directory (default: stdout)")
     check.add_argument("--format", choices=("csv", "json"), default="csv")

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import SclError
 from .formula import Atom, Conv, Formula, eventually, variables
 from .kernels import FlatKernel
-from .monitor import MonitorConfig, monitor
+from .monitor import monitor
 from .parser import pretty_print
 from .robustness import RhoConfig, rho
 from .signals import PiecewiseConstantSignal
@@ -62,7 +62,6 @@ def noise_agreement_experiment(trials: int = 500, seed: int = 0,
     if trials < 1:
         raise SclError("need at least one trial")
     rng = np.random.default_rng(seed)
-    cfg = MonitorConfig(evaluator="incremental")
     n_eventually = 0
     n_conv = 0
     ev_text = ""
@@ -77,10 +76,10 @@ def noise_agreement_experiment(trials: int = 500, seed: int = 0,
         conv_text = pretty_print(f_conv)
         clean = generate_glucose_like(trial_seed, duration=duration, noise_std=0.0)
         noisy = generate_glucose_like(trial_seed, duration=duration, noise_std=noise_std)
-        reference = monitor(clean, f_eventually, cfg).satisfied_at_zero
-        if monitor(noisy, f_eventually, cfg).satisfied_at_zero == reference:
+        reference = monitor(clean, f_eventually).satisfied_at_zero
+        if monitor(noisy, f_eventually).satisfied_at_zero == reference:
             n_eventually += 1
-        if monitor(noisy, f_conv, cfg).satisfied_at_zero == reference:
+        if monitor(noisy, f_conv).satisfied_at_zero == reference:
             n_conv += 1
     return NoiseAgreementReport(
         trials=trials,

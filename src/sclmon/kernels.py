@@ -141,8 +141,7 @@ class ExponentialKernel(BoundedKernel):
     """Exponentially weighted window, ``exp(rate * x)`` renormalized.
 
     Positive rates emphasise the end of the window, negative rates the
-    beginning.  ``mass_clipped`` stays valid slightly beyond ``upper`` (the
-    analytic continuation), which the incremental monitor relies on.
+    beginning.
     """
 
     rate: float

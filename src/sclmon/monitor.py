@@ -1,10 +1,10 @@
 """Boolean monitoring: truth signals for formulas over piecewise-constant traces.
 
-Three evaluators compute the convolution value H(t) (kernel-weighted coverage
+Two evaluators compute the convolution value H(t) (kernel-weighted coverage
 of the child truth signal in the window anchored at t) and threshold it:
 
 * :func:`eval_conv_oracle` -- brute force: H on a uniform grid via window
-  integrals, crossings by linear interpolation.  Ground truth for the others.
+  integrals, crossings by linear interpolation.  Ground truth for the other.
 * :func:`eval_conv_efficient` -- sliding window: integration is split into
   stretches bounded by the events where a window boundary meets a true-interval
   edge, so the edge set inside the window is constant per stretch.  There H is
@@ -13,10 +13,6 @@ of the child truth signal in the window anchored at t) and threshold it:
   form.  Gaussian windows are advanced on substeps of at most ``max_step``
   using the exact mass flux of the edges, and their crossings are bisected to
   1e-9 in time.
-* :func:`eval_conv_incremental` -- flat/exponential kernels only: H is slid
-  along using edge-strip masses (flat) or the semigroup rescale
-  ``H(t+h) = exp(-rate*h) * (H(t) - left_strip + right_strip)`` (exponential),
-  with re-anchoring for growth-direction rates to keep drift small.
 
 The dual operator is evaluated structurally as the complement of the
 complemented child at threshold ``1 - p``, which realizes its strict
@@ -71,18 +67,17 @@ _H_DRIFT = 1e-6        # hard bound on numerical drift of H outside [0, 1]
 class MonitorConfig:
     """Knobs for :func:`monitor`.
 
-    ``delta`` is the maximum integration step of Gaussian windows and of the
-    incremental evaluator (default: window width / 1000, chosen per
-    convolution node); the efficient evaluator solves flat and exponential
-    windows per stretch and needs no step.  The brute-force evaluator samples
-    at ``delta / 2``.
+    ``delta`` is the maximum integration step of Gaussian windows (default:
+    window width / 1000, chosen per convolution node); the efficient
+    evaluator solves flat and exponential windows per stretch and needs no
+    step.  The brute-force evaluator samples at ``delta / 2``.
     """
 
-    evaluator: str = "efficient"   # efficient | oracle | incremental
+    evaluator: str = "efficient"   # efficient | oracle
     delta: float | None = None
 
     def __post_init__(self) -> None:
-        if self.evaluator not in ("efficient", "oracle", "incremental"):
+        if self.evaluator not in ("efficient", "oracle"):
             raise SclError(f"unknown evaluator {self.evaluator!r}")
         if self.delta is not None and self.delta <= 0:
             raise SclError("delta must be positive")
@@ -254,11 +249,8 @@ def eval_conv_oracle(kernel: BoundedKernel, threshold: float, sig: BooleanSignal
 
 
 def _locate_root(phi_theta: Callable[[float], float], x_lo: float, x_hi: float,
-                 th_lo: float, th_hi: float, linear: bool) -> float:
-    """One sign change of theta inside [x_lo, x_hi]; returns the root."""
-    if linear and th_hi != th_lo:
-        root = x_lo + (x_hi - x_lo) * (0.0 - th_lo) / (th_hi - th_lo)
-        return min(max(root, x_lo), x_hi)
+                 th_lo: float) -> float:
+    """One sign change of theta inside [x_lo, x_hi], bisected; returns the root."""
     lo_truth = th_lo >= 0.0
     while x_hi - x_lo > _TIME_TOL:
         xm = 0.5 * (x_lo + x_hi)
@@ -270,7 +262,7 @@ def _locate_root(phi_theta: Callable[[float], float], x_lo: float, x_hi: float,
 
 
 def _sub_crossings(phi: Callable[[float], float], p: float, x_lo: float, x_hi: float,
-                   th_lo: float, th_hi: float, linear: bool) -> list[float]:
+                   th_lo: float, th_hi: float) -> list[float]:
     """Threshold-touch points within one substep, by subdivision + root finding."""
     xs = [x_lo, x_lo + 0.25 * (x_hi - x_lo), 0.5 * (x_lo + x_hi),
           x_lo + 0.75 * (x_hi - x_lo), x_hi]
@@ -279,9 +271,7 @@ def _sub_crossings(phi: Callable[[float], float], p: float, x_lo: float, x_hi: f
     for i in range(4):
         a, b = ths[i], ths[i + 1]
         if (a >= 0.0) != (b >= 0.0) or (a == 0.0) != (b == 0.0):
-            roots.append(
-                _locate_root(lambda x: _theta(phi(x), p), xs[i], xs[i + 1], a, b, linear)
-            )
+            roots.append(_locate_root(lambda x: _theta(phi(x), p), xs[i], xs[i + 1], a))
     return roots
 
 
@@ -309,28 +299,35 @@ def _stretch_root(kernel: BoundedKernel, span: float, th0: float, th1: float) ->
     return min(max(x, 0.0), span)
 
 
-def _integrate_conv(kernel: BoundedKernel, p: float, sig: BooleanSignal,
-                    max_step: float, make_stretch: Callable,
-                    re_anchor: Callable | None = None,
-                    max_stretch: float = math.inf,
-                    closed_form: bool = False) -> ConvEvaluation:
-    """Event-aligned driver shared by the efficient and incremental schemes.
+def eval_conv_efficient(kernel: BoundedKernel, threshold: float, sig: BooleanSignal,
+                        max_step: float | None = None) -> ConvEvaluation:
+    """Sliding-window evaluator: event-aligned stretches, exact edge flux.
 
-    ``make_stretch(t, stretch_end, h_now)`` must return ``(phi_vec, phi,
-    bound_rate)``: the exact H at ``t + x`` for a vector / scalar of offsets
-    ``x`` within the stretch, and a bound on ``|dH/dx|`` there.  With
-    ``closed_form`` H must be monotone within each stretch: every stretch is
-    then one substep, decided from its two end values, and its crossing comes
-    from :func:`_stretch_root`.
+    Stretches end where a window boundary meets a true-interval edge, so the
+    edges inside the window are fixed within one, and H at ``t + x`` is H(t)
+    plus the mass those edges gain minus the mass they lose.  Flat and
+    exponential windows take one H evaluation per stretch and a closed-form
+    crossing, so ``max_step`` only bounds the substeps of Gaussian windows,
+    whose crossings are bisected to 1e-9 in time.
     """
+    if max_step is None:
+        max_step = kernel.width / 1000.0
     if max_step <= 0:
         raise SclError("integration step must be positive")
+    p = threshold
     t0, t_end = _verdict_span(kernel, sig)
     if t_end == t0:
         return _point_verdict(kernel, p, sig, t0)
 
-    edges = np.concatenate([sig.starts_array, sig.ends_array])
-    events = np.concatenate([edges - kernel.lower, edges - kernel.upper])
+    starts = sig.starts_array
+    ends = sig.ends_array
+    n = len(starts)
+    k_lo, k_hi = kernel.lower, kernel.upper
+    sup_k = kernel.sup_density()
+    # flat and exponential H is monotone within a stretch
+    monotone = isinstance(kernel, (FlatKernel, ExponentialKernel))
+    edges = np.concatenate([starts, ends])
+    events = np.concatenate([edges - k_lo, edges - k_hi])
     events = np.unique(events[(events > t0 + 1e-15) & (events < t_end - 1e-15)])
 
     h_now = _snap01(kernel.weighted_integral(sig, t0))
@@ -338,30 +335,47 @@ def _integrate_conv(kernel: BoundedKernel, p: float, sig: BooleanSignal,
     values_parts = [np.array([h_now])]
     runs = _TruthRuns(t0)
     crossings: list[float] = []
-    linear = isinstance(kernel, FlatKernel)
     stable_until = t_end
 
+    lo, hi = 0, -1   # the intervals that can meet a window of this stretch
     t = t0
     ev_idx = 0
     while t < t_end:
         next_event = float(events[ev_idx]) if ev_idx < len(events) else math.inf
-        stretch_end = min(next_event, t + max_stretch, t_end)
+        stretch_end = min(next_event, t_end)
         if stretch_end == next_event:
             ev_idx += 1
         span = stretch_end - t
         if span <= 0:
             t = stretch_end
             continue
-        n_sub = 1 if closed_form else max(1, math.ceil(span / max_step - 1e-12))
+        n_sub = 1 if monotone else max(1, math.ceil(span / max_step - 1e-12))
         xs = max_step * np.arange(1.0, n_sub + 1.0)
         np.minimum(xs, span, out=xs)
         xs[-1] = span
 
-        phi_vec, phi, bound_rate = make_stretch(t, stretch_end, h_now)
-        hs = phi_vec(xs)
+        while lo < n and ends[lo] < t + k_lo:
+            lo += 1
+        while hi + 1 < n and starts[hi + 1] <= stretch_end + k_hi:
+            hi += 1
+        s_loc = starts[lo:hi + 1, None] - t
+        e_loc = ends[lo:hi + 1, None] - t
+        s_clip = np.clip(s_loc, k_lo, k_hi)
+        e_clip = np.clip(e_loc, k_lo, k_hi)
+
+        def h_at(offsets: np.ndarray) -> np.ndarray:
+            gained = kernel.mass_clipped(np.clip(s_loc - offsets, k_lo, k_hi), s_clip).sum(axis=0)
+            lost = kernel.mass_clipped(np.clip(e_loc - offsets, k_lo, k_hi), e_clip).sum(axis=0)
+            return _snap01_array(h_now + gained - lost)
+
+        def h_point(x: float) -> float:
+            return float(h_at(np.array([x]))[0])
+
+        hs = h_at(xs)
         if hs.min() < -_H_DRIFT or hs.max() > 1.0 + _H_DRIFT:
             raise SclError("convolution value drifted out of [0, 1]")
 
+        bound_rate = 2.0 * max(hi - lo + 1, 1) * sup_k
         xs_list = xs.tolist()
         hs_list = hs.tolist()
         th_prev = _theta(h_now, p)
@@ -374,7 +388,7 @@ def _integrate_conv(kernel: BoundedKernel, p: float, sig: BooleanSignal,
                 continue
             th_j = _theta(hs_list[j], p)
             flip = (th_prev >= 0.0) != (th_j >= 0.0)
-            if closed_form:
+            if monotone:
                 # a one-sided touch of the threshold is an exact-equality
                 # plateau edge, which belongs in the crossings
                 risky = flip or (th_prev == 0.0) != (th_j == 0.0)
@@ -384,7 +398,7 @@ def _integrate_conv(kernel: BoundedKernel, p: float, sig: BooleanSignal,
             roots: list[float] = []
             if not risky:
                 runs.push(t + x_j, th_prev >= 0.0)
-            elif closed_form:
+            elif monotone:
                 x_root = _stretch_root(kernel, x_j, th_prev, th_j)
                 roots.append(x_root)
                 # H is monotone, so each side of the root has its end's sign
@@ -393,14 +407,14 @@ def _integrate_conv(kernel: BoundedKernel, p: float, sig: BooleanSignal,
                 if x_root < x_j:
                     runs.push(t + x_j, th_j >= 0.0)
             else:
-                roots = _sub_crossings(phi, p, x_prev, x_j, th_prev, th_j, linear)
+                roots = _sub_crossings(h_point, p, x_prev, x_j, th_prev, th_j)
                 if roots:
                     bounds = [x_prev] + roots + [x_j]
                     for i in range(len(bounds) - 1):
                         if bounds[i + 1] <= bounds[i]:
                             continue
                         xm = 0.5 * (bounds[i] + bounds[i + 1])
-                        runs.push(t + bounds[i + 1], _theta(phi(xm), p) >= 0.0)
+                        runs.push(t + bounds[i + 1], _theta(h_point(xm), p) >= 0.0)
                 else:
                     rep = th_prev if th_prev != 0.0 else th_j
                     runs.push(t + x_j, rep >= 0.0)
@@ -422,10 +436,7 @@ def _integrate_conv(kernel: BoundedKernel, p: float, sig: BooleanSignal,
 
         times_parts.append(t + xs)
         values_parts.append(hs)
-        h_last = hs_list[-1]
-        if re_anchor is not None:
-            h_last = re_anchor(stretch_end, h_last)
-        h_now = h_last
+        h_now = hs_list[-1]
         t = stretch_end
 
     signal = BooleanSignal.from_intervals(t0, t_end, runs.finish())
@@ -434,139 +445,11 @@ def _integrate_conv(kernel: BoundedKernel, p: float, sig: BooleanSignal,
                           np.concatenate(values_parts))
 
 
-def eval_conv_efficient(kernel: BoundedKernel, threshold: float, sig: BooleanSignal,
-                        max_step: float | None = None) -> ConvEvaluation:
-    """Sliding-window evaluator: event-aligned stretches, exact edge flux.
-
-    Flat and exponential windows take one H evaluation per stretch and a
-    closed-form crossing, so ``max_step`` only bounds the substeps of
-    Gaussian windows.
-    """
-    if max_step is None:
-        max_step = kernel.width / 1000.0
-    starts = sig.starts_array
-    ends = sig.ends_array
-    n = len(starts)
-    ptr = {"lo": 0, "hi": -1}
-    k_lo, k_hi = kernel.lower, kernel.upper
-    sup_k = kernel.sup_density()
-
-    def make_stretch(t: float, stretch_end: float, h_now: float):
-        while ptr["lo"] < n and ends[ptr["lo"]] < t + k_lo:
-            ptr["lo"] += 1
-        while ptr["hi"] + 1 < n and starts[ptr["hi"] + 1] <= stretch_end + k_hi:
-            ptr["hi"] += 1
-        lo, hi = ptr["lo"], ptr["hi"]
-        s_loc = starts[lo:hi + 1] - t
-        e_loc = ends[lo:hi + 1] - t
-        s_clip = np.clip(s_loc, k_lo, k_hi)
-        e_clip = np.clip(e_loc, k_lo, k_hi)
-        m = hi - lo + 1
-
-        def phi_vec(xs: np.ndarray) -> np.ndarray:
-            a_s = np.clip(s_loc[:, None] - xs[None, :], k_lo, k_hi)
-            a_e = np.clip(e_loc[:, None] - xs[None, :], k_lo, k_hi)
-            gained = kernel.mass_clipped(a_s, s_clip[:, None]).sum(axis=0)
-            lost = kernel.mass_clipped(a_e, e_clip[:, None]).sum(axis=0)
-            return _snap01_array(h_now + gained - lost)
-
-        def phi(x: float) -> float:
-            a_s = np.clip(s_loc - x, k_lo, k_hi)
-            a_e = np.clip(e_loc - x, k_lo, k_hi)
-            gained = float(np.sum(kernel.mass_clipped(a_s, s_clip)))
-            lost = float(np.sum(kernel.mass_clipped(a_e, e_clip)))
-            return _snap01(h_now + gained - lost)
-
-        return phi_vec, phi, 2.0 * max(m, 1) * sup_k
-
-    return _integrate_conv(kernel, threshold, sig, max_step, make_stretch,
-                           closed_form=isinstance(kernel, (FlatKernel, ExponentialKernel)))
-
-
-def eval_conv_incremental(kernel: BoundedKernel, threshold: float, sig: BooleanSignal,
-                          max_step: float | None = None) -> ConvEvaluation:
-    """Sliding update reusing H(t): constant work per substep for flat and
-    exponential kernels (the shapes with a semigroup structure)."""
-    if not isinstance(kernel, (FlatKernel, ExponentialKernel)):
-        raise SclError(
-            f"incremental evaluation supports flat and exponential kernels, "
-            f"not {type(kernel).__name__}"
-        )
-    if max_step is None:
-        max_step = kernel.width / 1000.0
-    k_lo, k_hi = kernel.lower, kernel.upper
-    sup_k = kernel.sup_density()
-
-    def truth_mid(a: float, b: float) -> bool:
-        return sig.value_at(min(max(0.5 * (a + b), sig.start), sig.end))
-
-    if isinstance(kernel, FlatKernel):
-        k0 = 1.0 / kernel.width
-
-        def make_stretch(t: float, stretch_end: float, h_now: float):
-            chi_left = truth_mid(t + k_lo, stretch_end + k_lo)
-            chi_right = truth_mid(t + k_hi, stretch_end + k_hi)
-            slope = k0 * (float(chi_right) - float(chi_left))
-
-            def phi_vec(xs: np.ndarray) -> np.ndarray:
-                return _snap01_array(h_now + slope * xs)
-
-            def phi(x: float) -> float:
-                return _snap01(h_now + slope * x)
-
-            return phi_vec, phi, abs(slope)
-
-        return _integrate_conv(kernel, threshold, sig, max_step, make_stretch)
-
-    # Exponential kernel: semigroup rescale plus edge-strip masses.  Strip
-    # integrals use the kernel in the original window coordinates, analytically
-    # continued past the upper bound for the entering strip; stretches are
-    # capped so the continuation stays well-scaled.
-    rate = kernel.rate
-    anchor = {"t": None}
-
-    def make_stretch(t: float, stretch_end: float, h_now: float):
-        span = stretch_end - t
-        chi_left = truth_mid(t + k_lo, stretch_end + k_lo)
-        chi_right = truth_mid(t + k_hi, stretch_end + k_hi)
-
-        def phi_vec(xs: np.ndarray) -> np.ndarray:
-            left = kernel.mass_clipped(k_lo, k_lo + xs) if chi_left else 0.0
-            right = kernel.mass_clipped(k_hi, k_hi + xs) if chi_right else 0.0
-            return _snap01_array(np.exp(-rate * xs) * (h_now - left + right))
-
-        def phi(x: float) -> float:
-            left = float(kernel.mass_clipped(k_lo, k_lo + x)) if chi_left else 0.0
-            right = float(kernel.mass_clipped(k_hi, k_hi + x)) if chi_right else 0.0
-            return _snap01(math.exp(-rate * x) * (h_now - left + right))
-
-        amp = math.exp(abs(rate) * span)
-        bound_rate = abs(rate) * amp * max(abs(h_now), 1.0) + 2.0 * sup_k * amp
-        return phi_vec, phi, bound_rate
-
-    def re_anchor(t_next: float, h_next: float) -> float:
-        # Backward-leaning kernels amplify drift through exp(-rate*h) > 1;
-        # refresh H from scratch before the amplification wipes precision.
-        if anchor["t"] is None:
-            anchor["t"] = t_next
-            return h_next
-        if abs(rate) * (t_next - anchor["t"]) > 7.0:  # amplification > ~1e3
-            anchor["t"] = t_next
-            return _snap01(kernel.weighted_integral(sig, t_next))
-        return h_next
-
-    return _integrate_conv(kernel, threshold, sig, max_step, make_stretch,
-                           re_anchor=re_anchor if rate < 0 else None,
-                           max_stretch=5.0 / abs(rate))
-
-
 def _conv_dispatch(kernel: BoundedKernel, threshold: float, sig: BooleanSignal,
                    config: MonitorConfig) -> ConvEvaluation:
     delta = config.delta if config.delta is not None else kernel.width / 1000.0
     if config.evaluator == "oracle":
         return eval_conv_oracle(kernel, threshold, sig, delta / 2.0)
-    if config.evaluator == "incremental" and isinstance(kernel, (FlatKernel, ExponentialKernel)):
-        return eval_conv_incremental(kernel, threshold, sig, delta)
     return eval_conv_efficient(kernel, threshold, sig, delta)
 
 

@@ -1,4 +1,4 @@
-"""Boolean monitoring: atom evaluation, the three convolution evaluators,
+"""Boolean monitoring: atom evaluation, the two convolution evaluators,
 formula recursion, and their cross-equivalences."""
 
 import numpy as np
@@ -19,7 +19,6 @@ from sclmon import (
     boolean_not,
     eval_atom,
     eval_conv_efficient,
-    eval_conv_incremental,
     eval_conv_oracle,
     eventually,
     globally,
@@ -214,30 +213,20 @@ class TestOracleEquivalence:
 
 
 class TestIncremental:
+    """The sliding update that carries H from one stretch to the next."""
+
     def test_steady_state_all_true(self):
         full = BooleanSignal.always(0.0, 3.0)
-        ev = eval_conv_incremental(FlatKernel(0, 1), 0.9, full, 0.05)
+        ev = eval_conv_efficient(FlatKernel(0, 1), 0.9, full, 0.05)
         assert np.allclose(ev.values, 1.0)
         assert ev.verdict.signal.is_always_true()
 
-    def test_flat_single_step_update(self):
-        ev = eval_conv_incremental(FlatKernel(0, 0.5), 0.5, REF, 0.05)
-        assert ev.values[0] == pytest.approx(0.4, abs=1e-12)
-        idx = int(np.argmin(np.abs(ev.times - 0.05)))
-        assert ev.times[idx] == pytest.approx(0.05, abs=1e-12)
-        assert ev.values[idx] == pytest.approx(0.5, abs=1e-12)
-
     def test_exponential_tracks_oracle(self):
         k = ExponentialKernel(3, 0, 0.5)
-        ev = eval_conv_incremental(k, 0.5, REF, 0.1)
+        ev = eval_conv_efficient(k, 0.5, REF, 0.1)
         assert ev.values[0] == pytest.approx(0.5808, abs=1e-4)
         h_ref = k.weighted_integral_many(REF, ev.times)
         assert np.max(np.abs(ev.values - h_ref)) <= 1e-6
-
-    def test_unsupported_shape_rejected(self):
-        from sclmon import GaussianKernel
-        with pytest.raises(SclError, match="incremental"):
-            eval_conv_incremental(GaussianKernel(0, 1, 0, 0.5), 0.5, REF, 0.01)
 
     def test_agreement_with_oracle_random(self):
         rng = np.random.default_rng(61)
@@ -250,7 +239,7 @@ class TestIncremental:
             else:
                 rate = float(rng.uniform(0.3, 3.5)) * (1 if rng.random() < 0.5 else -1)
                 k = ExponentialKernel(rate, lo, lo + width)
-            ev = eval_conv_incremental(k, 0.5, b, width / 200)
+            ev = eval_conv_efficient(k, 0.5, b, width / 200)
             h_ref = k.weighted_integral_many(b, ev.times)
             assert np.max(np.abs(ev.values - h_ref)) <= 1e-6
 
@@ -344,18 +333,14 @@ class TestMonitor:
         trace = _random_trace(np.random.default_rng(89), duration=4.0)
         f = parse("<exp(2)[0,1], 0.5> (v >= 0)")
         base = monitor(trace, f, MonitorConfig(evaluator="efficient")).signal
-        for evaluator in ("oracle", "incremental"):
-            other = monitor(trace, f, MonitorConfig(evaluator=evaluator)).signal
-            assert len(other.intervals) == len(base.intervals)
-            for (s1, e1), (s2, e2) in zip(other.intervals, base.intervals):
-                assert abs(s1 - s2) <= 2e-3 and abs(e1 - e2) <= 2e-3
+        other = monitor(trace, f, MonitorConfig(evaluator="oracle")).signal
+        assert len(other.intervals) == len(base.intervals)
+        for (s1, e1), (s2, e2) in zip(other.intervals, base.intervals):
+            assert abs(s1 - s2) <= 2e-3 and abs(e1 - e2) <= 2e-3
 
-    def test_incremental_config_falls_back_for_unsupported_shapes(self):
-        trace = _random_trace(np.random.default_rng(91), duration=4.0)
-        f = parse("<gauss(0.5, 0.3)[0,1], 0.5> (v >= 0)")
-        base = monitor(trace, f, MonitorConfig(evaluator="efficient")).signal
-        via_incremental = monitor(trace, f, MonitorConfig(evaluator="incremental")).signal
-        assert via_incremental == base
+    def test_unknown_evaluator_rejected(self):
+        with pytest.raises(SclError, match="unknown evaluator 'incremental'"):
+            MonitorConfig(evaluator="incremental")
 
 
 def _random_trace(rng, duration):

@@ -131,10 +131,18 @@ class TestCheck:
 
     def test_evaluator_flag(self, workdir, glucose_trace):
         spec = write(workdir / "f.scl", "<flat[0,24], 0.95> (G >= 70)\n")
-        for evaluator in ("efficient", "oracle", "incremental"):
+        for evaluator in ("efficient", "oracle"):
             assert main(["check", "--trace", glucose_trace, "--spec", spec,
                          "--evaluator", evaluator, "--out",
                          str(workdir / f"out-{evaluator}")]) == 0
+
+    def test_unknown_evaluator_exits_2(self, workdir, glucose_trace, capsys):
+        spec = write(workdir / "f.scl", "<flat[0,24], 0.95> (G >= 70)\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--trace", glucose_trace, "--spec", spec,
+                  "--evaluator", "incremental"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'incremental'" in capsys.readouterr().err
 
 
 class TestRho:

@@ -1,12 +1,15 @@
-"""The sliding-update recurrences behind the incremental evaluator.
+"""Sliding-update recurrences for the convolution value H.
 
-The exponential update shipped here rescales the retained mass by
+Sliding a flat window exchanges the true measure of its edge strips.  For an
+exponential window the semigroup update rescales the retained mass by
 ``exp(-rate*h)`` and exchanges edge-strip masses measured in the original
 window coordinates.  A tempting alternative single-step update that couples
 the threshold into the state (adding ``p * (1 - exp(-rate*h))`` to ``g - p``
 with strips re-anchored at their own window edge) does not track the
-reference convolution for general thresholds; the test below documents the
-disagreement and pins the shipped update to the closed-form reference.
+reference convolution for general thresholds; the tests below document the
+disagreement and pin the shipped evaluator, which carries H across
+event-aligned stretches by the exact mass flux of the window's edges, to the
+closed-form reference.
 """
 
 import math
@@ -98,7 +101,7 @@ class TestExponentialUpdate:
         assert worst > 1e-3, "variant unexpectedly matches; pin it instead"
 
     def test_shipped_evaluator_matches_reference_everywhere(self):
-        from sclmon import eval_conv_incremental
-        ev = eval_conv_incremental(self.K, 0.5, SIG, 0.02)
+        from sclmon import eval_conv_efficient
+        ev = eval_conv_efficient(self.K, 0.5, SIG, 0.02)
         ref = self.K.weighted_integral_many(SIG, ev.times)
         assert float(np.max(np.abs(ev.values - ref))) <= 1e-9
