@@ -14,9 +14,6 @@ from sclmon import (
     ExponentialKernel,
     FlatKernel,
     GaussianKernel,
-    evaluate,
-    integral,
-    weighted_integral,
 )
 
 flat = FlatKernel(0.0, 0.5)
@@ -28,15 +25,15 @@ print("densities at a few window points:")
 for name, k in [("flat", flat), ("exp(+3)", rising), ("exp(-3)", falling),
                 ("gauss", bump)]:
     xs = [0.0, 0.125, 0.25, 0.375, 0.5]
-    row = "  ".join(f"{evaluate(k, x):6.3f}" for x in xs)
-    print(f"  {name:8s} {row}   (full-window mass = {integral(k, 0.0, 0.5):.12f})")
+    row = "  ".join(f"{k.density(x):6.3f}" for x in xs)
+    print(f"  {name:8s} {row}   (full-window mass = {k.mass(0.0, 0.5):.12f})")
 
 # A signal true on [0.3, 0.9] only: the window [0, 0.5] anchored at t=0
 # overlaps the true region on its back 40%.
 sig = BooleanSignal.from_intervals(0.0, 1.5, [(0.3, 0.9)])
 print("\ncoverage H(0) of the true-interval [0.3, 0.9] seen from t=0:")
 for name, k in [("flat", flat), ("exp(+3)", rising), ("exp(-3)", falling)]:
-    h = weighted_integral(k, sig, 0.0)
+    h = k.weighted_integral(sig, 0.0)
     verdict = "accepts" if h >= 0.5 else "rejects"
     print(f"  {name:8s} H(0) = {h:.4f}  -> threshold 0.5 {verdict}")
 
@@ -49,6 +46,6 @@ three different judgements about *when* truth matters.
 
 print("H(t) swept over the verdict domain (flat kernel):")
 ts = np.linspace(0.0, 1.0, 11)
-hs = [weighted_integral(flat, sig, float(t)) for t in ts]
+hs = [flat.weighted_integral(sig, float(t)) for t in ts]
 print("  t:", "  ".join(f"{t:4.1f}" for t in ts))
 print("  H:", "  ".join(f"{h:4.2f}" for h in hs))

@@ -31,9 +31,6 @@ from .kernels import (
     ExponentialKernel,
     FlatKernel,
     GaussianKernel,
-    evaluate,
-    integral,
-    weighted_integral,
 )
 from .monitor import (
     ConvEvaluation,
@@ -75,12 +72,11 @@ __all__ = [
     "PiecewiseConstantSignal", "RhoConfig", "RobustnessTrace", "SclError",
     "StreamingMonitor", "TRUE", "TraceError", "VerdictSignal", "add_noise",
     "boolean_and", "boolean_not", "boolean_or", "eval_atom",
-    "eval_conv_efficient", "eval_conv_oracle",
-    "evaluate", "eventually", "generate_glucose_like",
-    "generate_sine_quantized", "generate_step_train", "globally", "horizon",
-    "integral", "monitor", "parse", "parse_formula_file", "pretty_print",
-    "read_trace_csv", "restrict_domain", "rho", "rho_trace", "trace_to_csv",
-    "variables", "weighted_integral", "write_trace_csv",
+    "eval_conv_efficient", "eval_conv_oracle", "eventually",
+    "generate_glucose_like", "generate_sine_quantized", "generate_step_train",
+    "globally", "horizon", "monitor", "parse", "parse_formula_file",
+    "pretty_print", "read_trace_csv", "restrict_domain", "rho", "rho_trace",
+    "trace_to_csv", "variables", "write_trace_csv",
 ]
 
 __version__ = "0.1.0"

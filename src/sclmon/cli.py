@@ -17,7 +17,9 @@ Subcommands::
 exact, a kernel-weighted quantile of the window's values, so the JSON
 ``robustness.tolerance`` is always 0.  ``--delta`` sets the integration step
 of the Boolean verdict behind the exit code.  Only Gaussian windows and the
-oracle grid (``delta / 2``) use it; the default evaluator solves flat and
+oracle grid (``delta / 2``) use it: a Gaussian window is sampled at the
+quarter points of substeps of at most ``delta`` in one vectorised call and
+bisected only where a cell flips; the default evaluator solves flat and
 exponential windows exactly per event-aligned stretch.
 
 Exit codes: 0 when every formula is satisfied at time 0, 1 when any is
@@ -274,8 +276,9 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--trace", required=True)
     check.add_argument("--spec", required=True)
     check.add_argument("--delta", type=float, default=None,
-                       help="max integration step of Gaussian windows and the oracle "
-                            "grid (default: window/1000 per operator)")
+                       help="max substep of Gaussian windows, each sampled at its "
+                            "quarter points, and the oracle grid (default: "
+                            "window/1000 per operator)")
     check.add_argument("--evaluator", choices=("efficient", "oracle"),
                        default="efficient")
     check.add_argument("--out", default=None, help="output directory (default: stdout)")

@@ -22,7 +22,7 @@ from .formula import Atom, Conv, Formula, eventually, variables
 from .kernels import FlatKernel
 from .monitor import monitor
 from .parser import pretty_print
-from .robustness import RhoConfig, rho
+from .robustness import rho
 from .signals import PiecewiseConstantSignal
 from .traces import GlucoseParams, generate_glucose_like
 
@@ -137,8 +137,7 @@ class FalsifyReport:
 
 
 def falsify_demo(formula: Formula, budget: int, seed: int,
-                 duration: float = 24.5,
-                 rho_config: RhoConfig | None = None) -> FalsifyReport:
+                 duration: float = 24.5) -> FalsifyReport:
     """Random-search falsification over glucose generator parameters."""
     if budget < 1:
         raise SclError("budget must be at least 1")
@@ -154,7 +153,7 @@ def falsify_demo(formula: Formula, budget: int, seed: int,
     for i in range(budget):
         params = GlucoseParams.sample(rng)
         trace = generate_glucose_like(0, duration=duration, params=params)
-        value = rho(trace, formula, 0.0, rho_config)
+        value = rho(trace, formula, 0.0)
         evaluations.append(FalsifyEvaluation(params, float(value)))
         if value < evaluations[best_idx].robustness or best_trace is None:
             best_idx = i

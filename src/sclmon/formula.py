@@ -35,9 +35,9 @@ FALSE = Const(False)
 class Atom:
     """Threshold comparison on one trace variable, e.g. ``G >= 70``.
 
-    Strict and non-strict forms coincide at the Boolean level (signals of
-    finite variation make the difference measure-zero); robustness uses the
-    same signed distance for both.
+    Over a piecewise-constant trace the forms differ on segments held exactly
+    at the threshold: there a strict atom is false and a non-strict one true.
+    Robustness uses the same signed distance for both, which is 0 there.
     """
 
     variable: str

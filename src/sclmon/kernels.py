@@ -215,17 +215,3 @@ class GaussianKernel(BoundedKernel):
         peak = min(max(self.center, self.lower), self.upper)
         return float(self.density_clipped(peak))
 
-
-def evaluate(kernel: BoundedKernel, x: float) -> float:
-    """Normalized kernel density at ``x``; errors outside the window."""
-    return kernel.density(x)
-
-
-def integral(kernel: BoundedKernel, a: float, b: float) -> float:
-    """Kernel mass of ``[a, b]``; closed form for every shipped shape."""
-    return kernel.mass(a, b)
-
-
-def weighted_integral(kernel: BoundedKernel, sig: BooleanSignal, t: float) -> float:
-    """Convolution value at ``t``: kernel-weighted true time in the window."""
-    return kernel.weighted_integral(sig, t)

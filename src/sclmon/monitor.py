@@ -10,9 +10,9 @@ of the child truth signal in the window anchored at t) and threshold it:
   edge, so the edge set inside the window is constant per stretch.  There H is
   linear (flat kernels) or ``C + D*exp(-rate*x)`` (exponential kernels), so it
   is evaluated once, at the stretch end, and a crossing is solved in closed
-  form.  Gaussian windows are advanced on substeps of at most ``max_step``
-  using the exact mass flux of the edges, and their crossings are bisected to
-  1e-9 in time.
+  form.  Gaussian windows are sampled at the quarter points of substeps of at
+  most ``max_step``, all in one vectorised call using the exact mass flux of
+  the edges, and bisected to 1e-9 in time only where a cell flips.
 
 The dual operator is evaluated structurally as the complement of the
 complemented child at threshold ``1 - p``, which realizes its strict
@@ -21,8 +21,9 @@ comparison up to sets of measure zero.
 Verdicts carry a ``stable_until`` time: extending the trace can never change
 the verdict before it.  Only the final integration stretch (or oracle grid
 cell) touches the current trace end, and only threshold-delicate content
-there can still move; everything else is reproduced bit-for-bit on any
-longer trace.  The streaming facade emits up to this boundary, which makes
+there, or the last Gaussian substep, whose probes move with the trace end,
+can still move; everything else is reproduced bit-for-bit on any longer
+trace.  The streaming facade emits up to this boundary, which makes
 online output exactly equal to offline.
 """
 
@@ -67,10 +68,11 @@ _H_DRIFT = 1e-6        # hard bound on numerical drift of H outside [0, 1]
 class MonitorConfig:
     """Knobs for :func:`monitor`.
 
-    ``delta`` is the maximum integration step of Gaussian windows (default:
-    window width / 1000, chosen per convolution node); the efficient
-    evaluator solves flat and exponential windows per stretch and needs no
-    step.  The brute-force evaluator samples at ``delta / 2``.
+    ``delta`` is the maximum substep of Gaussian windows, each sampled at its
+    quarter points (default: window width / 1000, chosen per convolution
+    node); the efficient evaluator solves flat and exponential windows per
+    stretch and needs no step.  The brute-force evaluator samples at
+    ``delta / 2``.
     """
 
     evaluator: str = "efficient"   # efficient | oracle
@@ -190,10 +192,9 @@ def _point_verdict(kernel: BoundedKernel, p: float, sig: BooleanSignal,
 def eval_atom(trace: PiecewiseConstantSignal, atom: Atom) -> BooleanSignal:
     """Truth signal of a threshold comparison over ``[0, duration]``."""
     vals = trace.variable_values(atom.variable)
-    if atom.op in (">=", ">"):
-        mask = vals >= atom.threshold
-    else:
-        mask = vals <= atom.threshold
+    compare = {">=": np.greater_equal, ">": np.greater,
+               "<=": np.less_equal, "<": np.less}[atom.op]
+    mask = compare(vals, atom.threshold)
     bounds = trace.segment_bounds()
     intervals = [
         (bounds[i], bounds[i + 1])
@@ -261,20 +262,6 @@ def _locate_root(phi_theta: Callable[[float], float], x_lo: float, x_hi: float,
     return 0.5 * (x_lo + x_hi)
 
 
-def _sub_crossings(phi: Callable[[float], float], p: float, x_lo: float, x_hi: float,
-                   th_lo: float, th_hi: float) -> list[float]:
-    """Threshold-touch points within one substep, by subdivision + root finding."""
-    xs = [x_lo, x_lo + 0.25 * (x_hi - x_lo), 0.5 * (x_lo + x_hi),
-          x_lo + 0.75 * (x_hi - x_lo), x_hi]
-    ths = [th_lo] + [_theta(phi(x), p) for x in xs[1:-1]] + [th_hi]
-    roots: list[float] = []
-    for i in range(4):
-        a, b = ths[i], ths[i + 1]
-        if (a >= 0.0) != (b >= 0.0) or (a == 0.0) != (b == 0.0):
-            roots.append(_locate_root(lambda x: _theta(phi(x), p), xs[i], xs[i + 1], a))
-    return roots
-
-
 def _stretch_root(kernel: BoundedKernel, span: float, th0: float, th1: float) -> float:
     """Offset of the crossing inside one stretch of a flat or exponential
     window, where H(t + x) is linear or ``C + D*exp(-rate*x)`` in x.
@@ -305,10 +292,13 @@ def eval_conv_efficient(kernel: BoundedKernel, threshold: float, sig: BooleanSig
 
     Stretches end where a window boundary meets a true-interval edge, so the
     edges inside the window are fixed within one, and H at ``t + x`` is H(t)
-    plus the mass those edges gain minus the mass they lose.  Flat and
-    exponential windows take one H evaluation per stretch and a closed-form
-    crossing, so ``max_step`` only bounds the substeps of Gaussian windows,
-    whose crossings are bisected to 1e-9 in time.
+    plus the mass those edges gain minus the mass they lose.  H is sampled at
+    the ends of cells in one vectorised call: a flat or exponential stretch is
+    one cell, since H is monotone there; a Gaussian stretch is cut into
+    substeps of at most ``max_step``, and each substep into quarters.  A cell
+    whose ends flip sign, or of which exactly one end sits on the threshold,
+    holds one crossing: closed form for flat and exponential windows,
+    bisected to 1e-9 in time for Gaussian ones.
     """
     if max_step is None:
         max_step = kernel.width / 1000.0
@@ -323,7 +313,6 @@ def eval_conv_efficient(kernel: BoundedKernel, threshold: float, sig: BooleanSig
     ends = sig.ends_array
     n = len(starts)
     k_lo, k_hi = kernel.lower, kernel.upper
-    sup_k = kernel.sup_density()
     # flat and exponential H is monotone within a stretch
     monotone = isinstance(kernel, (FlatKernel, ExponentialKernel))
     edges = np.concatenate([starts, ends])
@@ -349,10 +338,17 @@ def eval_conv_efficient(kernel: BoundedKernel, threshold: float, sig: BooleanSig
         if span <= 0:
             t = stretch_end
             continue
-        n_sub = 1 if monotone else max(1, math.ceil(span / max_step - 1e-12))
-        xs = max_step * np.arange(1.0, n_sub + 1.0)
-        np.minimum(xs, span, out=xs)
-        xs[-1] = span
+        if monotone:
+            xs = np.array([span])
+        else:
+            n_sub = max(1, math.ceil(span / max_step - 1e-12))
+            sub_hi = max_step * np.arange(1.0, n_sub + 1.0)
+            np.minimum(sub_hi, span, out=sub_hi)
+            sub_hi[-1] = span
+            sub_lo = np.concatenate([[0.0], sub_hi[:-1]])
+            sub_w = sub_hi - sub_lo
+            xs = np.stack([sub_lo + 0.25 * sub_w, 0.5 * (sub_lo + sub_hi),
+                           sub_lo + 0.75 * sub_w, sub_hi], axis=1).ravel()
 
         while lo < n and ends[lo] < t + k_lo:
             lo += 1
@@ -368,71 +364,56 @@ def eval_conv_efficient(kernel: BoundedKernel, threshold: float, sig: BooleanSig
             lost = kernel.mass_clipped(np.clip(e_loc - offsets, k_lo, k_hi), e_clip).sum(axis=0)
             return _snap01_array(h_now + gained - lost)
 
-        def h_point(x: float) -> float:
-            return float(h_at(np.array([x]))[0])
+        def _cell_root(x0: float, x1: float, th0: float, th1: float) -> float:
+            if monotone:
+                return x0 + _stretch_root(kernel, x1 - x0, th0, th1)
+            return _locate_root(lambda x: _theta(float(h_at(np.array([x]))[0]), p),
+                                x0, x1, th0)
 
         hs = h_at(xs)
         if hs.min() < -_H_DRIFT or hs.max() > 1.0 + _H_DRIFT:
             raise SclError("convolution value drifted out of [0, 1]")
 
-        bound_rate = 2.0 * max(hi - lo + 1, 1) * sup_k
-        xs_list = xs.tolist()
         hs_list = hs.tolist()
         th_prev = _theta(h_now, p)
         x_prev = 0.0
         delicate = abs(th_prev) <= 1e-11
-        for j in range(n_sub):
-            x_j = xs_list[j]
-            sub_w = x_j - x_prev
-            if sub_w <= 0.0:
+        for x_j, h_j in zip(xs.tolist(), hs_list):
+            if x_j <= x_prev:
                 continue
-            th_j = _theta(hs_list[j], p)
-            flip = (th_prev >= 0.0) != (th_j >= 0.0)
-            if monotone:
-                # a one-sided touch of the threshold is an exact-equality
-                # plateau edge, which belongs in the crossings
-                risky = flip or (th_prev == 0.0) != (th_j == 0.0)
-            else:
-                risky = flip or abs(th_prev) <= max(bound_rate * sub_w, 1e-11)
+            th_j = _theta(h_j, p)
+            # a one-sided touch of the threshold is an exact-equality
+            # plateau edge, which belongs in the crossings
+            risky = (th_prev >= 0.0) != (th_j >= 0.0) or (th_prev == 0.0) != (th_j == 0.0)
             delicate = delicate or risky or abs(th_j) <= 1e-11
-            roots: list[float] = []
-            if not risky:
-                runs.push(t + x_j, th_prev >= 0.0)
-            elif monotone:
-                x_root = _stretch_root(kernel, x_j, th_prev, th_j)
-                roots.append(x_root)
-                # H is monotone, so each side of the root has its end's sign
-                if x_root > 0.0:
-                    runs.push(t + x_root, th_prev >= 0.0)
+            if risky:
+                x_root = _cell_root(x_prev, x_j, th_prev, th_j)
+                rt = t + x_root
+                if not crossings or abs(rt - crossings[-1]) > _ZERO_BAND:
+                    crossings.append(rt)
+                # each side of the root takes the sign of its end
+                if x_root > x_prev:
+                    runs.push(rt, th_prev >= 0.0)
                 if x_root < x_j:
                     runs.push(t + x_j, th_j >= 0.0)
             else:
-                roots = _sub_crossings(h_point, p, x_prev, x_j, th_prev, th_j)
-                if roots:
-                    bounds = [x_prev] + roots + [x_j]
-                    for i in range(len(bounds) - 1):
-                        if bounds[i + 1] <= bounds[i]:
-                            continue
-                        xm = 0.5 * (bounds[i] + bounds[i + 1])
-                        runs.push(t + bounds[i + 1], _theta(h_point(xm), p) >= 0.0)
-                else:
-                    rep = th_prev if th_prev != 0.0 else th_j
-                    runs.push(t + x_j, rep >= 0.0)
-            for r in roots:
-                rt = t + r
-                if not crossings or abs(rt - crossings[-1]) > _ZERO_BAND:
-                    crossings.append(rt)
+                runs.push(t + x_j, th_prev >= 0.0)
             x_prev = x_j
             th_prev = th_j
         # t + span can fall an ulp short of stretch_end; a run ending there
         # would leave a false sliver before the next stretch or the domain end
         runs.end_piece_at(stretch_end)
 
-        if stretch_end == t_end and delicate:
+        if stretch_end == t_end:
             # this stretch's windows reach the trace end, so extending the
             # trace can perturb its H values at rounding level; anything
             # threshold-delicate here is not final yet
-            stable_until = min(stable_until, t)
+            if delicate:
+                stable_until = min(stable_until, t)
+            elif not monotone:
+                # a longer trace moves the probes of the last substep, which
+                # may then find a crossing pair between them
+                stable_until = min(stable_until, t + float(sub_lo[-1]))
 
         times_parts.append(t + xs)
         values_parts.append(hs)

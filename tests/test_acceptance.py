@@ -26,10 +26,8 @@ from sclmon import (
     boolean_not,
     eval_conv_efficient,
     eval_conv_oracle,
-    integral,
     monitor,
     rho,
-    weighted_integral,
 )
 from sclmon.experiments import noise_agreement_experiment
 from conftest import dilate, erode, random_boolean_signal, random_kernel, random_trace
@@ -47,7 +45,7 @@ def test_criterion_1_kernel_normalization():
     for _ in range(200):
         lo = float(rng.uniform(-5.0, 5.0))
         k = random_kernel(rng, lo, lo + float(rng.uniform(0.05, 30.0)))
-        worst = max(worst, abs(integral(k, k.lower, k.upper) - 1.0))
+        worst = max(worst, abs(k.mass(k.lower, k.upper) - 1.0))
     elapsed = time.perf_counter() - start
     assert worst <= 1e-9
     assert elapsed < 5.0
@@ -63,9 +61,9 @@ def test_criterion_2_reference_convolution_values():
     rising = ExponentialKernel(3.0, 0.0, 0.5)
     falling = ExponentialKernel(-3.0, 0.0, 0.5)
 
-    h_flat = weighted_integral(flat, sig, 0.0)
-    h_rising = weighted_integral(rising, sig, 0.0)
-    h_falling = weighted_integral(falling, sig, 0.0)
+    h_flat = flat.weighted_integral(sig, 0.0)
+    h_rising = rising.weighted_integral(sig, 0.0)
+    h_falling = falling.weighted_integral(sig, 0.0)
     assert h_flat == pytest.approx(0.4000, abs=1e-3)
     assert h_rising == pytest.approx(0.5808, abs=1e-3)
     assert h_falling == pytest.approx(0.2362, abs=1e-3)

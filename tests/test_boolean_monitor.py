@@ -63,6 +63,22 @@ class TestEvalAtom:
         lt = eval_atom(trace, Atom("G", "<", 70.0))
         assert lt == boolean_not(ge)
 
+    def test_strict_atoms_are_false_on_a_plateau(self):
+        held = PiecewiseConstantSignal(("G",), np.array([0.0]), np.array([[70.0]]), 10.0)
+        assert not monitor(held, parse("G < 70")).signal.intervals
+        assert not monitor(held, parse("G > 70")).signal.intervals
+        assert monitor(held, parse("G <= 70")).signal.is_always_true()
+        assert monitor(held, parse("G < 70")).signal == monitor(held, parse("!(G >= 70)")).signal
+        # the same convention on a plateau between other levels
+        trace = PiecewiseConstantSignal(
+            ("G",), np.array([0.0, 2.0, 5.0]), np.array([[80.0], [70.0], [60.0]]), 8.0)
+        assert eval_atom(trace, Atom("G", ">", 70.0)).intervals == ((0.0, 2.0),)
+        assert eval_atom(trace, Atom("G", "<", 70.0)).intervals == ((5.0, 8.0),)
+        assert eval_atom(trace, Atom("G", "<=", 70.0)).intervals == ((2.0, 8.0),)
+        for strict, other in (("<", ">="), (">", "<=")):
+            assert eval_atom(trace, Atom("G", strict, 70.0)) == boolean_not(
+                eval_atom(trace, Atom("G", other, 70.0)))
+
 
 class TestOracle:
     def test_flat_false_at_zero(self):

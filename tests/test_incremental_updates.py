@@ -21,7 +21,6 @@ from sclmon import (
     BooleanSignal,
     ExponentialKernel,
     FlatKernel,
-    weighted_integral,
 )
 
 SIG = BooleanSignal.from_intervals(0.0, 1.5, [(0.3, 0.9)])
@@ -51,11 +50,11 @@ class TestFlatUpdate:
         k0 = 1.0 / k.width
         h = 0.05
         for t in np.arange(0.0, 0.95, 0.05):
-            g_t = weighted_integral(k, SIG, float(t))
+            g_t = k.weighted_integral(SIG, float(t))
             gained = strip_true_measure(SIG, t + k.upper, t + k.upper + h)
             lost = strip_true_measure(SIG, t + k.lower, t + k.lower + h)
             g_next = g_t + k0 * (gained - lost)
-            assert g_next == pytest.approx(weighted_integral(k, SIG, float(t) + h),
+            assert g_next == pytest.approx(k.weighted_integral(SIG, float(t) + h),
                                            abs=1e-12)
 
 
@@ -64,7 +63,7 @@ class TestExponentialUpdate:
     H = 0.1
 
     def reference(self, t):
-        return weighted_integral(self.K, SIG, t)
+        return self.K.weighted_integral(SIG, t)
 
     def semigroup_step(self, t):
         k, h = self.K, self.H

@@ -13,9 +13,6 @@ from sclmon import (
     HorizonError,
     SclError,
     boolean_not,
-    evaluate,
-    integral,
-    weighted_integral,
 )
 from conftest import kernel_mass_quadrature, random_boolean_signal, random_kernel
 
@@ -24,21 +21,21 @@ class TestEvaluate:
     def test_flat_density(self):
         k = FlatKernel(0.0, 24.0)
         for x in (0.0, 5.0, 24.0):
-            assert evaluate(k, x) == pytest.approx(1.0 / 24.0)
+            assert k.density(x) == pytest.approx(1.0 / 24.0)
 
     def test_exponential_density_at_window_end(self):
         k = ExponentialKernel(3.0, 0.0, 0.5)
         expected = 3.0 * math.exp(1.5) / (math.exp(1.5) - 1.0)
-        assert evaluate(k, 0.5) == pytest.approx(expected, abs=1e-12)
-        assert evaluate(k, 0.5) == pytest.approx(3.8617, abs=1e-4)
+        assert k.density(0.5) == pytest.approx(expected, abs=1e-12)
+        assert k.density(0.5) == pytest.approx(3.8617, abs=1e-4)
 
     def test_gaussian_normalizes(self):
         k = GaussianKernel(0.03, 0.1, 0.0, 24.0)
-        assert integral(k, 0.0, 24.0) == pytest.approx(1.0, abs=1e-12)
+        assert k.mass(0.0, 24.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_outside_window_rejected(self):
         with pytest.raises(SclError, match="outside window"):
-            evaluate(FlatKernel(0.0, 1.0), 1.5)
+            FlatKernel(0.0, 1.0).density(1.5)
 
     def test_positivity_on_open_window(self):
         rng = np.random.default_rng(3)
@@ -46,33 +43,33 @@ class TestEvaluate:
             lo = float(rng.uniform(0, 2))
             k = random_kernel(rng, lo, lo + float(rng.uniform(0.3, 3)))
             xs = np.linspace(k.lower + 1e-9, k.upper - 1e-9, 257)
-            assert all(evaluate(k, float(x)) > 0.0 for x in xs)
+            assert all(k.density(float(x)) > 0.0 for x in xs)
 
 
 class TestIntegral:
     def test_flat_segment(self):
-        assert integral(FlatKernel(0.0, 1.0), 0.3, 0.5) == pytest.approx(0.2, abs=1e-15)
+        assert FlatKernel(0.0, 1.0).mass(0.3, 0.5) == pytest.approx(0.2, abs=1e-15)
 
     def test_exponential_segment(self):
         k = ExponentialKernel(3.0, 0.0, 0.5)
         expected = (math.exp(1.5) - math.exp(0.9)) / (math.exp(1.5) - 1.0)
-        assert integral(k, 0.3, 0.5) == pytest.approx(expected, abs=1e-12)
-        assert integral(k, 0.3, 0.5) == pytest.approx(0.5808, abs=1e-4)
+        assert k.mass(0.3, 0.5) == pytest.approx(expected, abs=1e-12)
+        assert k.mass(0.3, 0.5) == pytest.approx(0.5808, abs=1e-4)
 
     def test_full_window_is_one(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
             lo = float(rng.uniform(-3, 3))
             k = random_kernel(rng, lo, lo + float(rng.uniform(0.2, 5)))
-            assert integral(k, k.lower, k.upper) == pytest.approx(1.0, abs=1e-9)
+            assert k.mass(k.lower, k.upper) == pytest.approx(1.0, abs=1e-9)
 
     def test_reversed_bounds_rejected(self):
         with pytest.raises(SclError, match="reversed"):
-            integral(FlatKernel(0.0, 1.0), 0.5, 0.3)
+            FlatKernel(0.0, 1.0).mass(0.5, 0.3)
 
     def test_out_of_window_bounds_rejected(self):
         with pytest.raises(SclError):
-            integral(FlatKernel(0.0, 1.0), -0.2, 0.5)
+            FlatKernel(0.0, 1.0).mass(-0.2, 0.5)
 
     def test_matches_adaptive_quadrature(self):
         rng = np.random.default_rng(7)
@@ -80,7 +77,7 @@ class TestIntegral:
             lo = float(rng.uniform(-1, 1))
             k = random_kernel(rng, lo, lo + float(rng.uniform(0.5, 3)))
             a, b = np.sort(rng.uniform(k.lower, k.upper, 2))
-            assert integral(k, float(a), float(b)) == pytest.approx(
+            assert k.mass(float(a), float(b)) == pytest.approx(
                 kernel_mass_quadrature(k, float(a), float(b)), abs=1e-9)
 
     def test_additivity(self):
@@ -88,21 +85,21 @@ class TestIntegral:
         for _ in range(50):
             k = random_kernel(rng, 0.0, 2.0)
             a, b, c = np.sort(rng.uniform(0.0, 2.0, 3))
-            assert integral(k, a, c) == pytest.approx(
-                integral(k, a, b) + integral(k, b, c), abs=1e-9)
+            assert k.mass(a, c) == pytest.approx(
+                k.mass(a, b) + k.mass(b, c), abs=1e-9)
 
 
 class TestWeightedIntegral:
     def test_flat_against_partial_overlap(self):
         b = BooleanSignal.from_intervals(0, 1.5, [(0.3, 0.9)])
-        assert weighted_integral(FlatKernel(0, 0.5), b, 0.0) == pytest.approx(0.4, abs=1e-12)
+        assert FlatKernel(0, 0.5).weighted_integral(b, 0.0) == pytest.approx(0.4, abs=1e-12)
 
     def test_decaying_exponential_weights_early_window(self):
         b = BooleanSignal.from_intervals(0, 1.5, [(0.3, 0.9)])
         k = ExponentialKernel(-3.0, 0.0, 0.5)
         expected = (math.exp(-0.9) - math.exp(-1.5)) / (1.0 - math.exp(-1.5))
-        assert weighted_integral(k, b, 0.0) == pytest.approx(expected, abs=1e-12)
-        assert weighted_integral(k, b, 0.0) == pytest.approx(0.2362, abs=1e-4)
+        assert k.weighted_integral(b, 0.0) == pytest.approx(expected, abs=1e-12)
+        assert k.weighted_integral(b, 0.0) == pytest.approx(0.2362, abs=1e-4)
 
     def test_all_true_gives_one(self):
         rng = np.random.default_rng(11)
@@ -110,16 +107,16 @@ class TestWeightedIntegral:
         for _ in range(25):
             k = random_kernel(rng, 0.0, float(rng.uniform(0.5, 4)))
             t = float(rng.uniform(0, 10 - k.upper))
-            assert weighted_integral(k, full, t) == pytest.approx(1.0, abs=1e-9)
+            assert k.weighted_integral(full, t) == pytest.approx(1.0, abs=1e-9)
 
     def test_all_false_gives_zero(self):
         empty = BooleanSignal.never(0.0, 10.0)
-        assert weighted_integral(FlatKernel(0, 2), empty, 3.0) == 0.0
+        assert FlatKernel(0, 2).weighted_integral(empty, 3.0) == 0.0
 
     def test_window_outside_domain_rejected(self):
         b = BooleanSignal.always(0.0, 1.0)
         with pytest.raises(HorizonError):
-            weighted_integral(FlatKernel(0.0, 2.0), b, 0.5)
+            FlatKernel(0.0, 2.0).weighted_integral(b, 0.5)
 
     def test_in_unit_range_and_complement_identity(self):
         rng = np.random.default_rng(13)
@@ -127,8 +124,8 @@ class TestWeightedIntegral:
             b = random_boolean_signal(rng, 0.0, 10.0)
             k = random_kernel(rng, 0.0, float(rng.uniform(0.5, 4)))
             t = float(rng.uniform(0, 10 - k.upper))
-            h = weighted_integral(k, b, t)
-            h_not = weighted_integral(k, boolean_not(b), t)
+            h = k.weighted_integral(b, t)
+            h_not = k.weighted_integral(boolean_not(b), t)
             assert -1e-12 <= h <= 1 + 1e-12
             assert h + h_not == pytest.approx(1.0, abs=1e-9)
 

@@ -97,6 +97,8 @@ class TestOfflineEquivalence:
         "<exp(2)[0,1.5], 0.6> (v >= 0.2)",
         "<exp(-1.5)[0.2,1.2], 0.3>* (v <= 0)",
         "G[0,0.8] (v >= -0.5) | F[0,1.2] (v >= 0.9)",
+        "<gauss(0.5, 0.3)[0,1], 0.5> (v >= 0)",
+        "<gauss(0.2, 0.1)[0.1,1.3], 0.3>* (v <= 0)",
     ]
 
     @pytest.mark.parametrize("text", FORMULAS)
@@ -148,6 +150,19 @@ class TestOfflineEquivalence:
         sm.finish(trace.duration)
         sm.poll()
         assert sm.resolved_signal() == monitor(trace, f, cfg).signal
+
+    def test_last_gaussian_substep_is_held_back(self):
+        # the false dip near t = 2.77 is narrower than a quarter of the last
+        # substep: with the trace known up to 3.94 the probes of that substep
+        # step over it, with the whole trace they land in it
+        times = np.round(np.arange(0.0, 5.0001, 0.01), 10)
+        v = np.where((times >= 3.0) & (times < 3.04), -1.0, 1.0).reshape(-1, 1)
+        trace = PiecewiseConstantSignal(("v",), times, v, 5.0)
+        f = parse("<gauss(0.25, 0.02)[0,1], 0.5> (v >= 0)")
+        cfg = MonitorConfig(delta=0.5)
+        expected = monitor(trace, f, cfg)
+        assert len(expected.crossings) == 2
+        assert feed_and_collect(f, trace, cfg) == expected.signal
 
     def test_last_substep_ends_exactly_at_stretch_end(self):
         # 5-minute CGM pitch: t + (stretch_end - t) falls an ulp short of
