@@ -2,9 +2,16 @@
 
 Every kernel integrates to one over its window and is strictly positive on
 the open window.  Window integrals are closed-form (flat and exponential via
-``expm1``, the Gaussian bump via ``erf``), so kernel error is negligible
-against all monitor tolerances; the test suite cross-checks them against
-adaptive quadrature.
+``expm1``, the Gaussian bump via ``erf``/``erfc``), so kernel error is
+negligible against all monitor tolerances; the test suite cross-checks them
+against adaptive quadrature.
+
+``erf`` and ``erfc`` are the module's own vectorised numpy versions of
+Cody's rational Chebyshev approximations, accurate to a few ulp, so the
+package needs nothing beyond numpy.  A Gaussian mass whose ends lie on one
+side of the centre is an ``erfc`` difference taken on the far side, so a
+window deep in the bump's tail keeps its relative accuracy instead of
+cancelling to zero.
 
 New shapes can be added by subclassing :class:`BoundedKernel` and
 implementing ``density_clipped``, ``mass_clipped`` and ``sup_density``;
@@ -16,14 +23,136 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import HorizonError, SclError
 from .signals import BooleanSignal
 
 _MAX_EXPONENT = 700.0  # exp overflow guard for exponential kernels
+
+# W. J. Cody, "Rational Chebyshev approximations for the error function",
+# Math. Comp. 23 (1969), with the coefficients and ranges of his CALERF:
+# erf(y) = y·A(y²)/B(y²) for y <= 0.46875, erfc(y) = exp(-y²)·C(y)/D(y) for
+# y <= 4 and exp(-y²)/y·(1/√π - z·P(z)/Q(z)), z = 1/y², beyond.
+_ERF_A = (3.16112374387056560e00, 1.13864154151050156e02, 3.77485237685302021e02,
+          3.20937758913846947e03, 1.85777706184603153e-1)
+_ERF_B = (2.36012909523441209e01, 2.44024637934444173e02, 1.28261652607737228e03,
+          2.84423683343917062e03)
+_ERFC_C = (5.64188496988670089e-1, 8.88314979438837594e00, 6.61191906371416295e01,
+           2.98635138197400131e02, 8.81952221241769090e02, 1.71204761263407058e03,
+           2.05107837782607147e03, 1.23033935479799725e03, 2.15311535474403846e-8)
+_ERFC_D = (1.57449261107098347e01, 1.17693950891312499e02, 5.37181101862009858e02,
+           1.62138957456669019e03, 3.29079923573345963e03, 4.36261909014324716e03,
+           3.43936767414372164e03, 1.23033935480374942e03)
+_ERFC_P = (3.05326634961232344e-1, 3.60344899949804439e-1, 1.25781726111229246e-1,
+           1.60837851487422766e-2, 6.58749161529837803e-4, 1.63153871373020978e-2)
+_ERFC_Q = (2.56852019228982242e00, 1.87295284992346725e00, 5.27905102951428412e-1,
+           6.05183413124413191e-2, 2.33520497626869185e-3)
+_ERF_CENTRAL = 0.46875     # erf itself is approximated up to here, erfc beyond
+_ERFC_ZERO = 27.3          # erfc rounds to 0.0 from here on
+_INV_SQRT_PI = 5.6418958354775628695e-1
+
+
+def _horner_table() -> np.ndarray:
+    """The three ratios as one Horner table, shape (step, 6, 1).
+
+    Rows alternate numerator and denominator of A/B, C/D and P/Q.  CALERF
+    starts each numerator at its last coefficient times the variable, each
+    denominator at the variable itself, and adds the last numerator and
+    denominator coefficients without a final multiply.  Leading zeros pad
+    the shorter ratios to nine steps and change no bit of their values.
+    """
+    rows = []
+    for num, den in ((_ERF_A, _ERF_B), (_ERFC_C, _ERFC_D), (_ERFC_P, _ERFC_Q)):
+        n = len(den)
+        pad = (0.0,) * (8 - n)
+        rows += [pad + (num[-1],) + num[:n - 1] + (num[n - 1],), pad + (1.0,) + den]
+    return np.array(rows).T[..., None].copy()
+
+
+_HORNER = _horner_table()
+
+
+def _erf_core(y: np.ndarray) -> np.ndarray:
+    """``erf(y)`` where ``y <= 0.46875``, ``erfc(y)`` beyond, for 1-d ``y = |x|``.
+
+    Each value is the one of the pair that is computed directly, so callers
+    can build ``erf``, ``erfc`` and differences without cancellation.  All
+    three ratios are evaluated on every element whose ``erfc`` does not
+    round to 0 (one Horner pass on clamped arguments; the call count, not
+    the element count, is what costs) and each element keeps its own
+    range's result.
+    ``exp(-y²)`` is ``exp(-h²)·exp(-(y-h)(y+h))`` with ``h`` = y truncated
+    to 1/16, whose square is exact.  inf gives 0, nan stays nan.
+    """
+    out = np.minimum(y, 0.0)            # 0 where erfc underflows, nan stays nan
+    live = y < _ERFC_ZERO
+    yl = y[live]
+    yc = np.minimum(yl, _ERF_CENTRAL)
+    yt = np.maximum(yl, _ERF_CENTRAL)
+    z = 1.0 / (yt * yt)
+    ysq = yc * yc
+    w = np.array((ysq, ysq, yt, yt, z, z))
+    acc = _HORNER[0] * w
+    for c in _HORNER[1:-1]:
+        np.add(acc, c, out=acc)
+        np.multiply(acc, w, out=acc)
+    acc += _HORNER[-1]
+    ratio = acc[0::2] / acc[1::2]
+    head = np.trunc(yt * 16.0) / 16.0
+    exp_sq = np.exp(-(head * head)) * np.exp((head - yt) * (yt + head))
+    erfc = np.where(yl <= 4.0, ratio[1], (_INV_SQRT_PI - z * ratio[2]) / yt) * exp_sq
+    out[live] = np.where(yl <= _ERF_CENTRAL, yc * ratio[0], erfc)
+    return out
+
+
+def _erf_split(x: np.ndarray):
+    """``erf(x) = whole + part`` for 1-d ``x``, with ``whole`` in {-1, 0, 1}.
+
+    Central ``x`` has ``whole = 0`` and ``part = erf(x)``; beyond it
+    ``whole = sign(x)`` and ``part = -sign(x)·erfc(|x|)``, so a difference of
+    two ``erf`` on one side of 0 cancels the wholes exactly and subtracts
+    the small ``erfc`` tails.
+    """
+    y = np.abs(x)
+    central = y <= _ERF_CENTRAL
+    part = np.copysign(_erf_core(y), x)
+    return np.where(central, 0.0, np.sign(x)), np.where(central, part, -part)
+
+
+def _erf(x):
+    """Vectorised error function (0-d or n-d input, nan passes through)."""
+    x = np.asarray(x, dtype=float)
+    whole, part = _erf_split(x.ravel())
+    # central values skip the addition, which would turn erf(-0.0) into +0.0
+    return np.where(whole == 0.0, part, whole + part).reshape(x.shape)
+
+
+def _erfc(x):
+    """Vectorised complementary error function ``1 - erf(x)``."""
+    x = np.asarray(x, dtype=float)
+    whole, part = _erf_split(x.ravel())
+    return ((1.0 - whole) - part).reshape(x.shape)
+
+
+def _erf_difference(ua, ub):
+    """``erf(ub) - erf(ua)`` elementwise (broadcast) for ``ua <= ub``.
+
+    Both ends go through one :func:`_erf_split` call.  With both ends on
+    one side of 0 and beyond the central range this is the ``erfc``
+    difference of the far side, ``erfc(ua) - erfc(ub)`` or
+    ``erfc(-ub) - erfc(-ua)``, so a window deep in a tail keeps its
+    relative accuracy; inside the central range it is the ``erf``
+    difference, and across 0 the two ``erf`` add.
+    """
+    ua = np.asarray(ua, dtype=float)
+    ub = np.asarray(ub, dtype=float)
+    whole, part = _erf_split(np.concatenate((ua.ravel(), ub.ravel())))
+    n = ua.size
+    return ((whole[n:].reshape(ub.shape) - whole[:n].reshape(ua.shape))
+            + (part[n:].reshape(ub.shape) - part[:n].reshape(ua.shape)))
 
 
 class BoundedKernel:
@@ -94,27 +223,6 @@ class BoundedKernel:
         # extension, which the streaming facade relies on)
         return float(np.sum(masses[masses != 0.0]))
 
-    def weighted_integral_many(self, sig: BooleanSignal, ts: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`weighted_integral` over an array of anchors."""
-        ts = np.asarray(ts, dtype=float)
-        if len(ts) == 0:
-            return np.zeros(0)
-        eps = 1e-9 * max(1.0, abs(sig.start), abs(sig.end))
-        if ts.min() + self.lower < sig.start - eps or ts.max() + self.upper > sig.end + eps:
-            raise HorizonError(
-                "some window reaches outside the signal domain "
-                f"[{sig.start}, {sig.end}]"
-            )
-        if not sig.intervals:
-            return np.zeros(len(ts))
-        a = np.clip(sig.starts_array[:, None] - ts[None, :], self.lower, self.upper)
-        b = np.clip(sig.ends_array[:, None] - ts[None, :], self.lower, self.upper)
-        masses = np.asarray(self.mass_clipped(a, b))
-        # drop interval rows that never intersect any window: keeps the sums
-        # bit-stable when a longer trace appends out-of-reach intervals
-        masses = masses[masses.any(axis=1)]
-        return masses.sum(axis=0) if len(masses) else np.zeros(len(ts))
-
 
 @dataclass(frozen=True)
 class FlatKernel(BoundedKernel):
@@ -178,7 +286,8 @@ class GaussianKernel(BoundedKernel):
     """Gaussian bump ``exp(-((x - center)/spread)^2)`` renormalized.
 
     Extreme windows (|x - center| >> spread) underflow to zero density;
-    the window masses remain well defined.
+    the window masses remain well defined.  A window far in one tail of the
+    bump is accepted as long as its ``erfc`` mass is a normal double.
     """
 
     center: float
@@ -192,7 +301,8 @@ class GaussianKernel(BoundedKernel):
             raise SclError("gaussian center must be finite")
         if not math.isfinite(self.spread) or self.spread <= 0:
             raise SclError(f"gaussian width must be positive, got {self.spread}")
-        if self._erf_span() <= 0.0:
+        # a subnormal span would leave every mass with only a few bits
+        if self._erf_span < np.finfo(float).tiny:
             raise SclError(
                 f"gaussian bump at {self.center}+-{self.spread} carries no "
                 f"representable mass inside [{self.lower}, {self.upper}]"
@@ -201,17 +311,18 @@ class GaussianKernel(BoundedKernel):
     def _u(self, x):
         return (np.asarray(x, dtype=float) - self.center) / self.spread
 
+    @cached_property
     def _erf_span(self) -> float:
-        return float(erf(self._u(self.upper)) - erf(self._u(self.lower)))
+        """``erf(u(upper)) - erf(u(lower))``, the unnormalized window mass."""
+        return float(_erf_difference(self._u(self.lower), self._u(self.upper)))
 
     def density_clipped(self, x):
-        z = self.spread * (math.sqrt(math.pi) / 2.0) * self._erf_span()
+        z = self.spread * (math.sqrt(math.pi) / 2.0) * self._erf_span
         return np.exp(-self._u(x) ** 2) / z
 
     def mass_clipped(self, a, b):
-        return (erf(self._u(b)) - erf(self._u(a))) / self._erf_span()
+        return _erf_difference(self._u(a), self._u(b)) / self._erf_span
 
     def sup_density(self) -> float:
         peak = min(max(self.center, self.lower), self.upper)
         return float(self.density_clipped(peak))
-

@@ -18,6 +18,7 @@ from sclmon import (
     ExponentialKernel,
     FlatKernel,
     GaussianKernel,
+    HorizonError,
     PiecewiseConstantSignal,
 )
 
@@ -86,6 +87,32 @@ def kernel_mass_quadrature(kernel, a: float, b: float, tol: float = 1e-10) -> fl
     part, _ = quad(lambda x: kernel_density_unnormalized(kernel, x), a, b,
                    epsabs=tol, limit=400)
     return part / total
+
+
+def weighted_integral_many(kernel, sig: BooleanSignal, ts: np.ndarray) -> np.ndarray:
+    """``kernel.weighted_integral(sig, t)`` for every anchor in ``ts`` at once.
+
+    One broadcast ``mass_clipped`` over intervals x anchors, so it checks
+    the monitor's carried H against fresh window integrals at every sample.
+    """
+    ts = np.asarray(ts, dtype=float)
+    if len(ts) == 0:
+        return np.zeros(0)
+    eps = 1e-9 * max(1.0, abs(sig.start), abs(sig.end))
+    if ts.min() + kernel.lower < sig.start - eps or ts.max() + kernel.upper > sig.end + eps:
+        raise HorizonError(
+            "some window reaches outside the signal domain "
+            f"[{sig.start}, {sig.end}]"
+        )
+    if not sig.intervals:
+        return np.zeros(len(ts))
+    a = np.clip(sig.starts_array[:, None] - ts[None, :], kernel.lower, kernel.upper)
+    b = np.clip(sig.ends_array[:, None] - ts[None, :], kernel.lower, kernel.upper)
+    masses = np.asarray(kernel.mass_clipped(a, b))
+    # drop interval rows that never intersect any window: keeps the sums
+    # bit-stable when a longer trace appends out-of-reach intervals
+    masses = masses[masses.any(axis=1)]
+    return masses.sum(axis=0) if len(masses) else np.zeros(len(ts))
 
 
 def conv_value_riemann(kernel, sig: BooleanSignal, t: float, n: int = 200_001) -> float:

@@ -31,6 +31,7 @@ from conftest import (
     erode,
     random_boolean_signal,
     random_kernel,
+    weighted_integral_many,
 )
 
 REF = BooleanSignal.from_intervals(0.0, 1.5, [(0.3, 0.9)])
@@ -218,7 +219,7 @@ class TestOracleEquivalence:
             delta = width / 1000.0
             eff = eval_conv_efficient(k, p, b, delta)
             orc = eval_conv_oracle(k, p, b, delta / 2.0)
-            h_ref = k.weighted_integral_many(b, eff.times)
+            h_ref = weighted_integral_many(k, b, eff.times)
             assert np.max(np.abs(eff.values - h_ref)) <= 10 * delta * k.sup_density()
             tol = max(delta, delta / 2.0)
             assert len(eff.verdict.crossings) == len(orc.verdict.crossings)
@@ -241,7 +242,7 @@ class TestIncremental:
         k = ExponentialKernel(3, 0, 0.5)
         ev = eval_conv_efficient(k, 0.5, REF, 0.1)
         assert ev.values[0] == pytest.approx(0.5808, abs=1e-4)
-        h_ref = k.weighted_integral_many(REF, ev.times)
+        h_ref = weighted_integral_many(k, REF, ev.times)
         assert np.max(np.abs(ev.values - h_ref)) <= 1e-6
 
     def test_agreement_with_oracle_random(self):
@@ -256,7 +257,7 @@ class TestIncremental:
                 rate = float(rng.uniform(0.3, 3.5)) * (1 if rng.random() < 0.5 else -1)
                 k = ExponentialKernel(rate, lo, lo + width)
             ev = eval_conv_efficient(k, 0.5, b, width / 200)
-            h_ref = k.weighted_integral_many(b, ev.times)
+            h_ref = weighted_integral_many(k, b, ev.times)
             assert np.max(np.abs(ev.values - h_ref)) <= 1e-6
 
 
@@ -317,8 +318,8 @@ class TestMonitor:
             k = random_kernel(rng, 0.0, 1.0)
             ev = eval_conv_efficient(k, 0.5, b, 0.01)
             ev_not = eval_conv_efficient(k, 0.5, boolean_not(b), 0.01)
-            h = k.weighted_integral_many(b, ev.times)
-            h_not = k.weighted_integral_many(boolean_not(b), ev.times)
+            h = weighted_integral_many(k, b, ev.times)
+            h_not = weighted_integral_many(k, boolean_not(b), ev.times)
             assert np.max(np.abs(ev.values - h)) <= 1e-9
             assert np.max(np.abs(ev.values + ev_not.values - 1.0)) <= 1e-6
             assert np.max(np.abs(h + h_not - 1.0)) <= 1e-6

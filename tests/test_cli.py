@@ -3,10 +3,14 @@
 import csv
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import sclmon
 from sclmon.cli import main
 
 VERDICT_JSON_SCHEMA = {
@@ -210,3 +214,15 @@ class TestExperiments:
         assert doc["min_robustness"] == min(e["robustness"] for e in doc["evaluations"])
         from sclmon import read_trace_csv
         assert read_trace_csv(str(witness)).variables == ("G",)
+
+
+def test_import_loads_no_scipy():
+    """``scl-mon`` starts on numpy alone; scipy would add about 0.35 s of import."""
+    src = str(Path(sclmon.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    probe = ("import sclmon.cli, sys; "
+             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

@@ -150,3 +150,39 @@ class TestValidation:
     def test_gaussian_window_must_carry_mass(self):
         with pytest.raises(SclError, match="representable mass"):
             GaussianKernel(100.0, 0.1, 0.0, 1.0)
+
+
+class TestGaussianTails:
+    """Bumps centred outside their window: masses are far-side erfc differences."""
+
+    @staticmethod
+    def kernels():
+        return GaussianKernel(10.0, 1.0, 0.0, 1.0), GaussianKernel(-10.0, 1.0, 0.0, 1.0)
+
+    @staticmethod
+    def erfc_mass(k, a, b):
+        """Unnormalized mass of [a, b] from math.erfc on the side the window is on."""
+        if k.center >= b:
+            return math.erfc((k.center - b) / k.spread) - math.erfc((k.center - a) / k.spread)
+        return math.erfc((a - k.center) / k.spread) - math.erfc((b - k.center) / k.spread)
+
+    def test_tail_window_is_accepted_and_normalized(self):
+        for k in self.kernels():
+            assert k.mass(k.lower, k.upper) == pytest.approx(1.0, abs=1e-12)
+
+    def test_tail_masses_match_quadrature(self):
+        rng = np.random.default_rng(17)
+        for k in self.kernels():
+            for _ in range(20):
+                a, b = np.sort(rng.uniform(k.lower, k.upper, 2))
+                assert k.mass(float(a), float(b)) == pytest.approx(
+                    kernel_mass_quadrature(k, float(a), float(b)), abs=1e-9)
+
+    def test_tail_masses_match_erfc_differences(self):
+        rng = np.random.default_rng(19)
+        for k in self.kernels():
+            total = self.erfc_mass(k, k.lower, k.upper)
+            for _ in range(50):
+                a, b = np.sort(rng.uniform(k.lower, k.upper, 2))
+                expected = self.erfc_mass(k, float(a), float(b)) / total
+                assert k.mass(float(a), float(b)) == pytest.approx(expected, rel=1e-12)
