@@ -18,8 +18,8 @@ exact, a kernel-weighted quantile of the window's values, so the JSON
 ``robustness.tolerance`` is always 0.  ``--delta`` sets the integration step
 of the Boolean verdict behind the exit code.  Only Gaussian windows and the
 oracle grid (``delta / 2``) use it: a Gaussian window is sampled at the
-quarter points of substeps of at most ``delta`` in one vectorised call and
-bisected only where a cell flips; the default evaluator solves flat and
+quarter points of substeps of at most ``delta`` and searched for a crossing
+only where a cell flips; the default evaluator solves flat and
 exponential windows exactly per event-aligned stretch.
 
 Exit codes: 0 when every formula is satisfied at time 0, 1 when any is
@@ -56,7 +56,7 @@ from .traces import (
 class RunConfig:
     """Validated knobs shared by the check/rho subcommands."""
 
-    mode: str = "boolean"            # boolean | robustness | both
+    mode: str = "boolean"            # boolean | robustness
     evaluator: str = "efficient"
     delta: float | None = None
     time_grid: float | None = None
@@ -64,7 +64,7 @@ class RunConfig:
     out_dir: str | None = None
 
     def __post_init__(self) -> None:
-        if self.mode not in ("boolean", "robustness", "both"):
+        if self.mode not in ("boolean", "robustness"):
             raise SclError(f"unknown mode {self.mode!r}")
         if self.output_format not in ("csv", "json"):
             raise SclError(f"unknown output format {self.output_format!r}")
@@ -97,12 +97,12 @@ def run_monitor(trace: PiecewiseConstantSignal, formulas: list[tuple[int, str, F
 
     def evaluate(index: int, source: str, f: Formula) -> FormulaResult:
         verdict = monitor(trace, f, mon_cfg)
-        robustness = rho_trace(trace, f, rho_cfg) if cfg.mode in ("robustness", "both") else None
+        robustness = rho_trace(trace, f, rho_cfg) if cfg.mode == "robustness" else None
         return FormulaResult(
             index=index,
             source=source,
             satisfied=verdict.satisfied_at_zero,
-            verdict=verdict if cfg.mode in ("boolean", "both") else None,
+            verdict=verdict if cfg.mode == "boolean" else None,
             robustness=robustness,
         )
 

@@ -14,9 +14,9 @@ window deep in the bump's tail keeps its relative accuracy instead of
 cancelling to zero.
 
 New shapes can be added by subclassing :class:`BoundedKernel` and
-implementing ``density_clipped``, ``mass_clipped`` and ``sup_density``;
-everything else (weighted integrals, window checks) is inherited.  The
-formula file grammar only covers the three shapes below.
+implementing ``density_clipped`` and ``mass_clipped``; everything else
+(weighted integrals, window checks) is inherited.  The formula file grammar
+only covers the three shapes below.
 """
 
 from __future__ import annotations
@@ -170,9 +170,6 @@ class BoundedKernel:
         """Window integral over [a, b]; assumes window containment, a <= b."""
         raise NotImplementedError
 
-    def sup_density(self) -> float:
-        raise NotImplementedError
-
     # -- validated public surface ----------------------------------------
     def _validate_window(self) -> None:
         if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
@@ -240,9 +237,6 @@ class FlatKernel(BoundedKernel):
     def mass_clipped(self, a, b):
         return (np.asarray(b, dtype=float) - a) / self.width
 
-    def sup_density(self) -> float:
-        return 1.0 / self.width
-
 
 @dataclass(frozen=True)
 class ExponentialKernel(BoundedKernel):
@@ -275,10 +269,6 @@ class ExponentialKernel(BoundedKernel):
         den = math.expm1(r * self.width)
         return (np.expm1(r * (np.asarray(b, dtype=float) - self.lower))
                 - np.expm1(r * (np.asarray(a, dtype=float) - self.lower))) / den
-
-    def sup_density(self) -> float:
-        at = self.upper if self.rate > 0 else self.lower
-        return float(self.density_clipped(at))
 
 
 @dataclass(frozen=True)
@@ -322,7 +312,3 @@ class GaussianKernel(BoundedKernel):
 
     def mass_clipped(self, a, b):
         return _erf_difference(self._u(a), self._u(b)) / self._erf_span
-
-    def sup_density(self) -> float:
-        peak = min(max(self.center, self.lower), self.upper)
-        return float(self.density_clipped(peak))

@@ -5,14 +5,18 @@ of the child truth signal in the window anchored at t) and threshold it:
 
 * :func:`eval_conv_oracle` -- brute force: H on a uniform grid via window
   integrals, crossings by linear interpolation.  Ground truth for the other.
-* :func:`eval_conv_efficient` -- sliding window: integration is split into
-  stretches bounded by the events where a window boundary meets a true-interval
-  edge, so the edge set inside the window is constant per stretch.  There H is
-  linear (flat kernels) or ``C + D*exp(-rate*x)`` (exponential kernels), so it
-  is evaluated once, at the stretch end, and a crossing is solved in closed
-  form.  Gaussian windows are sampled at the quarter points of substeps of at
-  most ``max_step``, all in one vectorised call using the exact mass flux of
-  the edges, and bisected to 1e-9 in time only where a cell flips.
+* :func:`eval_conv_efficient` -- sliding window: the verdict span is split
+  into stretches bounded by the events where a window boundary meets a
+  true-interval edge, so the edge set inside the window is constant per
+  stretch.  There H is linear (flat kernels) or ``C + D*exp(-rate*x)``
+  (exponential kernels), so it is sampled at the stretch bounds only, and a
+  crossing is solved in closed form.  Gaussian stretches are sampled at the
+  quarter points of substeps of at most ``max_step``, and a crossing is
+  located to 1e-9 in time only where a cell flips or touches the threshold.
+
+Both evaluators compute every H sample as a direct window integral, in one
+pass over all samples, so H at a time depends only on that time and the
+signal, not on where evaluation began.
 
 The dual operator is evaluated structurally as the complement of the
 complemented child at threshold ``1 - p``, which realizes its strict
@@ -62,7 +66,8 @@ _SNAP = 1e-12          # distance within which H snaps to the exact bounds 0 / 1
 _ZERO_BAND = 1e-12     # |H - p| below this counts as sitting exactly on the threshold
 _TIME_TOL = 1e-9       # crossing location tolerance
 _H_DRIFT = 1e-6        # hard bound on numerical drift of H outside [0, 1]
-_GRID_BLOCK = 256      # oracle grid points per broadcast mass call
+_BLOCK_ELEMENTS = 1 << 12  # anchors x intervals in reach per broadcast mass call
+_PROBES = np.arange(1, 16) / 16.0  # interior points of a root bracket per H call
 
 
 @dataclass
@@ -122,23 +127,10 @@ class ConvEvaluation:
     values: np.ndarray
 
 
-def _snap01(h: float) -> float:
-    if abs(h) <= _SNAP:
-        return 0.0
-    if abs(h - 1.0) <= _SNAP:
-        return 1.0
-    return h
-
-
-def _snap01_array(h: np.ndarray) -> np.ndarray:
-    h[np.abs(h) <= _SNAP] = 0.0
-    h[np.abs(h - 1.0) <= _SNAP] = 1.0
-    return h
-
-
-def _theta(h: float, p: float) -> float:
-    d = h - p
-    return 0.0 if abs(d) <= _ZERO_BAND else d
+def _thetas(h: np.ndarray, p: float) -> np.ndarray:
+    th = h - p
+    th[np.abs(th) <= _ZERO_BAND] = 0.0
+    return th
 
 
 def _verdict_span(kernel: BoundedKernel, sig: BooleanSignal) -> tuple[float, float]:
@@ -152,42 +144,12 @@ def _verdict_span(kernel: BoundedKernel, sig: BooleanSignal) -> tuple[float, flo
     return t0, max(t_end, t0)
 
 
-class _TruthRuns:
-    """Accumulates contiguous truth pieces and merges them into intervals."""
-
-    def __init__(self, start: float):
-        self._pos = start
-        self._truth: bool | None = None
-        self._run_start = start
-        self._true_runs: list[tuple[float, float]] = []
-
-    def push(self, end: float, truth: bool) -> None:
-        if self._truth is None:
-            self._truth = truth
-            self._run_start = self._pos
-        elif truth != self._truth:
-            if self._truth:
-                self._true_runs.append((self._run_start, self._pos))
-            self._truth = truth
-            self._run_start = self._pos
-        self._pos = end
-
-    def end_piece_at(self, end: float) -> None:
-        """Move the end of the last pushed piece onto ``end``."""
-        self._pos = end
-
-    def finish(self) -> list[tuple[float, float]]:
-        if self._truth:
-            self._true_runs.append((self._run_start, self._pos))
-        return self._true_runs
-
-
-def _point_verdict(kernel: BoundedKernel, p: float, sig: BooleanSignal,
-                   t0: float) -> ConvEvaluation:
-    h = _snap01(kernel.weighted_integral(sig, t0))
-    truth = _theta(h, p) >= 0.0
-    signal = BooleanSignal.from_intervals(t0, t0, [(t0, t0)] if truth else [])
-    return ConvEvaluation(VerdictSignal(signal, (), t0), np.array([t0]), np.array([h]))
+def _alternating(t0: float, t_end: float, first: bool, flips: list[float]) -> BooleanSignal:
+    """Truth signal over ``[t0, t_end]`` that starts as ``first`` and flips
+    at each of the (sorted) ``flips``."""
+    cuts = [t0, *flips, t_end]
+    skip = 0 if first else 1
+    return BooleanSignal.from_intervals(t0, t_end, zip(cuts[skip::2], cuts[skip + 1::2]))
 
 
 def eval_atom(trace: PiecewiseConstantSignal, atom: Atom) -> BooleanSignal:
@@ -207,22 +169,36 @@ def eval_atom(trace: PiecewiseConstantSignal, atom: Atom) -> BooleanSignal:
 
 def _grid_integrals(kernel: BoundedKernel, sig: BooleanSignal,
                     ts: np.ndarray) -> np.ndarray:
-    """Window integrals of ``sig`` at the anchors ``ts``, one broadcast mass call.
+    """Window integrals of ``sig`` at the increasing anchors ``ts``, snapped
+    to exact 0 / 1, in blocks of one broadcast mass call each.
 
+    A block holds at most ``_BLOCK_ELEMENTS`` anchors x intervals in reach.
     Each value is a plain running sum over the intervals in time order.
     An interval out of a window's reach clips to an empty piece and adds an
-    exact zero, so a value does not depend on how many such intervals the
-    block takes in, and prefixes of a growing trace stay bit-identical.
+    exact zero, so a value depends only on its anchor, not on the block that
+    took it in, and prefixes of a growing trace stay bit-identical.
     """
-    first = int(np.searchsorted(sig.ends_array, ts[0] + kernel.lower, side="left"))
-    last = int(np.searchsorted(sig.starts_array, ts[-1] + kernel.upper, side="right"))
+    starts, ends = sig.starts_array, sig.ends_array
+    first = np.searchsorted(ends, ts + kernel.lower, side="left")
+    last = np.searchsorted(starts, ts + kernel.upper, side="right")
     h = np.zeros(len(ts))
-    if first < last:
-        masses = kernel.mass_clipped(
-            np.clip(sig.starts_array[first:last, None] - ts, kernel.lower, kernel.upper),
-            np.clip(sig.ends_array[first:last, None] - ts, kernel.lower, kernel.upper))
-        for row in masses:
-            h += row
+    i = 0
+    while i < len(ts):
+        cap = min(len(ts), i + _BLOCK_ELEMENTS)
+        size = np.arange(1, cap - i + 1) * (last[i:cap] - first[i])
+        j = i + max(1, int(np.searchsorted(size, _BLOCK_ELEMENTS, side="right")))
+        lo, hi = first[i], last[j - 1]
+        if lo < hi:
+            block = ts[i:j]
+            masses = kernel.mass_clipped(
+                np.clip(starts[lo:hi, None] - block, kernel.lower, kernel.upper),
+                np.clip(ends[lo:hi, None] - block, kernel.lower, kernel.upper))
+            acc = h[i:j]
+            for row in masses:
+                acc += row
+        i = j
+    h[np.abs(h) <= _SNAP] = 0.0
+    h[np.abs(h - 1.0) <= _SNAP] = 1.0
     return h
 
 
@@ -233,36 +209,24 @@ def eval_conv_oracle(kernel: BoundedKernel, threshold: float, sig: BooleanSignal
     if grid <= 0:
         raise SclError("oracle grid must be positive")
     t0, t_end = _verdict_span(kernel, sig)
-    if t_end == t0:
-        return _point_verdict(kernel, threshold, sig, t0)
     n = int(math.floor((t_end - t0) / grid))
     ts = t0 + grid * np.arange(n + 1)
     if ts[-1] < t_end - 1e-12 * max(1.0, abs(t_end)):
         ts = np.append(ts, t_end)
     else:
         ts[-1] = t_end
-    hs = _snap01_array(np.concatenate([
-        _grid_integrals(kernel, sig, ts[i:i + _GRID_BLOCK])
-        for i in range(0, len(ts), _GRID_BLOCK)]))
-    thetas = hs - threshold
-    thetas[np.abs(thetas) <= _ZERO_BAND] = 0.0
+    hs = _grid_integrals(kernel, sig, ts)
+    thetas = _thetas(hs, threshold)
     truths = thetas >= 0.0
-    runs = _TruthRuns(t0)
     crossings: list[float] = []
-    for i in range(len(ts) - 1):
-        if truths[i + 1] != truths[i]:
-            th0, th1 = thetas[i], thetas[i + 1]
-            if th1 == th0:
-                root = float(ts[i + 1])
-            else:
-                root = float(ts[i] + (ts[i + 1] - ts[i]) * (0.0 - th0) / (th1 - th0))
-            root = min(max(root, float(ts[i])), float(ts[i + 1]))
-            crossings.append(root)
-            runs.push(root, bool(truths[i]))
-            runs.push(float(ts[i + 1]), bool(truths[i + 1]))
+    for i in np.flatnonzero(truths[1:] != truths[:-1]).tolist():
+        th0, th1 = thetas[i], thetas[i + 1]
+        if th1 == th0:
+            root = float(ts[i + 1])
         else:
-            runs.push(float(ts[i + 1]), bool(truths[i]))
-    signal = BooleanSignal.from_intervals(t0, t_end, runs.finish())
+            root = float(ts[i] + (ts[i + 1] - ts[i]) * (0.0 - th0) / (th1 - th0))
+        crossings.append(min(max(root, float(ts[i])), float(ts[i + 1])))
+    signal = _alternating(t0, t_end, bool(truths[0]), crossings)
     # the final grid cell ends at the trace-dependent t_end, so crossings
     # interpolated inside it may move when the trace is extended
     stable = float(ts[-2]) if len(ts) >= 2 else t0
@@ -270,16 +234,23 @@ def eval_conv_oracle(kernel: BoundedKernel, threshold: float, sig: BooleanSignal
     return ConvEvaluation(verdict, ts, hs)
 
 
-def _locate_root(phi_theta: Callable[[float], float], x_lo: float, x_hi: float,
-                 th_lo: float) -> float:
-    """One sign change of theta inside [x_lo, x_hi], bisected; returns the root."""
+def _locate_root(theta_at: Callable[[np.ndarray], np.ndarray], x_lo: float,
+                 x_hi: float, th_lo: float) -> float:
+    """One sign change of theta inside [x_lo, x_hi]; returns the root.
+
+    Each call of ``theta_at`` probes the bracket at ``_PROBES`` interior
+    points and keeps the piece where the sign first changes, until the
+    bracket is within 1e-9 in time.
+    """
     lo_truth = th_lo >= 0.0
     while x_hi - x_lo > _TIME_TOL:
-        xm = 0.5 * (x_lo + x_hi)
-        if (phi_theta(xm) >= 0.0) == lo_truth:
-            x_lo = xm
-        else:
-            x_hi = xm
+        xs = x_lo + (x_hi - x_lo) * _PROBES
+        changed = (theta_at(xs) >= 0.0) != lo_truth
+        j = int(np.argmax(changed)) if changed.any() else len(xs)
+        if j > 0:
+            x_lo = float(xs[j - 1])
+        if j < len(xs):
+            x_hi = float(xs[j])
     return 0.5 * (x_lo + x_hi)
 
 
@@ -307,19 +278,42 @@ def _stretch_root(kernel: BoundedKernel, span: float, th0: float, th1: float) ->
     return min(max(x, 0.0), span)
 
 
+def _quarter_points(bounds: np.ndarray, max_step: float) -> tuple[np.ndarray, float]:
+    """Samples of Gaussian stretches, and the start of the last substep.
+
+    Each stretch between consecutive ``bounds`` is cut into substeps of at
+    most ``max_step`` from its start, each sampled at its quarter points;
+    a stretch's last sample is the next bound itself.
+    """
+    spans = np.diff(bounds)
+    n_sub = np.maximum(1, np.ceil(spans / max_step - 1e-12)).astype(np.int64)
+    first_sub = np.cumsum(n_sub) - n_sub
+    k = np.arange(int(n_sub.sum())) - np.repeat(first_sub, n_sub)
+    span_of = np.repeat(spans, n_sub)
+    sub_lo = np.minimum(max_step * k, span_of)
+    sub_hi = np.minimum(max_step * (k + 1.0), span_of)
+    sub_hi[first_sub + n_sub - 1] = spans
+    sub_w = sub_hi - sub_lo
+    xs = np.stack([sub_lo + 0.25 * sub_w, 0.5 * (sub_lo + sub_hi),
+                   sub_lo + 0.75 * sub_w, sub_hi], axis=1).ravel()
+    times = np.repeat(bounds[:-1], 4 * n_sub) + xs
+    times[4 * (first_sub + n_sub) - 1] = bounds[1:]
+    return np.concatenate([bounds[:1], times]), float(bounds[-2] + sub_lo[-1])
+
+
 def eval_conv_efficient(kernel: BoundedKernel, threshold: float, sig: BooleanSignal,
                         max_step: float | None = None) -> ConvEvaluation:
-    """Sliding-window evaluator: event-aligned stretches, exact edge flux.
+    """Sliding-window evaluator: event-aligned stretches, one pass.
 
     Stretches end where a window boundary meets a true-interval edge, so the
-    edges inside the window are fixed within one, and H at ``t + x`` is H(t)
-    plus the mass those edges gain minus the mass they lose.  H is sampled at
-    the ends of cells in one vectorised call: a flat or exponential stretch is
-    one cell, since H is monotone there; a Gaussian stretch is cut into
-    substeps of at most ``max_step``, and each substep into quarters.  A cell
-    whose ends flip sign, or of which exactly one end sits on the threshold,
-    holds one crossing: closed form for flat and exponential windows,
-    bisected to 1e-9 in time for Gaussian ones.
+    edges inside the window are fixed within one.  A flat or exponential
+    stretch is one cell, since H is monotone there; a Gaussian stretch is
+    cut into substeps of at most ``max_step``, and each substep into
+    quarters.  H at every cell end is a direct window integral, all computed
+    up front.  A cell whose ends flip sign, or of which exactly one end sits
+    on the threshold, holds one crossing: closed form for flat and
+    exponential windows, located to 1e-9 in time for Gaussian ones.  The
+    truth flips at the roots of the flip cells only.
     """
     if max_step is None:
         max_step = kernel.width / 1000.0
@@ -327,123 +321,61 @@ def eval_conv_efficient(kernel: BoundedKernel, threshold: float, sig: BooleanSig
         raise SclError("integration step must be positive")
     p = threshold
     t0, t_end = _verdict_span(kernel, sig)
-    if t_end == t0:
-        return _point_verdict(kernel, p, sig, t0)
-
-    starts = sig.starts_array
-    ends = sig.ends_array
-    n = len(starts)
-    k_lo, k_hi = kernel.lower, kernel.upper
+    edges = np.concatenate([sig.starts_array, sig.ends_array])
+    events = np.concatenate([edges - kernel.lower, edges - kernel.upper])
+    events = np.unique(events[(events > t0 + 1e-15) & (events < t_end - 1e-15)])
+    bounds = np.concatenate([[t0], events, [t_end]])
     # flat and exponential H is monotone within a stretch
     monotone = isinstance(kernel, (FlatKernel, ExponentialKernel))
-    edges = np.concatenate([starts, ends])
-    events = np.concatenate([edges - k_lo, edges - k_hi])
-    events = np.unique(events[(events > t0 + 1e-15) & (events < t_end - 1e-15)])
+    if monotone:
+        times = bounds
+    else:
+        times, last_substep = _quarter_points(bounds, max_step)
+    # drop samples that do not increase, such as quarter points that round
+    # onto a bound
+    keep = np.concatenate([[True], times[1:] > np.maximum.accumulate(times)[:-1]])
+    times = times[keep]
 
-    h_now = _snap01(kernel.weighted_integral(sig, t0))
-    times_parts = [np.array([t0])]
-    values_parts = [np.array([h_now])]
-    runs = _TruthRuns(t0)
+    hs = _grid_integrals(kernel, sig, times)
+    if hs.min() < -_H_DRIFT or hs.max() > 1.0 + _H_DRIFT:
+        raise SclError("convolution value drifted out of [0, 1]")
+    th = _thetas(hs, p)
+    truths = th >= 0.0
+    flip = truths[1:] != truths[:-1]
+    # a one-sided touch of the threshold is an exact-equality plateau edge,
+    # which belongs in the crossings
+    risky = flip | ((th[1:] == 0.0) != (th[:-1] == 0.0))
+
     crossings: list[float] = []
-    stable_until = t_end
-
-    lo, hi = 0, -1   # the intervals that can meet a window of this stretch
-    t = t0
-    ev_idx = 0
-    while t < t_end:
-        next_event = float(events[ev_idx]) if ev_idx < len(events) else math.inf
-        stretch_end = min(next_event, t_end)
-        if stretch_end == next_event:
-            ev_idx += 1
-        span = stretch_end - t
-        if span <= 0:
-            t = stretch_end
-            continue
+    flips: list[float] = []
+    for i in np.flatnonzero(risky).tolist():
+        x0, x1 = float(times[i]), float(times[i + 1])
         if monotone:
-            xs = np.array([span])
+            root = x0 + _stretch_root(kernel, x1 - x0, float(th[i]), float(th[i + 1]))
         else:
-            n_sub = max(1, math.ceil(span / max_step - 1e-12))
-            sub_hi = max_step * np.arange(1.0, n_sub + 1.0)
-            np.minimum(sub_hi, span, out=sub_hi)
-            sub_hi[-1] = span
-            sub_lo = np.concatenate([[0.0], sub_hi[:-1]])
-            sub_w = sub_hi - sub_lo
-            xs = np.stack([sub_lo + 0.25 * sub_w, 0.5 * (sub_lo + sub_hi),
-                           sub_lo + 0.75 * sub_w, sub_hi], axis=1).ravel()
+            root = _locate_root(lambda xs: _thetas(_grid_integrals(kernel, sig, xs), p),
+                                x0, x1, float(th[i]))
+        if not crossings or abs(root - crossings[-1]) > _ZERO_BAND:
+            crossings.append(root)
+        if flip[i]:
+            flips.append(root)
 
-        while lo < n and ends[lo] < t + k_lo:
-            lo += 1
-        while hi + 1 < n and starts[hi + 1] <= stretch_end + k_hi:
-            hi += 1
-        n_in = hi + 1 - lo
-        edge_loc = np.concatenate((starts[lo:hi + 1], ends[lo:hi + 1]))[:, None] - t
-        edge_clip = np.clip(edge_loc, k_lo, k_hi)
+    # the last stretch's windows reach the trace end, so extending the
+    # trace can perturb its H values at rounding level; anything
+    # threshold-delicate there is not final yet
+    last = times >= bounds[-2]
+    if np.any(np.abs(th[last]) <= 1e-11) or np.any(risky[last[:-1]]):
+        stable_until = float(bounds[-2])
+    elif not monotone:
+        # a longer trace moves the probes of the last substep, which may
+        # then find a crossing pair between them
+        stable_until = last_substep
+    else:
+        stable_until = t_end
 
-        def h_at(offsets: np.ndarray) -> np.ndarray:
-            # one mass call: the rising edges' rows are gained, the falling edges' lost
-            flux = kernel.mass_clipped(np.clip(edge_loc - offsets, k_lo, k_hi), edge_clip)
-            return _snap01_array(h_now + flux[:n_in].sum(axis=0) - flux[n_in:].sum(axis=0))
-
-        def _cell_root(x0: float, x1: float, th0: float, th1: float) -> float:
-            if monotone:
-                return x0 + _stretch_root(kernel, x1 - x0, th0, th1)
-            return _locate_root(lambda x: _theta(float(h_at(np.array([x]))[0]), p),
-                                x0, x1, th0)
-
-        hs = h_at(xs)
-        if hs.min() < -_H_DRIFT or hs.max() > 1.0 + _H_DRIFT:
-            raise SclError("convolution value drifted out of [0, 1]")
-
-        hs_list = hs.tolist()
-        th_prev = _theta(h_now, p)
-        x_prev = 0.0
-        delicate = abs(th_prev) <= 1e-11
-        for x_j, h_j in zip(xs.tolist(), hs_list):
-            if x_j <= x_prev:
-                continue
-            th_j = _theta(h_j, p)
-            # a one-sided touch of the threshold is an exact-equality
-            # plateau edge, which belongs in the crossings
-            risky = (th_prev >= 0.0) != (th_j >= 0.0) or (th_prev == 0.0) != (th_j == 0.0)
-            delicate = delicate or risky or abs(th_j) <= 1e-11
-            if risky:
-                x_root = _cell_root(x_prev, x_j, th_prev, th_j)
-                rt = t + x_root
-                if not crossings or abs(rt - crossings[-1]) > _ZERO_BAND:
-                    crossings.append(rt)
-                # each side of the root takes the sign of its end
-                if x_root > x_prev:
-                    runs.push(rt, th_prev >= 0.0)
-                if x_root < x_j:
-                    runs.push(t + x_j, th_j >= 0.0)
-            else:
-                runs.push(t + x_j, th_prev >= 0.0)
-            x_prev = x_j
-            th_prev = th_j
-        # t + span can fall an ulp short of stretch_end; a run ending there
-        # would leave a false sliver before the next stretch or the domain end
-        runs.end_piece_at(stretch_end)
-
-        if stretch_end == t_end:
-            # this stretch's windows reach the trace end, so extending the
-            # trace can perturb its H values at rounding level; anything
-            # threshold-delicate here is not final yet
-            if delicate:
-                stable_until = min(stable_until, t)
-            elif not monotone:
-                # a longer trace moves the probes of the last substep, which
-                # may then find a crossing pair between them
-                stable_until = min(stable_until, t + float(sub_lo[-1]))
-
-        times_parts.append(t + xs)
-        values_parts.append(hs)
-        h_now = hs_list[-1]
-        t = stretch_end
-
-    signal = BooleanSignal.from_intervals(t0, t_end, runs.finish())
+    signal = _alternating(t0, t_end, bool(truths[0]), flips)
     verdict = VerdictSignal(signal, tuple(crossings), stable_until)
-    return ConvEvaluation(verdict, np.concatenate(times_parts),
-                          np.concatenate(values_parts))
+    return ConvEvaluation(verdict, times, hs)
 
 
 def _conv_dispatch(kernel: BoundedKernel, threshold: float, sig: BooleanSignal,

@@ -21,7 +21,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -220,19 +220,6 @@ class PiecewiseConstantSignal:
             raise TraceError(
                 f"duration {self.duration} shorter than last sample time {times[-1]}"
             )
-
-    @staticmethod
-    def from_samples(
-        variables: Sequence[str],
-        samples: Iterable[tuple[float, Sequence[float]]],
-        duration: float | None = None,
-    ) -> "PiecewiseConstantSignal":
-        rows = list(samples)
-        times = np.array([t for t, _ in rows], dtype=float)
-        values = np.array([list(v) for _, v in rows], dtype=float)
-        if duration is None:
-            duration = float(times[-1]) if len(times) else 0.0
-        return PiecewiseConstantSignal(tuple(variables), times, values, float(duration))
 
     def column(self, variable: str) -> int:
         try:

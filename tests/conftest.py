@@ -92,8 +92,9 @@ def kernel_mass_quadrature(kernel, a: float, b: float, tol: float = 1e-10) -> fl
 def weighted_integral_many(kernel, sig: BooleanSignal, ts: np.ndarray) -> np.ndarray:
     """``kernel.weighted_integral(sig, t)`` for every anchor in ``ts`` at once.
 
-    One broadcast ``mass_clipped`` over intervals x anchors, so it checks
-    the monitor's carried H against fresh window integrals at every sample.
+    One broadcast ``mass_clipped`` over intervals x anchors, summed in
+    numpy's own order, so it checks the monitor's blocked, time-ordered
+    window integrals against an independent sum at every sample.
     """
     ts = np.asarray(ts, dtype=float)
     if len(ts) == 0:

@@ -18,7 +18,7 @@ VERDICT_JSON_SCHEMA = {
     "required": ["formula", "mode", "satisfied_at_zero"],
     "properties": {
         "formula": {"type": "string"},
-        "mode": {"enum": ["boolean", "robustness", "both"]},
+        "mode": {"enum": ["boolean", "robustness"]},
         "satisfied_at_zero": {"type": "boolean"},
         "domain": {
             "type": "object",

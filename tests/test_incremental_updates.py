@@ -7,8 +7,8 @@ window coordinates.  A tempting alternative single-step update that couples
 the threshold into the state (adding ``p * (1 - exp(-rate*h))`` to ``g - p``
 with strips re-anchored at their own window edge) does not track the
 reference convolution for general thresholds; the tests below document the
-disagreement and pin the shipped evaluator, which carries H across
-event-aligned stretches by the exact mass flux of the window's edges, to the
+disagreement.  The shipped evaluator uses no sliding update: it takes H at
+every sample as a direct window integral, which the last test pins to the
 closed-form reference.
 """
 
