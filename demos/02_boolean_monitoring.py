@@ -45,7 +45,7 @@ from sclmon import Atom
 
 sig = eval_atom(trace, Atom("v", ">=", 180.0))
 kernel = FlatKernel(0.0, 24.0)
-eff = eval_conv_efficient(kernel, 0.13, sig, 24.0 / 1000.0)
+eff = eval_conv_efficient(kernel, 0.13, sig)
 orc = eval_conv_oracle(kernel, 0.13, sig, 24.0 / 2000.0)
 print(f"\nat threshold 13% the verdict flips; both evaluators agree:")
 print(f"  efficient: true on {eff.verdict.signal.intervals}")

@@ -3,8 +3,9 @@
 The windowed operator ``<kernel[T0,T1], p>`` holds at time t when the
 kernel-weighted fraction of ``[t+T0, t+T1]`` on which its subformula holds is
 at least p; the starred form requires strictly more than p.  This package
-provides Boolean monitoring (event-aligned sliding-window integration checked
-against a brute-force oracle), streaming monitoring, quantitative robustness,
+provides Boolean monitoring (event-aligned sliding-window evaluation, exact
+for every kernel with no integration step, checked against a brute-force
+oracle), streaming monitoring, quantitative robustness,
 a formula text syntax, trace generators and a CLI.
 """
 
@@ -45,7 +46,6 @@ from .parser import parse, parse_formula_file, pretty_print
 from .robustness import RhoConfig, RobustnessTrace, rho, rho_trace
 from .signals import (
     BooleanSignal,
-    Interval,
     PiecewiseConstantSignal,
     boolean_and,
     boolean_not,
@@ -55,7 +55,6 @@ from .signals import (
 from .streaming import StreamingMonitor
 from .traces import (
     GlucoseParams,
-    add_noise,
     generate_glucose_like,
     generate_sine_quantized,
     generate_step_train,
@@ -68,10 +67,9 @@ __all__ = [
     "And", "Atom", "BooleanSignal", "BoundedKernel", "Const", "Conv",
     "ConvDual", "ConvEvaluation", "ExponentialKernel", "FALSE", "FlatKernel",
     "Formula", "GaussianKernel", "GlucoseParams", "HorizonError", "Implies",
-    "Interval", "MonitorConfig", "Not", "Or", "ParseError",
-    "PiecewiseConstantSignal", "RhoConfig", "RobustnessTrace", "SclError",
-    "StreamingMonitor", "TRUE", "TraceError", "VerdictSignal", "add_noise",
-    "boolean_and", "boolean_not", "boolean_or", "eval_atom",
+    "MonitorConfig", "Not", "Or", "ParseError", "PiecewiseConstantSignal",
+    "RhoConfig", "RobustnessTrace", "SclError", "StreamingMonitor", "TRUE",
+    "TraceError", "VerdictSignal", "boolean_and", "boolean_not", "boolean_or", "eval_atom",
     "eval_conv_efficient", "eval_conv_oracle", "eventually",
     "generate_glucose_like", "generate_sine_quantized", "generate_step_train",
     "globally", "horizon", "monitor", "parse", "parse_formula_file",

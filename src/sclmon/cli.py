@@ -2,9 +2,9 @@
 
 Subcommands::
 
-    scl-mon check --trace t.csv --spec f.scl [--delta D] [--evaluator E]
+    scl-mon check --trace t.csv --spec f.scl [--evaluator E]
                   [--out DIR] [--format csv|json]
-    scl-mon rho   --trace t.csv --spec f.scl [--time-grid G] [--delta D]
+    scl-mon rho   --trace t.csv --spec f.scl [--time-grid G]
                   [--out DIR] [--format csv|json]
     scl-mon gen   --kind step-train|sine-quantized|glucose-like --seed S
                   --out t.csv [--noise-std N] [--duration D] [...]
@@ -15,12 +15,9 @@ Subcommands::
 ``rho`` samples each formula's robustness on a uniform time grid
 (``--time-grid``, default: the narrowest window / 1000).  Every sample is
 exact, a kernel-weighted quantile of the window's values, so the JSON
-``robustness.tolerance`` is always 0.  ``--delta`` sets the integration step
-of the Boolean verdict behind the exit code.  Only Gaussian windows and the
-oracle grid (``delta / 2``) use it: a Gaussian window is sampled at the
-quarter points of substeps of at most ``delta`` and searched for a crossing
-only where a cell flips; the default evaluator solves flat and
-exponential windows exactly per event-aligned stretch.
+``robustness.tolerance`` is always 0.  The Boolean verdict behind the exit
+code needs no step: the default evaluator is exact per event-aligned
+stretch for every kernel (see :mod:`sclmon.monitor`).
 
 Exit codes: 0 when every formula is satisfied at time 0, 1 when any is
 violated, 2 on error.  Time numbers are unitless and must match the trace;
@@ -58,7 +55,6 @@ class RunConfig:
 
     mode: str = "boolean"            # boolean | robustness
     evaluator: str = "efficient"
-    delta: float | None = None
     time_grid: float | None = None
     output_format: str = "csv"
     out_dir: str | None = None
@@ -68,13 +64,11 @@ class RunConfig:
             raise SclError(f"unknown mode {self.mode!r}")
         if self.output_format not in ("csv", "json"):
             raise SclError(f"unknown output format {self.output_format!r}")
-        for name in ("delta", "time_grid"):
-            v = getattr(self, name)
-            if v is not None and v <= 0:
-                raise SclError(f"{name} must be positive")
+        if self.time_grid is not None and self.time_grid <= 0:
+            raise SclError("time_grid must be positive")
 
     def monitor_config(self) -> MonitorConfig:
-        return MonitorConfig(evaluator=self.evaluator, delta=self.delta)
+        return MonitorConfig(evaluator=self.evaluator)
 
     def rho_config(self) -> RhoConfig:
         return RhoConfig(time_grid=self.time_grid)
@@ -200,13 +194,13 @@ def _emit_results(results: list[FormulaResult], cfg: RunConfig) -> None:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    cfg = RunConfig(mode="boolean", evaluator=args.evaluator, delta=args.delta,
+    cfg = RunConfig(mode="boolean", evaluator=args.evaluator,
                     output_format=args.format, out_dir=args.out)
     return _run_and_emit(args, cfg)
 
 
 def _cmd_rho(args: argparse.Namespace) -> int:
-    cfg = RunConfig(mode="robustness", delta=args.delta, time_grid=args.time_grid,
+    cfg = RunConfig(mode="robustness", time_grid=args.time_grid,
                     output_format=args.format, out_dir=args.out)
     return _run_and_emit(args, cfg)
 
@@ -275,10 +269,6 @@ def _build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="Boolean verdicts for a spec file")
     check.add_argument("--trace", required=True)
     check.add_argument("--spec", required=True)
-    check.add_argument("--delta", type=float, default=None,
-                       help="max substep of Gaussian windows, each sampled at its "
-                            "quarter points, and the oracle grid (default: "
-                            "window/1000 per operator)")
     check.add_argument("--evaluator", choices=("efficient", "oracle"),
                        default="efficient")
     check.add_argument("--out", default=None, help="output directory (default: stdout)")
@@ -289,7 +279,6 @@ def _build_parser() -> argparse.ArgumentParser:
     rho_p.add_argument("--trace", required=True)
     rho_p.add_argument("--spec", required=True)
     rho_p.add_argument("--time-grid", type=float, default=None)
-    rho_p.add_argument("--delta", type=float, default=None)
     rho_p.add_argument("--out", default=None)
     rho_p.add_argument("--format", choices=("csv", "json"), default="csv")
     rho_p.set_defaults(func=_cmd_rho)

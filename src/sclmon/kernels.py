@@ -14,9 +14,10 @@ window deep in the bump's tail keeps its relative accuracy instead of
 cancelling to zero.
 
 New shapes can be added by subclassing :class:`BoundedKernel` and
-implementing ``density_clipped`` and ``mass_clipped``; everything else
-(weighted integrals, window checks) is inherited.  The formula file grammar
-only covers the three shapes below.
+implementing ``density_clipped`` and ``mass_clipped``; the validated
+``mass`` and the window checks are inherited.  Window integrals of a
+Boolean signal live with the evaluators in :mod:`sclmon.monitor`.  The
+formula file grammar only covers the three shapes below.
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import HorizonError, SclError
-from .signals import BooleanSignal
+from .errors import SclError
 
 _MAX_EXPONENT = 700.0  # exp overflow guard for exponential kernels
 
@@ -156,7 +156,7 @@ def _erf_difference(ua, ub):
 
 
 class BoundedKernel:
-    """Shared behaviour for all kernel shapes (window checks, convolution)."""
+    """Shared behaviour for all kernel shapes (window checks, validated mass)."""
 
     lower: float
     upper: float
@@ -183,13 +183,6 @@ class BoundedKernel:
     def width(self) -> float:
         return self.upper - self.lower
 
-    def density(self, x: float) -> float:
-        if x < self.lower or x > self.upper:
-            raise SclError(
-                f"kernel evaluated at {x} outside window [{self.lower}, {self.upper}]"
-            )
-        return float(self.density_clipped(x))
-
     def mass(self, a: float, b: float) -> float:
         if b < a:
             raise SclError(f"reversed integration bounds: [{a}, {b}]")
@@ -200,25 +193,6 @@ class BoundedKernel:
         a = min(max(a, self.lower), self.upper)
         b = min(max(b, self.lower), self.upper)
         return float(self.mass_clipped(a, b))
-
-    def weighted_integral(self, sig: BooleanSignal, t: float) -> float:
-        """Kernel-weighted true time of ``sig`` over the window anchored at t."""
-        lo, hi = t + self.lower, t + self.upper
-        eps = 1e-9 * max(1.0, abs(sig.start), abs(sig.end))
-        if lo < sig.start - eps or hi > sig.end + eps:
-            raise HorizonError(
-                f"window [{lo}, {hi}] reaches outside signal domain "
-                f"[{sig.start}, {sig.end}]"
-            )
-        if not sig.intervals:
-            return 0.0
-        a = np.clip(sig.starts_array - t, self.lower, self.upper)
-        b = np.clip(sig.ends_array - t, self.lower, self.upper)
-        masses = np.asarray(self.mass_clipped(a, b))
-        # summing only nonzero terms keeps the result independent of how many
-        # intervals lie entirely outside the window (bit-stable under trace
-        # extension, which the streaming facade relies on)
-        return float(np.sum(masses[masses != 0.0]))
 
 
 @dataclass(frozen=True)

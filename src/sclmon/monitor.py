@@ -10,9 +10,10 @@ of the child truth signal in the window anchored at t) and threshold it:
   true-interval edge, so the edge set inside the window is constant per
   stretch.  There H is linear (flat kernels) or ``C + D*exp(-rate*x)``
   (exponential kernels), so it is sampled at the stretch bounds only, and a
-  crossing is solved in closed form.  Gaussian stretches are sampled at the
-  quarter points of substeps of at most ``max_step``, and a crossing is
-  located to 1e-9 in time only where a cell flips or touches the threshold.
+  crossing is solved in closed form.  A Gaussian stretch is also cut where
+  H' vanishes (:func:`_gaussian_splits`), so every cell is monotone and a
+  crossing is narrowed to 1e-9 in time inside its cell.  No kernel needs
+  an integration step.
 
 Both evaluators compute every H sample as a direct window integral, in one
 pass over all samples, so H at a time depends only on that time and the
@@ -23,9 +24,8 @@ complemented child at threshold ``1 - p``, which realizes its strict
 comparison up to sets of measure zero.
 
 Verdicts carry a ``stable_until`` time: extending the trace can never change
-the verdict before it.  Only the final integration stretch (or oracle grid
-cell) touches the current trace end, and only threshold-delicate content
-there, or the last Gaussian substep, whose probes move with the trace end,
+the verdict before it.  Only the final stretch (or oracle grid cell)
+touches the current trace end, and only threshold-delicate content there
 can still move; everything else is reproduced bit-for-bit on any longer
 trace.  The streaming facade emits up to this boundary, which makes
 online output exactly equal to offline.
@@ -52,7 +52,7 @@ from .formula import (
     Or,
     horizon,
 )
-from .kernels import BoundedKernel, ExponentialKernel, FlatKernel
+from .kernels import _ERFC_ZERO, BoundedKernel, FlatKernel, GaussianKernel
 from .signals import (
     BooleanSignal,
     PiecewiseConstantSignal,
@@ -66,29 +66,24 @@ _SNAP = 1e-12          # distance within which H snaps to the exact bounds 0 / 1
 _ZERO_BAND = 1e-12     # |H - p| below this counts as sitting exactly on the threshold
 _TIME_TOL = 1e-9       # crossing location tolerance
 _H_DRIFT = 1e-6        # hard bound on numerical drift of H outside [0, 1]
-_BLOCK_ELEMENTS = 1 << 12  # anchors x intervals in reach per broadcast mass call
-_PROBES = np.arange(1, 16) / 16.0  # interior points of a root bracket per H call
+_CHUNK = 1 << 16       # anchor-interval pairs per broadcast mass call
+_PROBES = np.arange(1, 16) / 16.0  # interior points of a root bracket per round
+_ORACLE_CELLS = 2000   # oracle grid cells per window width
 
 
 @dataclass
 class MonitorConfig:
-    """Knobs for :func:`monitor`.
+    """Knobs for :func:`monitor`: which evaluator computes convolution nodes.
 
-    ``delta`` is the maximum substep of Gaussian windows, each sampled at its
-    quarter points (default: window width / 1000, chosen per convolution
-    node); the efficient evaluator solves flat and exponential windows per
-    stretch and needs no step.  The brute-force evaluator samples at
-    ``delta / 2``.
+    ``efficient`` (default) is exact per event-aligned stretch for every
+    kernel; ``oracle`` samples H on a grid of window width / 2000.
     """
 
     evaluator: str = "efficient"   # efficient | oracle
-    delta: float | None = None
 
     def __post_init__(self) -> None:
         if self.evaluator not in ("efficient", "oracle"):
             raise SclError(f"unknown evaluator {self.evaluator!r}")
-        if self.delta is not None and self.delta <= 0:
-            raise SclError("delta must be positive")
 
 
 @dataclass(frozen=True)
@@ -169,33 +164,31 @@ def eval_atom(trace: PiecewiseConstantSignal, atom: Atom) -> BooleanSignal:
 
 def _grid_integrals(kernel: BoundedKernel, sig: BooleanSignal,
                     ts: np.ndarray) -> np.ndarray:
-    """Window integrals of ``sig`` at the increasing anchors ``ts``, snapped
-    to exact 0 / 1, in blocks of one broadcast mass call each.
+    """Window integrals of ``sig`` at the anchors ``ts``, snapped to exact
+    0 / 1.
 
-    A block holds at most ``_BLOCK_ELEMENTS`` anchors x intervals in reach.
-    Each value is a plain running sum over the intervals in time order.
-    An interval out of a window's reach clips to an empty piece and adds an
-    exact zero, so a value depends only on its anchor, not on the block that
-    took it in, and prefixes of a growing trace stay bit-identical.
+    Each value is a plain running sum, in time order, of the masses of the
+    intervals in its window's reach.  The anchor-interval pairs go through
+    one broadcast mass call per chunk of at most ``_CHUNK`` pairs, so a
+    value depends only on its anchor, not on the chunk that took it in, and
+    prefixes of a growing trace stay bit-identical.
     """
     starts, ends = sig.starts_array, sig.ends_array
-    first = np.searchsorted(ends, ts + kernel.lower, side="left")
-    last = np.searchsorted(starts, ts + kernel.upper, side="right")
+    lo, hi = kernel.lower, kernel.upper
+    first = np.searchsorted(ends, ts + lo, side="left")
+    count = np.maximum(np.searchsorted(starts, ts + hi, side="right") - first, 0)
+    done = np.cumsum(count)
     h = np.zeros(len(ts))
     i = 0
     while i < len(ts):
-        cap = min(len(ts), i + _BLOCK_ELEMENTS)
-        size = np.arange(1, cap - i + 1) * (last[i:cap] - first[i])
-        j = i + max(1, int(np.searchsorted(size, _BLOCK_ELEMENTS, side="right")))
-        lo, hi = first[i], last[j - 1]
-        if lo < hi:
-            block = ts[i:j]
-            masses = kernel.mass_clipped(
-                np.clip(starts[lo:hi, None] - block, kernel.lower, kernel.upper),
-                np.clip(ends[lo:hi, None] - block, kernel.lower, kernel.upper))
-            acc = h[i:j]
-            for row in masses:
-                acc += row
+        j = max(i + 1, int(np.searchsorted(done, done[i] - count[i] + _CHUNK, side="right")))
+        n = count[i:j]
+        pair = np.repeat(np.arange(j - i), n)
+        idx = np.arange(int(n.sum())) + np.repeat(first[i:j] - (np.cumsum(n) - n), n)
+        at = ts[i:j][pair]
+        masses = kernel.mass_clipped(np.clip(starts[idx] - at, lo, hi),
+                                     np.clip(ends[idx] - at, lo, hi))
+        h[i:j] = np.bincount(pair, masses, minlength=j - i)
         i = j
     h[np.abs(h) <= _SNAP] = 0.0
     h[np.abs(h - 1.0) <= _SNAP] = 1.0
@@ -234,37 +227,39 @@ def eval_conv_oracle(kernel: BoundedKernel, threshold: float, sig: BooleanSignal
     return ConvEvaluation(verdict, ts, hs)
 
 
-def _locate_root(theta_at: Callable[[np.ndarray], np.ndarray], x_lo: float,
-                 x_hi: float, th_lo: float) -> float:
-    """One sign change of theta inside [x_lo, x_hi]; returns the root.
+def _narrow(positive_at: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
+            hi: np.ndarray, lo_positive: np.ndarray) -> np.ndarray:
+    """Roots of brackets ``[lo, hi]`` that each hold one sign change.
 
-    Each call of ``theta_at`` probes the bracket at ``_PROBES`` interior
-    points and keeps the piece where the sign first changes, until the
-    bracket is within 1e-9 in time.
+    Each round probes every bracket still wider than 1e-9 at ``_PROBES``
+    interior points, in one call of ``positive_at`` on the 2-d array of
+    probes, and keeps the piece where the sign first changes.  A bracket's
+    probes depend only on its own ends, so its root does not depend on the
+    other brackets of the batch.
     """
-    lo_truth = th_lo >= 0.0
-    while x_hi - x_lo > _TIME_TOL:
-        xs = x_lo + (x_hi - x_lo) * _PROBES
-        changed = (theta_at(xs) >= 0.0) != lo_truth
-        j = int(np.argmax(changed)) if changed.any() else len(xs)
-        if j > 0:
-            x_lo = float(xs[j - 1])
-        if j < len(xs):
-            x_hi = float(xs[j])
-    return 0.5 * (x_lo + x_hi)
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    live = np.flatnonzero(hi - lo > _TIME_TOL)
+    while len(live):
+        l, h = lo[live], hi[live]
+        xs = l[:, None] + (h - l)[:, None] * _PROBES
+        changed = positive_at(xs) != lo_positive[live, None]
+        j = np.where(changed.any(axis=1), changed.argmax(axis=1), len(_PROBES))
+        rows = np.arange(len(live))
+        lo[live] = np.where(j > 0, xs[rows, np.maximum(j - 1, 0)], l)
+        hi[live] = np.where(j < len(_PROBES), xs[rows, np.minimum(j, len(_PROBES) - 1)], h)
+        # a bracket down to the spacing of doubles stops shrinking
+        width = hi[live] - lo[live]
+        live = live[(width > _TIME_TOL) & (width < h - l)]
+    return 0.5 * (lo + hi)
 
 
 def _stretch_root(kernel: BoundedKernel, span: float, th0: float, th1: float) -> float:
     """Offset of the crossing inside one stretch of a flat or exponential
     window, where H(t + x) is linear or ``C + D*exp(-rate*x)`` in x.
 
-    ``th0`` and ``th1`` are theta at the stretch ends, of opposite sign or
-    with exactly one of them zero; an end on the threshold is the root.
+    ``th0`` and ``th1`` are theta at the stretch ends, nonzero and of
+    opposite sign.
     """
-    if th0 == 0.0:
-        return 0.0
-    if th1 == 0.0:
-        return span
     if isinstance(kernel, FlatKernel):
         x = span * (-th0 / (th1 - th0))
     elif kernel.rate > 0.0:
@@ -278,63 +273,124 @@ def _stretch_root(kernel: BoundedKernel, span: float, th0: float, th1: float) ->
     return min(max(x, 0.0), span)
 
 
-def _quarter_points(bounds: np.ndarray, max_step: float) -> tuple[np.ndarray, float]:
-    """Samples of Gaussian stretches, and the start of the last substep.
+def _one_signed(u: np.ndarray, sigma: np.ndarray, weight, w_hi, seg) -> np.ndarray:
+    """Whether ``f(w) = sum sigma_j exp(weight_j - (u_j - w)^2)`` provably
+    keeps one sign on ``[0, w_hi]``, for each run of terms starting at ``seg``.
 
-    Each stretch between consecutive ``bounds`` is cut into substeps of at
-    most ``max_step`` from its start, each sampled at its quarter points;
-    a stretch's last sample is the next bound itself.
+    It does when its end values share a sign and both exceed
+    ``w_hi^2/8 * max|f''|``, the most f can sag below its chord.  Since
+    ``|(exp(-d^2))''| <= (4d^2 + 2) exp(-d^2)``, which falls for
+    ``d >= 1/sqrt(2)``, each term's bend is bounded at its distance d from
+    the interval, taken at least ``1/sqrt(2)``.
     """
-    spans = np.diff(bounds)
-    n_sub = np.maximum(1, np.ceil(spans / max_step - 1e-12)).astype(np.int64)
-    first_sub = np.cumsum(n_sub) - n_sub
-    k = np.arange(int(n_sub.sum())) - np.repeat(first_sub, n_sub)
-    span_of = np.repeat(spans, n_sub)
-    sub_lo = np.minimum(max_step * k, span_of)
-    sub_hi = np.minimum(max_step * (k + 1.0), span_of)
-    sub_hi[first_sub + n_sub - 1] = spans
-    sub_w = sub_hi - sub_lo
-    xs = np.stack([sub_lo + 0.25 * sub_w, 0.5 * (sub_lo + sub_hi),
-                   sub_lo + 0.75 * sub_w, sub_hi], axis=1).ravel()
-    times = np.repeat(bounds[:-1], 4 * n_sub) + xs
-    times[4 * (first_sub + n_sub) - 1] = bounds[1:]
-    return np.concatenate([bounds[:1], times]), float(bounds[-2] + sub_lo[-1])
+    def total(x):
+        return np.add.reduceat(x, seg)
+
+    near = np.abs(u - np.clip(u, 0.0, w_hi))
+    peak = weight - near * near
+    shift = np.repeat(np.maximum.reduceat(peak, seg), np.diff(np.append(seg, len(u))))
+    f0 = total(sigma * np.exp(weight - u * u - shift))
+    f1 = total(sigma * np.exp(weight - (u - w_hi) ** 2 - shift))
+    d = np.maximum(near, math.sqrt(0.5))
+    bend = total((4.0 * d * d + 2.0) * np.exp(weight - d * d - shift))
+    bend *= np.broadcast_to(w_hi, u.shape)[seg] ** 2 / 8.0
+    slack = 1e-12 * total(np.exp(peak - shift))
+    return (f0 * f1 > 0.0) & (np.minimum(np.abs(f0), np.abs(f1)) > bend + slack)
 
 
-def eval_conv_efficient(kernel: BoundedKernel, threshold: float, sig: BooleanSignal,
-                        max_step: float | None = None) -> ConvEvaluation:
+def _slope_zeros(u: np.ndarray, sigma: np.ndarray, span: float) -> np.ndarray:
+    """Zeros in ``(0, span)`` of ``f(w) = sum sigma_j exp(-(u_j - w)^2)``,
+    ``u`` ascending, by Rolle's recursion for exponential sums.
+
+    ``f(w) exp(-w^2)`` is ``sum beta_j exp(2 u_j w)``.  Multiplying by
+    ``exp(-2 u_k w)`` and differentiating drops term k, so level k keeps
+    the terms from k on, each weighted by ``prod_{i<k} 2 (u_j - u_i)``
+    (kept as a log).  Zeros of level k are separated by those of level
+    k + 1; the descent stops at the first level that provably keeps one
+    sign (the caller found level 0 uncertain), and each level's zeros are
+    narrowed between the next one's.
+    """
+    weights = [np.zeros(len(u))]
+    k = 0
+    while k < len(u) - 1 and (k == 0 or not _one_signed(u[k:], sigma[k:], weights[k],
+                                                          span, [0])[0]):
+        weights.append(weights[k][1:] + np.log(2.0 * (u[k + 1:] - u[k])))
+        k += 1
+    zeros = np.empty(0)
+    for k in range(k - 1, -1, -1):
+        def positive(w, k=k):
+            a = weights[k] - (u[k:] - w[..., None]) ** 2
+            return (sigma[k:] * np.exp(a - a.max(axis=-1, keepdims=True))).sum(axis=-1) >= 0.0
+        ends = np.concatenate(([0.0], zeros, [span]))
+        pos = positive(ends)
+        flip = pos[1:] != pos[:-1]
+        zeros = _narrow(positive, ends[:-1][flip], ends[1:][flip], pos[:-1][flip])
+    return zeros
+
+
+def _gaussian_splits(kernel: GaussianKernel, sig: BooleanSignal,
+                     bounds: np.ndarray) -> np.ndarray:
+    """Times inside the stretches between ``bounds`` where H' vanishes.
+
+    In a stretch from a the window's edges are fixed, so H'(t) is
+    ``sum +-K(x_j - t)`` over the true-interval edges x_j inside the window
+    (+ for starts), up to a positive factor ``sum sigma_j exp(-(u_j - w)^2)``
+    with ``w = (t - a)/spread`` and ``u_j = (x_j - a - center)/spread``.
+    Edges farther than ``_ERFC_ZERO`` spreads from the bump over the whole
+    stretch move no mass a double can hold and are dropped.
+    """
+    a, b = bounds[:-1], bounds[1:]
+    s, c = kernel.spread, kernel.center
+    edges = np.column_stack((sig.starts_array, sig.ends_array)).ravel()
+    sigma = np.tile([1.0, -1.0], len(sig.intervals))
+    mid = 0.5 * (a + b)
+    reach = _ERFC_ZERO * s
+    first = np.searchsorted(edges, np.maximum(mid + kernel.lower, a + c - reach), side="right")
+    last = np.searchsorted(edges, np.minimum(mid + kernel.upper, b + c + reach), side="left")
+    count = last - first
+    busy = np.flatnonzero((count > 1) & (b > a))   # one term keeps its sign
+    if not len(busy):
+        return np.empty(0)
+    count = count[busy]
+    seg = np.cumsum(count) - count
+    owner = np.repeat(busy, count)
+    idx = np.arange(int(count.sum())) - np.repeat(seg - first[busy], count)
+    u = (edges[idx] - a[owner] - c) / s
+    span = (b - a) / s
+    sure = _one_signed(u, sigma[idx], 0.0, span[owner], seg)
+    splits = [np.empty(0)]
+    for i in np.flatnonzero(~sure).tolist():
+        j = busy[i]
+        part = slice(seg[i], seg[i] + count[i])
+        w = _slope_zeros(u[part], sigma[idx[part]], float(span[j]))
+        splits.append(np.clip(a[j] + s * w, a[j], b[j]))
+    return np.concatenate(splits)
+
+
+def eval_conv_efficient(kernel: BoundedKernel, threshold: float,
+                        sig: BooleanSignal) -> ConvEvaluation:
     """Sliding-window evaluator: event-aligned stretches, one pass.
 
     Stretches end where a window boundary meets a true-interval edge, so the
     edges inside the window are fixed within one.  A flat or exponential
     stretch is one cell, since H is monotone there; a Gaussian stretch is
-    cut into substeps of at most ``max_step``, and each substep into
-    quarters.  H at every cell end is a direct window integral, all computed
+    cut where H' vanishes (:func:`_gaussian_splits`), so every cell is
+    monotone.  H at every cell end is a direct window integral, all computed
     up front.  A cell whose ends flip sign, or of which exactly one end sits
-    on the threshold, holds one crossing: closed form for flat and
-    exponential windows, located to 1e-9 in time for Gaussian ones.  The
-    truth flips at the roots of the flip cells only.
+    on the threshold, holds one crossing: an end on the threshold is the
+    root, other roots are closed form for flat and exponential windows and
+    narrowed to 1e-9 in time for Gaussian ones.  The truth flips at the
+    roots of the flip cells only.
     """
-    if max_step is None:
-        max_step = kernel.width / 1000.0
-    if max_step <= 0:
-        raise SclError("integration step must be positive")
     p = threshold
     t0, t_end = _verdict_span(kernel, sig)
     edges = np.concatenate([sig.starts_array, sig.ends_array])
     events = np.concatenate([edges - kernel.lower, edges - kernel.upper])
     events = np.unique(events[(events > t0 + 1e-15) & (events < t_end - 1e-15)])
     bounds = np.concatenate([[t0], events, [t_end]])
-    # flat and exponential H is monotone within a stretch
-    monotone = isinstance(kernel, (FlatKernel, ExponentialKernel))
-    if monotone:
-        times = bounds
-    else:
-        times, last_substep = _quarter_points(bounds, max_step)
-    # drop samples that do not increase, such as quarter points that round
-    # onto a bound
-    keep = np.concatenate([[True], times[1:] > np.maximum.accumulate(times)[:-1]])
-    times = times[keep]
+    gaussian = isinstance(kernel, GaussianKernel)
+    splits = _gaussian_splits(kernel, sig, bounds) if gaussian else np.empty(0)
+    times = np.unique(np.concatenate([bounds, splits]))
 
     hs = _grid_integrals(kernel, sig, times)
     if hs.min() < -_H_DRIFT or hs.max() > 1.0 + _H_DRIFT:
@@ -346,32 +402,32 @@ def eval_conv_efficient(kernel: BoundedKernel, threshold: float, sig: BooleanSig
     # which belongs in the crossings
     risky = flip | ((th[1:] == 0.0) != (th[:-1] == 0.0))
 
+    cells = np.flatnonzero(risky)
+    x0, x1 = times[cells], times[cells + 1]
+    th0, th1 = th[cells], th[cells + 1]
+    # an end on the threshold is the root
+    roots = np.where(th0 == 0.0, x0, x1)
+    solve = np.flatnonzero((th0 != 0.0) & (th1 != 0.0))
+    if gaussian:
+        def positive(xs):
+            return _thetas(_grid_integrals(kernel, sig, xs.ravel()), p).reshape(xs.shape) >= 0.0
+        roots[solve] = _narrow(positive, x0[solve], x1[solve], th0[solve] >= 0.0)
+    else:
+        for i in solve.tolist():
+            roots[i] = x0[i] + _stretch_root(kernel, x1[i] - x0[i], th0[i], th1[i])
+
     crossings: list[float] = []
-    flips: list[float] = []
-    for i in np.flatnonzero(risky).tolist():
-        x0, x1 = float(times[i]), float(times[i + 1])
-        if monotone:
-            root = x0 + _stretch_root(kernel, x1 - x0, float(th[i]), float(th[i + 1]))
-        else:
-            root = _locate_root(lambda xs: _thetas(_grid_integrals(kernel, sig, xs), p),
-                                x0, x1, float(th[i]))
+    for root in roots.tolist():
         if not crossings or abs(root - crossings[-1]) > _ZERO_BAND:
             crossings.append(root)
-        if flip[i]:
-            flips.append(root)
+    flips = roots[flip[cells]].tolist()
 
     # the last stretch's windows reach the trace end, so extending the
     # trace can perturb its H values at rounding level; anything
     # threshold-delicate there is not final yet
     last = times >= bounds[-2]
-    if np.any(np.abs(th[last]) <= 1e-11) or np.any(risky[last[:-1]]):
-        stable_until = float(bounds[-2])
-    elif not monotone:
-        # a longer trace moves the probes of the last substep, which may
-        # then find a crossing pair between them
-        stable_until = last_substep
-    else:
-        stable_until = t_end
+    delicate = np.any(np.abs(th[last]) <= 1e-11) or np.any(risky[last[:-1]])
+    stable_until = float(bounds[-2]) if delicate else t_end
 
     signal = _alternating(t0, t_end, bool(truths[0]), flips)
     verdict = VerdictSignal(signal, tuple(crossings), stable_until)
@@ -380,10 +436,9 @@ def eval_conv_efficient(kernel: BoundedKernel, threshold: float, sig: BooleanSig
 
 def _conv_dispatch(kernel: BoundedKernel, threshold: float, sig: BooleanSignal,
                    config: MonitorConfig) -> ConvEvaluation:
-    delta = config.delta if config.delta is not None else kernel.width / 1000.0
     if config.evaluator == "oracle":
-        return eval_conv_oracle(kernel, threshold, sig, delta / 2.0)
-    return eval_conv_efficient(kernel, threshold, sig, delta)
+        return eval_conv_oracle(kernel, threshold, sig, kernel.width / _ORACLE_CELLS)
+    return eval_conv_efficient(kernel, threshold, sig)
 
 
 def _align(a: BooleanSignal, b: BooleanSignal) -> tuple[BooleanSignal, BooleanSignal]:

@@ -114,15 +114,6 @@ class BooleanSignal:
         out[ok] = self.ends_array[idx[ok]] >= ts[ok]
         return out
 
-    def true_measure(self) -> float:
-        return float(sum(e - s for s, e in self.intervals))
-
-    def is_always_true(self) -> bool:
-        return len(self.intervals) == 1 and self.intervals[0] == (self.start, self.end)
-
-    def is_always_false(self) -> bool:
-        return not self.intervals
-
 
 def boolean_not(sig: BooleanSignal) -> BooleanSignal:
     """Complement within the domain."""

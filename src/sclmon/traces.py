@@ -208,20 +208,3 @@ def _carve_dip(v: np.ndarray, day: np.ndarray, p: GlucoseParams) -> np.ndarray:
     w = (day[rout] - d1) / p.dip_ramp
     out[rout] = (1.0 - w) * p.dip_floor + w * v[rout]
     return out
-
-
-def add_noise(trace: PiecewiseConstantSignal, std: float, seed: int,
-              pitch: float | None = None) -> PiecewiseConstantSignal:
-    """Resample onto a uniform grid and add i.i.d. Gaussian noise per sample."""
-    if std < 0:
-        raise SclError("noise std must be non-negative")
-    if pitch is None:
-        diffs = np.diff(trace.times)
-        pitch = float(np.median(diffs)) if len(diffs) else (trace.duration or 1.0)
-    ts = _uniform_grid(trace.duration, pitch)
-    idx = np.searchsorted(trace.times, ts, side="right") - 1
-    vals = trace.values[idx].astype(float)
-    if std > 0:
-        rng = np.random.default_rng(seed)
-        vals = vals + rng.normal(0.0, std, vals.shape)
-    return PiecewiseConstantSignal(trace.variables, ts, vals, trace.duration)

@@ -90,7 +90,7 @@ def kernel_mass_quadrature(kernel, a: float, b: float, tol: float = 1e-10) -> fl
 
 
 def weighted_integral_many(kernel, sig: BooleanSignal, ts: np.ndarray) -> np.ndarray:
-    """``kernel.weighted_integral(sig, t)`` for every anchor in ``ts`` at once.
+    """Kernel-weighted true time of ``sig`` in the window anchored at each of ``ts``.
 
     One broadcast ``mass_clipped`` over intervals x anchors, summed in
     numpy's own order, so it checks the monitor's blocked, time-ordered

@@ -59,7 +59,7 @@ class TestEvalAtom:
 
     def test_constant_trace_all_true(self):
         trace = PiecewiseConstantSignal(("G",), np.array([0.0]), np.array([[110.0]]), 30.0)
-        assert eval_atom(trace, Atom("G", ">=", 70.0)).is_always_true()
+        assert eval_atom(trace, Atom("G", ">=", 70.0)) == BooleanSignal.always(0.0, 30.0)
 
     def test_strict_and_nonstrict_are_complementary(self):
         rng = np.random.default_rng(31)
@@ -74,7 +74,7 @@ class TestEvalAtom:
         held = PiecewiseConstantSignal(("G",), np.array([0.0]), np.array([[70.0]]), 10.0)
         assert not monitor(held, parse("G < 70")).signal.intervals
         assert not monitor(held, parse("G > 70")).signal.intervals
-        assert monitor(held, parse("G <= 70")).signal.is_always_true()
+        assert monitor(held, parse("G <= 70")).signal == BooleanSignal.always(0.0, 10.0)
         assert monitor(held, parse("G < 70")).signal == monitor(held, parse("!(G >= 70)")).signal
         # the same convention on a plateau between other levels
         trace = PiecewiseConstantSignal(
@@ -103,7 +103,7 @@ class TestOracle:
         for _ in range(20):
             b = random_boolean_signal(rng, 0.0, 5.0)
             ev = eval_conv_oracle(FlatKernel(0, 1), 0.0, b, 0.01)
-            assert ev.verdict.signal.is_always_true()
+            assert ev.verdict.signal == BooleanSignal.always(0.0, 4.0)
 
     def test_matches_riemann_sum(self):
         rng = np.random.default_rng(41)
@@ -119,13 +119,13 @@ class TestOracle:
 
 class TestEfficient:
     def test_window_inside_true_interval_saturates(self):
-        ev = eval_conv_efficient(FlatKernel(0, 0.5), 0.5, REF, 1e-3)
+        ev = eval_conv_efficient(FlatKernel(0, 0.5), 0.5, REF)
         idx = int(np.argmin(np.abs(ev.times - 0.4)))
         assert ev.times[idx] == pytest.approx(0.4, abs=1e-12)
         assert ev.values[idx] == 1.0
 
     def test_first_crossing_of_half(self):
-        ev = eval_conv_efficient(FlatKernel(0, 0.5), 0.5, REF, 1e-3)
+        ev = eval_conv_efficient(FlatKernel(0, 0.5), 0.5, REF)
         assert ev.verdict.crossings[0] == pytest.approx(0.05, abs=1e-9)
         intervals_close(ev.verdict.signal.intervals, ((0.05, 0.65),), 1e-9)
 
@@ -135,7 +135,7 @@ class TestEfficient:
             b = random_boolean_signal(rng, 0.0, 8.0)
             lo = float(rng.uniform(0, 0.5))
             hi = lo + float(rng.uniform(0.3, 2.0))
-            ev = eval_conv_efficient(FlatKernel(lo, hi), 1.0, b, (hi - lo) / 40)
+            ev = eval_conv_efficient(FlatKernel(lo, hi), 1.0, b)
             expected = erode(b, lo, hi)
             intervals_close(ev.verdict.signal.intervals, expected.intervals, 1e-9)
 
@@ -144,7 +144,7 @@ class TestEfficient:
         for _ in range(50):
             b = random_boolean_signal(rng, 0.0, 6.0)
             k = random_kernel(rng, 0.0, float(rng.uniform(0.4, 2)))
-            ev = eval_conv_efficient(k, float(rng.uniform(0, 1)), b, k.width / 100)
+            ev = eval_conv_efficient(k, float(rng.uniform(0, 1)), b)
             assert ev.values.min() >= -1e-6 and ev.values.max() <= 1 + 1e-6
 
     def test_verdict_flips_only_at_crossings_or_bounds(self):
@@ -152,7 +152,7 @@ class TestEfficient:
         for _ in range(50):
             b = random_boolean_signal(rng, 0.0, 6.0)
             k = random_kernel(rng, 0.0, float(rng.uniform(0.4, 2)))
-            ev = eval_conv_efficient(k, float(rng.uniform(0.05, 0.95)), b, k.width / 200)
+            ev = eval_conv_efficient(k, float(rng.uniform(0.05, 0.95)), b)
             sig = ev.verdict.signal
             marks = set()
             for s, e in sig.intervals:
@@ -166,17 +166,17 @@ class TestEfficient:
         # H rises to exactly 0.5 at t=0.5, holds on [0.5, 1.25], then falls;
         # on the complement it falls onto the plateau and rises off it
         sig = BooleanSignal.from_intervals(0.0, 3.5, [(1.0, 1.5), (2.0, 2.25)])
-        ev = eval_conv_efficient(FlatKernel(0.0, 1.0), 0.5, sig, 1e-3)
+        ev = eval_conv_efficient(FlatKernel(0.0, 1.0), 0.5, sig)
         assert ev.verdict.crossings == pytest.approx([0.5, 1.25], abs=1e-9)
         intervals_close(ev.verdict.signal.intervals, ((0.5, 1.25),), 1e-9)
-        ev = eval_conv_efficient(FlatKernel(0.0, 1.0), 0.5, boolean_not(sig), 1e-3)
+        ev = eval_conv_efficient(FlatKernel(0.0, 1.0), 0.5, boolean_not(sig))
         assert ev.verdict.crossings == pytest.approx([0.5, 1.25], abs=1e-9)
-        assert ev.verdict.signal.is_always_true()
+        assert ev.verdict.signal == BooleanSignal.always(0.0, 2.5)
 
     def test_closed_form_crossings_are_exact(self):
         """Flat and exponential windows (rates of both signs, |rate|*width up
-        to 600): every crossing sits on the threshold to 1e-11, the result
-        does not depend on the step, and H is evaluated once per stretch."""
+        to 600): every crossing sits on the threshold to 1e-11, and H is
+        evaluated once per stretch."""
         rng = np.random.default_rng(71)
         for i in range(150):
             width = float(rng.uniform(0.5, 2.0))
@@ -190,24 +190,39 @@ class TestEfficient:
                 sign = 1.0 if rng.random() < 0.5 else -1.0
                 k = ExponentialKernel(sign * float(scale) / width, lo, lo + width)
             p = float(rng.uniform(0.05, 0.95))
-            ev = eval_conv_efficient(k, p, sig, width / 1000.0)
+            ev = eval_conv_efficient(k, p, sig)
             for c in ev.verdict.crossings:
-                assert abs(k.weighted_integral(sig, c) - p) <= 1e-11, (k, c)
-            coarse = eval_conv_efficient(k, p, sig, width / 7.0)
-            assert coarse.verdict == ev.verdict
+                assert abs(weighted_integral_many(k, sig, [c])[0] - p) <= 1e-11, (k, c)
             edges = np.concatenate([sig.starts_array, sig.ends_array])
             events = np.unique(np.concatenate([edges - k.lower, edges - k.upper]))
             t_end = sig.end - k.upper
             n_events = int(np.sum((events > sig.start) & (events < t_end)))
             assert len(ev.times) == n_events + 2
 
-    def test_nonpositive_step_rejected(self):
-        with pytest.raises(SclError):
-            eval_conv_efficient(FlatKernel(0, 0.5), 0.5, REF, 0.0)
-
     def test_horizon_shortfall_rejected(self):
         with pytest.raises(HorizonError):
-            eval_conv_efficient(FlatKernel(0, 2.0), 0.5, REF, 0.01)
+            eval_conv_efficient(FlatKernel(0, 2.0), 0.5, REF)
+
+    def test_gaussian_touch_is_the_cell_end_on_the_threshold(self):
+        # H is exactly 0 up to t = 2 and from t = 4 on: both touches are
+        # cell ends on the threshold, as for the flat window
+        sig = BooleanSignal.from_intervals(0, 6, [(3, 4)])
+        for k in (FlatKernel(0, 1), GaussianKernel(0.5, 0.3, 0, 1)):
+            assert eval_conv_efficient(k, 0.0, sig).verdict.crossings == (2.0, 4.0)
+
+    def test_narrow_gaussian_dip_is_found(self):
+        # H has a minimum at t = 2.77, where the bump sits on the gap
+        # [3, 3.04]; 1e-9 below the threshold it dips for about 2e-6 in time.
+        # The 1e-4 gap near 3.5 moves every event after it.
+        sig = BooleanSignal.from_intervals(0, 6, [(0, 3), (3.04, 3.5037), (3.5038, 5)])
+        k = GaussianKernel(0.25, 0.02, 0, 1)
+        p = float(weighted_integral_many(k, sig, np.array([2.77]))[0]) + 1e-9
+        dip = [c for c in eval_conv_efficient(k, p, sig).verdict.crossings
+               if abs(c - 2.77) < 0.01]
+        assert dip == pytest.approx([2.769999019, 2.770000981], abs=1e-8)
+        near = restrict_domain(sig, (2.7699, 3.7701))
+        oracle = eval_conv_oracle(k, p, near, 1e-7).verdict.crossings
+        assert dip == pytest.approx(list(oracle), abs=2e-7)
 
 
 class TestOracleEquivalence:
@@ -223,7 +238,7 @@ class TestOracleEquivalence:
             k = random_kernel(rng, lo, hi)
             p = float(rng.uniform(0.05, 0.95))
             delta = width / 1000.0
-            eff = eval_conv_efficient(k, p, b, delta)
+            eff = eval_conv_efficient(k, p, b)
             orc = eval_conv_oracle(k, p, b, delta / 2.0)
             h_ref = weighted_integral_many(k, b, eff.times)
             assert np.max(np.abs(eff.values - h_ref)) <= 2e-12
@@ -240,13 +255,13 @@ class TestIncremental:
 
     def test_steady_state_all_true(self):
         full = BooleanSignal.always(0.0, 3.0)
-        ev = eval_conv_efficient(FlatKernel(0, 1), 0.9, full, 0.05)
+        ev = eval_conv_efficient(FlatKernel(0, 1), 0.9, full)
         assert np.allclose(ev.values, 1.0)
-        assert ev.verdict.signal.is_always_true()
+        assert ev.verdict.signal == BooleanSignal.always(0.0, 2.0)
 
     def test_exponential_tracks_oracle(self):
         k = ExponentialKernel(3, 0, 0.5)
-        ev = eval_conv_efficient(k, 0.5, REF, 0.1)
+        ev = eval_conv_efficient(k, 0.5, REF)
         assert ev.values[0] == pytest.approx(0.5808, abs=1e-4)
         h_ref = weighted_integral_many(k, REF, ev.times)
         assert np.max(np.abs(ev.values - h_ref)) <= 1e-6
@@ -262,7 +277,7 @@ class TestIncremental:
             else:
                 rate = float(rng.uniform(0.3, 3.5)) * (1 if rng.random() < 0.5 else -1)
                 k = ExponentialKernel(rate, lo, lo + width)
-            ev = eval_conv_efficient(k, 0.5, b, width / 200)
+            ev = eval_conv_efficient(k, 0.5, b)
             h_ref = weighted_integral_many(k, b, ev.times)
             assert np.max(np.abs(ev.values - h_ref)) <= 1e-6
 
@@ -319,9 +334,8 @@ class TestPrefixStability:
         start = data.draw(st.floats(0.0, cut - k.upper))
         prefix = restrict_domain(sig, (0.0, cut))
         window = restrict_domain(sig, (start, cut))
-        step = k.width / 40.0
-        full = eval_conv_efficient(k, p, sig, step)
-        part = eval_conv_efficient(k, p, prefix, step)
+        full = eval_conv_efficient(k, p, sig)
+        part = eval_conv_efficient(k, p, prefix)
 
         stable = part.verdict.stable_until
         # a one-point domain keeps a point of truth that an interval signal
@@ -330,7 +344,23 @@ class TestPrefixStability:
             assert (restrict_domain(part.verdict.signal, (0.0, stable))
                     == restrict_domain(full.verdict.signal, (0.0, stable)))
         assert _shared_h_agrees(part, full, prefix, k)
-        assert _shared_h_agrees(eval_conv_efficient(k, p, window, step), full, window, k)
+        assert _shared_h_agrees(eval_conv_efficient(k, p, window), full, window, k)
+
+
+class TestGaussianCells:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_h_is_monotone_on_every_cell(self, data):
+        """Gaussian stretches are cut where H' vanishes, so fresh window
+        integrals inside a cell lie between its end values."""
+        sig, k, p, _ = data.draw(prefix_cases("gauss"))
+        ev = eval_conv_efficient(k, p, sig)
+        t0, t1 = ev.times[:-1, None], ev.times[1:, None]
+        inner = weighted_integral_many(k, sig, (t0 + (t1 - t0) * np.arange(1, 8) / 8).ravel())
+        inner = inner.reshape(-1, 7)
+        h0, h1 = ev.values[:-1, None], ev.values[1:, None]
+        assert np.all(inner >= np.minimum(h0, h1) - 2e-12)
+        assert np.all(inner <= np.maximum(h0, h1) + 2e-12)
 
 
 class TestMonitor:
@@ -345,9 +375,9 @@ class TestMonitor:
         trace = generate_step_train(period=24.0, duty=0.125, duration=48.0,
                                     low=100.0, high=200.0, variable="G")
         verdict = monitor(trace, parse("<flat[0,24], 0.125> (G >= 180)"))
-        assert verdict.signal.is_always_true()
+        assert verdict.signal == BooleanSignal.always(0.0, 24.0)
         strict = monitor(trace, parse("<flat[0,24], 0.125>* (G >= 180)"))
-        assert strict.signal.is_always_false()
+        assert not strict.signal.intervals
 
     def test_eventually_equals_negated_always(self):
         rng = np.random.default_rng(67)
@@ -364,8 +394,8 @@ class TestMonitor:
             b = random_boolean_signal(rng, 0.0, 6.0)
             k = random_kernel(rng, 0.0, float(rng.uniform(0.4, 2)))
             p1, p2 = np.sort(rng.uniform(0.05, 0.95, 2))
-            weak = eval_conv_efficient(k, float(p1), b, k.width / 100)
-            strong = eval_conv_efficient(k, float(p2), b, k.width / 100)
+            weak = eval_conv_efficient(k, float(p1), b)
+            strong = eval_conv_efficient(k, float(p2), b)
             for s, e in strong.verdict.signal.intervals:
                 mid = 0.5 * (s + e)
                 assert weak.verdict.signal.value_at(mid)
@@ -388,8 +418,8 @@ class TestMonitor:
         for _ in range(30):
             b = random_boolean_signal(rng, 0.0, 6.0)
             k = random_kernel(rng, 0.0, 1.0)
-            ev = eval_conv_efficient(k, 0.5, b, 0.01)
-            ev_not = eval_conv_efficient(k, 0.5, boolean_not(b), 0.01)
+            ev = eval_conv_efficient(k, 0.5, b)
+            ev_not = eval_conv_efficient(k, 0.5, boolean_not(b))
             h = weighted_integral_many(k, b, ev.times)
             h_not = weighted_integral_many(k, boolean_not(b), ev.times)
             assert np.max(np.abs(ev.values - h)) <= 1e-9
@@ -402,7 +432,7 @@ class TestMonitor:
             b = random_boolean_signal(rng, 0.0, 8.0)
             lo = float(rng.uniform(0, 0.4))
             hi = lo + float(rng.uniform(0.3, 2))
-            ev = eval_conv_efficient(FlatKernel(lo, hi), 1.0, boolean_not(b), (hi - lo) / 40)
+            ev = eval_conv_efficient(FlatKernel(lo, hi), 1.0, boolean_not(b))
             got = boolean_not(ev.verdict.signal)
             expected = dilate(b, lo, hi)
             intervals_close(got.intervals, expected.intervals, 1e-9)

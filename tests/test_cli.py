@@ -148,6 +148,14 @@ class TestCheck:
         assert exc.value.code == 2
         assert "invalid choice: 'incremental'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["check", "rho"])
+    def test_delta_option_is_gone(self, workdir, glucose_trace, command, capsys):
+        spec = write(workdir / "f.scl", "<flat[0,24], 0.95> (G >= 70)\n")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--trace", glucose_trace, "--spec", spec, "--delta", "0.1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --delta" in capsys.readouterr().err
+
 
 class TestRho:
     def test_rho_csv(self, workdir, glucose_trace):
@@ -188,7 +196,8 @@ class TestGen:
               "--out", path])
         from sclmon import Atom, eval_atom, read_trace_csv
         trace = read_trace_csv(path)
-        frac = eval_atom(trace, Atom("v", ">=", 200.0)).true_measure() / 24.0
+        high = eval_atom(trace, Atom("v", ">=", 200.0))
+        frac = sum(e - s for s, e in high.intervals) / 24.0
         assert frac == pytest.approx(0.3, abs=1e-9)
 
 

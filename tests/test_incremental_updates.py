@@ -51,11 +51,11 @@ class TestFlatUpdate:
         k0 = 1.0 / k.width
         h = 0.05
         for t in np.arange(0.0, 0.95, 0.05):
-            g_t = k.weighted_integral(SIG, float(t))
+            g_t = weighted_integral_many(k, SIG, [t])[0]
             gained = strip_true_measure(SIG, t + k.upper, t + k.upper + h)
             lost = strip_true_measure(SIG, t + k.lower, t + k.lower + h)
             g_next = g_t + k0 * (gained - lost)
-            assert g_next == pytest.approx(k.weighted_integral(SIG, float(t) + h),
+            assert g_next == pytest.approx(weighted_integral_many(k, SIG, [t + h])[0],
                                            abs=1e-12)
 
 
@@ -64,7 +64,7 @@ class TestExponentialUpdate:
     H = 0.1
 
     def reference(self, t):
-        return self.K.weighted_integral(SIG, t)
+        return weighted_integral_many(self.K, SIG, [t])[0]
 
     def semigroup_step(self, t):
         k, h = self.K, self.H
@@ -102,6 +102,6 @@ class TestExponentialUpdate:
 
     def test_shipped_evaluator_matches_reference_everywhere(self):
         from sclmon import eval_conv_efficient
-        ev = eval_conv_efficient(self.K, 0.5, SIG, 0.02)
+        ev = eval_conv_efficient(self.K, 0.5, SIG)
         ref = weighted_integral_many(self.K, SIG, ev.times)
         assert float(np.max(np.abs(ev.values - ref))) <= 1e-9

@@ -5,7 +5,6 @@ import pytest
 
 from sclmon import (
     BooleanSignal,
-    Interval,
     PiecewiseConstantSignal,
     SclError,
     TraceError,
@@ -23,13 +22,13 @@ def sig(start, end, *intervals):
 
 class TestNormalization:
     def test_adjacent_intervals_merge(self):
-        assert sig(0, 1, (0.0, 0.2), (0.2, 0.5)).intervals == (Interval(0.0, 0.5),)
+        assert sig(0, 1, (0.0, 0.2), (0.2, 0.5)).intervals == ((0.0, 0.5),)
 
     def test_zero_length_intervals_dropped(self):
         assert sig(0, 1, (0.5, 0.5)).intervals == ()
 
     def test_overlapping_intervals_merge(self):
-        assert sig(0, 1, (0.0, 0.4), (0.3, 0.7)).intervals == (Interval(0.0, 0.7),)
+        assert sig(0, 1, (0.0, 0.4), (0.3, 0.7)).intervals == ((0.0, 0.7),)
 
 
 class TestBooleanNot:

@@ -105,7 +105,7 @@ class TestOfflineEquivalence:
     def test_sample_by_sample_equals_offline_exactly(self, text):
         rng = np.random.default_rng(101)
         f = parse(text)
-        cfg = MonitorConfig(delta=0.02)
+        cfg = MonitorConfig()
         for _ in range(25):
             trace = random_trace(rng, duration=4.0 + rng.uniform(0, 2))
             got = feed_and_collect(f, trace, cfg)
@@ -115,7 +115,7 @@ class TestOfflineEquivalence:
     def test_poll_cadence_does_not_matter(self):
         rng = np.random.default_rng(103)
         f = parse("<flat[0,1], 0.5> (v >= 0)")
-        cfg = MonitorConfig(delta=0.05)
+        cfg = MonitorConfig()
         for cadence in (1, 3, 7):
             trace = random_trace(rng, duration=5.0)
             got = feed_and_collect(f, trace, cfg, poll_every=cadence)
@@ -125,7 +125,7 @@ class TestOfflineEquivalence:
     def test_every_evaluator_is_prefix_exact(self, evaluator):
         rng = np.random.default_rng(107)
         f = parse("<exp(1.5)[0,1], 0.5> (v >= 0)")
-        cfg = MonitorConfig(evaluator=evaluator, delta=0.04)
+        cfg = MonitorConfig(evaluator=evaluator)
         for _ in range(10):
             trace = random_trace(rng, duration=4.5)
             got = feed_and_collect(f, trace, cfg)
@@ -139,7 +139,7 @@ class TestOfflineEquivalence:
     def test_threshold_plateaus_stay_prefix_exact(self, text):
         # duty-0.5 square wave: every 2-unit window is covered exactly 50%
         f = parse(text)
-        cfg = MonitorConfig(delta=0.05)
+        cfg = MonitorConfig()
         times = np.arange(0.0, 12.5, 0.5)
         values = np.where((times % 2.0) < 1.0, 1.0, 0.0).reshape(-1, 1)
         trace = PiecewiseConstantSignal(("v",), times, values, 12.0)
@@ -152,14 +152,14 @@ class TestOfflineEquivalence:
         assert sm.resolved_signal() == monitor(trace, f, cfg).signal
 
     def test_last_gaussian_substep_is_held_back(self):
-        # the false dip near t = 2.77 is narrower than a quarter of the last
-        # substep: with the trace known up to 3.94 the probes of that substep
-        # step over it, with the whole trace they land in it
+        # the false dip near t = 2.77 lies in the stretch [2.04, 3.0]; while
+        # that is the last stretch of the known prefix its crossings are held
+        # back, and once it is complete both are emitted as offline
         times = np.round(np.arange(0.0, 5.0001, 0.01), 10)
         v = np.where((times >= 3.0) & (times < 3.04), -1.0, 1.0).reshape(-1, 1)
         trace = PiecewiseConstantSignal(("v",), times, v, 5.0)
         f = parse("<gauss(0.25, 0.02)[0,1], 0.5> (v >= 0)")
-        cfg = MonitorConfig(delta=0.5)
+        cfg = MonitorConfig()
         expected = monitor(trace, f, cfg)
         assert len(expected.crossings) == 2
         assert feed_and_collect(f, trace, cfg) == expected.signal

@@ -8,7 +8,6 @@ import pytest
 from sclmon import (
     Atom,
     TraceError,
-    add_noise,
     eval_atom,
     generate_glucose_like,
     generate_sine_quantized,
@@ -59,7 +58,7 @@ class TestStepTrain:
         trace = generate_step_train(period=2.0, duty=0.3, duration=24.0,
                                     low=0.0, high=1.0)
         sig = eval_atom(trace, Atom("v", ">=", 1.0))
-        assert sig.true_measure() == pytest.approx(0.3 * 24.0, abs=1e-9)
+        assert sum(e - s for s, e in sig.intervals) == pytest.approx(0.3 * 24.0, abs=1e-9)
 
     def test_validation(self):
         from sclmon import SclError
@@ -100,18 +99,3 @@ class TestGlucoseLike:
             floor = float(v.min())
             plateau = np.isclose(v, floor).sum() * (trace.times[1] - trace.times[0])
             assert plateau >= 0.75  # hours at the exact minimum
-
-
-class TestAddNoise:
-    def test_zero_noise_resamples_only(self):
-        trace = generate_step_train(period=2.0, duty=0.5, duration=10.0)
-        resampled = add_noise(trace, 0.0, seed=0, pitch=0.5)
-        ts = np.arange(0, 10.5, 0.5)
-        for t in ts:
-            assert resampled.value_at(float(t), "v") == trace.value_at(float(t), "v")
-
-    def test_noise_dimensions(self):
-        trace = generate_glucose_like(9)
-        noisy = add_noise(trace, 3.0, seed=1)
-        assert noisy.values.shape == trace.values.shape
-        assert noisy.duration == trace.duration
