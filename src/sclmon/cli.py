@@ -33,13 +33,15 @@ import sys
 import tempfile
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import SclError
 from .experiments import falsify_demo, noise_agreement_experiment
 from .formula import Formula
 from .monitor import MonitorConfig, VerdictSignal, monitor
 from .parser import parse_formula_file
 from .robustness import RhoConfig, RobustnessTrace, rho_trace
-from .signals import BooleanSignal, PiecewiseConstantSignal
+from .signals import BooleanSignal, PiecewiseConstantSignal, boolean_not
 from .traces import (
     generate_glucose_like,
     generate_sine_quantized,
@@ -106,17 +108,13 @@ def run_monitor(trace: PiecewiseConstantSignal, formulas: list[tuple[int, str, F
 def _verdict_segments(sig: BooleanSignal) -> list[tuple[float, float, bool]]:
     """Partition of the verdict domain into maximal constant-truth segments."""
     if sig.start == sig.end:
-        return [(sig.start, sig.end, bool(sig.intervals))]
-    segments = []
-    pos = sig.start
-    for s, e in sig.intervals:
-        if s > pos:
-            segments.append((pos, s, False))
-        segments.append((s, e, True))
-        pos = e
-    if pos < sig.end:
-        segments.append((pos, sig.end, False))
-    return segments
+        return [(sig.start, sig.end, len(sig.starts) > 0)]
+    gaps = boolean_not(sig)
+    starts = np.concatenate((sig.starts, gaps.starts))
+    order = np.argsort(starts, kind="stable")
+    ends = np.concatenate((sig.ends, gaps.ends))[order]
+    truth = np.arange(len(starts))[order] < len(sig.starts)
+    return list(zip(starts[order].tolist(), ends.tolist(), truth.tolist()))
 
 
 def _verdict_csv(result: FormulaResult) -> str:

@@ -139,12 +139,13 @@ def _verdict_span(kernel: BoundedKernel, sig: BooleanSignal) -> tuple[float, flo
     return t0, max(t_end, t0)
 
 
-def _alternating(t0: float, t_end: float, first: bool, flips: list[float]) -> BooleanSignal:
+def _alternating(t0: float, t_end: float, first: bool,
+                 flips: np.ndarray | list[float]) -> BooleanSignal:
     """Truth signal over ``[t0, t_end]`` that starts as ``first`` and flips
     at each of the (sorted) ``flips``."""
-    cuts = [t0, *flips, t_end]
-    skip = 0 if first else 1
-    return BooleanSignal.from_intervals(t0, t_end, zip(cuts[skip::2], cuts[skip + 1::2]))
+    cuts = np.concatenate(([t0], flips, [t_end]))[0 if first else 1:]
+    n = len(cuts) // 2
+    return BooleanSignal.from_intervals(t0, t_end, cuts[:2 * n].reshape(n, 2))
 
 
 def eval_atom(trace: PiecewiseConstantSignal, atom: Atom) -> BooleanSignal:
@@ -152,14 +153,10 @@ def eval_atom(trace: PiecewiseConstantSignal, atom: Atom) -> BooleanSignal:
     vals = trace.variable_values(atom.variable)
     compare = {">=": np.greater_equal, ">": np.greater,
                "<=": np.less_equal, "<": np.less}[atom.op]
-    mask = compare(vals, atom.threshold)
     bounds = trace.segment_bounds()
-    intervals = [
-        (bounds[i], bounds[i + 1])
-        for i in range(len(bounds) - 1)
-        if mask[i]
-    ]
-    return BooleanSignal.from_intervals(0.0, trace.duration, intervals)
+    mask = compare(vals, atom.threshold)[:len(bounds) - 1]
+    return BooleanSignal.from_intervals(
+        0.0, trace.duration, np.column_stack((bounds[:-1][mask], bounds[1:][mask])))
 
 
 def _grid_integrals(kernel: BoundedKernel, sig: BooleanSignal,
@@ -173,7 +170,7 @@ def _grid_integrals(kernel: BoundedKernel, sig: BooleanSignal,
     value depends only on its anchor, not on the chunk that took it in, and
     prefixes of a growing trace stay bit-identical.
     """
-    starts, ends = sig.starts_array, sig.ends_array
+    starts, ends = sig.starts, sig.ends
     lo, hi = kernel.lower, kernel.upper
     first = np.searchsorted(ends, ts + lo, side="left")
     count = np.maximum(np.searchsorted(starts, ts + hi, side="right") - first, 0)
@@ -341,8 +338,8 @@ def _gaussian_splits(kernel: GaussianKernel, sig: BooleanSignal,
     """
     a, b = bounds[:-1], bounds[1:]
     s, c = kernel.spread, kernel.center
-    edges = np.column_stack((sig.starts_array, sig.ends_array)).ravel()
-    sigma = np.tile([1.0, -1.0], len(sig.intervals))
+    edges = np.column_stack((sig.starts, sig.ends)).ravel()
+    sigma = np.tile([1.0, -1.0], len(sig.starts))
     mid = 0.5 * (a + b)
     reach = _ERFC_ZERO * s
     first = np.searchsorted(edges, np.maximum(mid + kernel.lower, a + c - reach), side="right")
@@ -384,7 +381,7 @@ def eval_conv_efficient(kernel: BoundedKernel, threshold: float,
     """
     p = threshold
     t0, t_end = _verdict_span(kernel, sig)
-    edges = np.concatenate([sig.starts_array, sig.ends_array])
+    edges = np.concatenate([sig.starts, sig.ends])
     events = np.concatenate([edges - kernel.lower, edges - kernel.upper])
     events = np.unique(events[(events > t0 + 1e-15) & (events < t_end - 1e-15)])
     bounds = np.concatenate([[t0], events, [t_end]])
@@ -420,7 +417,7 @@ def eval_conv_efficient(kernel: BoundedKernel, threshold: float,
     for root in roots.tolist():
         if not crossings or abs(root - crossings[-1]) > _ZERO_BAND:
             crossings.append(root)
-    flips = roots[flip[cells]].tolist()
+    flips = roots[flip[cells]]
 
     # the last stretch's windows reach the trace end, so extending the
     # trace can perturb its H values at rounding level; anything

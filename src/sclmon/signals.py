@@ -4,81 +4,84 @@ Two signal kinds live here:
 
 * :class:`PiecewiseConstantSignal` -- a timestamped step function over one or
   more named real variables (the input trace).
-* :class:`BooleanSignal` -- a truth signal represented as a sorted list of
-  disjoint true-intervals over a bounded domain.
+* :class:`BooleanSignal` -- a truth signal over a bounded domain, held as two
+  read-only float arrays: the sorted starts and ends of its true-intervals.
 
 Conventions: traces are right-continuous (the value at a sample time is the
-new value, holding until the next sample), true-intervals are closed, and
-zero-length intervals are dropped during normalization.  The only exception
-is a degenerate domain ``[d, d]`` (it occurs when a verdict collapses to a
-single time point), which is represented by a single point interval when
-true at that point.
+new value, holding until the next sample), true-intervals are closed,
+touching and overlapping intervals are merged, and zero-length intervals
+are dropped during normalization, so consecutive intervals are separated by
+positive gaps.  The only exception is a degenerate domain ``[d, d]`` (it
+occurs when a verdict collapses to a single time point), which is
+represented by a single point interval when true at that point.
+Normalization only selects, sorts and compares bounds, never computes new
+ones, so every bound is one of the floats it was given.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
 from .errors import SclError, TraceError
 
 
-class Interval(NamedTuple):
-    """A single true-interval ``[start, end]`` of a Boolean signal."""
-
-    start: float
-    end: float
-
-
-def _check_finite(x: float, what: str) -> float:
-    x = float(x)
-    if not math.isfinite(x):
-        raise SclError(f"{what} must be finite, got {x!r}")
-    return x
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BooleanSignal:
-    """Truth signal over ``[start, end]`` as disjoint, merged true-intervals."""
+    """Truth signal over ``[start, end]``: true exactly on the closed
+    intervals ``[starts[i], ends[i]]``, which are sorted and disjoint."""
 
     start: float
     end: float
-    intervals: tuple[Interval, ...]
+    starts: np.ndarray
+    ends: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.starts.flags.writeable = False
+        self.ends.flags.writeable = False
 
     @staticmethod
     def from_intervals(
-        start: float, end: float, intervals: Iterable[tuple[float, float]]
+        start: float, end: float,
+        intervals: Iterable[tuple[float, float]] | np.ndarray,
     ) -> "BooleanSignal":
-        """Build a normalized signal: clip to domain, sort, merge, drop points."""
-        start = _check_finite(start, "domain start")
-        end = _check_finite(end, "domain end")
+        """Build a normalized signal from ``(start, end)`` pairs, given as an
+        iterable or an ``(n, 2)`` array: clip to the domain, drop points,
+        sort, merge touching and overlapping intervals."""
+        start, end = float(start), float(end)
+        if not (math.isfinite(start) and math.isfinite(end)):
+            raise SclError(f"domain bounds must be finite, got [{start}, {end}]")
         if end < start:
             raise SclError(f"empty domain: [{start}, {end}]")
-        raw = [(_check_finite(s, "interval start"), _check_finite(e, "interval end"))
-               for s, e in intervals]
+        try:
+            pairs = np.asarray(intervals if isinstance(intervals, np.ndarray)
+                               else list(intervals), dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise SclError(f"intervals must be (start, end) pairs of numbers: {exc}") from None
+        pairs = pairs.reshape(0, 2) if pairs.shape == (0,) else pairs
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise SclError(f"intervals must be (start, end) pairs, got shape {pairs.shape}")
+        if not np.isfinite(pairs).all():
+            raise SclError("interval bounds must be finite")
+        s, e = pairs[:, 0], pairs[:, 1]
         if start == end:
             # Degenerate domain: keep a point interval when true at the point.
-            member = any(s <= start <= e for s, e in raw)
-            ivs = (Interval(start, start),) if member else ()
-            return BooleanSignal(start, end, ivs)
-        clipped = []
-        for s, e in raw:
-            s, e = max(s, start), min(e, end)
-            if e > s:
-                clipped.append((s, e))
-        clipped.sort()
-        merged: list[list[float]] = []
-        for s, e in clipped:
-            if merged and s <= merged[-1][1]:
-                merged[-1][1] = max(merged[-1][1], e)
-            else:
-                merged.append([s, e])
-        return BooleanSignal(start, end, tuple(Interval(s, e) for s, e in merged))
+            point = np.full(int(np.any((s <= start) & (start <= e))), start)
+            return BooleanSignal(start, end, point, point)
+        # selections, as the builtins max(s, start) and min(e, end) make them
+        s = np.where(start > s, start, s)
+        e = np.where(end < e, end, e)
+        keep = e > s
+        order = np.argsort(s[keep], kind="stable")
+        s, e = s[keep][order], e[keep][order]
+        # a run of overlapping or touching intervals opens wherever an
+        # interval starts beyond every end before it
+        reach = np.concatenate(([-np.inf], np.maximum.accumulate(e)[:-1]))
+        opens = np.flatnonzero(s > reach)
+        return BooleanSignal(start, end, s[opens], np.maximum.reduceat(e, opens))
 
     @staticmethod
     def always(start: float, end: float) -> "BooleanSignal":
@@ -88,13 +91,17 @@ class BooleanSignal:
     def never(start: float, end: float) -> "BooleanSignal":
         return BooleanSignal.from_intervals(start, end, [])
 
-    @cached_property
-    def starts_array(self) -> np.ndarray:
-        return np.array([iv.start for iv in self.intervals], dtype=float)
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BooleanSignal):
+            return NotImplemented
+        return (self.start == other.start and self.end == other.end
+                and np.array_equal(self.starts, other.starts)
+                and np.array_equal(self.ends, other.ends))
 
-    @cached_property
-    def ends_array(self) -> np.ndarray:
-        return np.array([iv.end for iv in self.intervals], dtype=float)
+    @property
+    def intervals(self) -> tuple[tuple[float, float], ...]:
+        """The true-intervals as ``(start, end)`` pairs of Python floats."""
+        return tuple(zip(self.starts.tolist(), self.ends.tolist()))
 
     @property
     def domain(self) -> tuple[float, float]:
@@ -104,32 +111,23 @@ class BooleanSignal:
         """Membership of t in the (closed) true-intervals."""
         if t < self.start or t > self.end:
             raise SclError(f"time {t} outside signal domain [{self.start}, {self.end}]")
-        idx = bisect_right(self.starts_array, t) - 1  # type: ignore[arg-type]
-        return bool(idx >= 0 and self.ends_array[idx] >= t)
+        i = int(np.searchsorted(self.starts, t, side="right")) - 1
+        return bool(i >= 0 and self.ends[i] >= t)
 
     def values_at(self, ts: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self.starts_array, ts, side="right") - 1
+        idx = np.searchsorted(self.starts, ts, side="right") - 1
         ok = idx >= 0
         out = np.zeros(len(ts), dtype=bool)
-        out[ok] = self.ends_array[idx[ok]] >= ts[ok]
+        out[ok] = self.ends[idx[ok]] >= ts[ok]
         return out
 
 
 def boolean_not(sig: BooleanSignal) -> BooleanSignal:
     """Complement within the domain."""
     if sig.start == sig.end:
-        member = bool(sig.intervals)
         return BooleanSignal.from_intervals(
-            sig.start, sig.end, [] if member else [(sig.start, sig.end)]
-        )
-    gaps = []
-    prev = sig.start
-    for s, e in sig.intervals:
-        if s > prev:
-            gaps.append((prev, s))
-        prev = e
-    if prev < sig.end:
-        gaps.append((prev, sig.end))
+            sig.start, sig.end, [] if len(sig.starts) else [(sig.start, sig.end)])
+    gaps = np.column_stack((np.append(sig.start, sig.ends), np.append(sig.starts, sig.end)))
     return BooleanSignal.from_intervals(sig.start, sig.end, gaps)
 
 
@@ -141,28 +139,13 @@ def _require_same_domain(a: BooleanSignal, b: BooleanSignal) -> None:
 def boolean_or(a: BooleanSignal, b: BooleanSignal) -> BooleanSignal:
     """Pointwise disjunction; requires equal domains."""
     _require_same_domain(a, b)
-    return BooleanSignal.from_intervals(a.start, a.end, list(a.intervals) + list(b.intervals))
+    return BooleanSignal.from_intervals(a.start, a.end, np.column_stack(
+        (np.concatenate((a.starts, b.starts)), np.concatenate((a.ends, b.ends)))))
 
 
 def boolean_and(a: BooleanSignal, b: BooleanSignal) -> BooleanSignal:
-    """Pointwise conjunction; requires equal domains."""
-    _require_same_domain(a, b)
-    if a.start == a.end:
-        both = bool(a.intervals) and bool(b.intervals)
-        return BooleanSignal.from_intervals(a.start, a.end, [(a.start, a.end)] if both else [])
-    out = []
-    i = j = 0
-    ia, ib = a.intervals, b.intervals
-    while i < len(ia) and j < len(ib):
-        s = max(ia[i].start, ib[j].start)
-        e = min(ia[i].end, ib[j].end)
-        if e > s:
-            out.append((s, e))
-        if ia[i].end <= ib[j].end:
-            i += 1
-        else:
-            j += 1
-    return BooleanSignal.from_intervals(a.start, a.end, out)
+    """Pointwise conjunction, by de Morgan; requires equal domains."""
+    return boolean_not(boolean_or(boolean_not(a), boolean_not(b)))
 
 
 def restrict_domain(sig: BooleanSignal, interval: tuple[float, float]) -> BooleanSignal:
@@ -174,7 +157,7 @@ def restrict_domain(sig: BooleanSignal, interval: tuple[float, float]) -> Boolea
             f"restriction [{lo}, {hi}] outside signal domain [{sig.start}, {sig.end}]"
         )
     lo, hi = max(lo, sig.start), min(hi, sig.end)
-    return BooleanSignal.from_intervals(lo, hi, sig.intervals)
+    return BooleanSignal.from_intervals(lo, hi, np.column_stack((sig.starts, sig.ends)))
 
 
 @dataclass(frozen=True)

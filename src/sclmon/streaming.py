@@ -5,7 +5,10 @@ samples are known up to time T the verdict is resolved on
 ``[0, T - horizon]``.  Each poll re-runs the offline monitor on the known
 prefix and emits the newly resolved slice; because the offline evaluators are
 prefix-stable and deterministic, the concatenated output equals the offline
-verdict on the full trace exactly.
+verdict on the full trace exactly.  Before :meth:`StreamingMonitor.finish`
+a slice also ends at the verdict's ``stable_until``.  A nested window can
+put that below time 0 on early polls; such a poll, like one that finds
+nothing past what was already emitted, returns ``None``.
 """
 
 from __future__ import annotations
@@ -99,9 +102,10 @@ class StreamingMonitor:
         if not self._finished:
             # hold back content that a longer trace might still refine
             resolved = min(resolved, verdict.stable_until)
-        if self._emitted_to is not None and resolved <= self._emitted_to:
+        start = verdict.signal.start if self._emitted_to is None else self._emitted_to
+        # a nested window's hold-back can fall below the start on early polls
+        if resolved < start or resolved == self._emitted_to:
             return None
-        start = self._emitted_to if self._emitted_to is not None else verdict.signal.start
         piece = restrict_domain(verdict.signal, (start, resolved))
         self._emitted_to = resolved
         self._pieces.append(piece)
@@ -111,7 +115,8 @@ class StreamingMonitor:
         """Union of everything emitted so far, over ``[0, emitted_to]``."""
         if self._emitted_to is None:
             return None
-        intervals = [iv for piece in self._pieces for iv in piece.intervals]
+        starts = np.concatenate([piece.starts for piece in self._pieces])
+        ends = np.concatenate([piece.ends for piece in self._pieces])
         return BooleanSignal.from_intervals(
-            self._pieces[0].start, self._emitted_to, intervals
+            self._pieces[0].start, self._emitted_to, np.column_stack((starts, ends))
         )

@@ -107,8 +107,8 @@ def weighted_integral_many(kernel, sig: BooleanSignal, ts: np.ndarray) -> np.nda
         )
     if not sig.intervals:
         return np.zeros(len(ts))
-    a = np.clip(sig.starts_array[:, None] - ts[None, :], kernel.lower, kernel.upper)
-    b = np.clip(sig.ends_array[:, None] - ts[None, :], kernel.lower, kernel.upper)
+    a = np.clip(sig.starts[:, None] - ts[None, :], kernel.lower, kernel.upper)
+    b = np.clip(sig.ends[:, None] - ts[None, :], kernel.lower, kernel.upper)
     masses = np.asarray(kernel.mass_clipped(a, b))
     # drop interval rows that never intersect any window: keeps the sums
     # bit-stable when a longer trace appends out-of-reach intervals

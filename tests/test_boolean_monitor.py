@@ -193,7 +193,7 @@ class TestEfficient:
             ev = eval_conv_efficient(k, p, sig)
             for c in ev.verdict.crossings:
                 assert abs(weighted_integral_many(k, sig, [c])[0] - p) <= 1e-11, (k, c)
-            edges = np.concatenate([sig.starts_array, sig.ends_array])
+            edges = np.concatenate([sig.starts, sig.ends])
             events = np.unique(np.concatenate([edges - k.lower, edges - k.upper]))
             t_end = sig.end - k.upper
             n_events = int(np.sum((events > sig.start) & (events < t_end)))
@@ -311,7 +311,7 @@ def prefix_cases(draw, shape):
 def _shared_h_agrees(part, full, part_sig, k):
     """Every sample that ``part`` shares with ``full`` before ``part``'s last
     stretch, which starts at its last event before its t_end, has the same H."""
-    edges = np.concatenate([part_sig.starts_array, part_sig.ends_array])
+    edges = np.concatenate([part_sig.starts, part_sig.ends])
     events = np.concatenate([edges - k.lower, edges - k.upper])
     t0, t_end = part_sig.start, part_sig.end - k.upper
     inner = events[(events > t0 + 1e-15) & (events < t_end - 1e-15)]

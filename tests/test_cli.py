@@ -187,7 +187,7 @@ class TestGen:
         for path in (a, b):
             assert main(["gen", "--kind", "glucose-like", "--seed", "11",
                          "--noise-std", "5", "--out", path]) == 0
-        assert open(a).read() == open(b).read()
+        assert Path(a).read_text() == Path(b).read_text()
 
     def test_step_train_duty(self, workdir):
         path = str(workdir / "s.csv")

@@ -1,7 +1,11 @@
 """Interval algebra: normalization, Boolean combinations, restriction."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sclmon import (
     BooleanSignal,
@@ -106,6 +110,133 @@ class TestProperties:
         off = sig(2.0, 2.0)
         assert on.value_at(2.0) and not off.value_at(2.0)
         assert boolean_not(on) == off and boolean_not(off) == on
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("bad", [
+        [(0.1, math.nan)],
+        [(math.inf, 0.5)],
+        [(-math.inf, 0.5)],
+        np.array([[0.1, math.nan]]),
+        [(0.1, 0.2, 0.3)],
+        [(0.1,)],
+        [0.5],
+        [(0.1, 0.2), (0.3,)],
+        [("a", "b")],
+        None,
+    ])
+    def test_bad_intervals_rejected(self, bad):
+        with pytest.raises(SclError, match="interval"):
+            BooleanSignal.from_intervals(0.0, 1.0, bad)
+
+    @pytest.mark.parametrize("start, end", [(0.0, math.nan), (-math.inf, 1.0)])
+    def test_non_finite_domain_rejected(self, start, end):
+        with pytest.raises(SclError, match="finite"):
+            BooleanSignal.from_intervals(start, end, [])
+
+    def test_reversed_domain_rejected(self):
+        with pytest.raises(SclError, match="empty domain"):
+            BooleanSignal.from_intervals(1.0, 0.0, [(0.2, 0.4)])
+
+
+# Bounds on a quarter grid make touching, overlapping, zero-length and
+# out-of-domain intervals common; probes sit halfway between grid points,
+# so they never meet an interval edge.
+_QUARTER = 0.25
+
+
+@st.composite
+def domains(draw):
+    lo = draw(st.integers(0, 8)) * _QUARTER
+    return lo, lo + draw(st.one_of(st.just(0), st.integers(1, 16))) * _QUARTER
+
+
+def raw_intervals(lo, hi):
+    return st.lists(st.tuples(st.integers(int(lo / _QUARTER) - 4, int(hi / _QUARTER) + 4),
+                              st.integers(0, 6))
+                    .map(lambda p: (p[0] * _QUARTER, (p[0] + p[1]) * _QUARTER)),
+                    max_size=8)
+
+
+def loop_normalize(start, end, raw):
+    """Reference normal form, one interval at a time: the same selections
+    as ``from_intervals``, so its bounds must match bit for bit."""
+    if start == end:
+        return [(start, start)] if any(s <= start <= e for s, e in raw) else []
+    merged = []
+    for s, e in sorted((max(s, start), min(e, end)) for s, e in raw):
+        if e <= s:
+            continue
+        if merged and s <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], e)
+        else:
+            merged.append([s, e])
+    return [tuple(iv) for iv in merged]
+
+
+def sweep_and(a, b):
+    """Reference conjunction: a two-pointer sweep over both interval lists."""
+    out, i, j = [], 0, 0
+    ia, ib = a.intervals, b.intervals
+    while i < len(ia) and j < len(ib):
+        out.append((max(ia[i][0], ib[j][0]), min(ia[i][1], ib[j][1])))
+        if ia[i][1] <= ib[j][1]:
+            i += 1
+        else:
+            j += 1
+    return loop_normalize(a.start, a.end, out)
+
+
+def probes(lo, hi):
+    """The degenerate domain's point, or the midpoints of the quarter grid."""
+    if lo == hi:
+        return np.array([lo])
+    return np.arange(lo + _QUARTER / 2, hi, _QUARTER)
+
+
+class TestIntervalAlgebraProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_normal_form(self, data):
+        lo, hi = data.draw(domains())
+        raw = data.draw(raw_intervals(lo, hi))
+        s = BooleanSignal.from_intervals(lo, hi, raw)
+        assert s.starts.dtype == s.ends.dtype == np.float64
+        assert np.all(s.starts >= lo) and np.all(s.ends <= hi)
+        if lo == hi:
+            assert len(s.starts) == (1 if any(a <= lo <= b for a, b in raw) else 0)
+        else:
+            assert np.all(s.ends > s.starts)
+            assert np.all(s.starts[1:] > s.ends[:-1])
+        assert list(s.intervals) == loop_normalize(lo, hi, raw)
+        assert BooleanSignal.from_intervals(lo, hi, s.intervals) == s
+        ts = probes(lo, hi)
+        union = [any(a <= t <= b for a, b in raw) for t in ts.tolist()]
+        assert s.values_at(ts).tolist() == union
+        assert [s.value_at(t) for t in ts.tolist()] == union
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_boolean_operators_are_pointwise(self, data):
+        lo, hi = data.draw(domains())
+        a = BooleanSignal.from_intervals(lo, hi, data.draw(raw_intervals(lo, hi)))
+        b = BooleanSignal.from_intervals(lo, hi, data.draw(raw_intervals(lo, hi)))
+        ts = probes(lo, hi)
+        va, vb = a.values_at(ts), b.values_at(ts)
+        assert np.array_equal(boolean_not(a).values_at(ts), ~va)
+        assert np.array_equal(boolean_or(a, b).values_at(ts), va | vb)
+        assert np.array_equal(boolean_and(a, b).values_at(ts), va & vb)
+        if lo < hi:
+            assert list(boolean_and(a, b).intervals) == sweep_and(a, b)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_arrays_are_read_only(self, data):
+        lo, hi = data.draw(domains())
+        s = BooleanSignal.from_intervals(lo, hi, data.draw(raw_intervals(lo, hi)))
+        for arr in (s.starts, s.ends):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[:] = 0.0
 
 
 class TestPiecewiseConstantSignal:

@@ -112,6 +112,19 @@ class TestOfflineEquivalence:
             expected = monitor(trace, f, cfg).signal
             assert got == expected  # exact: same floats, same intervals
 
+    @pytest.mark.parametrize("inner, count", [
+        ("<flat[0,1],0.4>", 40),
+        ("<gauss(0.5,0.2)[0,1],0.4>", 13),
+    ])
+    def test_nested_window_early_polls(self, inner, count):
+        # on early polls the outer window holds the verdict back below its
+        # start; such a poll resolves nothing instead of raising
+        rng = np.random.default_rng(5)
+        f = parse(f"G[0,0.5] ({inner} (v >= 0))")
+        for _ in range(count):
+            trace = random_trace(rng, 5.0)
+            assert feed_and_collect(f, trace) == monitor(trace, f).signal
+
     def test_poll_cadence_does_not_matter(self):
         rng = np.random.default_rng(103)
         f = parse("<flat[0,1], 0.5> (v >= 0)")
