@@ -15,11 +15,9 @@ from sclmon import (
     Conv,
     FlatKernel,
     PiecewiseConstantSignal,
-    RhoConfig,
     monitor,
     parse,
     rho,
-    rho_trace,
 )
 
 # A two-level trace: 1.0 for the first 30% of the window, 0.2 afterwards.
@@ -47,12 +45,13 @@ times = np.concatenate([[0.0], np.sort(rng.uniform(0, 6, 14))])
 values = rng.uniform(-1.0, 1.0, (len(times), 1))
 wander = PiecewiseConstantSignal(("v",), times, values, 6.0)
 g = parse("<flat[0,2], 0.6> (v >= 0)")
-rt = rho_trace(wander, g, RhoConfig(time_grid=0.5))
+times_out = 0.5 * np.arange(9)          # t = 0, 0.5, ..., 4.0: the horizon ends at 6 - 2
+rhos = [rho(wander, g, float(t)) for t in times_out]
 print("robustness trace of  <flat[0,2], 0.6> (v >= 0)  on a random walk:")
-for t, v in zip(rt.times, rt.values):
+for t, v in zip(times_out, rhos):
     bar = "#" * int(round(20 * min(abs(v), 1.0)))
     sign = "+" if v >= 0 else "-"
     print(f"  t={t:4.1f}  rho={v:+.4f}  {sign}{bar}")
 window_levels = set(values[:, 0].tolist())
-exact = all(v in window_levels for v in rt.values)
+exact = all(v in window_levels for v in rhos)
 print(f"(every value above is one of the trace's own levels: {exact})")

@@ -43,7 +43,7 @@ from .monitor import (
     monitor,
 )
 from .parser import parse, parse_formula_file, pretty_print
-from .robustness import RhoConfig, RobustnessTrace, rho, rho_trace
+from .robustness import RobustnessTrace, rho, rho_trace
 from .signals import (
     BooleanSignal,
     PiecewiseConstantSignal,
@@ -68,7 +68,7 @@ __all__ = [
     "ConvDual", "ConvEvaluation", "ExponentialKernel", "FALSE", "FlatKernel",
     "Formula", "GaussianKernel", "GlucoseParams", "HorizonError", "Implies",
     "MonitorConfig", "Not", "Or", "ParseError", "PiecewiseConstantSignal",
-    "RhoConfig", "RobustnessTrace", "SclError", "StreamingMonitor", "TRUE",
+    "RobustnessTrace", "SclError", "StreamingMonitor", "TRUE",
     "TraceError", "VerdictSignal", "boolean_and", "boolean_not", "boolean_or", "eval_atom",
     "eval_conv_efficient", "eval_conv_oracle", "eventually",
     "generate_glucose_like", "generate_sine_quantized", "generate_step_train",

@@ -4,17 +4,18 @@ Subcommands::
 
     scl-mon check --trace t.csv --spec f.scl [--evaluator E]
                   [--out DIR] [--format csv|json]
-    scl-mon rho   --trace t.csv --spec f.scl [--time-grid G]
-                  [--out DIR] [--format csv|json]
+    scl-mon rho   --trace t.csv --spec f.scl [--out DIR] [--format csv|json]
     scl-mon gen   --kind step-train|sine-quantized|glucose-like --seed S
                   --out t.csv [--noise-std N] [--duration D] [...]
     scl-mon exp noise-agreement --n N --seed S [--noise-std N] [--out FILE]
     scl-mon exp falsify --spec f.scl --budget B --seed S [--out FILE]
                   [--witness-out t.csv]
 
-``rho`` samples each formula's robustness on a uniform time grid
-(``--time-grid``, default: the narrowest window / 1000).  Every sample is
-exact, a kernel-weighted quantile of the window's values, so the JSON
+``rho`` writes each formula's robustness as its step function: one row per
+breakpoint, whose value holds until the next row, and a last row at the end
+of the evaluable horizon.  A coverage node breaks every window width / 1000;
+atoms and their Boolean combinations break at the trace's own samples.  Every
+value is exact, a kernel-weighted quantile of the window's values, so the JSON
 ``robustness.tolerance`` is always 0.  The Boolean verdict behind the exit
 code needs no step: the default evaluator is exact per event-aligned
 stretch for every kernel (see :mod:`sclmon.monitor`).
@@ -40,7 +41,7 @@ from .experiments import falsify_demo, noise_agreement_experiment
 from .formula import Formula
 from .monitor import MonitorConfig, VerdictSignal, monitor
 from .parser import parse_formula_file
-from .robustness import RhoConfig, RobustnessTrace, rho_trace
+from .robustness import RobustnessTrace, rho_trace
 from .signals import BooleanSignal, PiecewiseConstantSignal, boolean_not
 from .traces import (
     generate_glucose_like,
@@ -57,7 +58,6 @@ class RunConfig:
 
     mode: str = "boolean"            # boolean | robustness
     evaluator: str = "efficient"
-    time_grid: float | None = None
     output_format: str = "csv"
     out_dir: str | None = None
 
@@ -66,14 +66,9 @@ class RunConfig:
             raise SclError(f"unknown mode {self.mode!r}")
         if self.output_format not in ("csv", "json"):
             raise SclError(f"unknown output format {self.output_format!r}")
-        if self.time_grid is not None and self.time_grid <= 0:
-            raise SclError("time_grid must be positive")
 
     def monitor_config(self) -> MonitorConfig:
         return MonitorConfig(evaluator=self.evaluator)
-
-    def rho_config(self) -> RhoConfig:
-        return RhoConfig(time_grid=self.time_grid)
 
 
 @dataclass(frozen=True)
@@ -89,11 +84,10 @@ def run_monitor(trace: PiecewiseConstantSignal, formulas: list[tuple[int, str, F
                 cfg: RunConfig) -> list[FormulaResult]:
     """Evaluate every formula against the trace, in order."""
     mon_cfg = cfg.monitor_config()
-    rho_cfg = cfg.rho_config()
 
     def evaluate(index: int, source: str, f: Formula) -> FormulaResult:
         verdict = monitor(trace, f, mon_cfg)
-        robustness = rho_trace(trace, f, rho_cfg) if cfg.mode == "robustness" else None
+        robustness = rho_trace(trace, f) if cfg.mode == "robustness" else None
         return FormulaResult(
             index=index,
             source=source,
@@ -198,8 +192,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_rho(args: argparse.Namespace) -> int:
-    cfg = RunConfig(mode="robustness", time_grid=args.time_grid,
-                    output_format=args.format, out_dir=args.out)
+    cfg = RunConfig(mode="robustness", output_format=args.format, out_dir=args.out)
     return _run_and_emit(args, cfg)
 
 
@@ -276,7 +269,6 @@ def _build_parser() -> argparse.ArgumentParser:
     rho_p = sub.add_parser("rho", help="robustness traces for a spec file")
     rho_p.add_argument("--trace", required=True)
     rho_p.add_argument("--spec", required=True)
-    rho_p.add_argument("--time-grid", type=float, default=None)
     rho_p.add_argument("--out", default=None)
     rho_p.add_argument("--format", choices=("csv", "json"), default="csv")
     rho_p.set_defaults(func=_cmd_rho)

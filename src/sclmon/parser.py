@@ -244,8 +244,12 @@ class _Parser:
                     f"found {cmp_tok.text or 'end of input'!r}",
                     cmp_tok.line, cmp_tok.column)
             op = {"ge": ">=", "le": "<="}.get(cmp_tok.kind, cmp_tok.kind)
+            ttok = self.peek()
             threshold = self.number("atom threshold")
-            return Atom(tok.text, op, threshold)
+            try:
+                return Atom(tok.text, op, threshold)
+            except SclError as exc:
+                raise ParseError(str(exc), ttok.line, ttok.column) from None
         raise self.fail(f"expected a formula, found {tok.text or 'end of input'!r}")
 
 

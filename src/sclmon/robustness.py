@@ -17,8 +17,10 @@ One recursion evaluates every node as a step function over only the span it
 reads: ``rho(t)`` asks the formula for ``[t, t]``, and a convolution node asks
 its child for its window around that span, ``[lo + lower, hi + upper]``.  The
 robustness of atoms and their Boolean combinations is exact and piecewise
-constant; a convolution node is sampled on a uniform time grid from the start
-of its span, with a last sample at the span's end.
+constant; a convolution node is sampled every window width / 1000 from the
+start of its span, with a last sample at the span's end.  ``rho_trace`` asks
+for ``[0, end]`` of the evaluable horizon and returns that step function's own
+breakpoints and values, with no second sampling pass.
 """
 
 from __future__ import annotations
@@ -45,20 +47,13 @@ from .kernels import BoundedKernel
 from .signals import PiecewiseConstantSignal
 
 _MASS_SNAP = 1e-9  # coverage sums get snapped onto the exact bounds 0 / 1
-
-
-@dataclass
-class RhoConfig:
-    time_grid: float | None = None  # sampling pitch; default: window width / 1000
-
-    def __post_init__(self) -> None:
-        if self.time_grid is not None and self.time_grid <= 0:
-            raise SclError("time grid must be positive")
+_RHO_CELLS = 1000  # a coverage node samples its span every window width / _RHO_CELLS
 
 
 @dataclass(frozen=True)
 class RobustnessTrace:
-    """Sampled robustness t -> rho(t)."""
+    """Robustness t -> rho(t) as a step function: ``values[i]`` holds from
+    ``times[i]`` up to the next time; the last time is the horizon's end."""
 
     times: np.ndarray
     values: np.ndarray
@@ -159,7 +154,7 @@ def _coverage_supremum(kernel: BoundedKernel, threshold: float,
     return float(levels[k])
 
 
-def _rho_signal(trace: PiecewiseConstantSignal, f: Formula, cfg: RhoConfig,
+def _rho_signal(trace: PiecewiseConstantSignal, f: Formula,
                 lo: float, hi: float) -> _StepFunction:
     """Robustness of ``f`` as a step function on ``[lo, hi]`` only."""
     match f:
@@ -174,19 +169,19 @@ def _rho_signal(trace: PiecewiseConstantSignal, f: Formula, cfg: RhoConfig,
             signed = vals - f.threshold if f.op in (">=", ">") else f.threshold - vals
             return _StepFunction(lo, hi, np.concatenate([[lo], trace.times[i + 1:j]]), signed)
         case Not(child):
-            return _rho_signal(trace, child, cfg, lo, hi).negated()
+            return _rho_signal(trace, child, lo, hi).negated()
         case Or(left, right):
-            return _rho_signal(trace, left, cfg, lo, hi).combined(
-                _rho_signal(trace, right, cfg, lo, hi), np.maximum)
+            return _rho_signal(trace, left, lo, hi).combined(
+                _rho_signal(trace, right, lo, hi), np.maximum)
         case And(left, right):
-            return _rho_signal(trace, left, cfg, lo, hi).combined(
-                _rho_signal(trace, right, cfg, lo, hi), np.minimum)
+            return _rho_signal(trace, left, lo, hi).combined(
+                _rho_signal(trace, right, lo, hi), np.minimum)
         case Implies(left, right):
-            return _rho_signal(trace, left, cfg, lo, hi).negated().combined(
-                _rho_signal(trace, right, cfg, lo, hi), np.maximum)
+            return _rho_signal(trace, left, lo, hi).negated().combined(
+                _rho_signal(trace, right, lo, hi), np.maximum)
         case Conv(kernel, threshold, child):
-            inner = _rho_signal(trace, child, cfg, lo + kernel.lower, hi + kernel.upper)
-            pitch = cfg.time_grid if cfg.time_grid is not None else kernel.width / 1000.0
+            inner = _rho_signal(trace, child, lo + kernel.lower, hi + kernel.upper)
+            pitch = kernel.width / _RHO_CELLS
             n = int(math.floor((hi - lo) / pitch)) if hi > lo else 0
             ts = lo + pitch * np.arange(n + 1)
             if ts[-1] < hi - 1e-12:
@@ -197,63 +192,30 @@ def _rho_signal(trace: PiecewiseConstantSignal, f: Formula, cfg: RhoConfig,
             return _StepFunction(lo, hi, ts, vals)
         case ConvDual(kernel, threshold, child):
             return _rho_signal(
-                trace, Not(Conv(kernel, 1.0 - threshold, Not(child))), cfg, lo, hi)
+                trace, Not(Conv(kernel, 1.0 - threshold, Not(child))), lo, hi)
     raise SclError(f"not a formula: {f!r}")
 
 
-def rho(trace: PiecewiseConstantSignal, f: Formula, t: float = 0.0,
-        config: RhoConfig | None = None) -> float:
+def rho(trace: PiecewiseConstantSignal, f: Formula, t: float = 0.0) -> float:
     """Robustness of ``f`` at time ``t``."""
-    cfg = config or RhoConfig()
     needed = horizon(f)
     if t < 0 or t > trace.duration - needed + 1e-12:
         raise HorizonError(
             f"time {t} outside evaluable horizon [0, {trace.duration - needed:.6g}] "
             f"(formula horizon {needed:.6g})"
         )
-    return _rho_signal(trace, f, cfg, t, t).value_at(t)
+    return _rho_signal(trace, f, t, t).value_at(t)
 
 
-def rho_trace(trace: PiecewiseConstantSignal, f: Formula,
-              config: RhoConfig | None = None) -> RobustnessTrace:
-    """Robustness sampled on a uniform time grid over the evaluable horizon."""
-    cfg = config or RhoConfig()
+def rho_trace(trace: PiecewiseConstantSignal, f: Formula) -> RobustnessTrace:
+    """Robustness over the evaluable horizon: the formula's own step function."""
     needed = horizon(f)
     if needed > trace.duration + 1e-12:
         raise HorizonError(
             f"formula horizon {needed:.6g} exceeds trace duration {trace.duration:.6g}"
         )
     end = max(trace.duration - needed, 0.0)
-    sf = _rho_signal(trace, f, cfg, 0.0, end)
-    pitch = cfg.time_grid
-    if pitch is None:
-        pitch = _default_pitch(f, end)
-    n = int(math.floor(end / pitch)) if end > 0 and pitch > 0 else 0
-    ts = pitch * np.arange(n + 1) if n else np.array([0.0])
-    if ts[-1] < end - 1e-12:
-        ts = np.append(ts, end)
-    vals = np.array([sf.value_at(t) for t in ts])
-    return RobustnessTrace(ts, vals)
-
-
-def _default_pitch(f: Formula, span: float) -> float:
-    """Narrowest per-node default step among the windowed operators."""
-    widths: list[float] = []
-
-    def walk(g: Formula) -> None:
-        match g:
-            case Conv(kernel, _, child) | ConvDual(kernel, _, child):
-                widths.append(kernel.width)
-                walk(child)
-            case Not(child):
-                walk(child)
-            case Or(left, right) | And(left, right) | Implies(left, right):
-                walk(left)
-                walk(right)
-            case _:
-                pass
-
-    walk(f)
-    if widths:
-        return min(widths) / 1000.0
-    return span / 1000.0 if span > 0 else 1.0
+    sf = _rho_signal(trace, f, 0.0, end)
+    if sf.times[-1] < end - 1e-12:
+        return RobustnessTrace(np.append(sf.times, end), np.append(sf.values, sf.values[-1]))
+    return RobustnessTrace(sf.times, sf.values)

@@ -13,6 +13,7 @@ nothing past what was already emitted, returns ``None``.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -47,6 +48,9 @@ class StreamingMonitor:
         if self._finished:
             raise SclError("stream already finished")
         time = float(time)
+        row = [float(v) for v in values]
+        if not math.isfinite(time) or not all(map(math.isfinite, row)):
+            raise TraceError(f"non-finite sample at time {time}: {row}")
         if not self._times:
             if time != 0.0:
                 raise TraceError(f"first sample must be at time 0, got {time}")
@@ -56,7 +60,6 @@ class StreamingMonitor:
             raise TraceError(
                 f"out-of-order sample: {time} after {self._times[-1]}"
             )
-        row = [float(v) for v in values]
         if len(row) != len(self.variables):
             raise TraceError(
                 f"sample has {len(row)} values for {len(self.variables)} variables"
@@ -70,6 +73,8 @@ class StreamingMonitor:
             raise SclError("cannot finish an empty stream")
         if duration is None:
             duration = self._times[-1]
+        if not math.isfinite(duration):
+            raise TraceError(f"stream duration must be finite, got {duration}")
         if duration < self._times[-1]:
             raise TraceError(
                 f"duration {duration} precedes last sample {self._times[-1]}"

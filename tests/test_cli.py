@@ -148,32 +148,34 @@ class TestCheck:
         assert exc.value.code == 2
         assert "invalid choice: 'incremental'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["check", "rho"])
-    def test_delta_option_is_gone(self, workdir, glucose_trace, command, capsys):
+    @pytest.mark.parametrize("command, option", [
+        ("check", "--delta"), ("rho", "--delta"), ("rho", "--time-grid"),
+    ], ids=["check", "rho", "rho-time-grid"])
+    def test_delta_option_is_gone(self, workdir, glucose_trace, command, option, capsys):
         spec = write(workdir / "f.scl", "<flat[0,24], 0.95> (G >= 70)\n")
         with pytest.raises(SystemExit) as exc:
-            main([command, "--trace", glucose_trace, "--spec", spec, "--delta", "0.1"])
+            main([command, "--trace", glucose_trace, "--spec", spec, option, "0.1"])
         assert exc.value.code == 2
-        assert "unrecognized arguments: --delta" in capsys.readouterr().err
+        assert f"unrecognized arguments: {option}" in capsys.readouterr().err
 
 
 class TestRho:
     def test_rho_csv(self, workdir, glucose_trace):
         spec = write(workdir / "f.scl", "<flat[0,24], 0.95> (G >= 70)\n")
         out = workdir / "out"
-        code = main(["rho", "--trace", glucose_trace, "--spec", spec,
-                     "--time-grid", "1.0", "--out", str(out)])
+        code = main(["rho", "--trace", glucose_trace, "--spec", spec, "--out", str(out)])
         assert code == 0
         with open(out / "rho_000.csv") as fh:
             rows = list(csv.DictReader(fh))
-        assert [r["time"] for r in rows][:3] == ["0.0", "1.0", "2.0"]
+        # one row per breakpoint of the step function: every 24 / 1000
+        assert [r["time"] for r in rows][:3] == ["0.0", "0.024", "0.048"]
         assert all(float(r["rho"]) > 0 for r in rows)
 
     def test_rho_json_validates(self, workdir, glucose_trace):
         spec = write(workdir / "f.scl", "G[0,24] (G >= 70)\n")
         out = workdir / "out"
         code = main(["rho", "--trace", glucose_trace, "--spec", spec,
-                     "--time-grid", "2.0", "--out", str(out), "--format", "json"])
+                     "--out", str(out), "--format", "json"])
         assert code == 1  # violated at t=0
         doc = json.loads((out / "formula_000.json").read_text())
         jsonschema.validate(doc, VERDICT_JSON_SCHEMA)

@@ -73,6 +73,12 @@ class TestParse:
         with pytest.raises(ParseError, match=r"threshold must be in \[0, 1\]"):
             parse("<flat[0,1], 1.5> true")
 
+    def test_infinite_atom_threshold_is_located(self):
+        with pytest.raises(ParseError, match=r"line 1, column 6: atom threshold must be finite"):
+            parse("G >= 1e400")
+        with pytest.raises(ParseError, match=r"formula file line 2\) line 1"):
+            parse_formula_file("G >= 70\nG <= -1e400\n")
+
     def test_window_order_checked(self):
         with pytest.raises(ParseError, match="start < end"):
             parse("<flat[2,1], 0.5> true")

@@ -15,8 +15,6 @@ from sclmon import (
     Not,
     Or,
     PiecewiseConstantSignal,
-    RhoConfig,
-    SclError,
     eventually,
     globally,
     horizon,
@@ -33,6 +31,13 @@ TOL = 1e-6
 def constant_trace(value, duration, variable="v"):
     return PiecewiseConstantSignal(
         (variable,), np.array([0.0]), np.array([[value]]), duration)
+
+
+def uniform_times(end, pitch):
+    """0, pitch, 2 pitch, ... up to ``end``, and ``end`` itself: the grid a
+    coverage node samples on ``[0, end]`` when ``pitch`` is its width / 1000."""
+    ts = pitch * np.arange(int(math.floor(end / pitch)) + 1)
+    return ts if ts[-1] >= end - 1e-12 else np.append(ts, end)
 
 
 class TestRhoValues:
@@ -133,14 +138,13 @@ class TestRhoValues:
         # windowed-always over a coverage node: rho is the minimum of the
         # inner robustness over the outer window, up to the sampling pitch
         rng = np.random.default_rng(53)
-        cfg = RhoConfig(time_grid=0.01)
         for _ in range(10):
             trace = random_trace(rng, 4.0, 10)
             inner = Conv(FlatKernel(0.0, 1.0), 0.5, Atom("v", ">", 0.0))
             nested = globally(0.0, 1.0, inner)
-            got = rho(trace, nested, 0.0, cfg)
+            got = rho(trace, nested, 0.0)
             taus = np.arange(0.0, 1.0 + 1e-12, 0.05)
-            expected = min(rho(trace, inner, float(tau), cfg) for tau in taus)
+            expected = min(rho(trace, inner, float(tau)) for tau in taus)
             assert got == pytest.approx(expected, abs=5e-2)
 
     def test_nested_multivariable_implication(self):
@@ -179,22 +183,23 @@ class TestRhoValues:
 
         # rho(t) and rho_trace share one recursion: equal on the grid
         single = [
-            (parse("<flat[0.25,1], 0.4> (v > 0)"), None),
-            (parse("<exp(-1.5)[0.5,2], 0.7>* (v >= 0.5)"), None),
-            (parse("<flat[0,1], 0.5> (v > 0) | G[0.5,1] (v >= -1)"), RhoConfig(time_grid=0.05)),
+            parse("<flat[0.25,1], 0.4> (v > 0)"),
+            parse("<exp(-1.5)[0.5,2], 0.7>* (v >= 0.5)"),
+            parse("<flat[0,1], 0.5> (v > 0) | G[0.5,1] (v >= -1)"),
         ]
-        for f, cfg in single:
-            rt = rho_trace(trace, f, cfg)
+        for f in single:
+            rt = rho_trace(trace, f)
             for i in [*range(0, len(rt.times), 41), len(rt.times) - 1]:
-                assert rho(trace, f, float(rt.times[i]), cfg) == rt.values[i]
+                assert rho(trace, f, float(rt.times[i])) == rt.values[i]
 
 
 class TestRhoTrace:
     def test_constant_trace_constant_rho(self):
         trace = constant_trace(2.5, 3.0)
-        rt = rho_trace(trace, Conv(FlatKernel(0, 1), 0.5, Atom("v", ">=", 0.0)),
-                       RhoConfig(time_grid=0.25))
-        assert np.allclose(rt.values, 2.5, atol=TOL)
+        f = Conv(FlatKernel(0, 1), 0.5, Atom("v", ">=", 0.0))
+        times = uniform_times(2.0, 0.25)
+        assert np.allclose([rho(trace, f, float(t)) for t in times], 2.5, atol=TOL)
+        rt = rho_trace(trace, f)
         assert rt.times[0] == 0.0 and rt.times[-1] == pytest.approx(2.0)
 
     def test_sign_agrees_with_boolean_verdict(self):
@@ -203,13 +208,38 @@ class TestRhoTrace:
             trace = random_trace(rng, 4.0, 10)
             k = random_kernel(rng, 0.0, 1.0)
             f = Conv(k, float(rng.uniform(0.1, 0.9)), Atom("v", ">", 0.0))
-            rt = rho_trace(trace, f, RhoConfig(time_grid=0.2))
             verdict = monitor(trace, f).signal
-            for t, r in zip(rt.times, rt.values):
+            for t in uniform_times(trace.duration - horizon(f), 0.2):
+                r = rho(trace, f, float(t))
                 if r > TOL:
                     assert verdict.value_at(float(t))
                 elif r < -TOL:
                     assert not verdict.value_at(float(t))
+
+    def test_window_free_formula_breaks_at_the_trace_samples(self):
+        trace = random_trace(np.random.default_rng(59), 3.0, 12)
+        rt = rho_trace(trace, parse("v > 0.5 | v < -0.5"))
+        assert np.array_equal(rt.times, np.append(trace.times, trace.duration))
+        v = trace.values[:, 0]
+        distance = np.maximum(v - 0.5, -0.5 - v)
+        assert np.array_equal(rt.values, np.append(distance, distance[-1]))
+
+    def test_nested_formula_is_the_outer_grid(self):
+        # rows follow the outer window's grid, 1/1000 of its width, and not
+        # the twice finer grid of the inner window
+        trace = random_trace(np.random.default_rng(61), 2.5, 12)
+        rt = rho_trace(trace, parse("G[0,1] (<flat[0,0.5], 0.5> (v > 0))"))
+        assert np.array_equal(rt.times, uniform_times(1.0, 1.0 / 1000))
+        assert np.all(np.diff(rt.times) > 0)
+
+    def test_single_level_values_are_rho_bit_for_bit(self):
+        trace = random_trace(np.random.default_rng(67), 1.5, 10)
+        for f in (parse("<flat[0,1], 0.4> (v > 0)"),
+                  parse("<gauss(0.5, 0.3)[0,1], 0.6>* (v >= 0)")):
+            rt = rho_trace(trace, f)
+            assert np.array_equal(rt.times, uniform_times(0.5, 1.0 / 1000))
+            for t, r in zip(rt.times, rt.values):
+                assert rho(trace, f, float(t)) == r
 
     def test_time_shift_consistency(self):
         rng = np.random.default_rng(31)
@@ -222,10 +252,9 @@ class TestRhoTrace:
             trace.duration + shift,
         )
         f = Conv(FlatKernel(0, 1), 0.4, Atom("v", ">", 0.0))
-        cfg = RhoConfig(time_grid=0.5)
-        base = rho_trace(trace, f, cfg)
-        for t, r in zip(base.times, base.values):
-            assert rho(shifted, f, float(t) + shift, cfg) == pytest.approx(r, abs=2 * TOL)
+        for t in uniform_times(trace.duration - horizon(f), 0.5):
+            r = rho(trace, f, float(t))
+            assert rho(shifted, f, float(t) + shift) == pytest.approx(r, abs=2 * TOL)
 
 
 class TestSoundnessAndCorrectness:
@@ -301,9 +330,3 @@ class TestSoundnessAndCorrectness:
             value = rho(trace, f, 0.0)
             in_window = trace.values[trace.times < 2.0, 0] - 0.25
             assert value in in_window.tolist()
-
-
-class TestConfigValidation:
-    def test_bad_grid(self):
-        with pytest.raises(SclError):
-            RhoConfig(time_grid=-1.0)

@@ -1,5 +1,7 @@
 """Online monitoring: push/poll resolution and exact offline equivalence."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,29 @@ class TestOrderingErrors:
         from sclmon import SclError
         with pytest.raises(SclError, match="variables"):
             StreamingMonitor(parse("w >= 0"), ("v",))
+
+    @pytest.mark.parametrize("time, value", [
+        (math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, -math.inf),
+    ])
+    def test_non_finite_sample_rejected_and_not_stored(self, time, value):
+        sm = StreamingMonitor(parse("v >= 0"), ("v",))
+        sm.push(0.0, [1.0])
+        with pytest.raises(TraceError, match="non-finite sample"):
+            sm.push(time, [value])
+        # the stream is untouched: it takes the next sample and still polls
+        sm.push(2.0, [-1.0])
+        sm.finish()
+        assert sm.poll() is not None
+        assert sm.resolved_signal().intervals == ((0.0, 2.0),)
+
+    @pytest.mark.parametrize("duration", [math.nan, math.inf])
+    def test_non_finite_duration_rejected(self, duration):
+        sm = StreamingMonitor(parse("v >= 0"), ("v",))
+        sm.push(0.0, [1.0])
+        with pytest.raises(TraceError, match="duration must be finite"):
+            sm.finish(duration)
+        sm.finish(1.0)
+        assert sm.poll() is not None
 
 
 class TestOfflineEquivalence:

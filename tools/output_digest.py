@@ -1,0 +1,108 @@
+"""Print one sha256 line per benchmark output, to compare two checkouts bit for bit.
+
+    python3 tools/output_digest.py ROOT > digest.txt
+
+``ROOT`` is a checkout whose ``src/sclmon`` is imported.  The traces and specs
+always come from the ``perfbench/`` next to this script (``workloads.py``,
+``inputs.py``, ``specs/``), so two runs on different checkouts read the same
+inputs; ``diff`` of their outputs then lists every output that moved.  For each
+workload, pool seed 0-7 and formula it prints
+``WORKLOAD seed=N formula=K OUTPUT SHA256``, where OUTPUT is
+
+* ``monitor``: the ``monitor()`` verdict's domain and interval bounds, its
+  crossings and ``stable_until`` (check and stream specs);
+* ``rho_trace``: the ``rho_trace`` times and values (rho spec);
+* ``stream``: ``StreamingMonitor.resolved_signal()`` after pushing and polling
+  the trace one sample at a time, then ``finish`` and a last poll (stream spec).
+
+Every float is hashed as its exact little-endian float64 bytes.  An output
+that the library rejects (an ``SclError``) prints ``error TYPE: MESSAGE`` in
+place of its hash.  The script writes no file.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import sys
+from pathlib import Path
+
+import numpy as np
+
+HERE = Path(__file__).resolve().parent
+PERFBENCH = HERE.parent / "perfbench"
+SEEDS = range(8)
+
+
+def digest(*parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        data = np.ascontiguousarray(np.asarray(part, dtype="<f8")).tobytes()
+        h.update(len(data).to_bytes(8, "little"))
+        h.update(data)
+    return h.hexdigest()
+
+
+def signal_parts(sig) -> tuple:
+    return ([sig.start, sig.end], sig.starts, sig.ends)
+
+
+def monitor_digest(sclmon, trace, f) -> str:
+    verdict = sclmon.monitor(trace, f)
+    return digest(*signal_parts(verdict.signal), verdict.crossings, [verdict.stable_until])
+
+
+def rho_trace_digest(sclmon, trace, f) -> str:
+    rt = sclmon.rho_trace(trace, f)
+    return digest(rt.times, rt.values)
+
+
+def stream_digest(sclmon, trace, f) -> str:
+    sm = sclmon.StreamingMonitor(f, trace.variables)
+    for t, row in zip(trace.times.tolist(), trace.values.tolist()):
+        sm.push(t, row)
+        sm.poll()
+    sm.finish()
+    sm.poll()
+    resolved = sm.resolved_signal()
+    return "none" if resolved is None else digest(*signal_parts(resolved))
+
+
+OUTPUTS = {
+    "check": (("monitor", monitor_digest),),
+    "rho": (("rho_trace", rho_trace_digest),),
+    "stream": (("monitor", monitor_digest), ("stream", stream_digest)),
+}
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    src = Path(argv[0]).resolve() / "src"
+    sys.path.insert(0, str(src))
+    sys.path.insert(0, str(PERFBENCH))
+    sys.dont_write_bytecode = True              # leave no __pycache__ in either tree
+    import sclmon
+    import workloads
+
+    if Path(sclmon.__file__).resolve().parent != src / "sclmon":
+        raise SystemExit(f"output_digest: imported sclmon from {sclmon.__file__}, not {src}")
+    for name, wl in workloads.WORKLOADS.items():
+        spec = (PERFBENCH / "specs" / wl.spec).read_text()
+        formulas = [f for _, _, f in sclmon.parse_formula_file(spec)]
+        for seed in SEEDS:
+            text = wl.make_trace(seed, False).csv_text()
+            trace = sclmon.read_trace_csv(io.StringIO(text))
+            for k, f in enumerate(formulas):
+                for output, run in OUTPUTS[wl.kind]:
+                    try:
+                        line = run(sclmon, trace, f)
+                    except sclmon.SclError as exc:   # a rejection is an output too
+                        line = f"error {type(exc).__name__}: {exc}"
+                    print(f"{name} seed={seed} formula={k} {output} {line}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))
