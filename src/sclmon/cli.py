@@ -13,12 +13,15 @@ Subcommands::
 
 ``rho`` writes each formula's robustness as its step function: one row per
 breakpoint, whose value holds until the next row, and a last row at the end
-of the evaluable horizon.  A coverage node breaks every window width / 1000;
-atoms and their Boolean combinations break at the trace's own samples.  Every
-value is exact, a kernel-weighted quantile of the window's values, so the JSON
-``robustness.tolerance`` is always 0.  The Boolean verdict behind the exit
-code needs no step: the default evaluator is exact per event-aligned
-stretch for every kernel (see :mod:`sclmon.monitor`).
+of the evaluable horizon.  A coverage node breaks every window width / 1000,
+an atom at the trace's own samples, and a Boolean combination at the union of
+its operands' breaks, where each operand is evaluated exactly.  Each row is
+the robustness at its own time, a kernel-weighted quantile of the window's
+values with no tolerance, so the JSON ``robustness.tolerance`` is always 0.
+A coverage node nested under another holds its child between the child's
+own samples.  The Boolean verdict behind the exit code needs no step: the
+default evaluator is exact per event-aligned stretch for every kernel (see
+:mod:`sclmon.monitor`).
 
 Exit codes: 0 when every formula is satisfied at time 0, 1 when any is
 violated, 2 on error.  Time numbers are unitless and must match the trace;

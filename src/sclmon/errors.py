@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import math
+
 
 class SclError(Exception):
     """Base class for all errors raised by this package."""
@@ -28,3 +30,11 @@ class TraceError(SclError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+def require_finite(what: str, **args: float) -> None:
+    """Reject a NaN or infinite numeric argument of ``what`` before any work;
+    ``x <= 0``-style range checks are false for NaN and would let it through."""
+    for name, value in args.items():
+        if not math.isfinite(value):
+            raise SclError(f"{what}: {name} must be finite, got {value}")

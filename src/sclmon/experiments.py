@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SclError
+from .errors import SclError, require_finite
 from .formula import Atom, Conv, Formula, eventually, variables
 from .kernels import FlatKernel
 from .monitor import monitor
@@ -61,6 +61,9 @@ def noise_agreement_experiment(trials: int = 500, seed: int = 0,
     noise-free existential reference, over seeded random traces and thresholds."""
     if trials < 1:
         raise SclError("need at least one trial")
+    require_finite("noise agreement", noise_std=noise_std,
+                   threshold_low=threshold_range[0], threshold_high=threshold_range[1],
+                   window=window, coverage=coverage, duration=duration)
     rng = np.random.default_rng(seed)
     n_eventually = 0
     n_conv = 0

@@ -13,14 +13,20 @@ sum over the window's segments in time order decides it, so the answer at a
 coverage that sits exactly on the threshold does not depend on the order in
 which the levels were sorted.
 
-One recursion evaluates every node as a step function over only the span it
-reads: ``rho(t)`` asks the formula for ``[t, t]``, and a convolution node asks
-its child for its window around that span, ``[lo + lower, hi + upper]``.  The
-robustness of atoms and their Boolean combinations is exact and piecewise
-constant; a convolution node is sampled every window width / 1000 from the
-start of its span, with a last sample at the span's end.  ``rho_trace`` asks
-for ``[0, end]`` of the evaluable horizon and returns that step function's own
-breakpoints and values, with no second sampling pass.
+Robustness is evaluated as values at given times.  ``_breaks`` says where a
+node is sampled on a span: an atom at its trace samples, a convolution node
+every window width / 1000 from the span's start, with a last sample at its
+end, and a connective at the union of its operands' breakpoints.  ``_rho_at``
+evaluates a node exactly at any ascending times: atoms by lookup, connectives
+by min/max/negation at those same times, and a convolution node by the
+coverage supremum at each time over its child, which it samples at the
+child's own breakpoints across the windows those times read.  ``rho(t)`` is
+that value at ``[t]``; ``rho_trace`` is it at the formula's breakpoints on
+``[0, end]`` of the evaluable horizon.  So every row of a formula with no
+convolution node under another equals ``rho`` at its time, bit for bit.  A
+convolution node under another holds its child's value between the child's
+samples, so there a row can miss a feature of the child narrower than one
+child pitch.
 """
 
 from __future__ import annotations
@@ -52,8 +58,9 @@ _RHO_CELLS = 1000  # a coverage node samples its span every window width / _RHO_
 
 @dataclass(frozen=True)
 class RobustnessTrace:
-    """Robustness t -> rho(t) as a step function: ``values[i]`` holds from
-    ``times[i]`` up to the next time; the last time is the horizon's end."""
+    """Robustness at the formula's breakpoints: ``values[i]`` is rho at
+    ``times[i]`` and holds up to the next time; the last time is the
+    horizon's end."""
 
     times: np.ndarray
     values: np.ndarray
@@ -63,62 +70,25 @@ class RobustnessTrace:
             raise SclError("times and values must have equal length")
 
 
-class _StepFunction:
-    """Piecewise-constant real function on [start, end], right-continuous."""
-
-    def __init__(self, start: float, end: float, times: np.ndarray, values: np.ndarray):
-        self.start = float(start)
-        self.end = float(end)
-        self.times = np.asarray(times, dtype=float)
-        self.values = np.asarray(values, dtype=float)
-        if len(self.times) == 0 or self.times[0] != self.start:
-            raise SclError("step function must start at its domain start")
-
-    def negated(self) -> "_StepFunction":
-        return _StepFunction(self.start, self.end, self.times, -self.values)
-
-    def combined(self, other: "_StepFunction", op) -> "_StepFunction":
-        end = min(self.end, other.end)
-        times = np.unique(np.concatenate([self.times, other.times]))
-        times = times[times <= end]
-        mine = self.values[np.searchsorted(self.times, times, side="right") - 1]
-        theirs = other.values[np.searchsorted(other.times, times, side="right") - 1]
-        return _StepFunction(self.start, end, times, op(mine, theirs))
-
-    def value_at(self, t: float) -> float:
-        idx = int(np.searchsorted(self.times, t, side="right")) - 1
-        return float(self.values[max(idx, 0)])
-
-    def window_segments(self, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Segment bounds and values covering [lo, hi] exactly."""
-        i = int(np.searchsorted(self.times, lo, side="right")) - 1
-        j = int(np.searchsorted(self.times, hi, side="left"))
-        cuts = np.concatenate([[lo], self.times[i + 1:j], [hi]])
-        vals = self.values[i:j] if j > i else self.values[i:i + 1]
-        return cuts[:-1], cuts[1:], vals
-
-
-def _coverage_supremum(kernel: BoundedKernel, threshold: float,
-                       inner: _StepFunction, t: float) -> float:
+def _coverage_supremum(kernel: BoundedKernel, threshold: float, cuts: np.ndarray,
+                       values: np.ndarray, end: float, t: float) -> float:
     """sup { r | kernel-weighted measure of {inner > r} in the window >= threshold }.
 
+    The inner robustness is ``values[k]`` from ``cuts[k]`` up to the next cut;
+    the window at ``t`` starts at or after ``cuts[0]`` and is clipped at ``end``.
     For r just below a level u the set {inner > r} is {inner >= u}, so the
     supremum is the highest finite level u whose coverage(u) reaches the
     threshold.  A cumulative mass over the levels proposes it; coverage(u),
     one masked sum in time order, decides it.
     """
-    lo, hi = t + kernel.lower, t + kernel.upper
-    eps = 1e-9 * max(1.0, abs(inner.start), abs(inner.end))
-    if lo < inner.start - eps or hi > inner.end + eps:
-        raise HorizonError(
-            f"window [{lo}, {hi}] outside robustness signal domain "
-            f"[{inner.start}, {inner.end}]"
-        )
-    seg_lo, seg_hi, seg_vals = inner.window_segments(max(lo, inner.start),
-                                                     min(hi, inner.end))
+    lo, hi = t + kernel.lower, min(t + kernel.upper, end)
+    i = int(np.searchsorted(cuts, lo, side="right")) - 1
+    j = int(np.searchsorted(cuts, hi, side="left"))
+    seg = np.concatenate([[lo], cuts[i + 1:j], [hi]])
+    seg_vals = values[i:j] if j > i else values[i:i + 1]
     masses = np.asarray(kernel.mass_clipped(
-        np.clip(seg_lo - t, kernel.lower, kernel.upper),
-        np.clip(seg_hi - t, kernel.lower, kernel.upper),
+        np.clip(seg[:-1] - t, kernel.lower, kernel.upper),
+        np.clip(seg[1:] - t, kernel.lower, kernel.upper),
     ), dtype=float)
 
     finite = np.isfinite(seg_vals)
@@ -154,45 +124,53 @@ def _coverage_supremum(kernel: BoundedKernel, threshold: float,
     return float(levels[k])
 
 
-def _rho_signal(trace: PiecewiseConstantSignal, f: Formula,
-                lo: float, hi: float) -> _StepFunction:
-    """Robustness of ``f`` as a step function on ``[lo, hi]`` only."""
+def _breaks(trace: PiecewiseConstantSignal, f: Formula, lo: float, hi: float) -> np.ndarray:
+    """Ascending times from ``lo`` to ``hi``, both included, at which ``f`` is sampled."""
     match f:
-        case Const(value):
-            v = math.inf if value else -math.inf
-            return _StepFunction(lo, hi, np.array([lo]), np.array([v]))
+        case Const():
+            return np.unique([lo, hi])
         case Atom():
-            hi = min(hi, trace.duration)  # the trace ends here; windows clip to it
-            i = int(np.searchsorted(trace.times, lo, side="right")) - 1
-            j = int(np.searchsorted(trace.times, hi, side="right"))
-            vals = trace.variable_values(f.variable)[i:j]
-            signed = vals - f.threshold if f.op in (">=", ">") else f.threshold - vals
-            return _StepFunction(lo, hi, np.concatenate([[lo], trace.times[i + 1:j]]), signed)
+            inside = trace.times[(trace.times > lo) & (trace.times < hi)]
+            return np.concatenate([[lo], inside, [hi]]) if hi > lo else np.array([lo])
         case Not(child):
-            return _rho_signal(trace, child, lo, hi).negated()
-        case Or(left, right):
-            return _rho_signal(trace, left, lo, hi).combined(
-                _rho_signal(trace, right, lo, hi), np.maximum)
-        case And(left, right):
-            return _rho_signal(trace, left, lo, hi).combined(
-                _rho_signal(trace, right, lo, hi), np.minimum)
-        case Implies(left, right):
-            return _rho_signal(trace, left, lo, hi).negated().combined(
-                _rho_signal(trace, right, lo, hi), np.maximum)
-        case Conv(kernel, threshold, child):
-            inner = _rho_signal(trace, child, lo + kernel.lower, hi + kernel.upper)
+            return _breaks(trace, child, lo, hi)
+        case Or(left, right) | And(left, right) | Implies(left, right):
+            return np.union1d(_breaks(trace, left, lo, hi), _breaks(trace, right, lo, hi))
+        case Conv(kernel) | ConvDual(kernel):
             pitch = kernel.width / _RHO_CELLS
             n = int(math.floor((hi - lo) / pitch)) if hi > lo else 0
             ts = lo + pitch * np.arange(n + 1)
-            if ts[-1] < hi - 1e-12:
-                ts = np.append(ts, hi)
-            vals = np.array([
-                _coverage_supremum(kernel, threshold, inner, t) for t in ts
+            return np.append(ts, hi) if ts[-1] < hi - 1e-12 else ts
+    raise SclError(f"not a formula: {f!r}")
+
+
+def _rho_at(trace: PiecewiseConstantSignal, f: Formula, ts: np.ndarray) -> np.ndarray:
+    """Robustness of ``f`` at each of the ascending times ``ts``."""
+    match f:
+        case Const(value):
+            return np.full(len(ts), math.inf if value else -math.inf)
+        case Atom():
+            idx = np.searchsorted(trace.times, ts, side="right") - 1
+            vals = trace.variable_values(f.variable)[np.maximum(idx, 0)]
+            return vals - f.threshold if f.op in (">=", ">") else f.threshold - vals
+        case Not(child):
+            return -_rho_at(trace, child, ts)
+        case Or(left, right):
+            return np.maximum(_rho_at(trace, left, ts), _rho_at(trace, right, ts))
+        case And(left, right):
+            return np.minimum(_rho_at(trace, left, ts), _rho_at(trace, right, ts))
+        case Implies(left, right):
+            return np.maximum(-_rho_at(trace, left, ts), _rho_at(trace, right, ts))
+        case Conv(kernel, threshold, child):
+            end = ts[-1] + kernel.upper
+            cuts = _breaks(trace, child, ts[0] + kernel.lower, end)
+            values = _rho_at(trace, child, cuts)
+            end = min(end, trace.duration)  # the trace ends here; windows clip to it
+            return np.array([
+                _coverage_supremum(kernel, threshold, cuts, values, end, t) for t in ts
             ])
-            return _StepFunction(lo, hi, ts, vals)
         case ConvDual(kernel, threshold, child):
-            return _rho_signal(
-                trace, Not(Conv(kernel, 1.0 - threshold, Not(child))), lo, hi)
+            return _rho_at(trace, Not(Conv(kernel, 1.0 - threshold, Not(child))), ts)
     raise SclError(f"not a formula: {f!r}")
 
 
@@ -204,18 +182,15 @@ def rho(trace: PiecewiseConstantSignal, f: Formula, t: float = 0.0) -> float:
             f"time {t} outside evaluable horizon [0, {trace.duration - needed:.6g}] "
             f"(formula horizon {needed:.6g})"
         )
-    return _rho_signal(trace, f, t, t).value_at(t)
+    return float(_rho_at(trace, f, np.array([float(t)]))[0])
 
 
 def rho_trace(trace: PiecewiseConstantSignal, f: Formula) -> RobustnessTrace:
-    """Robustness over the evaluable horizon: the formula's own step function."""
+    """Robustness over the evaluable horizon, at every breakpoint of ``f``."""
     needed = horizon(f)
     if needed > trace.duration + 1e-12:
         raise HorizonError(
             f"formula horizon {needed:.6g} exceeds trace duration {trace.duration:.6g}"
         )
-    end = max(trace.duration - needed, 0.0)
-    sf = _rho_signal(trace, f, 0.0, end)
-    if sf.times[-1] < end - 1e-12:
-        return RobustnessTrace(np.append(sf.times, end), np.append(sf.values, sf.values[-1]))
-    return RobustnessTrace(sf.times, sf.values)
+    times = _breaks(trace, f, 0.0, max(trace.duration - needed, 0.0))
+    return RobustnessTrace(times, _rho_at(trace, f, times))

@@ -160,6 +160,13 @@ def restrict_domain(sig: BooleanSignal, interval: tuple[float, float]) -> Boolea
     return BooleanSignal.from_intervals(lo, hi, np.column_stack((sig.starts, sig.ends)))
 
 
+def check_unique_variables(names: tuple[str, ...], line: int | None = None) -> None:
+    """A repeated name would make every lookup read its first column only."""
+    repeated = sorted({v for v in names if names.count(v) > 1})
+    if repeated:
+        raise TraceError(f"repeated variable name(s) {repeated}", line=line)
+
+
 @dataclass(frozen=True)
 class PiecewiseConstantSignal:
     """Right-continuous step trace over named variables on ``[0, duration]``."""
@@ -179,6 +186,7 @@ class PiecewiseConstantSignal:
         object.__setattr__(self, "variables", tuple(self.variables))
         if times.ndim != 1 or len(times) == 0:
             raise TraceError("trace needs at least one sample")
+        check_unique_variables(self.variables)
         if not np.all(np.isfinite(times)) or not np.all(np.isfinite(values)):
             raise TraceError("trace contains non-finite entries")
         if times[0] != 0.0:

@@ -21,7 +21,12 @@ import numpy as np
 from .errors import SclError, TraceError
 from .formula import Formula, horizon, variables
 from .monitor import MonitorConfig, monitor
-from .signals import BooleanSignal, PiecewiseConstantSignal, restrict_domain
+from .signals import (
+    BooleanSignal,
+    PiecewiseConstantSignal,
+    check_unique_variables,
+    restrict_domain,
+)
 
 
 class StreamingMonitor:
@@ -31,6 +36,7 @@ class StreamingMonitor:
                  config: MonitorConfig | None = None):
         self.formula = formula
         self.variables = tuple(trace_variables)
+        check_unique_variables(self.variables)
         missing = set(variables(formula)) - set(self.variables)
         if missing:
             raise SclError(f"formula uses variables not in the stream: {sorted(missing)}")

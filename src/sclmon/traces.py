@@ -1,8 +1,9 @@
 """Trace serialization and synthetic trace generators.
 
-CSV format: header ``time,var1[,var2,...]``, rows ascending in time, decimal
-values; the value of a row holds from its timestamp until the next row, and
-the last row marks the end of the trace.  Duplicate timestamps are rejected.
+CSV format: header ``time,var1[,var2,...]`` with distinct variable names,
+rows ascending in time, finite decimal values; the value of a row holds from
+its timestamp until the next row, and the last row marks the end of the
+trace.  Duplicate timestamps are rejected.
 
 Generators are deterministic for a fixed seed; the glucose-like generator
 produces a daily profile with meal bumps and one flat-bottomed low excursion
@@ -19,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SclError, TraceError
-from .signals import PiecewiseConstantSignal
+from .errors import SclError, TraceError, require_finite
+from .signals import PiecewiseConstantSignal, check_unique_variables
 
 
 def read_trace_csv(path_or_file) -> PiecewiseConstantSignal:
@@ -43,6 +44,7 @@ def _read_trace(fh) -> PiecewiseConstantSignal:
             f"header must be 'time,var1[,var2,...]', got {','.join(header)!r}", line=1
         )
     variables = tuple(header[1:])
+    check_unique_variables(variables, line=1)
     times: list[float] = []
     values: list[list[float]] = []
     for lineno, row in enumerate(reader, start=2):
@@ -57,6 +59,8 @@ def _read_trace(fh) -> PiecewiseConstantSignal:
             vals = [float(cell) for cell in row[1:]]
         except ValueError as exc:
             raise TraceError(f"bad number: {exc}", line=lineno) from None
+        if not math.isfinite(t) or not all(map(math.isfinite, vals)):
+            raise TraceError(f"non-finite entry in row {row}", line=lineno)
         if times:
             if t == times[-1]:
                 raise TraceError(f"duplicate timestamp {t!r}", line=lineno)
@@ -115,6 +119,8 @@ def generate_step_train(period: float, duty: float, duration: float,
                         low: float = 0.0, high: float = 1.0,
                         variable: str = "v") -> PiecewiseConstantSignal:
     """Square wave: ``high`` for the first ``duty`` fraction of each period."""
+    require_finite("step train", period=period, duty=duty, duration=duration,
+                   low=low, high=high)
     if period <= 0 or not (0.0 < duty < 1.0) or duration <= 0:
         raise SclError("step train needs period > 0, 0 < duty < 1, duration > 0")
     times = [0.0]
@@ -139,6 +145,8 @@ def generate_sine_quantized(period: float, amplitude: float, offset: float,
                             pitch: float, duration: float,
                             variable: str = "v") -> PiecewiseConstantSignal:
     """Sine wave sampled-and-held on a uniform grid."""
+    require_finite("sine generator", period=period, amplitude=amplitude, offset=offset,
+                   pitch=pitch, duration=duration)
     if period <= 0 or pitch <= 0 or duration <= 0:
         raise SclError("sine generator needs positive period, pitch and duration")
     ts = _uniform_grid(duration, pitch)
@@ -179,6 +187,7 @@ def generate_glucose_like(seed: int, duration: float = 24.5, pitch: float = 1.0 
                           params: GlucoseParams | None = None,
                           variable: str = "G") -> PiecewiseConstantSignal:
     """Daily glucose-style profile; same seed and noise_std=0 share the base curve."""
+    require_finite("glucose generator", duration=duration, pitch=pitch, noise_std=noise_std)
     if duration <= 0 or pitch <= 0 or noise_std < 0:
         raise SclError("glucose generator needs positive duration/pitch, noise_std >= 0")
     rng = np.random.default_rng(seed)

@@ -92,6 +92,14 @@ class TestCheck:
         assert main(["check", "--trace", trace, "--spec", spec]) == 2
         assert "line 3" in capsys.readouterr().err
 
+    def test_repeated_variable_name_exits_2(self, workdir, capsys):
+        # the second G column would satisfy the spec; reading only the first
+        # one used to report a violation
+        trace = write(workdir / "dup.csv", "time,G,G\n0,50,200\n1,50,200\n2,50,200\n")
+        spec = write(workdir / "f.scl", "G >= 100\n")
+        assert main(["check", "--trace", trace, "--spec", spec]) == 2
+        assert "line 1: repeated variable name" in capsys.readouterr().err
+
     def test_horizon_shortfall_exits_2_naming_deficit(self, workdir, capsys):
         trace = make_trace(workdir / "t.csv", [(0.0, 100.0), (5.0, 100.0)])
         spec = write(workdir / "f.scl", "G[0,24] (G >= 70)\n")
@@ -202,6 +210,20 @@ class TestGen:
         frac = sum(e - s for s, e in high.intervals) / 24.0
         assert frac == pytest.approx(0.3, abs=1e-9)
 
+    @pytest.mark.parametrize("args", [
+        ["--kind", "step-train", "--period", "nan"],
+        ["--kind", "step-train", "--duration", "inf"],
+        ["--kind", "glucose-like", "--noise-std", "nan"],
+        ["--kind", "glucose-like", "--pitch", "nan"],
+        ["--kind", "glucose-like", "--duration", "inf"],
+        ["--kind", "sine-quantized", "--pitch", "nan"],
+    ])
+    def test_non_finite_argument_exits_2(self, workdir, capsys, args):
+        path = workdir / "g.csv"
+        assert main(["gen", *args, "--out", str(path)]) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not path.exists()
+
 
 class TestExperiments:
     def test_noise_agreement_report(self, workdir, capsys):
@@ -211,6 +233,12 @@ class TestExperiments:
         doc = json.loads(out.read_text())
         assert doc["trials"] == 30
         assert {"eventually_agreement_pct", "conv_agreement_pct"} <= set(doc)
+
+    def test_noise_agreement_non_finite_noise_exits_2(self, capsys):
+        assert main(["exp", "noise-agreement", "--n", "2", "--noise-std", "nan"]) == 2
+        captured = capsys.readouterr()
+        assert "noise_std must be finite" in captured.err
+        assert captured.out == ""
 
     def test_falsify_report_and_witness(self, workdir):
         spec = write(workdir / "f.scl", "<flat[0,24], 0.95> (G >= 70)\n")

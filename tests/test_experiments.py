@@ -30,6 +30,19 @@ class TestNoiseAgreement:
         b = noise_agreement_experiment(trials=20, seed=7, noise_std=5.0)
         assert a == b
 
+    @pytest.mark.parametrize("arg,bad", [("noise_std", float("nan")),
+                                         ("noise_std", float("inf")),
+                                         ("window", float("nan")),
+                                         ("coverage", float("nan")),
+                                         ("duration", float("inf"))])
+    def test_non_finite_argument_rejected(self, arg, bad):
+        with pytest.raises(SclError, match=f"{arg} must be finite"):
+            noise_agreement_experiment(trials=2, seed=0, **{arg: bad})
+
+    def test_non_finite_threshold_range_rejected(self):
+        with pytest.raises(SclError, match="threshold_high must be finite"):
+            noise_agreement_experiment(trials=2, threshold_range=(55.0, float("nan")))
+
 
 class TestFalsifyDemo:
     def test_trivially_true_formula_has_positive_min(self):

@@ -5,13 +5,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sclmon import (
+    And,
     Atom,
     Conv,
     ConvDual,
+    ExponentialKernel,
     FlatKernel,
+    GaussianKernel,
     HorizonError,
+    Implies,
     Not,
     Or,
     PiecewiseConstantSignal,
@@ -241,6 +247,21 @@ class TestRhoTrace:
             for t, r in zip(rt.times, rt.values):
                 assert rho(trace, f, float(t)) == r
 
+    @pytest.mark.parametrize("text", [
+        "<flat[0,1], 0.5> (v > 0) | <flat[0,0.3], 0.5> (v < -1)",
+        "<flat[0,1], 0.5> (v > 0) -> <flat[0,0.3], 0.5> (v < -1)",
+    ])
+    def test_every_row_of_a_connective_is_rho_bit_for_bit(self, text):
+        # the operands' grids, 1/1000 of 1 and of 0.3, do not nest, so most
+        # rows fall between the samples of one operand's own grid
+        trace = random_trace(np.random.default_rng(97), 1.5, 30)
+        f = parse(text)
+        rt = rho_trace(trace, f)
+        grids = np.union1d(uniform_times(0.5, 1.0 / 1000), uniform_times(0.5, 0.3 / 1000))
+        assert np.array_equal(rt.times, grids)
+        for t, r in zip(rt.times, rt.values):
+            assert rho(trace, f, float(t)) == r
+
     def test_time_shift_consistency(self):
         rng = np.random.default_rng(31)
         shift = 0.75
@@ -330,3 +351,64 @@ class TestSoundnessAndCorrectness:
             value = rho(trace, f, 0.0)
             in_window = trace.values[trace.times < 2.0, 0] - 0.25
             assert value in in_window.tolist()
+
+
+@st.composite
+def unnested_formulas(draw):
+    """A formula with no coverage node under another: Boolean combinations
+    of atoms and of coverage nodes over window-free children."""
+    def atom():
+        return Atom("v", draw(st.sampled_from([">=", "<=", ">", "<"])),
+                    draw(st.floats(-1.5, 1.5)))
+
+    def window_free(depth):
+        if depth == 0 or draw(st.booleans()):
+            return atom()
+        op = draw(st.sampled_from([Not, Or, And, Implies]))
+        if op is Not:
+            return Not(window_free(depth - 1))
+        return op(window_free(depth - 1), window_free(depth - 1))
+
+    def kernel():
+        lo = draw(st.floats(0.0, 0.5))
+        hi = lo + draw(st.floats(0.2, 1.0))
+        shape = draw(st.sampled_from(["flat", "exp", "gauss"]))
+        if shape == "flat":
+            return FlatKernel(lo, hi)
+        if shape == "exp":
+            rate = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.3, 4.0))
+            return ExponentialKernel(rate, lo, hi)
+        return GaussianKernel(draw(st.floats(lo, hi)), draw(st.floats(0.1, 1.5)), lo, hi)
+
+    def leaf():
+        if draw(st.booleans()):
+            return window_free(1)
+        node = draw(st.sampled_from([Conv, ConvDual]))
+        return node(kernel(), draw(st.floats(0.05, 0.95)), window_free(1))
+
+    def top(depth):
+        if depth == 0 or draw(st.booleans()):
+            return leaf()
+        op = draw(st.sampled_from([Not, Or, And, Implies]))
+        if op is Not:
+            return Not(top(depth - 1))
+        return op(top(depth - 1), top(depth - 1))
+
+    return top(2)
+
+
+class TestSignImpliesVerdict:
+    @settings(max_examples=200, deadline=None)
+    @given(f=unnested_formulas(), seed=st.integers(0, 2**32 - 1),
+           fractions=st.lists(st.floats(0.0, 1.0), min_size=8, max_size=16))
+    def test_sign_of_rho_is_the_verdict_away_from_its_edges(self, f, seed, fractions):
+        trace = random_trace(np.random.default_rng(seed), 3.0, 12)
+        verdict = monitor(trace, f).signal
+        edges = np.concatenate([verdict.starts, verdict.ends])
+        end = trace.duration - horizon(f)
+        for t in (end * x for x in fractions):
+            if len(edges) and np.min(np.abs(edges - t)) < 1e-6:
+                continue
+            r = rho(trace, f, t)
+            if r != 0.0:
+                assert (r > 0) == verdict.value_at(t), f"rho={r} at t={t} for {f}"

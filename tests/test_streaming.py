@@ -92,6 +92,10 @@ class TestOrderingErrors:
         with pytest.raises(SclError, match="variables"):
             StreamingMonitor(parse("w >= 0"), ("v",))
 
+    def test_repeated_variable_rejected(self):
+        with pytest.raises(TraceError, match="repeated variable name"):
+            StreamingMonitor(parse("G >= 100"), ("G", "G"))
+
     @pytest.mark.parametrize("time, value", [
         (math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, -math.inf),
     ])

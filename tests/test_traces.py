@@ -7,6 +7,8 @@ import pytest
 
 from sclmon import (
     Atom,
+    PiecewiseConstantSignal,
+    SclError,
     TraceError,
     eval_atom,
     generate_glucose_like,
@@ -52,6 +54,20 @@ class TestCsv:
         with pytest.raises(TraceError, match="ascend"):
             read_trace_csv(io.StringIO(bad))
 
+    @pytest.mark.parametrize("row", ["1,nan", "1,inf", "1,-inf", "inf,3", "nan,3"])
+    def test_non_finite_entry_reported_with_line(self, row):
+        with pytest.raises(TraceError, match="line 3: non-finite"):
+            read_trace_csv(io.StringIO(f"time,G\n0,1\n{row}\n2,2\n"))
+
+    def test_repeated_variable_name_rejected_in_header(self):
+        with pytest.raises(TraceError, match="line 1: repeated variable name"):
+            read_trace_csv(io.StringIO("time,G,G\n0,50,200\n1,50,200\n"))
+
+    def test_repeated_variable_name_rejected_in_memory(self):
+        with pytest.raises(TraceError, match="repeated variable name"):
+            PiecewiseConstantSignal(("G", "G"), np.array([0.0]),
+                                    np.array([[50.0, 200.0]]), 1.0)
+
 
 class TestStepTrain:
     def test_duty_fraction_is_exact(self):
@@ -61,9 +77,16 @@ class TestStepTrain:
         assert sum(e - s for s, e in sig.intervals) == pytest.approx(0.3 * 24.0, abs=1e-9)
 
     def test_validation(self):
-        from sclmon import SclError
         with pytest.raises(SclError):
             generate_step_train(period=2.0, duty=1.5, duration=10.0)
+
+    @pytest.mark.parametrize("arg", ["period", "duty", "duration", "low", "high"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_argument_rejected(self, arg, bad):
+        # duration=inf would otherwise grow the sample lists without end
+        args = dict(period=2.0, duty=0.3, duration=10.0, low=0.0, high=1.0)
+        with pytest.raises(SclError, match=f"{arg} must be finite"):
+            generate_step_train(**{**args, arg: bad})
 
 
 class TestSine:
@@ -73,12 +96,25 @@ class TestSine:
         assert trace.times[0] == 0.0 and trace.times[-1] == 8.0
         assert np.all(np.abs(trace.values[:, 0] - 1.0) <= 2.0 + 1e-12)
 
+    @pytest.mark.parametrize("arg", ["period", "amplitude", "offset", "pitch", "duration"])
+    def test_non_finite_argument_rejected(self, arg):
+        args = dict(period=4.0, amplitude=2.0, offset=1.0, pitch=0.25, duration=8.0)
+        with pytest.raises(SclError, match=f"{arg} must be finite"):
+            generate_sine_quantized(**{**args, arg: float("nan")})
+
 
 class TestGlucoseLike:
     def test_same_seed_byte_identical(self):
         a = trace_to_csv(generate_glucose_like(42, noise_std=5.0))
         b = trace_to_csv(generate_glucose_like(42, noise_std=5.0))
         assert a == b
+
+    @pytest.mark.parametrize("arg,bad", [("noise_std", float("nan")),
+                                         ("pitch", float("nan")),
+                                         ("duration", float("inf"))])
+    def test_non_finite_argument_rejected(self, arg, bad):
+        with pytest.raises(SclError, match=f"{arg} must be finite"):
+            generate_glucose_like(3, **{arg: bad})
 
     def test_different_seed_differs(self):
         a = trace_to_csv(generate_glucose_like(1))
