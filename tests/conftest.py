@@ -16,12 +16,14 @@ from scipy.integrate import quad
 
 from sclmon import (
     BooleanSignal,
+    Conv,
     ExponentialKernel,
     FlatKernel,
     GaussianKernel,
     HorizonError,
     PiecewiseConstantSignal,
 )
+from sclmon.robustness import _MASS_SNAP, _breaks, _rho_at
 
 # Property tests draw the same examples on every run, so a commit passes or
 # fails the suite the same way each time; per-test settings keep their counts.
@@ -178,3 +180,73 @@ def rho_conv_enumeration(kernel, threshold: float, seg_bounds: np.ndarray,
         if coverage(level - 1e-9) >= threshold:
             return float(level)
     return -math.inf
+
+
+def _coverage_supremum(kernel, threshold: float, cuts: np.ndarray,
+                       values: np.ndarray, end: float, t: float) -> float:
+    """sup { r | kernel-weighted measure of {inner > r} in the window >= threshold }.
+
+    The inner robustness is ``values[k]`` from ``cuts[k]`` up to the next cut;
+    the window at ``t`` starts at or after ``cuts[0]`` and is clipped at ``end``.
+    For r just below a level u the set {inner > r} is {inner >= u}, so the
+    supremum is the highest finite level u whose coverage(u) reaches the
+    threshold.  A cumulative mass over the levels proposes it; coverage(u),
+    one masked sum in time order, decides it.
+    """
+    lo, hi = t + kernel.lower, min(t + kernel.upper, end)
+    i = int(np.searchsorted(cuts, lo, side="right")) - 1
+    j = int(np.searchsorted(cuts, hi, side="left"))
+    seg = np.concatenate([[lo], cuts[i + 1:j], [hi]])
+    seg_vals = values[i:j] if j > i else values[i:i + 1]
+    masses = np.asarray(kernel.mass_clipped(
+        np.clip(seg[:-1] - t, kernel.lower, kernel.upper),
+        np.clip(seg[1:] - t, kernel.lower, kernel.upper),
+    ), dtype=float)
+
+    finite = np.isfinite(seg_vals)
+    top = float(np.sum(masses[seg_vals == np.inf]))       # coverage above all finite levels
+    bottom = float(np.sum(masses[seg_vals > -np.inf]))    # coverage below all finite levels
+    if abs(top - 1.0) <= _MASS_SNAP:
+        top = 1.0
+    if abs(bottom - 1.0) <= _MASS_SNAP:
+        bottom = 1.0
+    if top >= threshold:
+        return math.inf
+    if bottom < threshold:
+        return -math.inf
+
+    levels, level_of = np.unique(seg_vals[finite], return_inverse=True)
+    levels = levels[::-1]
+    level_mass = np.bincount(level_of, weights=masses[finite])[::-1]
+
+    def covers(k: int) -> bool:
+        total = float(np.sum(masses[seg_vals >= levels[k]]))
+        if abs(total) <= _MASS_SNAP:
+            total = 0.0
+        elif abs(total - 1.0) <= _MASS_SNAP:
+            total = 1.0
+        return total >= threshold
+
+    last = len(levels) - 1
+    k = min(int(np.searchsorted(top + np.cumsum(level_mass), threshold)), last)
+    while k < last and not covers(k):
+        k += 1
+    while k > 0 and covers(k - 1):
+        k -= 1
+    return float(levels[k])
+
+
+def rho_conv_per_time(trace: PiecewiseConstantSignal, f: Conv, ts: np.ndarray) -> np.ndarray:
+    """Robustness of the coverage node ``f`` at each of the ascending times
+    ``ts``, one window at a time.
+
+    The child is sampled as the library samples it; each window then gets
+    its own mass call and its own time-ordered decision, so this is the
+    per-time evaluation that the library's blocked one must equal bit for bit.
+    """
+    end = ts[-1] + f.kernel.upper
+    cuts = _breaks(trace, f.child, ts[0] + f.kernel.lower, end)
+    values = _rho_at(trace, f.child, cuts)
+    end = min(end, trace.duration)
+    return np.array([_coverage_supremum(f.kernel, f.threshold, cuts, values, end, t)
+                     for t in ts])

@@ -29,7 +29,9 @@ from sclmon import (
     rho,
     rho_trace,
 )
-from conftest import random_kernel, random_trace, rho_conv_enumeration
+from sclmon import robustness
+from conftest import (_coverage_supremum, random_kernel, random_trace, rho_conv_enumeration,
+                      rho_conv_per_time)
 
 TOL = 1e-6
 
@@ -412,3 +414,119 @@ class TestSignImpliesVerdict:
             r = rho(trace, f, t)
             if r != 0.0:
                 assert (r > 0) == verdict.value_at(t), f"rho={r} at t={t} for {f}"
+
+
+PITCH = 0.05     # sample pitch of the coverage cases' traces
+
+
+@st.composite
+def coverage_cases(draw):
+    """A coverage node, a trace of equal samples and ascending times whose
+    windows hold more (time, segment) pairs than one block of the library.
+
+    ``p`` = 0.125 comes with a flat window over a whole number of samples,
+    a multiple of 8, so the coverage of the top segments often sits exactly
+    on the threshold.  The last windows may run past the trace end.
+    """
+    p = draw(st.sampled_from([0.0, 1e-10, 0.125, 0.7, 1.0 - 1e-10, 1.0]))
+    samples = 8 * draw(st.integers(2, 5))          # window width in samples
+    width = PITCH * samples
+    lower = PITCH * draw(st.integers(0, 4))
+    shape = "flat" if p == 0.125 else draw(st.sampled_from(["flat", "exp", "gauss"]))
+    if shape == "flat":
+        kernel = FlatKernel(lower, lower + width)
+    elif shape == "exp":
+        kernel = ExponentialKernel(draw(st.sampled_from([-3.0, -0.5, 0.5, 3.0])),
+                                   lower, lower + width)
+    else:
+        kernel = GaussianKernel(lower + width * draw(st.sampled_from([0.0, 0.3, 1.2])),
+                                width * draw(st.sampled_from([0.1, 0.5, 2.0])),
+                                lower, lower + width)
+    child = parse(draw(st.sampled_from([
+        "v >= 0", "v >= 0 | true", "v >= 0 | false", "v >= 0 & false",
+        "G[0,0.2] (v > 0)", "F[0,0.2] (v > 0)",
+    ])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.uniform(-2.0, 2.0, (120, 1))
+    if draw(st.booleans()):
+        values = np.round(values * 2.0) / 2.0      # many equal levels
+    trace = PiecewiseConstantSignal(("v",), PITCH * np.arange(120), values, 120 * PITCH)
+    reach = horizon(child) + lower + (width / 2 if draw(st.booleans()) else width)
+    stride = width / 4 if horizon(child) else PITCH / 8
+    ts = stride * np.arange(int((trace.duration - reach) / stride) + 1)
+    return Conv(kernel, p, child), trace, ts
+
+
+class TestBlockedCoverage:
+    @settings(max_examples=40, deadline=None)
+    @given(case=coverage_cases())
+    def test_equals_the_per_time_evaluation_bit_for_bit(self, case):
+        f, trace, ts = case
+        got = robustness._rho_at(trace, f, ts)
+        assert got.tobytes() == rho_conv_per_time(trace, f, ts).tobytes()
+
+    def test_no_mass_call_exceeds_the_block(self, monkeypatch):
+        # each outer window holds 10,001 inner samples, and the 21 windows
+        # together about 26 blocks' worth of pairs
+        sizes = []
+        mass_clipped = FlatKernel.mass_clipped
+
+        def spy(kernel, a, b):
+            sizes.append(np.size(a))
+            return mass_clipped(kernel, a, b)
+
+        monkeypatch.setattr(FlatKernel, "mass_clipped", spy)
+        trace = random_trace(np.random.default_rng(71), 11.2, 60)
+        f = parse("G[0,10] (<flat[0,1], 0.5> (v > 0))")
+        ts = rho_trace(trace, f).times
+        assert len(ts) == 21 and sum(sizes) > 20 * robustness._BLOCK
+        assert max(sizes) <= robustness._BLOCK
+        got = robustness._rho_at(trace, f, ts)
+        assert got.tobytes() == rho_conv_per_time(trace, f, ts).tobytes()
+
+
+class TestCloseCalls:
+    """Windows whose totals sit on the threshold up to rounding.
+
+    The cuts lie on a 0.05 grid, every fourteenth followed by two more one
+    ulp apart, and half the segments are +inf, so tops, bottoms and level
+    coverages come within rounding of p, and the two slivers put up to three
+    levels that close at once.
+    """
+
+    SLIVERS = np.nextafter(np.round(np.arange(0.5, 4.0, 0.7), 10), np.inf)
+    CUTS = np.unique(np.concatenate([np.round(np.arange(0.0, 4.0, 0.05), 10), SLIVERS,
+                                     np.nextafter(SLIVERS, np.inf)]))
+    TS = np.round(np.arange(0.0, 3.0, 0.1), 10)
+
+    def _check(self, monkeypatch, kernel, cuts=CUTS):
+        retried = []
+        window_supremum = robustness._window_supremum
+
+        def spy(*args):
+            retried.append(args)
+            return window_supremum(*args)
+
+        monkeypatch.setattr(robustness, "_window_supremum", spy)
+        for seed in (*range(24), 59):        # seed 59 has a top within rounding of p = 0.7
+            values = np.random.default_rng(seed).choice(
+                [np.inf, -np.inf, 0.5, 1.0, 1.5, 2.0], len(cuts),
+                p=[0.5, 0.1, 0.1, 0.1, 0.1, 0.1])
+            for p in (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0):
+                got = robustness._coverage_suprema(kernel, p, cuts, values, 4.0, self.TS)
+                want = [_coverage_supremum(kernel, p, cuts, values, 4.0, t)
+                        for t in self.TS]
+                assert got.tobytes() == np.array(want).tobytes()
+        return retried
+
+    def test_are_decided_in_time_order(self, monkeypatch):
+        assert self._check(monkeypatch, FlatKernel(0.0, 1.0))
+
+    def test_a_negative_mass_is_decided_in_time_order(self, monkeypatch):
+        # Gaussian masses are not monotone to the last ulp: this one-ulp
+        # segment of the window at t = 0 has a mass of about -3e-17
+        kernel = GaussianKernel(0.8331712317715084, 1.0074478304357815, 0.0, 1.0)
+        sliver = np.array([0.1842712324618229, 0.18427123246182298])
+        assert kernel.mass_clipped(sliver[:1], sliver[1:])[0] < 0.0
+        retried = self._check(monkeypatch, kernel, np.union1d(self.CUTS, sliver))
+        assert any(np.any(masses < 0.0) for _, masses, _ in retried)

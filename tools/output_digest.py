@@ -11,7 +11,9 @@ workload, pool seed 0-7 and formula it prints
 
 * ``monitor``: the ``monitor()`` verdict's domain and interval bounds, its
   crossings and ``stable_until`` (check and stream specs);
-* ``rho_trace``: the ``rho_trace`` times and values (rho spec);
+* ``rho_trace``: the ``rho_trace`` times and values (rho spec, and the
+  check-steps spec, whose exponential windows, ``F`` and dense square-wave
+  ties the rho spec lacks);
 * ``stream``: ``StreamingMonitor.resolved_signal()`` after pushing and polling
   the trace one sample at a time, then ``finish`` and a last poll (stream spec).
 
@@ -73,6 +75,7 @@ OUTPUTS = {
     "rho": (("rho_trace", rho_trace_digest),),
     "stream": (("monitor", monitor_digest), ("stream", stream_digest)),
 }
+EXTRA_OUTPUTS = {"check-steps": (("rho_trace", rho_trace_digest),)}
 
 
 def main(argv: list[str]) -> int:
@@ -95,7 +98,7 @@ def main(argv: list[str]) -> int:
             text = wl.make_trace(seed, False).csv_text()
             trace = sclmon.read_trace_csv(io.StringIO(text))
             for k, f in enumerate(formulas):
-                for output, run in OUTPUTS[wl.kind]:
+                for output, run in OUTPUTS[wl.kind] + EXTRA_OUTPUTS.get(name, ()):
                     try:
                         line = run(sclmon, trace, f)
                     except sclmon.SclError as exc:   # a rejection is an output too
