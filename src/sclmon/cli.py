@@ -2,8 +2,7 @@
 
 Subcommands::
 
-    scl-mon check --trace t.csv --spec f.scl [--evaluator E]
-                  [--out DIR] [--format csv|json]
+    scl-mon check --trace t.csv --spec f.scl [--out DIR] [--format csv|json]
     scl-mon rho   --trace t.csv --spec f.scl [--out DIR] [--format csv|json]
     scl-mon gen   --kind step-train|sine-quantized|glucose-like --seed S
                   --out t.csv [--noise-std N] [--duration D] [...]
@@ -16,12 +15,12 @@ breakpoint, whose value holds until the next row, and a last row at the end
 of the evaluable horizon.  A coverage node breaks every window width / 1000,
 an atom at the trace's own samples, and a Boolean combination at the union of
 its operands' breaks, where each operand is evaluated exactly.  Each row is
-the robustness at its own time, a kernel-weighted quantile of the window's
-values with no tolerance, so the JSON ``robustness.tolerance`` is always 0.
-A coverage node nested under another holds its child between the child's
-own samples.  The Boolean verdict behind the exit code needs no step: the
-default evaluator is exact per event-aligned stretch for every kernel (see
-:mod:`sclmon.monitor`).
+the robustness at its own time: at a coverage node, the highest of the
+window's values whose kernel-weighted coverage reaches the threshold, with
+no tolerance, so the JSON ``robustness.tolerance`` is always 0.  A coverage
+node nested under another holds its child between the child's own samples.
+The Boolean verdict behind the exit code needs no step: its evaluator is
+exact per event-aligned stretch for every kernel (see :mod:`sclmon.monitor`).
 
 Exit codes: 0 when every formula is satisfied at time 0, 1 when any is
 violated, 2 on error.  Time numbers are unitless and must match the trace;
@@ -42,7 +41,7 @@ import numpy as np
 from .errors import SclError
 from .experiments import falsify_demo, noise_agreement_experiment
 from .formula import Formula
-from .monitor import MonitorConfig, VerdictSignal, monitor
+from .monitor import VerdictSignal, monitor
 from .parser import parse_formula_file
 from .robustness import RobustnessTrace, rho_trace
 from .signals import BooleanSignal, PiecewiseConstantSignal, boolean_not
@@ -60,7 +59,6 @@ class RunConfig:
     """Validated knobs shared by the check/rho subcommands."""
 
     mode: str = "boolean"            # boolean | robustness
-    evaluator: str = "efficient"
     output_format: str = "csv"
     out_dir: str | None = None
 
@@ -69,9 +67,6 @@ class RunConfig:
             raise SclError(f"unknown mode {self.mode!r}")
         if self.output_format not in ("csv", "json"):
             raise SclError(f"unknown output format {self.output_format!r}")
-
-    def monitor_config(self) -> MonitorConfig:
-        return MonitorConfig(evaluator=self.evaluator)
 
 
 @dataclass(frozen=True)
@@ -86,10 +81,8 @@ class FormulaResult:
 def run_monitor(trace: PiecewiseConstantSignal, formulas: list[tuple[int, str, Formula]],
                 cfg: RunConfig) -> list[FormulaResult]:
     """Evaluate every formula against the trace, in order."""
-    mon_cfg = cfg.monitor_config()
-
     def evaluate(index: int, source: str, f: Formula) -> FormulaResult:
-        verdict = monitor(trace, f, mon_cfg)
+        verdict = monitor(trace, f)
         robustness = rho_trace(trace, f) if cfg.mode == "robustness" else None
         return FormulaResult(
             index=index,
@@ -189,8 +182,7 @@ def _emit_results(results: list[FormulaResult], cfg: RunConfig) -> None:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    cfg = RunConfig(mode="boolean", evaluator=args.evaluator,
-                    output_format=args.format, out_dir=args.out)
+    cfg = RunConfig(mode="boolean", output_format=args.format, out_dir=args.out)
     return _run_and_emit(args, cfg)
 
 
@@ -263,8 +255,6 @@ def _build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="Boolean verdicts for a spec file")
     check.add_argument("--trace", required=True)
     check.add_argument("--spec", required=True)
-    check.add_argument("--evaluator", choices=("efficient", "oracle"),
-                       default="efficient")
     check.add_argument("--out", default=None, help="output directory (default: stdout)")
     check.add_argument("--format", choices=("csv", "json"), default="csv")
     check.set_defaults(func=_cmd_check)

@@ -184,9 +184,9 @@ class BoundedKernel:
         return self.upper - self.lower
 
     def mass(self, a: float, b: float) -> float:
-        if b < a:
+        if not a <= b:
             raise SclError(f"reversed integration bounds: [{a}, {b}]")
-        if a < self.lower - 1e-12 or b > self.upper + 1e-12:
+        if not (self.lower - 1e-12 <= a and b <= self.upper + 1e-12):
             raise SclError(
                 f"integration bounds [{a}, {b}] outside window [{self.lower}, {self.upper}]"
             )

@@ -91,8 +91,9 @@ class VerdictSignal:
     """Truth signal of a formula over its evaluable horizon.
 
     ``crossings`` are the times where the convolution value of the outermost
-    windowed operator met its threshold (exact-equality plateau edges
-    included); the verdict only flips there or at the domain bounds.
+    windowed operator, seen through any ``!``, met its threshold
+    (exact-equality plateau edges included); the verdict only flips there or
+    at the domain bounds.
     ``stable_until`` bounds the prefix that cannot change when the trace is
     extended (see module docstring).
     """
@@ -456,8 +457,8 @@ def _eval_node(trace: PiecewiseConstantSignal, f: Formula, config: MonitorConfig
         case Atom():
             return eval_atom(trace, f), (), math.inf
         case Not(child):
-            sig, _, stable = _eval_node(trace, child, config)
-            return boolean_not(sig), (), stable
+            sig, crossings, stable = _eval_node(trace, child, config)
+            return boolean_not(sig), crossings, stable
         case Or(left, right) | And(left, right) | Implies(left, right):
             a, _, stable_a = _eval_node(trace, left, config)
             b, _, stable_b = _eval_node(trace, right, config)

@@ -8,14 +8,15 @@ coverage of ``{inner robustness > r}`` still meets the threshold.  Over a
 piecewise-constant inner signal that coverage only drops where r passes one of
 the window's segment values, so the supremum is one of them: the
 kernel-weighted threshold-quantile of the window.  It is returned exactly,
-with no tolerance.  A coverage node takes its times in blocks, one broadcast
-mass call per block of windows.  A running sum of each window's masses,
-sorted by level, proposes the level and decides every window whose totals
-lie clear of the threshold by more than that sum's rounding.  The rest, a
-coverage that sits exactly on the threshold among them, are decided by the
-coverage sum over the window's segments in time order.  So every value is
-the one a per-time evaluation gives, bit for bit, whatever the block and
-whatever the order in which the levels were sorted.
+with no tolerance, by one rule: the highest level, searched from the top,
+whose coverage summed over the window's segments in time order reaches the
+threshold.  A coverage node takes its times in blocks, one broadcast mass
+call per block of windows; a running sum of each window's masses, sorted by
+level, settles every level that lies clear of the threshold by more than
+that sum's rounding, and only the close ones above the first sure level take
+the time-ordered sum.  So every value is the one a per-time evaluation
+gives, bit for bit, whatever the block and whatever the order in which the
+levels were sorted.
 
 Robustness is evaluated as values at given times.  ``_breaks`` says where a
 node is sampled on a span: an atom at its trace samples, a convolution node
@@ -75,70 +76,28 @@ class RobustnessTrace:
             raise SclError("times and values must have equal length")
 
 
+def _reaches(totals, threshold: float):
+    """Elementwise ``total >= threshold``, each total within ``_MASS_SNAP``
+    of 0 or of 1 counted as that bound.  A threshold farther than that from
+    both bounds is reached by a snapped total exactly when by the total."""
+    if not 2 * _MASS_SNAP < threshold < 1.0 - 2 * _MASS_SNAP:
+        totals = np.where(np.abs(totals) <= _MASS_SNAP, 0.0, totals)
+        totals = np.where(np.abs(totals - 1.0) <= _MASS_SNAP, 1.0, totals)
+    return totals >= threshold
+
+
 def _covers(threshold: float, masses: np.ndarray, seg_vals: np.ndarray, level: float) -> bool:
     """Whether the window's segments at or above ``level`` reach the
-    threshold: one masked sum of their masses in time order, snapped onto
-    the exact bounds 0 / 1."""
-    total = float(np.sum(masses[seg_vals >= level]))
-    if abs(total) <= _MASS_SNAP:
-        total = 0.0
-    elif abs(total - 1.0) <= _MASS_SNAP:
-        total = 1.0
-    return total >= threshold
-
-
-def _window_supremum(threshold: float, masses: np.ndarray, seg_vals: np.ndarray) -> float:
-    """sup { r | kernel-weighted measure of {inner > r} in one window >= threshold }.
-
-    ``masses[k]`` is the window mass of the window's k-th segment in time
-    order and ``seg_vals[k]`` the inner robustness on it.  For r just below a
-    level u the set {inner > r} is {inner >= u}, so the supremum is the
-    highest finite level u whose coverage(u) reaches the threshold.  A
-    cumulative mass over the levels proposes it; ``_covers``, one masked sum
-    in time order, decides it.
-    """
-    finite = np.isfinite(seg_vals)
-    top = float(np.sum(masses[seg_vals == np.inf]))       # coverage above all finite levels
-    bottom = float(np.sum(masses[seg_vals > -np.inf]))    # coverage below all finite levels
-    if abs(top - 1.0) <= _MASS_SNAP:
-        top = 1.0
-    if abs(bottom - 1.0) <= _MASS_SNAP:
-        bottom = 1.0
-    if top >= threshold:
-        return math.inf
-    if bottom < threshold:
-        return -math.inf
-
-    levels, level_of = np.unique(seg_vals[finite], return_inverse=True)
-    levels = levels[::-1]
-    level_mass = np.bincount(level_of, weights=masses[finite])[::-1]
-    last = len(levels) - 1
-    k = min(int(np.searchsorted(top + np.cumsum(level_mass), threshold)), last)
-    while k < last and not _covers(threshold, masses, seg_vals, levels[k]):
-        k += 1
-    while k > 0 and _covers(threshold, masses, seg_vals, levels[k - 1]):
-        k -= 1
-    return float(levels[k])
-
-
-def _decides(totals: np.ndarray, threshold: float, at_zero: bool) -> np.ndarray:
-    """Elementwise ``snapped total >= threshold``, nondecreasing in the total:
-    totals within ``_MASS_SNAP`` of 1 count as 1 and, with ``at_zero``,
-    those within it of 0 as 0, as ``_window_supremum`` snaps them."""
-    if 2 * _MASS_SNAP < threshold < 1.0 - 2 * _MASS_SNAP:
-        return totals >= threshold      # snapping moves no total across this threshold
-    snapped = np.where(np.abs(totals - 1.0) <= _MASS_SNAP, 1.0, totals)
-    if at_zero:
-        snapped = np.where(np.abs(totals) <= _MASS_SNAP, 0.0, snapped)
-    return snapped >= threshold
+    threshold: one masked sum of their masses in time order."""
+    return bool(_reaches(np.sum(masses[seg_vals >= level]), threshold))
 
 
 def _block_suprema(kernel: BoundedKernel, threshold: float, cuts: np.ndarray,
                    values: np.ndarray, ts: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                    first: np.ndarray, count: np.ndarray) -> np.ndarray:
-    """``_window_supremum`` of each window ``[lo, hi]`` anchored at ``ts``,
-    whose segments are ``values[first:first + count]``: one block of
-    ``_coverage_suprema``."""
+    """The highest level that ``_covers`` each window ``[lo, hi]`` anchored
+    at ``ts``, else -inf, where the window's segments are
+    ``values[first:first + count]``: one block of ``_coverage_suprema``."""
     lower, upper = kernel.lower, kernel.upper
     rows = np.arange(len(ts))
     # row r: its window's segments in time order, then padding
@@ -156,87 +115,59 @@ def _block_suprema(kernel: BoundedKernel, threshold: float, cuts: np.ndarray,
     masses = np.where(pad, 0.0, masses.reshape(pad.shape))
     seg_vals = np.where(pad, -np.inf, values.take(seg, mode="clip"))
 
-    # the same masses by level, highest first, and their running sum:
-    # total[:, k] is the mass of a row's k highest entries
+    # the same entries by level, highest first, behind an empty +inf entry;
+    # a level's coverage is the running sum at its last entry, and differs
+    # from the time-ordered sum of the same masses by less than slack
     width = pad.shape[1]
     order = np.argsort(-seg_vals, axis=1) + (rows * width)[:, None]
-    vals = seg_vals.ravel()[order]
-    mass = masses.ravel()[order]
-    total = np.zeros((len(ts), width + 1))
-    run = np.cumsum(mass, axis=1, out=total[:, 1:])
-    n_up = np.sum(vals > -np.inf, axis=1)
-    top = total[rows, np.sum(vals == np.inf, axis=1)]
-    bottom = total[rows, n_up]
+    vals = np.empty((len(ts), width + 1))
+    vals[:, 0] = np.inf
+    vals[:, 1:] = seg_vals.ravel()[order]
+    run = np.zeros(vals.shape)
+    np.cumsum(masses.ravel()[order], axis=1, out=run[:, 1:])
+    slack = (4.0 * np.finfo(float).eps * count * np.sum(np.abs(masses), axis=1))[:, None]
+    last = np.append(vals[:, :-1] != vals[:, 1:], np.ones((len(ts), 1), bool), axis=1)
+    sure = last & _reaches(run - slack, threshold)
+    close = last & _reaches(run + slack, threshold) & ~sure
 
-    # a running total and the time-ordered sum of the same masses differ by
-    # less than slack, so both decide alike when the total minus and plus
-    # slack decide alike
-    slack = 4.0 * np.finfo(float).eps * count * total[:, -1]
-
-    def close(totals):
-        return (_decides(totals - slack, threshold, False)
-                != _decides(totals + slack, threshold, False))
-
-    # the first finite entry whose running total surely / possibly covers:
-    # both totals are nondecreasing along a row, so the covering entries are
-    # its last ones, and in a row that reaches its finite levels the +inf
-    # entries ahead of them cover neither way
-    def first_covering(totals):
-        return np.minimum(width - np.sum(_decides(totals, threshold, True), axis=1), n_up)
-
-    sure = first_covering(run - slack[:, None])
-    maybe = first_covering(run + slack[:, None])
-    # the first level that possibly covers, else the lowest; with maybe < sure
-    # it may or may not cover, and if the entries between belong to it alone
-    # every level above surely does not and every level below surely does
-    level = vals[rows, np.maximum(np.minimum(maybe, n_up - 1), 0)]
-    tie = maybe < sure
-    alone = vals[rows, np.maximum(sure - 1, 0)] == level
-    below = np.sum(vals >= level[:, None], axis=1)
-    next_level = np.where(below < n_up, vals[rows, np.minimum(below, width - 1)], level)
-
-    is_top = _decides(top, threshold, False)
-    is_bottom = _decides(bottom, threshold, False)
-    out = np.where(is_top, np.inf, np.where(is_bottom, level, -np.inf))
-    window = is_bottom & ~is_top
-    retry = (close(top) | (~is_top & close(bottom)) | (window & tie & ~alone)
-             | np.any(mass < 0.0, axis=1))
-    for r in np.flatnonzero(retry).tolist():
-        out[r] = _window_supremum(threshold, masses[r, :count[r]], seg_vals[r, :count[r]])
-    for r in np.flatnonzero(window & tie & alone & ~retry).tolist():
-        if not _covers(threshold, masses[r, :count[r]], seg_vals[r, :count[r]], level[r]):
-            out[r] = next_level[r]
+    # the first level that surely covers, unless a close one above it does
+    first_sure = np.where(sure.any(axis=1), np.argmax(sure, axis=1), width + 1)
+    out = np.where(first_sure <= width, vals[rows, np.minimum(first_sure, width)], -np.inf)
+    close &= np.arange(width + 1) < first_sure[:, None]
+    for r in np.flatnonzero(close.any(axis=1)).tolist():
+        for level in vals[r, close[r]].tolist():
+            if _covers(threshold, masses[r, :count[r]], seg_vals[r, :count[r]], level):
+                out[r] = level
+                break
+    # whichever zero the sort put last, a window holding a -0.0 takes it at level 0
+    out[(out == 0.0) & np.any((seg_vals == 0.0) & np.signbit(seg_vals), axis=1)] = -0.0
     return out
 
 
 def _coverage_suprema(kernel: BoundedKernel, threshold: float, cuts: np.ndarray,
                       values: np.ndarray, end: float, ts: np.ndarray) -> np.ndarray:
-    """``_window_supremum`` of the window at each of the ascending times
-    ``ts``, bit for bit, evaluated a block of windows at a time.
+    """sup { r | kernel-weighted measure of {inner > r} in the window >= threshold }
+    at each of the ascending times ``ts``, evaluated a block of windows at a time.
 
     The inner robustness is ``values[k]`` from ``cuts[k]`` up to the next
     cut; each window starts at or after ``cuts[0]`` and is clipped at
-    ``end``.  A block holds the times whose windows, padded to the block's
-    widest, make at most ``_BLOCK`` (time, segment) pairs (a wider window
-    goes alone), and gets its masses from one broadcast ``mass_clipped``
-    call.  A mass is elementwise the same expression as in a call for its
-    window alone, so it is the same double.
+    ``end``.  For r just below a level u the set {inner > r} is
+    {inner >= u}, so the supremum is the highest level, +inf included, whose
+    coverage reaches the threshold (``_covers``: one masked sum in time
+    order), else -inf.
 
-    Each window's masses are then sorted by level and summed in that order.
-    The running sum gives every total ``_window_supremum`` decides on: top,
-    bottom and the coverage of each level.  It differs from the time-ordered
-    masked sum of the same masses by at most the rounding of n additions, n
-    the window's segment count, and a total farther than that from where its
-    snapped comparison with the threshold flips is decided alike by both.
-
-    * A window whose totals are all that clear takes the level they pick.
-    * A window with one level that close, typically a coverage exactly on
-      the threshold, decides that level by its masked sum in time order
-      (``_covers``) and takes it or the next lower level.
-    * A window with top or bottom that close, with two or more such levels,
-      or with a negative mass runs ``_window_supremum`` on its own masses.
-
-    So a value depends on its time alone, not on the block that took it in.
+    A block holds the times whose windows, padded to the block's widest,
+    make at most ``_BLOCK`` (time, segment) pairs (a wider window goes
+    alone), and gets its masses from one broadcast ``mass_clipped`` call.  A
+    mass is elementwise the same expression as in a call for its window
+    alone, so it is the same double.  Each window's masses are then sorted
+    by level, highest first, and summed in that order.  That running sum
+    differs from the time-ordered one by at most the rounding of n
+    additions, n the window's segment count, so a level whose running sum
+    decides alike with that slack added and taken away needs no other sum.
+    Only the levels that are that close, above the first that surely
+    covers, are decided by ``_covers``, from the top down.  So a value
+    depends on its time alone, not on the block that took it in.
     """
     lo = ts + kernel.lower
     hi = np.minimum(ts + kernel.upper, end)
@@ -305,7 +236,7 @@ def _rho_at(trace: PiecewiseConstantSignal, f: Formula, ts: np.ndarray) -> np.nd
 def rho(trace: PiecewiseConstantSignal, f: Formula, t: float = 0.0) -> float:
     """Robustness of ``f`` at time ``t``."""
     needed = horizon(f)
-    if t < 0 or t > trace.duration - needed + 1e-12:
+    if not 0 <= t <= trace.duration - needed + 1e-12:
         raise HorizonError(
             f"time {t} outside evaluable horizon [0, {trace.duration - needed:.6g}] "
             f"(formula horizon {needed:.6g})"

@@ -109,7 +109,7 @@ class BooleanSignal:
 
     def value_at(self, t: float) -> bool:
         """Membership of t in the (closed) true-intervals."""
-        if t < self.start or t > self.end:
+        if not self.start <= t <= self.end:
             raise SclError(f"time {t} outside signal domain [{self.start}, {self.end}]")
         i = int(np.searchsorted(self.starts, t, side="right")) - 1
         return bool(i >= 0 and self.ends[i] >= t)
@@ -152,7 +152,7 @@ def restrict_domain(sig: BooleanSignal, interval: tuple[float, float]) -> Boolea
     """Intersect with ``interval`` and shrink the domain to it."""
     lo, hi = interval
     eps = 1e-9 * max(1.0, abs(sig.start), abs(sig.end))
-    if lo < sig.start - eps or hi > sig.end + eps or hi < lo:
+    if not sig.start - eps <= lo <= hi <= sig.end + eps:
         raise SclError(
             f"restriction [{lo}, {hi}] outside signal domain [{sig.start}, {sig.end}]"
         )
@@ -212,7 +212,7 @@ class PiecewiseConstantSignal:
             ) from None
 
     def value_at(self, t: float, variable: str) -> float:
-        if t < 0 or t > self.duration:
+        if not 0 <= t <= self.duration:
             raise SclError(f"time {t} outside trace domain [0, {self.duration}]")
         idx = int(np.searchsorted(self.times, t, side="right")) - 1
         return float(self.values[idx, self.column(variable)])

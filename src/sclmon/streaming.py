@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import SclError, TraceError
 from .formula import Formula, horizon, variables
-from .monitor import MonitorConfig, monitor
+from .monitor import monitor
 from .signals import (
     BooleanSignal,
     PiecewiseConstantSignal,
@@ -32,15 +32,13 @@ from .signals import (
 class StreamingMonitor:
     """Single-producer online monitor; push/poll must be externally serialized."""
 
-    def __init__(self, formula: Formula, trace_variables: Sequence[str],
-                 config: MonitorConfig | None = None):
+    def __init__(self, formula: Formula, trace_variables: Sequence[str]):
         self.formula = formula
         self.variables = tuple(trace_variables)
         check_unique_variables(self.variables)
         missing = set(variables(formula)) - set(self.variables)
         if missing:
             raise SclError(f"formula uses variables not in the stream: {sorted(missing)}")
-        self.config = config or MonitorConfig()
         self.horizon = horizon(formula)
         self._times: list[float] = []
         self._values: list[list[float]] = []
@@ -53,8 +51,15 @@ class StreamingMonitor:
         """Append one sample; times must be strictly increasing, starting at 0."""
         if self._finished:
             raise SclError("stream already finished")
-        time = float(time)
-        row = [float(v) for v in values]
+        try:
+            time = float(time)
+            # a string would pass as a row of its characters
+            row = None if isinstance(values, (str, bytes)) else [float(v) for v in values]
+        except (TypeError, ValueError):
+            row = None
+        if row is None:
+            raise TraceError(f"sample at time {time!r} is not a number and a sequence "
+                             f"of numbers: {values!r}")
         if not math.isfinite(time) or not all(map(math.isfinite, row)):
             raise TraceError(f"non-finite sample at time {time}: {row}")
         if not self._times:
@@ -109,7 +114,7 @@ class StreamingMonitor:
             np.array(self._values),
             known,
         )
-        verdict = monitor(prefix, self.formula, self.config)
+        verdict = monitor(prefix, self.formula)
         if not self._finished:
             # hold back content that a longer trace might still refine
             resolved = min(resolved, verdict.stable_until)

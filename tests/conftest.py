@@ -189,9 +189,10 @@ def _coverage_supremum(kernel, threshold: float, cuts: np.ndarray,
     The inner robustness is ``values[k]`` from ``cuts[k]`` up to the next cut;
     the window at ``t`` starts at or after ``cuts[0]`` and is clipped at ``end``.
     For r just below a level u the set {inner > r} is {inner >= u}, so the
-    supremum is the highest finite level u whose coverage(u) reaches the
-    threshold.  A cumulative mass over the levels proposes it; coverage(u),
-    one masked sum in time order, decides it.
+    supremum is the highest level u, +inf included, whose coverage(u) reaches
+    the threshold, else -inf: the levels are tried from the top, and
+    coverage(u) is one masked sum in time order, snapped onto 0 / 1.  Level 0
+    is -0.0 when any of the window's zeros is.
     """
     lo, hi = t + kernel.lower, min(t + kernel.upper, end)
     i = int(np.searchsorted(cuts, lo, side="right")) - 1
@@ -203,37 +204,19 @@ def _coverage_supremum(kernel, threshold: float, cuts: np.ndarray,
         np.clip(seg[1:] - t, kernel.lower, kernel.upper),
     ), dtype=float)
 
-    finite = np.isfinite(seg_vals)
-    top = float(np.sum(masses[seg_vals == np.inf]))       # coverage above all finite levels
-    bottom = float(np.sum(masses[seg_vals > -np.inf]))    # coverage below all finite levels
-    if abs(top - 1.0) <= _MASS_SNAP:
-        top = 1.0
-    if abs(bottom - 1.0) <= _MASS_SNAP:
-        bottom = 1.0
-    if top >= threshold:
-        return math.inf
-    if bottom < threshold:
-        return -math.inf
-
-    levels, level_of = np.unique(seg_vals[finite], return_inverse=True)
-    levels = levels[::-1]
-    level_mass = np.bincount(level_of, weights=masses[finite])[::-1]
-
-    def covers(k: int) -> bool:
-        total = float(np.sum(masses[seg_vals >= levels[k]]))
+    def covers(level: float) -> bool:
+        total = float(np.sum(masses[seg_vals >= level]))
         if abs(total) <= _MASS_SNAP:
             total = 0.0
         elif abs(total - 1.0) <= _MASS_SNAP:
             total = 1.0
         return total >= threshold
 
-    last = len(levels) - 1
-    k = min(int(np.searchsorted(top + np.cumsum(level_mass), threshold)), last)
-    while k < last and not covers(k):
-        k += 1
-    while k > 0 and covers(k - 1):
-        k -= 1
-    return float(levels[k])
+    for level in [math.inf, *np.unique(seg_vals[np.isfinite(seg_vals)])[::-1].tolist()]:
+        if covers(level):
+            signed_zero = level == 0.0 and np.any(np.signbit(seg_vals[seg_vals == 0.0]))
+            return -0.0 if signed_zero else level
+    return -math.inf
 
 
 def rho_conv_per_time(trace: PiecewiseConstantSignal, f: Conv, ts: np.ndarray) -> np.ndarray:

@@ -19,7 +19,6 @@ from sclmon import (
     ExponentialKernel,
     FlatKernel,
     GaussianKernel,
-    MonitorConfig,
     Not,
     PiecewiseConstantSignal,
     StreamingMonitor,
@@ -238,17 +237,16 @@ def test_criterion_7_streaming_equals_offline_exactly():
         Conv(ExponentialKernel(2.0, 0.0, 1.2), 0.6, Atom("v", ">=", 0.2)),
         ConvDual(ExponentialKernel(-1.5, 0.1, 1.1), 0.3, Atom("v", "<=", 0.0)),
     ]
-    cfg = MonitorConfig()
     for i in range(200):
         f = formulas[i % len(formulas)]
         trace = random_trace(rng, 3.0 + float(rng.uniform(0.0, 2.0)), 20)
-        sm = StreamingMonitor(f, trace.variables, cfg)
+        sm = StreamingMonitor(f, trace.variables)
         for t, row in zip(trace.times, trace.values):
             sm.push(float(t), row)
             sm.poll()
         sm.finish(trace.duration)
         sm.poll()
-        assert sm.resolved_signal() == monitor(trace, f, cfg).signal
+        assert sm.resolved_signal() == monitor(trace, f).signal
     report("criterion 7 (streaming equivalence)",
            "exact equality on 200 traces fed sample-by-sample")
 

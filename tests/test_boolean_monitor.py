@@ -152,15 +152,25 @@ class TestEfficient:
         for _ in range(50):
             b = random_boolean_signal(rng, 0.0, 6.0)
             k = random_kernel(rng, 0.0, float(rng.uniform(0.4, 2)))
-            ev = eval_conv_efficient(k, float(rng.uniform(0.05, 0.95)), b)
-            sig = ev.verdict.signal
-            marks = set()
-            for s, e in sig.intervals:
-                marks.add(round(s, 6))
-                marks.add(round(e, 6))
-            allowed = {round(sig.start, 6), round(sig.end, 6)}
-            allowed.update(round(c, 6) for c in ev.verdict.crossings)
-            assert marks <= allowed
+            p = float(rng.uniform(0.05, 0.95))
+            ev = eval_conv_efficient(k, p, b)
+            # the same window under `!`, monitored over a trace whose atom is b
+            edges = np.unique(np.concatenate([[0.0, 6.0], b.starts, b.ends]))
+            times, inside = edges[:-1], b.values_at(0.5 * (edges[1:] + edges[:-1]))
+            trace = PiecewiseConstantSignal(("v",), times,
+                                            np.where(inside, 1.0, -1.0).reshape(-1, 1), 6.0)
+            negated = monitor(trace, Not(Conv(k, p, Atom("v", ">=", 0.0))))
+            assert negated.signal == boolean_not(ev.verdict.signal)
+            assert negated.crossings == ev.verdict.crossings
+            for verdict in (ev.verdict, negated):
+                sig = verdict.signal
+                marks = set()
+                for s, e in sig.intervals:
+                    marks.add(round(s, 6))
+                    marks.add(round(e, 6))
+                allowed = {round(sig.start, 6), round(sig.end, 6)}
+                allowed.update(round(c, 6) for c in verdict.crossings)
+                assert marks <= allowed
 
     def test_plateau_edges_are_crossings(self):
         # H rises to exactly 0.5 at t=0.5, holds on [0.5, 1.25], then falls;

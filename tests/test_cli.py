@@ -141,24 +141,10 @@ class TestCheck:
             doc = json.loads((out / name).read_text())
             jsonschema.validate(doc, VERDICT_JSON_SCHEMA)
 
-    def test_evaluator_flag(self, workdir, glucose_trace):
-        spec = write(workdir / "f.scl", "<flat[0,24], 0.95> (G >= 70)\n")
-        for evaluator in ("efficient", "oracle"):
-            assert main(["check", "--trace", glucose_trace, "--spec", spec,
-                         "--evaluator", evaluator, "--out",
-                         str(workdir / f"out-{evaluator}")]) == 0
-
-    def test_unknown_evaluator_exits_2(self, workdir, glucose_trace, capsys):
-        spec = write(workdir / "f.scl", "<flat[0,24], 0.95> (G >= 70)\n")
-        with pytest.raises(SystemExit) as exc:
-            main(["check", "--trace", glucose_trace, "--spec", spec,
-                  "--evaluator", "incremental"])
-        assert exc.value.code == 2
-        assert "invalid choice: 'incremental'" in capsys.readouterr().err
-
     @pytest.mark.parametrize("command, option", [
         ("check", "--delta"), ("rho", "--delta"), ("rho", "--time-grid"),
-    ], ids=["check", "rho", "rho-time-grid"])
+        ("check", "--evaluator"),
+    ], ids=["check", "rho", "rho-time-grid", "check-evaluator"])
     def test_delta_option_is_gone(self, workdir, glucose_trace, command, option, capsys):
         spec = write(workdir / "f.scl", "<flat[0,24], 0.95> (G >= 70)\n")
         with pytest.raises(SystemExit) as exc:

@@ -38,6 +38,11 @@ class TestEvaluate:
         with pytest.raises(SclError, match="outside window"):
             FlatKernel(0.0, 1.0).mass(0.5, 1.5)
 
+    @pytest.mark.parametrize("a, b", [(math.nan, 0.5), (0.5, math.nan)])
+    def test_nan_bound_rejected(self, a, b):
+        with pytest.raises(SclError, match="bounds"):
+            FlatKernel(0.0, 1.0).mass(a, b)
+
     def test_positivity_on_open_window(self):
         rng = np.random.default_rng(3)
         for _ in range(50):

@@ -86,6 +86,14 @@ class TestRestrictDomain:
         with pytest.raises(SclError):
             restrict_domain(sig(0, 1), (-0.5, 0.5))
 
+    def test_nan_bound_rejected(self):
+        with pytest.raises(SclError, match=r"restriction \[nan, 0.5\] outside"):
+            restrict_domain(sig(0, 1), (math.nan, 0.5))
+
+    def test_nan_time_rejected(self):
+        with pytest.raises(SclError, match="time nan outside signal domain"):
+            sig(0, 1, (0.2, 0.4)).value_at(math.nan)
+
 
 class TestProperties:
     def test_normalization_idempotent(self):
@@ -278,3 +286,8 @@ class TestPiecewiseConstantSignal:
         t = PiecewiseConstantSignal(("v",), np.array([0.0]), np.array([[1.0]]), 1.0)
         with pytest.raises(SclError, match="unknown variable"):
             t.value_at(0.0, "w")
+
+    def test_nan_time_rejected(self):
+        t = PiecewiseConstantSignal(("v",), np.array([0.0]), np.array([[1.0]]), 1.0)
+        with pytest.raises(SclError, match="time nan outside trace domain"):
+            t.value_at(math.nan, "v")

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from sclmon import (
-    MonitorConfig,
     PiecewiseConstantSignal,
     StreamingMonitor,
     TraceError,
@@ -15,9 +14,9 @@ from sclmon import (
 )
 
 
-def feed_and_collect(formula, trace, config=None, poll_every=1):
+def feed_and_collect(formula, trace, poll_every=1):
     """Push sample-by-sample, polling as we go; return the assembled signal."""
-    sm = StreamingMonitor(formula, trace.variables, config)
+    sm = StreamingMonitor(formula, trace.variables)
     for i, (t, row) in enumerate(zip(trace.times, trace.values)):
         sm.push(float(t), row)
         if (i + 1) % poll_every == 0:
@@ -110,6 +109,19 @@ class TestOrderingErrors:
         assert sm.poll() is not None
         assert sm.resolved_signal().intervals == ((0.0, 2.0),)
 
+    @pytest.mark.parametrize("time, values", [
+        (1.0, ["abc"]), (1.0, 5), ("x", [1.0]), (1.0, [None]), (1.0, "5"),
+    ])
+    def test_non_numeric_sample_rejected_and_not_stored(self, time, values):
+        sm = StreamingMonitor(parse("v >= 0"), ("v",))
+        sm.push(0.0, [1.0])
+        with pytest.raises(TraceError, match=f"sample at time {time!r}"):
+            sm.push(time, values)
+        sm.push(2.0, [-1.0])
+        sm.finish()
+        assert sm.poll() is not None
+        assert sm.resolved_signal().intervals == ((0.0, 2.0),)
+
     @pytest.mark.parametrize("duration", [math.nan, math.inf])
     def test_non_finite_duration_rejected(self, duration):
         sm = StreamingMonitor(parse("v >= 0"), ("v",))
@@ -134,11 +146,10 @@ class TestOfflineEquivalence:
     def test_sample_by_sample_equals_offline_exactly(self, text):
         rng = np.random.default_rng(101)
         f = parse(text)
-        cfg = MonitorConfig()
         for _ in range(25):
             trace = random_trace(rng, duration=4.0 + rng.uniform(0, 2))
-            got = feed_and_collect(f, trace, cfg)
-            expected = monitor(trace, f, cfg).signal
+            got = feed_and_collect(f, trace)
+            expected = monitor(trace, f).signal
             assert got == expected  # exact: same floats, same intervals
 
     @pytest.mark.parametrize("inner, count", [
@@ -157,21 +168,17 @@ class TestOfflineEquivalence:
     def test_poll_cadence_does_not_matter(self):
         rng = np.random.default_rng(103)
         f = parse("<flat[0,1], 0.5> (v >= 0)")
-        cfg = MonitorConfig()
         for cadence in (1, 3, 7):
             trace = random_trace(rng, duration=5.0)
-            got = feed_and_collect(f, trace, cfg, poll_every=cadence)
-            assert got == monitor(trace, f, cfg).signal
+            got = feed_and_collect(f, trace, poll_every=cadence)
+            assert got == monitor(trace, f).signal
 
-    @pytest.mark.parametrize("evaluator", ["efficient", "oracle"])
-    def test_every_evaluator_is_prefix_exact(self, evaluator):
+    def test_rising_exponential_window_is_prefix_exact(self):
         rng = np.random.default_rng(107)
         f = parse("<exp(1.5)[0,1], 0.5> (v >= 0)")
-        cfg = MonitorConfig(evaluator=evaluator)
         for _ in range(10):
             trace = random_trace(rng, duration=4.5)
-            got = feed_and_collect(f, trace, cfg)
-            assert got == monitor(trace, f, cfg).signal
+            assert feed_and_collect(f, trace) == monitor(trace, f).signal
 
     @pytest.mark.parametrize("text", [
         "G[0,1] (v >= 0.5)",                # full-coverage plateaus (H snaps to 1)
@@ -181,17 +188,16 @@ class TestOfflineEquivalence:
     def test_threshold_plateaus_stay_prefix_exact(self, text):
         # duty-0.5 square wave: every 2-unit window is covered exactly 50%
         f = parse(text)
-        cfg = MonitorConfig()
         times = np.arange(0.0, 12.5, 0.5)
         values = np.where((times % 2.0) < 1.0, 1.0, 0.0).reshape(-1, 1)
         trace = PiecewiseConstantSignal(("v",), times, values, 12.0)
-        sm = StreamingMonitor(f, ("v",), cfg)
+        sm = StreamingMonitor(f, ("v",))
         for t, row in zip(times, values):
             sm.push(float(t), row)
             sm.poll()
         sm.finish(trace.duration)
         sm.poll()
-        assert sm.resolved_signal() == monitor(trace, f, cfg).signal
+        assert sm.resolved_signal() == monitor(trace, f).signal
 
     def test_last_gaussian_substep_is_held_back(self):
         # the false dip near t = 2.77 lies in the stretch [2.04, 3.0]; while
@@ -201,10 +207,9 @@ class TestOfflineEquivalence:
         v = np.where((times >= 3.0) & (times < 3.04), -1.0, 1.0).reshape(-1, 1)
         trace = PiecewiseConstantSignal(("v",), times, v, 5.0)
         f = parse("<gauss(0.25, 0.02)[0,1], 0.5> (v >= 0)")
-        cfg = MonitorConfig()
-        expected = monitor(trace, f, cfg)
+        expected = monitor(trace, f)
         assert len(expected.crossings) == 2
-        assert feed_and_collect(f, trace, cfg) == expected.signal
+        assert feed_and_collect(f, trace) == expected.signal
 
     def test_last_substep_ends_exactly_at_stretch_end(self):
         # 5-minute CGM pitch: t + (stretch_end - t) falls an ulp short of

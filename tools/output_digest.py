@@ -13,7 +13,9 @@ workload, pool seed 0-7 and formula it prints
   crossings and ``stable_until`` (check and stream specs);
 * ``rho_trace``: the ``rho_trace`` times and values (rho spec, and the
   check-steps spec, whose exponential windows, ``F`` and dense square-wave
-  ties the rho spec lacks);
+  ties the rho spec lacks).  The rho-3d traces also get the nested
+  ``G[0,2] (<flat[0,1], 0.5> (G >= 100))`` as one more formula, after the
+  spec's, so a coverage node under another is digested too;
 * ``stream``: ``StreamingMonitor.resolved_signal()`` after pushing and polling
   the trace one sample at a time, then ``finish`` and a last poll (stream spec).
 
@@ -76,6 +78,7 @@ OUTPUTS = {
     "stream": (("monitor", monitor_digest), ("stream", stream_digest)),
 }
 EXTRA_OUTPUTS = {"check-steps": (("rho_trace", rho_trace_digest),)}
+EXTRA_FORMULAS = {"rho-3d": ("G[0,2] (<flat[0,1], 0.5> (G >= 100))",)}
 
 
 def main(argv: list[str]) -> int:
@@ -94,6 +97,7 @@ def main(argv: list[str]) -> int:
     for name, wl in workloads.WORKLOADS.items():
         spec = (PERFBENCH / "specs" / wl.spec).read_text()
         formulas = [f for _, _, f in sclmon.parse_formula_file(spec)]
+        formulas += [sclmon.parse(text) for text in EXTRA_FORMULAS.get(name, ())]
         for seed in SEEDS:
             text = wl.make_trace(seed, False).csv_text()
             trace = sclmon.read_trace_csv(io.StringIO(text))
