@@ -11,8 +11,8 @@ Subcommands::
                   [--witness-out t.csv]
 
 ``rho`` writes each formula's robustness as its step function: one row per
-breakpoint, whose value holds until the next row, and a last row at the end
-of the evaluable horizon.  A coverage node breaks every window width / 1000,
+breakpoint, whose value holds until the next row, and a last row where the
+Boolean verdict ends.  A coverage node breaks every window width / 1000,
 an atom at the trace's own samples, and a Boolean combination at the union of
 its operands' breaks, where each operand is evaluated exactly.  Each row is
 the robustness at its own time: at a coverage node, the highest of the

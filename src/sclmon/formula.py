@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
-from .errors import SclError
+from .errors import HorizonError, SclError
 from .kernels import BoundedKernel, FlatKernel
 
 _COMPARISONS = (">=", "<=", ">", "<")
@@ -123,16 +123,40 @@ def eventually(lower: float, upper: float, child: Formula) -> ConvDual:
 
 def horizon(f: Formula) -> float:
     """Minimal trace duration needed to evaluate ``f`` at time 0."""
+    return 0.0 - _end(f, 0.0)
+
+
+def _end(f: Formula, duration: float) -> float:
     match f:
         case Const() | Atom():
-            return 0.0
+            return duration
         case Not(child):
-            return horizon(child)
+            return _end(child, duration)
         case Or(left, right) | And(left, right) | Implies(left, right):
-            return max(horizon(left), horizon(right))
+            return min(_end(left, duration), _end(right, duration))
         case Conv(kernel, _, child) | ConvDual(kernel, _, child):
-            return kernel.upper + horizon(child)
+            return _end(child, duration) - kernel.upper
     raise SclError(f"not a formula: {f!r}")
+
+
+def evaluable_end(f: Formula, duration: float) -> float:
+    """Last time at which ``f`` can be evaluated on a trace over ``[0, duration]``.
+
+    Atoms and constants end at ``duration``, ``!`` where its child ends, a
+    connective at the earlier of its operands' ends and a window node one
+    ``kernel.upper`` before its child's end: the same operations, in the same
+    order, by which the monitor spans each node, so its verdict ends at this
+    very double.  A shortfall within 1e-12 ends at 0; a larger one raises
+    :class:`HorizonError`.
+    """
+    end = _end(f, float(duration))
+    if end < -1e-12:
+        needed = horizon(f)
+        raise HorizonError(
+            f"formula horizon {needed:.6g} exceeds trace duration "
+            f"{duration:.6g} by {needed - duration:.6g}"
+        )
+    return max(end, 0.0)
 
 
 def variables(f: Formula) -> tuple[str, ...]:

@@ -50,7 +50,7 @@ from .formula import (
     Implies,
     Not,
     Or,
-    horizon,
+    evaluable_end,
 )
 from .kernels import _ERFC_ZERO, BoundedKernel, FlatKernel, GaussianKernel
 from .signals import (
@@ -90,10 +90,10 @@ class MonitorConfig:
 class VerdictSignal:
     """Truth signal of a formula over its evaluable horizon.
 
-    ``crossings`` are the times where the convolution value of the outermost
-    windowed operator, seen through any ``!``, met its threshold
-    (exact-equality plateau edges included); the verdict only flips there or
-    at the domain bounds.
+    ``crossings`` are the times where the convolution value of a windowed
+    root, seen through any ``!``, met its threshold (exact-equality plateau
+    edges included); such a verdict only flips there or at the domain
+    bounds.  An atom or a connective at the root reports none.
     ``stable_until`` bounds the prefix that cannot change when the trace is
     extended (see module docstring).
     """
@@ -172,6 +172,11 @@ def _grid_integrals(kernel: BoundedKernel, sig: BooleanSignal,
     prefixes of a growing trace stay bit-identical.
     """
     starts, ends = sig.starts, sig.ends
+    if len(ends) and ends[-1] == sig.end:
+        # the interval reaching the signal's end reaches every window's end,
+        # also that of a last window which rounding put past it
+        ends = ends.copy()
+        ends[-1] = np.inf
     lo, hi = kernel.lower, kernel.upper
     first = np.searchsorted(ends, ts + lo, side="left")
     count = np.maximum(np.searchsorted(starts, ts + hi, side="right") - first, 0)
@@ -484,16 +489,11 @@ def _eval_node(trace: PiecewiseConstantSignal, f: Formula, config: MonitorConfig
 
 def monitor(trace: PiecewiseConstantSignal, f: Formula,
             config: MonitorConfig | None = None) -> VerdictSignal:
-    """Truth signal of ``f`` over ``[0, duration - horizon(f)]``.
+    """Truth signal of ``f`` over ``[0, evaluable_end(f, duration)]``.
 
     The formula is satisfied by the trace iff the verdict holds at time 0.
     """
     config = config or MonitorConfig()
-    needed = horizon(f)
-    if needed > trace.duration + 1e-12:
-        raise HorizonError(
-            f"formula horizon {needed:.6g} exceeds trace duration "
-            f"{trace.duration:.6g} by {needed - trace.duration:.6g}"
-        )
+    evaluable_end(f, trace.duration)
     signal, crossings, stable = _eval_node(trace, f, config)
     return VerdictSignal(signal, crossings, min(stable, signal.end))

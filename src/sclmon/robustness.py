@@ -20,18 +20,18 @@ levels were sorted.
 
 Robustness is evaluated as values at given times.  ``_breaks`` says where a
 node is sampled on a span: an atom at its trace samples, a convolution node
-every window width / 1000 from the span's start, with a last sample at its
-end, and a connective at the union of its operands' breakpoints.  ``_rho_at``
-evaluates a node exactly at any ascending times: atoms by lookup, connectives
-by min/max/negation at those same times, and a convolution node by the
-coverage supremum at each time over its child, which it samples at the
-child's own breakpoints across the windows those times read.  ``rho(t)`` is
-that value at ``[t]``; ``rho_trace`` is it at the formula's breakpoints on
-``[0, end]`` of the evaluable horizon.  So every row of a formula with no
-convolution node under another equals ``rho`` at its time, bit for bit.  A
-convolution node under another holds its child's value between the child's
-samples, so there a row can miss a feature of the child narrower than one
-child pitch.
+every window width / 1000 from the span's start, with a last sample exactly
+at its end, and a connective at the union of its operands' breakpoints.
+``_rho_at`` evaluates a node exactly at any ascending times: atoms by lookup,
+connectives by min/max/negation at those same times, and a convolution node
+by the coverage supremum at each time over its child, which it samples at
+the child's own breakpoints across the windows those times read.
+``rho(t)`` is that value at ``[t]``; ``rho_trace`` is it at the formula's
+breakpoints on ``[0, evaluable_end(f, duration)]``, the verdict's own
+domain.  So every row of a formula with no convolution node under another
+equals ``rho`` at its time, bit for bit.  A convolution node under another
+holds its child's value between the child's samples, so there a row can
+miss a feature of the child narrower than one child pitch.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from .formula import (
     Implies,
     Not,
     Or,
-    horizon,
+    evaluable_end,
 )
 from .kernels import BoundedKernel
 from .signals import PiecewiseConstantSignal
@@ -65,8 +65,8 @@ _BLOCK = 8192      # (time, segment) pairs per mass call of a coverage node: bou
 @dataclass(frozen=True)
 class RobustnessTrace:
     """Robustness at the formula's breakpoints: ``values[i]`` is rho at
-    ``times[i]`` and holds up to the next time; the last time is the
-    horizon's end."""
+    ``times[i]`` and holds up to the next time; the last time is where the
+    verdict ends."""
 
     times: np.ndarray
     values: np.ndarray
@@ -189,20 +189,21 @@ def _breaks(trace: PiecewiseConstantSignal, f: Formula, lo: float, hi: float) ->
     """Ascending times from ``lo`` to ``hi``, both included, at which ``f`` is sampled."""
     match f:
         case Const():
-            return np.unique([lo, hi])
+            inside = np.empty(0)
         case Atom():
             inside = trace.times[(trace.times > lo) & (trace.times < hi)]
-            return np.concatenate([[lo], inside, [hi]]) if hi > lo else np.array([lo])
         case Not(child):
             return _breaks(trace, child, lo, hi)
         case Or(left, right) | And(left, right) | Implies(left, right):
             return np.union1d(_breaks(trace, left, lo, hi), _breaks(trace, right, lo, hi))
         case Conv(kernel) | ConvDual(kernel):
             pitch = kernel.width / _RHO_CELLS
-            n = int(math.floor((hi - lo) / pitch)) if hi > lo else 0
-            ts = lo + pitch * np.arange(n + 1)
-            return np.append(ts, hi) if ts[-1] < hi - 1e-12 else ts
-    raise SclError(f"not a formula: {f!r}")
+            grid = lo + pitch * np.arange(1, int((hi - lo) / pitch) + 1)
+            # the last sample is hi itself, not a grid point that rounding put beside it
+            inside = grid[grid < hi - 1e-12]
+        case _:
+            raise SclError(f"not a formula: {f!r}")
+    return np.concatenate([[lo], inside, [hi]]) if hi > lo else np.array([lo])
 
 
 def _rho_at(trace: PiecewiseConstantSignal, f: Formula, ts: np.ndarray) -> np.ndarray:
@@ -235,21 +236,14 @@ def _rho_at(trace: PiecewiseConstantSignal, f: Formula, ts: np.ndarray) -> np.nd
 
 def rho(trace: PiecewiseConstantSignal, f: Formula, t: float = 0.0) -> float:
     """Robustness of ``f`` at time ``t``."""
-    needed = horizon(f)
-    if not 0 <= t <= trace.duration - needed + 1e-12:
-        raise HorizonError(
-            f"time {t} outside evaluable horizon [0, {trace.duration - needed:.6g}] "
-            f"(formula horizon {needed:.6g})"
-        )
+    end = evaluable_end(f, trace.duration)
+    # like a duration short of the horizon, a time past the end by rounding is let in
+    if not 0 <= t <= end + 1e-12:
+        raise HorizonError(f"time {t} outside evaluable horizon [0, {end:.6g}]")
     return float(_rho_at(trace, f, np.array([float(t)]))[0])
 
 
 def rho_trace(trace: PiecewiseConstantSignal, f: Formula) -> RobustnessTrace:
     """Robustness over the evaluable horizon, at every breakpoint of ``f``."""
-    needed = horizon(f)
-    if needed > trace.duration + 1e-12:
-        raise HorizonError(
-            f"formula horizon {needed:.6g} exceeds trace duration {trace.duration:.6g}"
-        )
-    times = _breaks(trace, f, 0.0, max(trace.duration - needed, 0.0))
+    times = _breaks(trace, f, 0.0, evaluable_end(f, trace.duration))
     return RobustnessTrace(times, _rho_at(trace, f, times))

@@ -151,12 +151,10 @@ def boolean_and(a: BooleanSignal, b: BooleanSignal) -> BooleanSignal:
 def restrict_domain(sig: BooleanSignal, interval: tuple[float, float]) -> BooleanSignal:
     """Intersect with ``interval`` and shrink the domain to it."""
     lo, hi = interval
-    eps = 1e-9 * max(1.0, abs(sig.start), abs(sig.end))
-    if not sig.start - eps <= lo <= hi <= sig.end + eps:
+    if not sig.start <= lo <= hi <= sig.end:
         raise SclError(
             f"restriction [{lo}, {hi}] outside signal domain [{sig.start}, {sig.end}]"
         )
-    lo, hi = max(lo, sig.start), min(hi, sig.end)
     return BooleanSignal.from_intervals(lo, hi, np.column_stack((sig.starts, sig.ends)))
 
 

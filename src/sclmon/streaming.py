@@ -1,14 +1,14 @@
 """Online monitoring facade: push samples, poll resolved verdict prefixes.
 
-A verdict at time t only depends on the trace up to ``t + horizon``, so once
-samples are known up to time T the verdict is resolved on
-``[0, T - horizon]``.  Each poll re-runs the offline monitor on the known
-prefix and emits the newly resolved slice; because the offline evaluators are
+Each poll re-runs the offline monitor on the known prefix and emits the
+newly resolved slice.  Before :meth:`StreamingMonitor.finish` a slice ends
+at the verdict's ``stable_until``, before which no longer trace can change
+it; after, at the verdict's own end.  Because the offline evaluators are
 prefix-stable and deterministic, the concatenated output equals the offline
-verdict on the full trace exactly.  Before :meth:`StreamingMonitor.finish`
-a slice also ends at the verdict's ``stable_until``.  A nested window can
-put that below time 0 on early polls; such a poll, like one that finds
-nothing past what was already emitted, returns ``None``.
+verdict on the full trace exactly, down to the double its domain ends at.
+A poll on a prefix shorter than the formula's horizon, one whose hold-back
+lies below time 0 (a nested window's early polls), and one that finds
+nothing past what was already emitted return ``None``.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import SclError, TraceError
-from .formula import Formula, horizon, variables
+from .errors import HorizonError, SclError, TraceError
+from .formula import Formula, variables
 from .monitor import monitor
 from .signals import (
     BooleanSignal,
@@ -39,17 +39,15 @@ class StreamingMonitor:
         missing = set(variables(formula)) - set(self.variables)
         if missing:
             raise SclError(f"formula uses variables not in the stream: {sorted(missing)}")
-        self.horizon = horizon(formula)
         self._times: list[float] = []
         self._values: list[list[float]] = []
-        self._finished = False
-        self._duration: float | None = None
+        self._duration: float | None = None   # set by finish
         self._emitted_to: float | None = None
         self._pieces: list[BooleanSignal] = []
 
     def push(self, time: float, values: Sequence[float]) -> None:
         """Append one sample; times must be strictly increasing, starting at 0."""
-        if self._finished:
+        if self._duration is not None:
             raise SclError("stream already finished")
         try:
             time = float(time)
@@ -84,42 +82,34 @@ class StreamingMonitor:
             raise SclError("cannot finish an empty stream")
         if duration is None:
             duration = self._times[-1]
-        if not math.isfinite(duration):
-            raise TraceError(f"stream duration must be finite, got {duration}")
+        try:
+            duration = float(duration)
+            finite = math.isfinite(duration)
+        except (TypeError, ValueError):
+            finite = False
+        if not finite:
+            raise TraceError(f"stream duration must be finite, got {duration!r}")
         if duration < self._times[-1]:
             raise TraceError(
                 f"duration {duration} precedes last sample {self._times[-1]}"
             )
-        self._duration = float(duration)
-        self._finished = True
-
-    def _known_until(self) -> float | None:
-        if self._finished:
-            return self._duration
-        if not self._times:
-            return None
-        return self._times[-1]
+        self._duration = duration
 
     def poll(self) -> BooleanSignal | None:
         """Newly resolved verdict slice, or ``None`` when nothing new resolved."""
-        known = self._known_until()
-        if known is None:
+        if not self._times:
             return None
-        resolved = known - self.horizon
-        if resolved < 0:
+        finished = self._duration is not None
+        prefix = PiecewiseConstantSignal(self.variables, np.array(self._times),
+                                         np.array(self._values),
+                                         self._duration if finished else self._times[-1])
+        try:
+            verdict = monitor(prefix, self.formula)
+        except HorizonError:
             return None
-        prefix = PiecewiseConstantSignal(
-            self.variables,
-            np.array(self._times),
-            np.array(self._values),
-            known,
-        )
-        verdict = monitor(prefix, self.formula)
-        if not self._finished:
-            # hold back content that a longer trace might still refine
-            resolved = min(resolved, verdict.stable_until)
+        # before the end, hold back content that a longer trace might still refine
+        resolved = verdict.signal.end if finished else verdict.stable_until
         start = verdict.signal.start if self._emitted_to is None else self._emitted_to
-        # a nested window's hold-back can fall below the start on early polls
         if resolved < start or resolved == self._emitted_to:
             return None
         piece = restrict_domain(verdict.signal, (start, resolved))

@@ -72,14 +72,7 @@ def _read_trace(fh) -> PiecewiseConstantSignal:
         values.append(vals)
     if not times:
         raise TraceError("trace has no samples")
-    try:
-        return PiecewiseConstantSignal(
-            variables, np.array(times), np.array(values), times[-1]
-        )
-    except TraceError:
-        raise
-    except SclError as exc:
-        raise TraceError(str(exc)) from None
+    return PiecewiseConstantSignal(variables, np.array(times), np.array(values), times[-1])
 
 
 def trace_to_csv(trace: PiecewiseConstantSignal) -> str:

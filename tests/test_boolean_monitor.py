@@ -171,6 +171,15 @@ class TestEfficient:
                 allowed = {round(sig.start, 6), round(sig.end, 6)}
                 allowed.update(round(c, 6) for c in verdict.crossings)
                 assert marks <= allowed
+        # the promise is a windowed root's: a connective at the root reports
+        # no crossings, although its verdict flips
+        times = np.arange(0.0, 8.5, 0.5)
+        g = np.where((times >= 1.0) & (times < 2.5), 200.0, 100.0)
+        i = np.where((times >= 4.5) & (times < 6.0), 3.0, 0.0)
+        trace = PiecewiseConstantSignal(("G", "I"), times, np.column_stack([g, i]), 8.0)
+        verdict = monitor(trace, parse("<flat[0,1],0.5>(G>=150) | <flat[0,1],0.5>(I>=2)"))
+        assert verdict.crossings == ()
+        assert len(verdict.signal.starts) == 2
 
     def test_plateau_edges_are_crossings(self):
         # H rises to exactly 0.5 at t=0.5, holds on [0.5, 1.25], then falls;
@@ -457,6 +466,22 @@ class TestMonitor:
         verdict = monitor(trace, parse("G[0,24] (G >= 70)"))
         assert verdict.domain == (0.0, 0.0)
         assert verdict.satisfied_at_zero
+
+    @pytest.mark.parametrize("evaluator", ["efficient", "oracle"])
+    def test_last_window_is_not_cut_short_by_rounding(self, evaluator):
+        # the last window starts at 10000 - 0.15, and 10000 minus that is
+        # 0.1499999999996362: the true interval reaching the trace end still
+        # covers all of it
+        trace = PiecewiseConstantSignal(("v",), np.array([0.0]), np.array([[1.0]]), 10000.0)
+        verdict = monitor(trace, parse("G[0,0.15] (v > 0)"), MonitorConfig(evaluator))
+        assert verdict.signal == BooleanSignal.always(0.0, 10000.0 - 0.15)
+
+    @pytest.mark.parametrize("text", ["true", "false", "G[0,1] true", "G[0,1] false"])
+    def test_constants(self, text):
+        trace = PiecewiseConstantSignal(("v",), np.array([0.0]), np.array([[0.0]]), 3.0)
+        verdict = monitor(trace, parse(text))
+        full = BooleanSignal.always if text.endswith("true") else BooleanSignal.never
+        assert verdict.signal == full(0.0, 2.0 if "G" in text else 3.0)
 
     def test_evaluator_selection(self):
         trace = _random_trace(np.random.default_rng(89), duration=4.0)

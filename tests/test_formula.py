@@ -10,17 +10,20 @@ from sclmon import (
     Conv,
     ConvDual,
     FlatKernel,
+    HorizonError,
     Implies,
     Not,
     Or,
     PiecewiseConstantSignal,
     SclError,
+    TRUE,
     eventually,
     globally,
     horizon,
     monitor,
     variables,
 )
+from sclmon.formula import evaluable_end
 
 G70 = Atom("G", ">=", 70.0)
 
@@ -45,6 +48,27 @@ class TestHorizon:
     def test_or_takes_max(self):
         f = Or(globally(0, 2, G70), globally(0, 5, G70))
         assert horizon(f) == 5.0
+
+
+class TestEvaluableEnd:
+    def test_is_where_the_verdict_ends(self):
+        # (D - u1) - u2, the order in which the monitor spans its nodes
+        trace = PiecewiseConstantSignal(("v",), np.array([0.0]), np.array([[1.0]]), 2.76)
+        f = globally(0.0, 0.39, Conv(FlatKernel(0.0, 0.24), 0.5, Atom("v", ">", 0.0)))
+        end = evaluable_end(f, 2.76)
+        assert end == (2.76 - 0.24) - 0.39 != 2.76 - horizon(f)
+        assert monitor(trace, f).signal.end == end
+
+    def test_connective_ends_at_its_earlier_operand(self):
+        f = Or(Not(globally(0, 2, G70)), Implies(globally(0, 5, G70), TRUE))
+        assert evaluable_end(f, 7.5) == 2.5
+
+    def test_shortfall_within_rounding_ends_at_zero(self):
+        assert evaluable_end(globally(0, 0.3, G70), 0.3 - 1e-13) == 0.0
+
+    def test_larger_shortfall_raises(self):
+        with pytest.raises(HorizonError, match="horizon 5 exceeds trace duration 4 by 1"):
+            evaluable_end(globally(0, 5, G70), 4.0)
 
 
 class TestDesugar:

@@ -245,6 +245,17 @@ class TestRhoTrace:
         assert np.array_equal(rt.times, uniform_times(1.0, 1.0 / 1000))
         assert np.all(np.diff(rt.times) > 0)
 
+    def test_nested_rows_end_at_the_verdict_end(self):
+        # the verdict of G[0,u2] (<flat[0,u1]> ...) ends at (D - u1) - u2,
+        # which need not be D - (u1 + u2); the last row ends there too
+        rng = np.random.default_rng(73)
+        for _ in range(10):
+            u1, u2 = (round(float(u), 2) for u in rng.uniform(0.2, 1.0, 2))
+            duration = round(u1 + u2 + float(rng.uniform(0.02, 0.1)), 2)
+            f = parse(f"G[0,{u2}] (<flat[0,{u1}], 0.5> (v > 0))")
+            trace = random_trace(rng, duration, 10)
+            assert rho_trace(trace, f).times[-1] == monitor(trace, f).signal.end
+
     def test_single_level_values_are_rho_bit_for_bit(self):
         trace = random_trace(np.random.default_rng(67), 1.5, 10)
         for f in (parse("<flat[0,1], 0.4> (v > 0)"),

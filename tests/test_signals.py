@@ -257,6 +257,26 @@ class TestPiecewiseConstantSignal:
             PiecewiseConstantSignal(
                 ("v",), np.array([0.0, 1.0, 1.0]), np.zeros((3, 1)), 2.0)
 
+    def test_no_samples_rejected(self):
+        with pytest.raises(TraceError, match="at least one sample"):
+            PiecewiseConstantSignal(("v",), np.array([]), np.zeros((0, 1)), 1.0)
+
+    def test_non_finite_entry_rejected(self):
+        with pytest.raises(TraceError, match="non-finite"):
+            PiecewiseConstantSignal(("v",), np.array([0.0, 1.0]), np.array([[1.0], [math.nan]]), 2.0)
+
+    def test_value_shape_mismatch_rejected(self):
+        with pytest.raises(TraceError, match=r"shape \(2, 2\) does not match"):
+            PiecewiseConstantSignal(("v",), np.array([0.0, 1.0]), np.zeros((2, 2)), 2.0)
+
+    def test_duration_before_last_sample_rejected(self):
+        with pytest.raises(TraceError, match="shorter than last sample time"):
+            PiecewiseConstantSignal(("v",), np.array([0.0, 1.0]), np.zeros((2, 1)), 0.5)
+
+    def test_one_dimensional_values_are_one_column(self):
+        t = PiecewiseConstantSignal(("v",), np.array([0.0, 1.0]), np.array([3.0, 4.0]), 2.0)
+        assert t.values.shape == (2, 1) and t.value_at(1.5, "v") == 4.0
+
     def test_right_continuous_lookup(self):
         t = PiecewiseConstantSignal(
             ("v",), np.array([0.0, 10.0, 20.0]),

@@ -7,6 +7,7 @@ import pytest
 
 from sclmon import (
     PiecewiseConstantSignal,
+    SclError,
     StreamingMonitor,
     TraceError,
     monitor,
@@ -87,7 +88,6 @@ class TestOrderingErrors:
             sm.push(1.0, [1.0])
 
     def test_unknown_variable_rejected(self):
-        from sclmon import SclError
         with pytest.raises(SclError, match="variables"):
             StreamingMonitor(parse("w >= 0"), ("v",))
 
@@ -122,7 +122,30 @@ class TestOrderingErrors:
         assert sm.poll() is not None
         assert sm.resolved_signal().intervals == ((0.0, 2.0),)
 
-    @pytest.mark.parametrize("duration", [math.nan, math.inf])
+    def test_push_after_finish_rejected(self):
+        sm = StreamingMonitor(parse("v >= 0"), ("v",))
+        sm.push(0.0, [1.0])
+        sm.finish()
+        with pytest.raises(SclError, match="already finished"):
+            sm.push(1.0, [1.0])
+
+    def test_wrong_row_length_rejected(self):
+        sm = StreamingMonitor(parse("v >= 0"), ("v",))
+        with pytest.raises(TraceError, match="2 values for 1 variables"):
+            sm.push(0.0, [1.0, 2.0])
+
+    def test_finish_on_empty_stream_rejected(self):
+        with pytest.raises(SclError, match="empty stream"):
+            StreamingMonitor(parse("v >= 0"), ("v",)).finish()
+
+    def test_duration_before_last_sample_rejected(self):
+        sm = StreamingMonitor(parse("v >= 0"), ("v",))
+        sm.push(0.0, [1.0])
+        sm.push(2.0, [1.0])
+        with pytest.raises(TraceError, match="precedes last sample"):
+            sm.finish(1.0)
+
+    @pytest.mark.parametrize("duration", [math.nan, math.inf, "x", [1.0]])
     def test_non_finite_duration_rejected(self, duration):
         sm = StreamingMonitor(parse("v >= 0"), ("v",))
         sm.push(0.0, [1.0])
@@ -163,6 +186,19 @@ class TestOfflineEquivalence:
         f = parse(f"G[0,0.5] ({inner} (v >= 0))")
         for _ in range(count):
             trace = random_trace(rng, 5.0)
+            assert feed_and_collect(f, trace) == monitor(trace, f).signal
+
+    def test_nested_stream_ends_where_offline_ends(self):
+        # the monitor ends G[0,u2] (<flat[0,u1]> ...) at (D - u1) - u2, which
+        # need not be D - (u1 + u2): u1 = 0.24, u2 = 0.39, D = 2.76 ends at
+        # 2.1299999999999994, not 2.13
+        rng = np.random.default_rng(11)
+        cases = [(0.24, 0.39, 2.76)] + [
+            (round(float(a), 2), round(float(b), 2), round(float(d), 2))
+            for a, b, d in rng.uniform((0.05, 0.05, 2.1), (1.0, 1.0, 4.0), (9, 3))]
+        for u1, u2, duration in cases:
+            f = parse(f"G[0,{u2}] (<flat[0,{u1}], 0.5> (v > 0))")
+            trace = random_trace(rng, duration, 15)
             assert feed_and_collect(f, trace) == monitor(trace, f).signal
 
     def test_poll_cadence_does_not_matter(self):

@@ -96,6 +96,11 @@ class TestSine:
         assert trace.times[0] == 0.0 and trace.times[-1] == 8.0
         assert np.all(np.abs(trace.values[:, 0] - 1.0) <= 2.0 + 1e-12)
 
+    def test_pitch_not_dividing_the_duration_ends_at_the_duration(self):
+        trace = generate_sine_quantized(period=4.0, amplitude=2.0, offset=1.0,
+                                        pitch=0.3, duration=1.0)
+        assert np.array_equal(trace.times, np.append(0.3 * np.arange(4), 1.0))
+
     @pytest.mark.parametrize("arg", ["period", "amplitude", "offset", "pitch", "duration"])
     def test_non_finite_argument_rejected(self, arg):
         args = dict(period=4.0, amplitude=2.0, offset=1.0, pitch=0.25, duration=8.0)

@@ -17,7 +17,9 @@ workload, pool seed 0-7 and formula it prints
   ``G[0,2] (<flat[0,1], 0.5> (G >= 100))`` as one more formula, after the
   spec's, so a coverage node under another is digested too;
 * ``stream``: ``StreamingMonitor.resolved_signal()`` after pushing and polling
-  the trace one sample at a time, then ``finish`` and a last poll (stream spec).
+  the trace one sample at a time, then ``finish`` and a last poll (stream
+  spec).  The stream-day traces also get the same nested formula, after the
+  spec's, so a nested stream's end is digested too.
 
 Every float is hashed as its exact little-endian float64 bytes.  An output
 that the library rejects (an ``SclError``) prints ``error TYPE: MESSAGE`` in
@@ -78,7 +80,8 @@ OUTPUTS = {
     "stream": (("monitor", monitor_digest), ("stream", stream_digest)),
 }
 EXTRA_OUTPUTS = {"check-steps": (("rho_trace", rho_trace_digest),)}
-EXTRA_FORMULAS = {"rho-3d": ("G[0,2] (<flat[0,1], 0.5> (G >= 100))",)}
+NESTED = "G[0,2] (<flat[0,1], 0.5> (G >= 100))"
+EXTRA_FORMULAS = {"rho-3d": (NESTED,), "stream-day": (NESTED,)}
 
 
 def main(argv: list[str]) -> int:
