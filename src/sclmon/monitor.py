@@ -29,6 +29,16 @@ touches the current trace end, and only threshold-delicate content there
 can still move; everything else is reproduced bit-for-bit on any longer
 trace.  The streaming facade emits up to this boundary, which makes
 online output exactly equal to offline.
+
+The formula recursion is span-restricted: a node is evaluated over
+``[lo, evaluable end]``.  :func:`monitor` is the span from 0.  A window node
+may start its own evaluation earlier, at a *restart point* taken from an
+earlier evaluation of a shorter prefix, before what was stable there: one of
+its stretch bounds, or a point inside a stretch whose windows hold no child
+edge.  From there it finds the same later stretches, H samples and roots as
+a run from 0, so its verdict, cut to ``[lo, ...]``, equals the offline one
+bit for bit.  The streaming facade keeps these points between polls and so
+re-evaluates only the unresolved tail.
 """
 
 from __future__ import annotations
@@ -60,6 +70,7 @@ from .signals import (
     boolean_not,
     boolean_or,
     restrict_domain,
+    sorted_unique,
 )
 
 _SNAP = 1e-12          # distance within which H snaps to the exact bounds 0 / 1
@@ -116,11 +127,19 @@ class VerdictSignal:
 
 @dataclass(frozen=True)
 class ConvEvaluation:
-    """A verdict plus the H samples the evaluator actually computed."""
+    """A verdict plus the H samples the evaluator actually computed.
+
+    ``bounds`` are the times from which a fresh evaluation of the same
+    signal, cut to start there, finds the same later samples and roots: the
+    stretch bounds of the efficient evaluator.  The oracle's grid is anchored
+    at its span start, which a later start would shift, so it offers none
+    and an oracle node always restarts at 0.
+    """
 
     verdict: VerdictSignal
     times: np.ndarray
     values: np.ndarray
+    bounds: np.ndarray
 
 
 def _thetas(h: np.ndarray, p: float) -> np.ndarray:
@@ -149,15 +168,27 @@ def _alternating(t0: float, t_end: float, first: bool,
     return BooleanSignal.from_intervals(t0, t_end, cuts[:2 * n].reshape(n, 2))
 
 
-def eval_atom(trace: PiecewiseConstantSignal, atom: Atom) -> BooleanSignal:
-    """Truth signal of a threshold comparison over ``[0, duration]``."""
-    vals = trace.variable_values(atom.variable)
+def eval_atom(trace: PiecewiseConstantSignal, atom: Atom, lo: float = 0.0) -> BooleanSignal:
+    """Truth signal of a threshold comparison over ``[lo, duration]``.
+
+    It reads the samples from the last one at or before ``lo`` on, so its
+    cost is that of the span, not of the trace.  On a one-point span at the
+    duration, the point's truth is that of the segment ending there.
+    """
+    side = "right" if lo < trace.duration else "left"
+    first = max(int(np.searchsorted(trace.times, lo, side=side)) - 1, 0)
+    times = trace.times[first:]
+    vals = trace.variable_values(atom.variable)[first:]
     compare = {">=": np.greater_equal, ">": np.greater,
                "<=": np.less_equal, "<": np.less}[atom.op]
-    bounds = trace.segment_bounds()
-    mask = compare(vals, atom.threshold)[:len(bounds) - 1]
+    # a last sample at the duration starts no segment
+    bounds = np.append(times, trace.duration) if times[-1] < trace.duration else times
+    true = compare(vals, atom.threshold)[:len(bounds) - 1]
+    # each run of true segments is one interval, from its first segment's
+    # start to its last one's end
+    edges = np.flatnonzero(np.concatenate(([False], true)) != np.concatenate((true, [False])))
     return BooleanSignal.from_intervals(
-        0.0, trace.duration, np.column_stack((bounds[:-1][mask], bounds[1:][mask])))
+        lo, trace.duration, np.column_stack((bounds[edges[0::2]], bounds[edges[1::2]])))
 
 
 def _grid_integrals(kernel: BoundedKernel, sig: BooleanSignal,
@@ -227,7 +258,7 @@ def eval_conv_oracle(kernel: BoundedKernel, threshold: float, sig: BooleanSignal
     # interpolated inside it may move when the trace is extended
     stable = float(ts[-2]) if len(ts) >= 2 else t0
     verdict = VerdictSignal(signal, tuple(crossings), stable)
-    return ConvEvaluation(verdict, ts, hs)
+    return ConvEvaluation(verdict, ts, hs, np.empty(0))
 
 
 def _narrow(positive_at: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
@@ -389,11 +420,13 @@ def eval_conv_efficient(kernel: BoundedKernel, threshold: float,
     t0, t_end = _verdict_span(kernel, sig)
     edges = np.concatenate([sig.starts, sig.ends])
     events = np.concatenate([edges - kernel.lower, edges - kernel.upper])
-    events = np.unique(events[(events > t0 + 1e-15) & (events < t_end - 1e-15)])
+    events = sorted_unique(events[(events > t0 + 1e-15) & (events < t_end - 1e-15)])
     bounds = np.concatenate([[t0], events, [t_end]])
     gaussian = isinstance(kernel, GaussianKernel)
-    splits = _gaussian_splits(kernel, sig, bounds) if gaussian else np.empty(0)
-    times = np.unique(np.concatenate([bounds, splits]))
+    if gaussian:
+        times = sorted_unique(np.concatenate([bounds, _gaussian_splits(kernel, sig, bounds)]))
+    else:
+        times = bounds
 
     hs = _grid_integrals(kernel, sig, times)
     if hs.min() < -_H_DRIFT or hs.max() > 1.0 + _H_DRIFT:
@@ -425,16 +458,21 @@ def eval_conv_efficient(kernel: BoundedKernel, threshold: float,
             crossings.append(root)
     flips = roots[flip[cells]]
 
-    # the last stretch's windows reach the trace end, so extending the
-    # trace can perturb its H values at rounding level; anything
-    # threshold-delicate there is not final yet
+    # the last stretch ends at the trace-dependent t_end, and a longer trace
+    # solves its crossings from a later end sample; anything
+    # threshold-delicate there is not final yet.  H snapped onto a p of 0
+    # or 1 is not: H cannot pass that bound, and a stretch whose window
+    # edges are fixed keeps it there unless a risky cell shows otherwise
+    near = np.abs(th) <= 1e-11
+    if p in (0.0, 1.0):
+        near &= hs != p
     last = times >= bounds[-2]
-    delicate = np.any(np.abs(th[last]) <= 1e-11) or np.any(risky[last[:-1]])
+    delicate = near[last].any() or risky[last[:-1]].any()
     stable_until = float(bounds[-2]) if delicate else t_end
 
     signal = _alternating(t0, t_end, bool(truths[0]), flips)
     verdict = VerdictSignal(signal, tuple(crossings), stable_until)
-    return ConvEvaluation(verdict, times, hs)
+    return ConvEvaluation(verdict, times, hs, bounds)
 
 
 def _conv_dispatch(kernel: BoundedKernel, threshold: float, sig: BooleanSignal,
@@ -453,20 +491,90 @@ def _align(a: BooleanSignal, b: BooleanSignal) -> tuple[BooleanSignal, BooleanSi
     return a, b
 
 
-def _eval_node(trace: PiecewiseConstantSignal, f: Formula, config: MonitorConfig,
+class _Restart:
+    """Where a window node's next evaluation starts: at ``at``, the restart
+    point it last chose, until its last evaluation (from ``lo``, of the
+    child ``sig``, with stretch ``bounds``, stable until ``stable``) offers
+    a later one.
+
+    A restart point lies at or before what the node must produce now, more
+    than 1e-15 before the next bound (so a run from it keeps that bound, as
+    a run from 0 does) and before what was stable then (so the child edges
+    its stretch comes from are final).  It is a stretch bound, never a
+    Gaussian H' split, or, inside a quiet stretch, the ``lo`` of the last
+    evaluation or of this one, where the node's output is wanted from.
+    """
+
+    __slots__ = ("at", "lo", "bounds", "sig", "kernel", "stable")
+
+    def __init__(self) -> None:
+        self.at = self.lo = 0.0
+        self.bounds = np.zeros(1)
+
+    def start_for(self, lo: float) -> float:
+        bounds = self.bounds
+        k = int(np.searchsorted(bounds[:-1], lo, side="right")) - 1
+        for k in range(k, -1, -1):
+            start = float(bounds[k])
+            limit = min(float(bounds[k + 1]), self.stable)
+            if start + 1e-15 < limit:
+                inner = [t for t in (lo, self.lo) if start < t and t + 1e-15 < limit]
+                self.at = inner[0] if inner and self._quiet(k) else start
+                break
+        self.lo = lo
+        return self.at
+
+    def _quiet(self, k: int) -> bool:
+        """Whether no window anchored inside stretch k holds a child edge.
+
+        Then every H sample there is the same snapped 0 or 1, so the stretch
+        has no crossing and a run may start anywhere in it.  (Before the
+        stable point it is not the delicate last stretch, so that run's
+        ``stable_until`` does not move either.)  The stretch's midpoint is
+        tested, so one too short for the test to stand clear of rounding is
+        not quiet.
+        """
+        a, b = self.bounds[k], self.bounds[k + 1]
+        if not b - a > 1e-9 * (1.0 + abs(b)):
+            return False
+        mid = 0.5 * (a + b)
+        lower, upper = mid + self.kernel.lower, mid + self.kernel.upper
+        for edges in (self.sig.starts, self.sig.ends):
+            i = int(np.searchsorted(edges, lower, side="right"))
+            if i < len(edges) and edges[i] < upper:
+                return False
+        return True
+
+    def record(self, bounds: np.ndarray, sig: BooleanSignal, kernel: BoundedKernel,
+               stable: float) -> None:
+        self.bounds, self.sig, self.kernel, self.stable = bounds, sig, kernel, stable
+
+
+def _eval_node(trace: PiecewiseConstantSignal, f: Formula, lo: float, config: MonitorConfig,
+               restarts: dict[tuple[int, ...], _Restart] | None = None, path: tuple[int, ...] = (),
                ) -> tuple[BooleanSignal, tuple[float, ...], float]:
+    """Signal, crossings and ``stable_until`` of ``f`` over ``[lo, evaluable end]``.
+
+    An atom reads the trace from its last sample at or before ``lo``; ``!``
+    and the connectives pass ``lo`` on; a window node asks its child for its
+    own span, which starts at ``lo`` (windows look forward), or at its
+    restart point when ``restarts`` holds one for its ``path`` (child 0,
+    left 0, right 1 from the root), and cuts its verdict to ``[lo, ...]``.
+    Each window node's evaluation is recorded in ``restarts`` for the next
+    call.
+    """
     match f:
         case Const(value):
             full = BooleanSignal.always if value else BooleanSignal.never
-            return full(0.0, trace.duration), (), math.inf
+            return full(lo, trace.duration), (), math.inf
         case Atom():
-            return eval_atom(trace, f), (), math.inf
+            return eval_atom(trace, f, lo), (), math.inf
         case Not(child):
-            sig, crossings, stable = _eval_node(trace, child, config)
+            sig, crossings, stable = _eval_node(trace, child, lo, config, restarts, path + (0,))
             return boolean_not(sig), crossings, stable
         case Or(left, right) | And(left, right) | Implies(left, right):
-            a, _, stable_a = _eval_node(trace, left, config)
-            b, _, stable_b = _eval_node(trace, right, config)
+            a, _, stable_a = _eval_node(trace, left, lo, config, restarts, path + (0,))
+            b, _, stable_b = _eval_node(trace, right, lo, config, restarts, path + (1,))
             a, b = _align(a, b)
             stable = min(stable_a, stable_b)
             if isinstance(f, Or):
@@ -474,16 +582,22 @@ def _eval_node(trace: PiecewiseConstantSignal, f: Formula, config: MonitorConfig
             if isinstance(f, And):
                 return boolean_and(a, b), (), stable
             return boolean_or(boolean_not(a), b), (), stable
-        case Conv(kernel, threshold, child):
-            sig, _, child_stable = _eval_node(trace, child, config)
+        case Conv(kernel, threshold, child) | ConvDual(kernel, threshold, child):
+            restart = None if restarts is None else restarts.setdefault(path, _Restart())
+            start = lo if restart is None else restart.start_for(lo)
+            sig, _, child_stable = _eval_node(trace, child, start, config, restarts, path + (0,))
+            dual = isinstance(f, ConvDual)
+            if dual:
+                # the dual is the complement of the complemented child at 1 - p
+                sig, threshold = boolean_not(sig), 1.0 - threshold
             ev = _conv_dispatch(kernel, threshold, sig, config)
+            signal = boolean_not(ev.verdict.signal) if dual else ev.verdict.signal
             stable = min(ev.verdict.stable_until, child_stable - kernel.upper)
-            return ev.verdict.signal, ev.verdict.crossings, stable
-        case ConvDual(kernel, threshold, child):
-            sig, _, child_stable = _eval_node(trace, child, config)
-            ev = _conv_dispatch(kernel, 1.0 - threshold, boolean_not(sig), config)
-            stable = min(ev.verdict.stable_until, child_stable - kernel.upper)
-            return boolean_not(ev.verdict.signal), ev.verdict.crossings, stable
+            if restart is not None:
+                restart.record(ev.bounds, sig, kernel, stable)
+            if start < lo:
+                signal = restrict_domain(signal, (lo, signal.end))
+            return signal, ev.verdict.crossings, stable
     raise SclError(f"not a formula: {f!r}")
 
 
@@ -493,7 +607,6 @@ def monitor(trace: PiecewiseConstantSignal, f: Formula,
 
     The formula is satisfied by the trace iff the verdict holds at time 0.
     """
-    config = config or MonitorConfig()
     evaluable_end(f, trace.duration)
-    signal, crossings, stable = _eval_node(trace, f, config)
+    signal, crossings, stable = _eval_node(trace, f, 0.0, config or MonitorConfig())
     return VerdictSignal(signal, crossings, min(stable, signal.end))

@@ -55,7 +55,7 @@ from .formula import (
     evaluable_end,
 )
 from .kernels import BoundedKernel
-from .signals import PiecewiseConstantSignal
+from .signals import PiecewiseConstantSignal, sorted_unique
 
 _MASS_SNAP = 1e-9  # coverage sums get snapped onto the exact bounds 0 / 1
 _RHO_CELLS = 1000  # a coverage node samples its span every window width / _RHO_CELLS
@@ -195,7 +195,8 @@ def _breaks(trace: PiecewiseConstantSignal, f: Formula, lo: float, hi: float) ->
         case Not(child):
             return _breaks(trace, child, lo, hi)
         case Or(left, right) | And(left, right) | Implies(left, right):
-            return np.union1d(_breaks(trace, left, lo, hi), _breaks(trace, right, lo, hi))
+            return sorted_unique(np.concatenate((_breaks(trace, left, lo, hi),
+                                                 _breaks(trace, right, lo, hi))))
         case Conv(kernel) | ConvDual(kernel):
             pitch = kernel.width / _RHO_CELLS
             grid = lo + pitch * np.arange(1, int((hi - lo) / pitch) + 1)

@@ -158,6 +158,13 @@ def restrict_domain(sig: BooleanSignal, interval: tuple[float, float]) -> Boolea
     return BooleanSignal.from_intervals(lo, hi, np.column_stack((sig.starts, sig.ends)))
 
 
+def sorted_unique(x: np.ndarray) -> np.ndarray:
+    """Ascending distinct values of a float array: ``np.unique`` by sort and
+    neighbour compare, which leaves ``numpy.ma`` unimported."""
+    x = np.sort(x)
+    return x[np.concatenate(([True], x[1:] != x[:-1]))] if len(x) else x
+
+
 def check_unique_variables(names: tuple[str, ...], line: int | None = None) -> None:
     """A repeated name would make every lookup read its first column only."""
     repeated = sorted({v for v in names if names.count(v) > 1})
@@ -201,6 +208,17 @@ class PiecewiseConstantSignal:
                 f"duration {self.duration} shorter than last sample time {times[-1]}"
             )
 
+    @classmethod
+    def _unchecked(cls, variables: tuple[str, ...], times: np.ndarray, values: np.ndarray,
+                duration: float) -> "PiecewiseConstantSignal":
+        """A trace over arrays that were checked as they were filled, taken
+        as they are: no copy and no check (a stream's buffers, per poll)."""
+        trace = object.__new__(cls)
+        for name, value in (("variables", variables), ("times", times),
+                            ("values", values), ("duration", duration)):
+            object.__setattr__(trace, name, value)
+        return trace
+
     def column(self, variable: str) -> int:
         try:
             return self.variables.index(variable)
@@ -217,9 +235,3 @@ class PiecewiseConstantSignal:
 
     def variable_values(self, variable: str) -> np.ndarray:
         return self.values[:, self.column(variable)]
-
-    def segment_bounds(self) -> np.ndarray:
-        """Breakpoints of the step function: sample times plus the duration."""
-        if self.times[-1] < self.duration:
-            return np.append(self.times, self.duration)
-        return self.times.copy()

@@ -1,14 +1,21 @@
 """Online monitoring facade: push samples, poll resolved verdict prefixes.
 
-Each poll re-runs the offline monitor on the known prefix and emits the
-newly resolved slice.  Before :meth:`StreamingMonitor.finish` a slice ends
-at the verdict's ``stable_until``, before which no longer trace can change
-it; after, at the verdict's own end.  Because the offline evaluators are
-prefix-stable and deterministic, the concatenated output equals the offline
-verdict on the full trace exactly, down to the double its domain ends at.
-A poll on a prefix shorter than the formula's horizon, one whose hold-back
-lies below time 0 (a nested window's early polls), and one that finds
-nothing past what was already emitted return ``None``.
+Samples go into growing numpy buffers, each checked once as it is pushed.
+A poll evaluates the formula over the known prefix from where output was
+last emitted, by the offline monitor's own span-restricted recursion: every
+window node starts from its restart point, at or before what it must
+produce now, which the previous poll left (see ``monitor._Restart``).  So a
+poll re-reads only the unresolved tail, plus the stretch each window node
+straddles, and never copies or re-checks the prefix.  It emits the newly
+resolved slice.  Before :meth:`StreamingMonitor.finish` a slice ends at the
+verdict's ``stable_until``, before which no longer trace can change it;
+after, at the verdict's own end.  A run from a restart point finds the same
+stretches, H samples and roots as a run from 0, so the concatenated output
+equals the offline verdict on the full trace exactly, down to the double its
+domain ends at.  A poll on a prefix shorter than the formula's horizon (decided
+before anything is evaluated), one whose hold-back lies below time 0 (a
+nested window's early polls), and one that finds nothing past what was
+already emitted return ``None``.
 """
 
 from __future__ import annotations
@@ -19,8 +26,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import HorizonError, SclError, TraceError
-from .formula import Formula, variables
-from .monitor import monitor
+from .formula import Formula, evaluable_end, variables
+from .monitor import MonitorConfig, _eval_node, _Restart
 from .signals import (
     BooleanSignal,
     PiecewiseConstantSignal,
@@ -39,11 +46,13 @@ class StreamingMonitor:
         missing = set(variables(formula)) - set(self.variables)
         if missing:
             raise SclError(f"formula uses variables not in the stream: {sorted(missing)}")
-        self._times: list[float] = []
-        self._values: list[list[float]] = []
-        self._duration: float | None = None   # set by finish
+        self._times = np.empty(64)
+        self._values = np.empty((64, len(self.variables)))
+        self._n = 0                              # samples held in the buffers
+        self._duration: float | None = None      # set by finish
         self._emitted_to: float | None = None
         self._pieces: list[BooleanSignal] = []
+        self._restarts: dict[tuple[int, ...], _Restart] = {}
 
     def push(self, time: float, values: Sequence[float]) -> None:
         """Append one sample; times must be strictly increasing, starting at 0."""
@@ -60,28 +69,34 @@ class StreamingMonitor:
                              f"of numbers: {values!r}")
         if not math.isfinite(time) or not all(map(math.isfinite, row)):
             raise TraceError(f"non-finite sample at time {time}: {row}")
-        if not self._times:
+        n = self._n
+        if not n:
             if time != 0.0:
                 raise TraceError(f"first sample must be at time 0, got {time}")
-        elif time == self._times[-1]:
+        elif time == self._times[n - 1]:
             raise TraceError(f"duplicate timestamp {time}")
-        elif time < self._times[-1]:
+        elif time < self._times[n - 1]:
             raise TraceError(
-                f"out-of-order sample: {time} after {self._times[-1]}"
+                f"out-of-order sample: {time} after {self._times[n - 1]}"
             )
         if len(row) != len(self.variables):
             raise TraceError(
                 f"sample has {len(row)} values for {len(self.variables)} variables"
             )
-        self._times.append(time)
-        self._values.append(row)
+        if n == len(self._times):
+            self._times = np.concatenate((self._times, np.empty(n)))
+            self._values = np.concatenate((self._values, np.empty_like(self._values)))
+        self._times[n] = time
+        self._values[n] = row
+        self._n = n + 1
 
     def finish(self, duration: float | None = None) -> None:
         """Mark end-of-stream; the final value holds up to ``duration``."""
-        if not self._times:
+        if not self._n:
             raise SclError("cannot finish an empty stream")
+        last = float(self._times[self._n - 1])
         if duration is None:
-            duration = self._times[-1]
+            duration = last
         try:
             duration = float(duration)
             finite = math.isfinite(duration)
@@ -89,30 +104,33 @@ class StreamingMonitor:
             finite = False
         if not finite:
             raise TraceError(f"stream duration must be finite, got {duration!r}")
-        if duration < self._times[-1]:
+        if duration < last:
             raise TraceError(
-                f"duration {duration} precedes last sample {self._times[-1]}"
+                f"duration {duration} precedes last sample {last}"
             )
         self._duration = duration
 
     def poll(self) -> BooleanSignal | None:
         """Newly resolved verdict slice, or ``None`` when nothing new resolved."""
-        if not self._times:
+        n = self._n
+        if not n:
             return None
         finished = self._duration is not None
-        prefix = PiecewiseConstantSignal(self.variables, np.array(self._times),
-                                         np.array(self._values),
-                                         self._duration if finished else self._times[-1])
+        duration = self._duration if finished else float(self._times[n - 1])
         try:
-            verdict = monitor(prefix, self.formula)
+            evaluable_end(self.formula, duration)
         except HorizonError:
             return None
+        start = 0.0 if self._emitted_to is None else self._emitted_to
+        prefix = PiecewiseConstantSignal._unchecked(self.variables, self._times[:n],
+                                                    self._values[:n], duration)
+        signal, _, stable = _eval_node(prefix, self.formula, start, MonitorConfig(),
+                                       self._restarts)
         # before the end, hold back content that a longer trace might still refine
-        resolved = verdict.signal.end if finished else verdict.stable_until
-        start = verdict.signal.start if self._emitted_to is None else self._emitted_to
+        resolved = signal.end if finished else min(stable, signal.end)
         if resolved < start or resolved == self._emitted_to:
             return None
-        piece = restrict_domain(verdict.signal, (start, resolved))
+        piece = restrict_domain(signal, (start, resolved))
         self._emitted_to = resolved
         self._pieces.append(piece)
         return piece

@@ -31,6 +31,8 @@ from sclmon import (
     parse,
     restrict_domain,
 )
+from sclmon.formula import evaluable_end
+from sclmon.monitor import _eval_node
 from conftest import (
     conv_value_riemann,
     dilate,
@@ -501,3 +503,81 @@ def _random_trace(rng, duration):
     times = np.unique(np.concatenate([[0.0], np.sort(rng.uniform(0, duration, 12))]))
     values = rng.uniform(-1, 1, (len(times), 1))
     return PiecewiseConstantSignal(("v",), times, values, duration)
+
+
+RESTART_FORMULAS = [
+    "<flat[0,1], 0.5> (v >= 0)",
+    "<exp(1.5)[0,1], 0.4> (v >= 0.5)",
+    "<exp(-2)[0.25,1.5], 0.6>* (v <= 0)",
+    "<gauss(0.5, 0.3)[0,1], 0.5> (v >= 0)",
+    "<gauss(0.25, 0.1)[0.25,1], 0.3>* (v > 0)",
+    "G[0,0.5] (<flat[0,1], 0.5> (v > 0))",
+    "F[0,0.75] (<exp(-1)[0,0.5], 0.5> (v >= 0) & G[0,0.25] (v > -1))",
+    "G[0,1] (v >= -0.5) -> !F[0.25,0.75] (v >= 1)",
+    "<flat[0,1], 5e-12> (v >= 0)",    # H = 0 lies within 1e-11 of p: delicate
+]
+
+
+@st.composite
+def restart_cases(draw):
+    """A trace whose times and values sit on coarse grids as often as not, a
+    formula, the ends of three ever longer prefixes of it, and for each where
+    in its stable span the next evaluation must start."""
+    n = draw(st.integers(2, 30))
+    steps = draw(st.lists(st.one_of(st.sampled_from([0.125, 0.25, 0.5]),
+                                    st.floats(0.01, 0.6)), min_size=n - 1, max_size=n - 1))
+    times = np.concatenate(([0.0], np.cumsum(steps)))
+    values = draw(st.lists(st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 1.0]),
+                                     st.floats(-1.5, 1.5)), min_size=n, max_size=n))
+    trace = PiecewiseConstantSignal(("v",), times, np.array(values).reshape(-1, 1),
+                                    float(times[-1]) + 0.25)
+    cuts = sorted(draw(st.lists(st.sampled_from(times.tolist()), min_size=3, max_size=3)))
+    where = draw(st.lists(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
+                          min_size=3, max_size=3))
+    return parse(draw(st.sampled_from(RESTART_FORMULAS))), trace, cuts, where
+
+
+class TestRestarts:
+    """A window node evaluated from a restart point that an evaluation of a
+    shorter prefix recorded finds the same stretches, H samples and roots as
+    a run from 0: the verdict equals the offline one cut to its span, and so
+    does ``stable_until``, bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=restart_cases())
+    def test_restarted_span_equals_offline(self, case):
+        f, trace, cuts, where = case
+        config, restarts, lo = MonitorConfig(), {}, 0.0
+        for cut, u in zip(cuts, where):
+            keep = trace.times <= cut
+            prefix = PiecewiseConstantSignal(("v",), trace.times[keep], trace.values[keep], cut)
+            try:
+                evaluable_end(f, cut)
+            except HorizonError:
+                continue
+            sig, _, stable = _eval_node(prefix, f, lo, config, restarts)
+            assert sig.start == lo
+            lo = max(lo, lo + u * (min(stable, sig.end) - lo))
+        try:
+            expected = monitor(trace, f)
+        except HorizonError:
+            return
+        sig, _, stable = _eval_node(trace, f, lo, config, restarts)
+        assert sig == restrict_domain(expected.signal, (lo, expected.signal.end))
+        assert min(stable, sig.end) == expected.stable_until
+
+    def test_oracle_node_restarts_at_zero(self):
+        # the oracle's grid is anchored at its span start, so a later start
+        # would move every H sample; it records no restart point
+        rng = np.random.default_rng(4)
+        trace = _random_trace(rng, 4.0)
+        f = parse("G[0,0.5] (<flat[0,1], 0.5> (v > 0))")
+        config, restarts = MonitorConfig(evaluator="oracle"), {}
+        for cut, lo in ((2.0, 0.0), (3.0, 0.2), (4.0, 1.1)):
+            keep = trace.times <= cut
+            prefix = PiecewiseConstantSignal(("v",), trace.times[keep], trace.values[keep], cut)
+            sig, _, stable = _eval_node(prefix, f, lo, config, restarts)
+            expected = monitor(prefix, f, config)
+            assert sig == restrict_domain(expected.signal, (lo, expected.signal.end))
+            assert min(stable, sig.end) == expected.stable_until
+        assert all(r.at == 0.0 for r in restarts.values())

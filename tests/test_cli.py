@@ -251,3 +251,24 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def test_check_and_rho_load_no_numpy_ma(workdir):
+    """``np.unique`` and ``np.union1d`` import ``numpy.ma`` (about 13 ms) on
+    first use; the monitor and robustness sort and compare instead."""
+    trace = make_trace(workdir / "t.csv", [(float(t), 60.0 + 50.0 * (t % 3 == 0))
+                                           for t in range(40)])
+    spec = write(workdir / "f.scl", "\n".join([
+        "<flat[0,2], 0.5> (G >= 70)", "G[0,3] (G >= 50) | F[0,1] (G <= 60)",
+        "<gauss(0.5, 0.3)[0,1], 0.4> (G >= 100)", "<exp(-1)[0,2], 0.5>* (G < 70)"]) + "\n")
+    src = str(Path(sclmon.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    probe = (f"import sys, sclmon.cli\n"
+             f"for command in ('check', 'rho'):\n"
+             f"    sclmon.cli.main([command, '--trace', {trace!r}, '--spec', {spec!r},\n"
+             f"                     '--out', {str(workdir / 'out')!r}])\n"
+             f"print('numpy.ma' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"

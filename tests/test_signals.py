@@ -17,6 +17,7 @@ from sclmon import (
     boolean_or,
     restrict_domain,
 )
+from sclmon.signals import sorted_unique
 from conftest import random_boolean_signal
 
 
@@ -311,3 +312,13 @@ class TestPiecewiseConstantSignal:
         t = PiecewiseConstantSignal(("v",), np.array([0.0]), np.array([[1.0]]), 1.0)
         with pytest.raises(SclError, match="time nan outside trace domain"):
             t.value_at(math.nan, "v")
+
+
+class TestSortedUnique:
+    @settings(max_examples=60, deadline=None)
+    @given(values=st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, 0.5]),
+                                     st.floats(-1e6, 1e6)), max_size=30))
+    def test_equals_numpy_unique(self, values):
+        x = np.array(values, dtype=float)
+        got, expected = sorted_unique(x), np.unique(x)
+        assert got.tobytes() == expected.tobytes()

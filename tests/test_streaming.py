@@ -1,15 +1,21 @@
 """Online monitoring: push/poll resolution and exact offline equivalence."""
 
+import importlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sclmon import (
+    HorizonError,
     PiecewiseConstantSignal,
     SclError,
     StreamingMonitor,
     TraceError,
+    generate_glucose_like,
+    horizon,
     monitor,
     parse,
 )
@@ -261,3 +267,152 @@ class TestOfflineEquivalence:
         sm.finish(trace.duration)
         sm.poll()
         assert sm.resolved_signal() == monitor(trace, f).signal
+
+
+STREAM_FORMULAS = [
+    "<flat[0,1], 0.4> (v >= 0)",
+    "<exp(2)[0,1.5], 0.6> (v >= 0.5)",
+    "<exp(-1.5)[0.25,1.25], 0.3>* (v <= 0)",
+    "<gauss(0.5, 0.3)[0,1], 0.5> (v >= 0)",
+    "G[0,0.75] (v >= -0.5) | F[0,1] (v >= 0.5)",
+    "G[0,0.5] (<flat[0,1], 0.5> (v > 0))",
+    "!<flat[0.25,1], 0.5> (v < 0) & G[0,1] (v >= -1)",
+]
+
+
+@st.composite
+def stream_cases(draw):
+    """A trace on [0, duration] whose times and values sit on coarse grids as
+    often as not (so coverage meets thresholds exactly and windows meet edges
+    at shared times), a formula, and after each sample whether to poll."""
+    n = draw(st.integers(2, 40))
+    steps = draw(st.lists(st.one_of(st.sampled_from([0.125, 0.25, 0.5]),
+                                    st.floats(0.01, 0.6)), min_size=n - 1, max_size=n - 1))
+    times = np.concatenate(([0.0], np.cumsum(steps)))
+    values = draw(st.lists(st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 1.0]),
+                                     st.floats(-1.5, 1.5)), min_size=n, max_size=n))
+    duration = float(times[-1]) + draw(st.sampled_from([0.0, 0.25, 1.0]))
+    trace = PiecewiseConstantSignal(("v",), times, np.array(values).reshape(-1, 1), duration)
+    polls = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return parse(draw(st.sampled_from(STREAM_FORMULAS))), trace, polls
+
+
+class TestRestartedPolls:
+    """A poll evaluates from where it last emitted, each window node from its
+    restart point; the output stays the offline verdict bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=stream_cases())
+    def test_any_poll_cadence_equals_offline(self, case):
+        f, trace, polls = case
+        try:
+            expected = monitor(trace, f).signal
+        except HorizonError:
+            return
+        sm = StreamingMonitor(f, ("v",))
+        for t, row, poll in zip(trace.times.tolist(), trace.values.tolist(), polls):
+            sm.push(t, row)
+            if poll:
+                sm.poll()
+        sm.finish(trace.duration)
+        sm.poll()
+        assert sm.resolved_signal() == expected
+
+    def test_full_coverage_window_emits_as_it_goes(self):
+        # H sits on p = 1, which it cannot pass: nothing there is
+        # threshold-delicate, so G emits at the same lag as any window
+        for text in ("G[0,1] (v >= 0)", "<flat[0,1], 0.5> (v >= 0)", "F[0,1] (v < 0)"):
+            sm = StreamingMonitor(parse(text), ("v",))
+            for t in range(11):
+                sm.push(float(t), [1.0])
+                sm.poll()
+            assert sm.resolved_signal().domain == (0.0, 9.0), text
+
+    def test_short_prefix_poll_evaluates_nothing(self, monkeypatch):
+        streaming = importlib.import_module("sclmon.streaming")
+
+        def evaluate(*args, **kwargs):
+            raise AssertionError("a poll short of the horizon evaluated the formula")
+
+        monkeypatch.setattr(streaming, "_eval_node", evaluate)
+        sm = StreamingMonitor(parse("<flat[0,1], 0.8> (G >= 70)"), ("G",))
+        sm.push(0.0, [100.0])
+        sm.push(0.5, [100.0])
+        assert sm.poll() is None
+
+
+class TestBoundedPolls:
+    """A poll reads the trace from its restart points on, not from 0."""
+
+    PITCH = 1.0 / 12.0
+    SAMPLES = 4 * 24 * 12 + 1          # four days at a five-minute pitch
+
+    @staticmethod
+    def reads(monkeypatch, f, times, values):
+        """Per poll, the most samples any atom read and the longest span of
+        the trace they cover, from the first sample read to the end."""
+        monitor_module = importlib.import_module("sclmon.monitor")
+        eval_atom = monitor_module.eval_atom
+        counts, spans = [], []
+
+        def spy(trace, atom, lo=0.0):
+            side = "right" if lo < trace.duration else "left"
+            first = max(int(np.searchsorted(trace.times, lo, side=side)) - 1, 0)
+            counts[-1] = max(counts[-1], len(trace.times) - first)
+            spans[-1] = max(spans[-1], trace.duration - trace.times[first])
+            return eval_atom(trace, atom, lo)
+
+        monkeypatch.setattr(monitor_module, "eval_atom", spy)
+        sm = StreamingMonitor(f, ("G",))
+        for t, v in zip(times.tolist(), values.tolist()):
+            sm.push(t, [v])
+            counts.append(0)
+            spans.append(0.0)
+            sm.poll()
+        sm.finish()
+        sm.poll()
+        return np.array(counts), np.array(spans), sm.resolved_signal()
+
+    @pytest.mark.parametrize("pattern", ["every sample", "every third", "never"])
+    @pytest.mark.parametrize("text", [
+        "<flat[0,1], 0.4> (G >= 70)",
+        "G[0,1] (G >= 50)",
+        "<exp(-1)[0,1], 0.4> (G >= 70)",
+    ])
+    def test_four_day_poll_reads_horizon_plus_two_pitches(self, monkeypatch, pattern, text):
+        # the child flips at every sample, at every third, or never: each
+        # poll restarts at most a horizon and two pitches before the end,
+        # which holds (horizon + 2 pitches) / pitch samples after it.  The
+        # atom also reads the sample in force at the restart point, and a
+        # restart point t - upper can round to just below a sample time,
+        # which puts one more sample in force there
+        f = parse(text)
+        times = np.arange(self.SAMPLES) * self.PITCH
+        period = {"every sample": 2, "every third": 3, "never": 1}[pattern]
+        values = np.where(np.arange(self.SAMPLES) % period == 0, 200.0, 60.0)
+        counts, spans, resolved = self.reads(monkeypatch, f, times, values)
+        trace = PiecewiseConstantSignal(("G",), times, values.reshape(-1, 1), float(times[-1]))
+        assert resolved == monitor(trace, f).signal
+        after_first_day = slice(24 * 12, None)
+        bound = (horizon(f) + 2 * self.PITCH) / self.PITCH
+        assert counts[after_first_day].max() <= math.floor(bound + 1e-9) + 2
+        assert spans[after_first_day].max() <= horizon(f) + 3 * self.PITCH + 1e-9
+
+    @pytest.mark.parametrize("text", [
+        "<flat[0,1], 0.8> (G >= 70)",
+        "<exp(-1)[0,2], 0.9> (G <= 180)",
+        "G[0,2] (<flat[0,1], 0.5> (G >= 100))",
+    ])
+    def test_glucose_stream_reads_do_not_grow(self, monkeypatch, text):
+        # on a glucose-like trace a stretch whose windows hold a child edge
+        # can be up to a window width long, so a window node may restart that
+        # much further back; a poll then reads at most a horizon, the window
+        # widths (here the horizon again) and three pitches, on the fourth
+        # day as on the second
+        trace = generate_glucose_like(3, duration=4 * 24.5)
+        f = parse(text)
+        _, spans, resolved = self.reads(monkeypatch, f, trace.times, trace.values[:, 0])
+        assert resolved == monitor(trace, f).signal
+        day = 24 * 12
+        assert spans[day:].max() <= 2 * horizon(f) + 3 * self.PITCH + 1e-9
+        assert spans[-day:].max() <= spans[day:2 * day].max() + 1e-9

@@ -19,7 +19,9 @@ workload, pool seed 0-7 and formula it prints
 * ``stream``: ``StreamingMonitor.resolved_signal()`` after pushing and polling
   the trace one sample at a time, then ``finish`` and a last poll (stream
   spec).  The stream-day traces also get the same nested formula, after the
-  spec's, so a nested stream's end is digested too.
+  spec's, so a nested stream's end is digested too;
+* ``stream7``: the same, polled after every 7th sample only, so each poll
+  restarts from further back than a per-sample poll does.
 
 Every float is hashed as its exact little-endian float64 bytes.  An output
 that the library rejects (an ``SclError``) prints ``error TYPE: MESSAGE`` in
@@ -63,21 +65,27 @@ def rho_trace_digest(sclmon, trace, f) -> str:
     return digest(rt.times, rt.values)
 
 
-def stream_digest(sclmon, trace, f) -> str:
+def stream_digest(sclmon, trace, f, every=1) -> str:
     sm = sclmon.StreamingMonitor(f, trace.variables)
-    for t, row in zip(trace.times.tolist(), trace.values.tolist()):
+    for i, (t, row) in enumerate(zip(trace.times.tolist(), trace.values.tolist()), 1):
         sm.push(t, row)
-        sm.poll()
+        if i % every == 0:
+            sm.poll()
     sm.finish()
     sm.poll()
     resolved = sm.resolved_signal()
     return "none" if resolved is None else digest(*signal_parts(resolved))
 
 
+def stream7_digest(sclmon, trace, f) -> str:
+    return stream_digest(sclmon, trace, f, every=7)
+
+
 OUTPUTS = {
     "check": (("monitor", monitor_digest),),
     "rho": (("rho_trace", rho_trace_digest),),
-    "stream": (("monitor", monitor_digest), ("stream", stream_digest)),
+    "stream": (("monitor", monitor_digest), ("stream", stream_digest),
+               ("stream7", stream7_digest)),
 }
 EXTRA_OUTPUTS = {"check-steps": (("rho_trace", rho_trace_digest),)}
 NESTED = "G[0,2] (<flat[0,1], 0.5> (G >= 100))"
