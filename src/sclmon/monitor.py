@@ -162,10 +162,35 @@ def _verdict_span(kernel: BoundedKernel, sig: BooleanSignal) -> tuple[float, flo
 def _alternating(t0: float, t_end: float, first: bool,
                  flips: np.ndarray | list[float]) -> BooleanSignal:
     """Truth signal over ``[t0, t_end]`` that starts as ``first`` and flips
-    at each of the (sorted) ``flips``."""
-    cuts = np.concatenate(([t0], flips, [t_end]))[0 if first else 1:]
+    at each of the (sorted) ``flips``.
+
+    The cuts pair up into true-intervals; a pair of coinciding cuts is a
+    zero-length interval, which is dropped, and a kept interval whose start
+    coincides with the previous kept one's end is merged into it.
+    """
+    cuts = np.concatenate(([t0], flips, [t_end]))
+    if t0 == t_end:
+        # the point is true when a pair of cuts holds it
+        pairs = cuts[0 if first else 1:]
+        n = len(pairs) // 2
+        return BooleanSignal._degenerate(
+            t0, t_end, np.any((pairs[0:2 * n:2] <= t0) & (t0 <= pairs[1:2 * n:2])))
+    # from_intervals' clip selections: a flip below t0 (above t_end) becomes
+    # t0 (t_end); the flips are sorted, so these are a prefix (suffix)
+    inner = cuts[1:-1]
+    inner[:inner.searchsorted(t0, side="left")] = t0
+    inner[inner.searchsorted(t_end, side="right"):] = t_end
+    cuts = cuts[0 if first else 1:]
     n = len(cuts) // 2
-    return BooleanSignal.from_intervals(t0, t_end, cuts[:2 * n].reshape(n, 2))
+    starts, ends = cuts[0:2 * n:2], cuts[1:2 * n:2]
+    kept = ends > starts
+    starts, ends = starts[kept], ends[kept]
+    apart = starts[1:] > ends[:-1]
+    return BooleanSignal(t0, t_end, np.concatenate((starts[:1], starts[1:][apart])),
+                         np.concatenate((ends[:-1][apart], ends[-1:])))
+
+
+_COMPARE = {">=": np.greater_equal, ">": np.greater, "<=": np.less_equal, "<": np.less}
 
 
 def eval_atom(trace: PiecewiseConstantSignal, atom: Atom, lo: float = 0.0) -> BooleanSignal:
@@ -173,22 +198,28 @@ def eval_atom(trace: PiecewiseConstantSignal, atom: Atom, lo: float = 0.0) -> Bo
 
     It reads the samples from the last one at or before ``lo`` on, so its
     cost is that of the span, not of the trace.  On a one-point span at the
-    duration, the point's truth is that of the segment ending there.
+    duration, the point's truth is that of the segment ending there, or, on
+    a trace of zero duration, that of its one sample.
     """
-    side = "right" if lo < trace.duration else "left"
-    first = max(int(np.searchsorted(trace.times, lo, side=side)) - 1, 0)
+    lo, duration = float(lo), trace.duration
+    if not lo <= duration:
+        raise SclError(f"atom span [{lo}, {duration}] is empty")
+    side = "right" if lo < duration else "left"
+    first = max(int(trace.times.searchsorted(lo, side=side)) - 1, 0)
     times = trace.times[first:]
-    vals = trace.variable_values(atom.variable)[first:]
-    compare = {">=": np.greater_equal, ">": np.greater,
-               "<=": np.less_equal, "<": np.less}[atom.op]
+    true = _COMPARE[atom.op](trace.variable_values(atom.variable)[first:], atom.threshold)
+    if lo == duration:
+        return BooleanSignal._degenerate(lo, duration, true[0])
     # a last sample at the duration starts no segment
-    bounds = np.append(times, trace.duration) if times[-1] < trace.duration else times
-    true = compare(vals, atom.threshold)[:len(bounds) - 1]
+    bounds = np.concatenate((times, [duration])) if times[-1] < duration else times
+    true = true[:len(bounds) - 1]
     # each run of true segments is one interval, from its first segment's
-    # start to its last one's end
-    edges = np.flatnonzero(np.concatenate(([False], true)) != np.concatenate((true, [False])))
-    return BooleanSignal.from_intervals(
-        lo, trace.duration, np.column_stack((bounds[edges[0::2]], bounds[edges[1::2]])))
+    # start to its last one's end; only the first can start before lo
+    edges = (np.concatenate(([False], true)) != np.concatenate((true, [False]))).nonzero()[0]
+    starts, ends = bounds[edges[0::2]], bounds[edges[1::2]]
+    if len(starts) and lo > starts[0]:
+        starts[0] = lo
+    return BooleanSignal(lo, duration, starts, ends)
 
 
 def _grid_integrals(kernel: BoundedKernel, sig: BooleanSignal,
@@ -197,35 +228,42 @@ def _grid_integrals(kernel: BoundedKernel, sig: BooleanSignal,
     0 / 1.
 
     Each value is a plain running sum, in time order, of the masses of the
-    intervals in its window's reach.  The anchor-interval pairs go through
-    one broadcast mass call per chunk of at most ``_CHUNK`` pairs, so a
-    value depends only on its anchor, not on the chunk that took it in, and
-    prefixes of a growing trace stay bit-identical.
+    intervals in its window's reach.  Anchors go in blocks of at most
+    ``_CHUNK``, and a block's anchor-interval pairs through one broadcast
+    mass call per run of anchors holding at most ``_CHUNK`` pairs, so memory
+    stays bounded, a value depends only on its anchor, not on the run that
+    took it in, and prefixes of a growing trace stay bit-identical.
     """
     starts, ends = sig.starts, sig.ends
     if len(ends) and ends[-1] == sig.end:
         # the interval reaching the signal's end reaches every window's end,
         # also that of a last window which rounding put past it
-        ends = ends.copy()
-        ends[-1] = np.inf
+        ends = np.concatenate((ends[:-1], [np.inf]))
     lo, hi = kernel.lower, kernel.upper
-    first = np.searchsorted(ends, ts + lo, side="left")
-    count = np.maximum(np.searchsorted(starts, ts + hi, side="right") - first, 0)
-    done = np.cumsum(count)
-    h = np.zeros(len(ts))
-    i = 0
-    while i < len(ts):
-        j = max(i + 1, int(np.searchsorted(done, done[i] - count[i] + _CHUNK, side="right")))
-        n = count[i:j]
-        pair = np.repeat(np.arange(j - i), n)
-        idx = np.arange(int(n.sum())) + np.repeat(first[i:j] - (np.cumsum(n) - n), n)
-        at = ts[i:j][pair]
-        masses = kernel.mass_clipped(np.clip(starts[idx] - at, lo, hi),
-                                     np.clip(ends[idx] - at, lo, hi))
-        h[i:j] = np.bincount(pair, masses, minlength=j - i)
-        i = j
-    h[np.abs(h) <= _SNAP] = 0.0
-    h[np.abs(h - 1.0) <= _SNAP] = 1.0
+    h = np.empty(len(ts))
+    for b in range(0, len(ts), _CHUNK):
+        at = ts[b:b + _CHUNK]
+        first = ends.searchsorted(at + lo, side="left")
+        # never negative: an interval ending before a window starts also
+        # starts before the window ends
+        count = starts.searchsorted(at + hi, side="right") - first
+        done = count.cumsum()
+        # the block's pair k belongs to its anchor's interval k - shift
+        shift = done - count - first
+        i = pairs = 0
+        while i < len(at):
+            j = max(i + 1, int(done.searchsorted(pairs + _CHUNK, side="right")))
+            n, upto = count[i:j], int(done[j - 1])
+            pair = np.arange(j - i).repeat(n)
+            idx = np.arange(pairs, upto) - shift[i:j].repeat(n)
+            anchor = at[i:j][pair]
+            masses = kernel.mass_clipped((starts[idx] - anchor).clip(lo, hi),
+                                         (ends[idx] - anchor).clip(lo, hi))
+            h[b + i:b + j] = np.bincount(pair, masses, minlength=j - i)
+            i, pairs = j, upto
+        block = h[b:b + _CHUNK]
+        block[np.abs(block) <= _SNAP] = 0.0
+        block[np.abs(block - 1.0) <= _SNAP] = 1.0
     return h
 
 
@@ -418,10 +456,14 @@ def eval_conv_efficient(kernel: BoundedKernel, threshold: float,
     """
     p = threshold
     t0, t_end = _verdict_span(kernel, sig)
-    edges = np.concatenate([sig.starts, sig.ends])
-    events = np.concatenate([edges - kernel.lower, edges - kernel.upper])
-    events = sorted_unique(events[(events > t0 + 1e-15) & (events < t_end - 1e-15)])
-    bounds = np.concatenate([[t0], events, [t_end]])
+    edges = np.concatenate((sig.starts, sig.ends))
+    events = np.concatenate((edges - kernel.lower, edges - kernel.upper))
+    events.sort()
+    # the events strictly inside the span, each once
+    inner = events[events.searchsorted(t0 + 1e-15, side="right"):
+                   events.searchsorted(t_end - 1e-15, side="left")]
+    bounds = np.concatenate(([t0], inner, [t_end]))
+    bounds = bounds[np.concatenate(([True], bounds[1:-1] != bounds[:-2], [True]))]
     gaussian = isinstance(kernel, GaussianKernel)
     if gaussian:
         times = sorted_unique(np.concatenate([bounds, _gaussian_splits(kernel, sig, bounds)]))
@@ -432,45 +474,46 @@ def eval_conv_efficient(kernel: BoundedKernel, threshold: float,
     if hs.min() < -_H_DRIFT or hs.max() > 1.0 + _H_DRIFT:
         raise SclError("convolution value drifted out of [0, 1]")
     th = _thetas(hs, p)
-    truths = th >= 0.0
-    flip = truths[1:] != truths[:-1]
-    # a one-sided touch of the threshold is an exact-equality plateau edge,
-    # which belongs in the crossings
-    risky = flip | ((th[1:] == 0.0) != (th[:-1] == 0.0))
-
-    cells = np.flatnonzero(risky)
-    x0, x1 = times[cells], times[cells + 1]
-    th0, th1 = th[cells], th[cells + 1]
-    # an end on the threshold is the root
-    roots = np.where(th0 == 0.0, x0, x1)
-    solve = np.flatnonzero((th0 != 0.0) & (th1 != 0.0))
-    if gaussian:
-        def positive(xs):
-            return _thetas(_grid_integrals(kernel, sig, xs.ravel()), p).reshape(xs.shape) >= 0.0
-        roots[solve] = _narrow(positive, x0[solve], x1[solve], th0[solve] >= 0.0)
-    else:
-        for i in solve.tolist():
-            roots[i] = x0[i] + _stretch_root(kernel, x1[i] - x0[i], th0[i], th1[i])
-
+    # a cell whose ends differ in sign holds a crossing: a flip of the
+    # truth, or a one-sided touch of the threshold, an exact-equality
+    # plateau edge, which belongs in the crossings too
+    sign = np.sign(th)
+    cells = (sign[1:] != sign[:-1]).nonzero()[0]
     crossings: list[float] = []
-    for root in roots.tolist():
-        if not crossings or abs(root - crossings[-1]) > _ZERO_BAND:
-            crossings.append(root)
-    flips = roots[flip[cells]]
+    flips = np.empty(0)
+    if len(cells):
+        x0, x1 = times[cells], times[cells + 1]
+        th0, th1 = th[cells], th[cells + 1]
+        # an end on the threshold is the root
+        roots = np.where(th0 == 0.0, x0, x1)
+        solve = (th0 * th1 < 0.0).nonzero()[0]
+        if gaussian:
+            def positive(xs):
+                h = _grid_integrals(kernel, sig, xs.ravel())
+                return _thetas(h, p).reshape(xs.shape) >= 0.0
+            roots[solve] = _narrow(positive, x0[solve], x1[solve], th0[solve] >= 0.0)
+        else:
+            for i in solve.tolist():
+                roots[i] = x0[i] + _stretch_root(kernel, x1[i] - x0[i], th0[i], th1[i])
+        for root in roots.tolist():
+            if not crossings or abs(root - crossings[-1]) > _ZERO_BAND:
+                crossings.append(root)
+        # the truth (theta >= 0) flips where one end is negative
+        flips = roots[np.minimum(th0, th1) < 0.0]
 
     # the last stretch ends at the trace-dependent t_end, and a longer trace
     # solves its crossings from a later end sample; anything
     # threshold-delicate there is not final yet.  H snapped onto a p of 0
     # or 1 is not: H cannot pass that bound, and a stretch whose window
-    # edges are fixed keeps it there unless a risky cell shows otherwise
-    near = np.abs(th) <= 1e-11
+    # edges are fixed keeps it there unless a crossing cell shows otherwise
+    last = int(times.searchsorted(bounds[-2], side="left"))
+    near = np.abs(th[last:]) <= 1e-11
     if p in (0.0, 1.0):
-        near &= hs != p
-    last = times >= bounds[-2]
-    delicate = near[last].any() or risky[last[:-1]].any()
+        near &= hs[last:] != p
+    delicate = (len(cells) and cells[-1] >= last) or near.any()
     stable_until = float(bounds[-2]) if delicate else t_end
 
-    signal = _alternating(t0, t_end, bool(truths[0]), flips)
+    signal = _alternating(t0, t_end, bool(th[0] >= 0.0), flips)
     verdict = VerdictSignal(signal, tuple(crossings), stable_until)
     return ConvEvaluation(verdict, times, hs, bounds)
 
@@ -513,7 +556,7 @@ class _Restart:
 
     def start_for(self, lo: float) -> float:
         bounds = self.bounds
-        k = int(np.searchsorted(bounds[:-1], lo, side="right")) - 1
+        k = int(bounds[:-1].searchsorted(lo, side="right")) - 1
         for k in range(k, -1, -1):
             start = float(bounds[k])
             limit = min(float(bounds[k + 1]), self.stable)
@@ -540,7 +583,7 @@ class _Restart:
         mid = 0.5 * (a + b)
         lower, upper = mid + self.kernel.lower, mid + self.kernel.upper
         for edges in (self.sig.starts, self.sig.ends):
-            i = int(np.searchsorted(edges, lower, side="right"))
+            i = int(edges.searchsorted(lower, side="right"))
             if i < len(edges) and edges[i] < upper:
                 return False
         return True
@@ -583,7 +626,9 @@ def _eval_node(trace: PiecewiseConstantSignal, f: Formula, lo: float, config: Mo
                 return boolean_and(a, b), (), stable
             return boolean_or(boolean_not(a), b), (), stable
         case Conv(kernel, threshold, child) | ConvDual(kernel, threshold, child):
-            restart = None if restarts is None else restarts.setdefault(path, _Restart())
+            restart = None
+            if restarts is not None:
+                restart = restarts.get(path) or restarts.setdefault(path, _Restart())
             start = lo if restart is None else restart.start_for(lo)
             sig, _, child_stable = _eval_node(trace, child, start, config, restarts, path + (0,))
             dual = isinstance(f, ConvDual)

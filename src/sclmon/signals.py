@@ -16,6 +16,14 @@ occurs when a verdict collapses to a single time point), which is
 represented by a single point interval when true at that point.
 Normalization only selects, sorts and compares bounds, never computes new
 ones, so every bound is one of the floats it was given.
+
+:meth:`BooleanSignal.from_intervals` normalises input that is not known to
+be normal: user input, the merge of :func:`boolean_or` and a stream's
+assembled output.  An operation on
+normal signals whose output is already sorted and disjoint
+(:func:`boolean_not`, :func:`restrict_domain`, the monitor's atoms and
+verdicts) builds that output directly, with the same selections, so it
+holds the same doubles that normalising its pairs would give.
 """
 
 from __future__ import annotations
@@ -68,9 +76,7 @@ class BooleanSignal:
             raise SclError("interval bounds must be finite")
         s, e = pairs[:, 0], pairs[:, 1]
         if start == end:
-            # Degenerate domain: keep a point interval when true at the point.
-            point = np.full(int(np.any((s <= start) & (start <= e))), start)
-            return BooleanSignal(start, end, point, point)
+            return BooleanSignal._degenerate(start, end, np.any((s <= start) & (start <= e)))
         # selections, as the builtins max(s, start) and min(e, end) make them
         s = np.where(start > s, start, s)
         e = np.where(end < e, end, e)
@@ -82,6 +88,13 @@ class BooleanSignal:
         reach = np.concatenate(([-np.inf], np.maximum.accumulate(e)[:-1]))
         opens = np.flatnonzero(s > reach)
         return BooleanSignal(start, end, s[opens], np.maximum.reduceat(e, opens))
+
+    @staticmethod
+    def _degenerate(start: float, end: float, true: bool) -> "BooleanSignal":
+        """The degenerate domain ``[start, end]``, ``start == end``: a point
+        interval when true at the point, else nothing."""
+        point = np.full(int(true), start)
+        return BooleanSignal(start, end, point, point)
 
     @staticmethod
     def always(start: float, end: float) -> "BooleanSignal":
@@ -123,12 +136,16 @@ class BooleanSignal:
 
 
 def boolean_not(sig: BooleanSignal) -> BooleanSignal:
-    """Complement within the domain."""
-    if sig.start == sig.end:
-        return BooleanSignal.from_intervals(
-            sig.start, sig.end, [] if len(sig.starts) else [(sig.start, sig.end)])
-    gaps = np.column_stack((np.append(sig.start, sig.ends), np.append(sig.starts, sig.end)))
-    return BooleanSignal.from_intervals(sig.start, sig.end, gaps)
+    """Complement within the domain: the gaps between the true-intervals,
+    less a zero-length first or last one."""
+    start, end, starts, ends = sig.start, sig.end, sig.starts, sig.ends
+    if start == end:
+        return BooleanSignal._degenerate(start, end, not len(starts))
+    gap_starts = np.concatenate(([start], ends))
+    gap_ends = np.concatenate((starts, [end]))
+    i = 0 if gap_ends[0] > start else 1
+    j = len(gap_ends) if end > gap_starts[-1] else len(gap_ends) - 1
+    return BooleanSignal(start, end, gap_starts[i:j], gap_ends[i:j])
 
 
 def _require_same_domain(a: BooleanSignal, b: BooleanSignal) -> None:
@@ -149,13 +166,28 @@ def boolean_and(a: BooleanSignal, b: BooleanSignal) -> BooleanSignal:
 
 
 def restrict_domain(sig: BooleanSignal, interval: tuple[float, float]) -> BooleanSignal:
-    """Intersect with ``interval`` and shrink the domain to it."""
+    """Intersect with ``interval`` and shrink the domain to it.
+
+    The intervals kept are those ending after ``lo`` and starting before
+    ``hi``; only the first start and the last end can need clipping.
+    """
     lo, hi = interval
     if not sig.start <= lo <= hi <= sig.end:
         raise SclError(
             f"restriction [{lo}, {hi}] outside signal domain [{sig.start}, {sig.end}]"
         )
-    return BooleanSignal.from_intervals(lo, hi, np.column_stack((sig.starts, sig.ends)))
+    lo, hi = float(lo), float(hi)
+    if lo == hi:
+        return BooleanSignal._degenerate(lo, hi, sig.value_at(lo))
+    i = int(sig.ends.searchsorted(lo, side="right"))
+    j = int(sig.starts.searchsorted(hi, side="left"))
+    starts, ends = sig.starts[i:j], sig.ends[i:j]
+    # the selections of from_intervals, so a -0.0 bound stays what it was
+    if len(starts) and lo > starts[0]:
+        starts = np.concatenate(([lo], starts[1:]))
+    if len(ends) and hi < ends[-1]:
+        ends = np.concatenate((ends[:-1], [hi]))
+    return BooleanSignal(lo, hi, starts, ends)
 
 
 def sorted_unique(x: np.ndarray) -> np.ndarray:

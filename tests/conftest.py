@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 from hypothesis import settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from sclmon import (
@@ -49,6 +50,30 @@ def random_boolean_signal(rng: np.random.Generator, start: float, end: float,
         cuts = np.array(keep)
     pairs = [(cuts[2 * i], cuts[2 * i + 1]) for i in range(len(cuts) // 2)]
     return BooleanSignal.from_intervals(start, end, pairs)
+
+
+def signal_bits(sig: BooleanSignal) -> tuple[bytes, ...]:
+    """A signal's domain and bounds as exact float64 bytes, sign bits included."""
+    return tuple(np.asarray(x, dtype=float).tobytes()
+                 for x in ([sig.start, sig.end], sig.starts, sig.ends))
+
+
+@st.composite
+def plateau_traces(draw, negative_zero: bool = False):
+    """A one-variable trace ``v`` on a quarter-hour grid whose samples sit at
+    0 or one above or below it, and a span start ``lo`` drawn
+    from the grid, the sample times and the duration.  A trace of one
+    sample may have duration 0.  With ``negative_zero`` the first time may
+    be -0.0."""
+    times = np.cumsum([0] + draw(st.lists(st.integers(1, 3), max_size=6))) * 0.25
+    if negative_zero and draw(st.booleans()):
+        times[0] = -0.0
+    values = [draw(st.sampled_from([-1.0, 0.0, 1.0])) for _ in times]
+    duration = float(times[-1]) + draw(st.integers(0, 3)) * 0.25
+    trace = PiecewiseConstantSignal(("v",), times, np.array(values).reshape(-1, 1), duration)
+    grid = draw(st.integers(0, int(duration / 0.25))) * 0.25
+    lo = draw(st.sampled_from([grid, duration] + times.tolist()))
+    return trace, lo
 
 
 def random_kernel(rng: np.random.Generator, lower: float, upper: float):

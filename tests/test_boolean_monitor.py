@@ -37,8 +37,10 @@ from conftest import (
     conv_value_riemann,
     dilate,
     erode,
+    plateau_traces,
     random_boolean_signal,
     random_kernel,
+    signal_bits,
     weighted_integral_many,
 )
 
@@ -87,6 +89,23 @@ class TestEvalAtom:
         for strict, other in (("<", ">="), (">", "<=")):
             assert eval_atom(trace, Atom("G", strict, 70.0)) == boolean_not(
                 eval_atom(trace, Atom("G", other, 70.0)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=plateau_traces())
+    def test_complementary_on_threshold_plateaus(self, case):
+        # samples sit exactly at the threshold 0, spans start anywhere up
+        # to the duration, and a one-sample trace may have duration 0
+        trace, lo = case
+        for strict, other in (("<", ">="), (">", "<=")):
+            got = eval_atom(trace, Atom("v", strict, 0.0), lo)
+            assert signal_bits(got) == signal_bits(
+                boolean_not(eval_atom(trace, Atom("v", other, 0.0), lo)))
+
+    def test_zero_duration_trace_takes_its_sample(self):
+        trace = PiecewiseConstantSignal(("v",), np.array([0.0]), np.array([[1.0]]), 0.0)
+        assert eval_atom(trace, Atom("v", ">=", 0.0)).intervals == ((0.0, 0.0),)
+        assert eval_atom(trace, Atom("v", "<", 0.0)).intervals == ()
+        assert monitor(trace, parse("v >= 0")).satisfied_at_zero
 
 
 class TestOracle:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sclmon import (
+    Atom,
     BooleanSignal,
     PiecewiseConstantSignal,
     SclError,
@@ -15,10 +16,12 @@ from sclmon import (
     boolean_and,
     boolean_not,
     boolean_or,
+    eval_atom,
     restrict_domain,
 )
+from sclmon.monitor import _alternating
 from sclmon.signals import sorted_unique
-from conftest import random_boolean_signal
+from conftest import plateau_traces, random_boolean_signal, signal_bits
 
 
 def sig(start, end, *intervals):
@@ -246,6 +249,104 @@ class TestIntervalAlgebraProperties:
         for arr in (s.starts, s.ends):
             with pytest.raises(ValueError, match="read-only"):
                 arr[:] = 0.0
+
+
+def assert_normal_form_of(s, start, end, raw):
+    """``s`` holds, sign bit for sign bit, what normalising ``raw`` over
+    ``[start, end]`` gives."""
+    ref = loop_normalize(start, end, raw)
+    expected = BooleanSignal(start, end, np.array([a for a, _ in ref], dtype=float),
+                             np.array([b for _, b in ref], dtype=float))
+    assert signal_bits(s) == signal_bits(expected), (s, ref)
+
+
+@st.composite
+def signed_zero(draw, x):
+    """``x``, or -0.0 in place of an ``x`` at or below 0.0."""
+    return -0.0 if x <= 0.0 and draw(st.booleans()) else x
+
+
+@st.composite
+def zero_based_domains(draw):
+    """Quarter-grid domains starting at or near 0, seldom degenerate."""
+    lo = draw(st.integers(0, 2)) * _QUARTER
+    return lo, lo + draw(st.integers(0, 16)) * _QUARTER
+
+
+@st.composite
+def normal_signals(draw):
+    """A signal normalised from raw quarter-grid pairs; each bound at or
+    below 0, of the domain or of a pair, may be -0.0."""
+    lo, hi = draw(zero_based_domains())
+    raw = [(draw(signed_zero(a)), draw(signed_zero(b)))
+           for a, b in draw(raw_intervals(lo, hi))]
+    return BooleanSignal.from_intervals(draw(signed_zero(lo)), draw(signed_zero(hi)), raw)
+
+
+def true_segments(trace, atom):
+    """Every segment on which ``atom`` holds, the last ending at the
+    duration; a trace of zero duration has one segment, its point."""
+    bounds = trace.times.tolist()
+    if bounds[-1] < trace.duration:
+        bounds.append(trace.duration)
+    holds = {">=": float.__ge__, ">": float.__gt__, "<=": float.__le__, "<": float.__lt__}[atom.op]
+    values = trace.variable_values(atom.variable).tolist()
+    if len(bounds) == 1:
+        return [(bounds[0], bounds[0])] if holds(values[0], atom.threshold) else []
+    return [(bounds[k], bounds[k + 1]) for k in range(len(bounds) - 1)
+            if holds(values[k], atom.threshold)]
+
+
+class TestDirectNormalForm:
+    """Operations on normal signals build their output without
+    ``from_intervals``; it must hold the doubles that normalising the pairs
+    they stand for gives, -0.0 included."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_restrict_domain(self, data):
+        # the new bounds are the domain's, the signal's edges or grid points
+        s = data.draw(normal_signals())
+        grid = np.arange(0.0, s.end + _QUARTER, _QUARTER).tolist()
+        inside = [s.start, s.end] + s.starts.tolist() + s.ends.tolist() + \
+            [x for x in grid if s.start <= x <= s.end]
+        lo, hi = sorted(data.draw(signed_zero(data.draw(st.sampled_from(inside))))
+                        for _ in range(2))
+        assert_normal_form_of(restrict_domain(s, (lo, hi)), lo, hi, s.intervals)
+
+    @settings(max_examples=200, deadline=None)
+    @given(s=normal_signals())
+    def test_boolean_not(self, s):
+        if s.start == s.end:
+            gaps = [] if s.intervals else [(s.start, s.end)]
+        else:
+            edges = [s.start] + [x for iv in s.intervals for x in iv] + [s.end]
+            gaps = list(zip(edges[0::2], edges[1::2]))
+        assert_normal_form_of(boolean_not(s), s.start, s.end, gaps)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=plateau_traces(negative_zero=True), op=st.sampled_from([">=", ">", "<=", "<"]))
+    def test_eval_atom(self, case, op):
+        trace, lo = case
+        atom = Atom("v", op, 0.0)
+        assert_normal_form_of(eval_atom(trace, atom, lo), lo, trace.duration,
+                              true_segments(trace, atom))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_alternating(self, data):
+        # flips on the quarter grid coincide with each other and with both
+        # ends, and may lie up to two steps outside the span
+        lo, hi = data.draw(zero_based_domains())
+        steps = data.draw(st.lists(st.integers(int(lo / _QUARTER) - 2, int(hi / _QUARTER) + 2),
+                                   max_size=8))
+        flips = [data.draw(signed_zero(k * _QUARTER)) for k in sorted(steps)]
+        t0, t_end = data.draw(signed_zero(lo)), data.draw(signed_zero(hi))
+        first = data.draw(st.booleans())
+        cuts = ([t0] + flips + [t_end])[0 if first else 1:]
+        pairs = list(zip(cuts[0::2], cuts[1::2]))
+        assert_normal_form_of(_alternating(t0, t_end, first, np.array(flips, dtype=float)),
+                              t0, t_end, pairs)
 
 
 class TestPiecewiseConstantSignal:

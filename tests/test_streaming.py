@@ -416,3 +416,33 @@ class TestBoundedPolls:
         day = 24 * 12
         assert spans[day:].max() <= 2 * horizon(f) + 3 * self.PITCH + 1e-9
         assert spans[-day:].max() <= spans[day:2 * day].max() + 1e-9
+
+
+class TestSteadyPolls:
+    @pytest.mark.parametrize("text", [
+        "<flat[0,1], 0.8> (G >= 70)",
+        "<exp(-1)[0,2], 0.9> (G <= 180)",
+        "G[0,2] (<flat[0,1], 0.5> (G >= 100))",
+    ])
+    def test_steady_poll_normalises_nothing(self, monkeypatch, text):
+        # every operation of a poll gets normal signals and builds its normal
+        # output directly, so once output flows nothing is normalised again
+        signals = importlib.import_module("sclmon.signals")
+        normalise = signals.BooleanSignal.from_intervals
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return normalise(*args)
+
+        monkeypatch.setattr(signals.BooleanSignal, "from_intervals", staticmethod(spy))
+        trace = generate_glucose_like(3, duration=24.5)
+        sm = StreamingMonitor(parse(text), trace.variables)
+        emits = 0
+        for t, row in zip(trace.times.tolist(), trace.values.tolist()):
+            sm.push(t, row)
+            if sm.poll() is not None:
+                emits += 1
+                if emits == 1:
+                    calls.clear()
+        assert emits > 100 and calls == []
