@@ -35,6 +35,7 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -44,7 +45,7 @@ from .formula import Formula
 from .monitor import VerdictSignal, monitor
 from .parser import parse_formula_file
 from .robustness import RobustnessTrace, rho_trace
-from .signals import BooleanSignal, PiecewiseConstantSignal, boolean_not
+from .signals import BooleanSignal, PiecewiseConstantSignal
 from .traces import (
     generate_glucose_like,
     generate_sine_quantized,
@@ -56,17 +57,13 @@ from .traces import (
 
 @dataclass
 class RunConfig:
-    """Validated knobs shared by the check/rho subcommands."""
+    """What :func:`run_monitor` computes: Boolean verdicts or robustness."""
 
     mode: str = "boolean"            # boolean | robustness
-    output_format: str = "csv"
-    out_dir: str | None = None
 
     def __post_init__(self) -> None:
         if self.mode not in ("boolean", "robustness"):
             raise SclError(f"unknown mode {self.mode!r}")
-        if self.output_format not in ("csv", "json"):
-            raise SclError(f"unknown output format {self.output_format!r}")
 
 
 @dataclass(frozen=True)
@@ -96,35 +93,28 @@ def run_monitor(trace: PiecewiseConstantSignal, formulas: list[tuple[int, str, F
 
 
 def _verdict_segments(sig: BooleanSignal) -> list[tuple[float, float, bool]]:
-    """Partition of the verdict domain into maximal constant-truth segments."""
+    """Partition of the verdict domain into maximal constant-truth segments.
+
+    The bounds ``[start, s0, e0, s1, ..., end]`` alternate a false gap and a
+    true interval; only the gap at either end can be empty.
+    """
     if sig.start == sig.end:
         return [(sig.start, sig.end, len(sig.starts) > 0)]
-    gaps = boolean_not(sig)
-    starts = np.concatenate((sig.starts, gaps.starts))
-    order = np.argsort(starts, kind="stable")
-    ends = np.concatenate((sig.ends, gaps.ends))[order]
-    truth = np.arange(len(starts))[order] < len(sig.starts)
-    return list(zip(starts[order].tolist(), ends.tolist(), truth.tolist()))
+    bounds = np.concatenate(([sig.start], np.column_stack((sig.starts, sig.ends)).ravel(),
+                             [sig.end]))
+    kept = np.flatnonzero(bounds[1:] > bounds[:-1])
+    return list(zip(bounds[kept].tolist(), bounds[kept + 1].tolist(), (kept % 2 == 1).tolist()))
 
 
-def _verdict_csv(result: FormulaResult) -> str:
-    lines = ["start,end,truth"]
-    for s, e, truth in _verdict_segments(result.verdict.signal):
-        lines.append(f"{s!r},{e!r},{int(truth)}")
-    return "\n".join(lines) + "\n"
+def _csv(header: str, rows: Iterable[tuple]) -> str:
+    """The header, then one line per row of ``repr``'d values."""
+    return "\n".join([header] + [",".join(map(repr, row)) for row in rows]) + "\n"
 
 
-def _rho_csv(result: FormulaResult) -> str:
-    lines = ["time,rho"]
-    for t, v in zip(result.robustness.times, result.robustness.values):
-        lines.append(f"{float(t)!r},{float(v)!r}")
-    return "\n".join(lines) + "\n"
-
-
-def _result_json(result: FormulaResult, cfg: RunConfig) -> dict:
+def _result_json(result: FormulaResult, mode: str) -> dict:
     doc: dict = {
         "formula": result.source,
-        "mode": cfg.mode,
+        "mode": mode,
         "satisfied_at_zero": result.satisfied,
     }
     if result.verdict is not None:
@@ -157,21 +147,33 @@ def _write_atomic(path: str, content: str) -> None:
         raise
 
 
-def _emit_results(results: list[FormulaResult], cfg: RunConfig) -> None:
+def _write_json(doc: dict, path: str | None) -> None:
+    """``doc`` as indented JSON, written atomically to ``path`` or to stdout."""
+    payload = json.dumps(doc, indent=2) + "\n"
+    if path:
+        _write_atomic(path, payload)
+    else:
+        sys.stdout.write(payload)
+
+
+def _emit_results(results: list[FormulaResult], mode: str, output_format: str,
+                  out_dir: str | None) -> None:
     for result in results:
         outputs: list[tuple[str, str]] = []
-        if cfg.output_format == "json":
+        if output_format == "json":
             name = f"formula_{result.index:03d}.json"
-            outputs.append((name, json.dumps(_result_json(result, cfg), indent=2) + "\n"))
+            outputs.append((name, json.dumps(_result_json(result, mode), indent=2) + "\n"))
         else:
             if result.verdict is not None:
-                outputs.append((f"verdict_{result.index:03d}.csv", _verdict_csv(result)))
+                rows = [(s, e, int(t)) for s, e, t in _verdict_segments(result.verdict.signal)]
+                outputs.append((f"verdict_{result.index:03d}.csv", _csv("start,end,truth", rows)))
             if result.robustness is not None:
-                outputs.append((f"rho_{result.index:03d}.csv", _rho_csv(result)))
-        if cfg.out_dir:
-            os.makedirs(cfg.out_dir, exist_ok=True)
+                rows = zip(result.robustness.times.tolist(), result.robustness.values.tolist())
+                outputs.append((f"rho_{result.index:03d}.csv", _csv("time,rho", rows)))
+        if out_dir:
+            os.makedirs(out_dir, exist_ok=True)
             for name, content in outputs:
-                _write_atomic(os.path.join(cfg.out_dir, name), content)
+                _write_atomic(os.path.join(out_dir, name), content)
         else:
             for name, content in outputs:
                 sys.stdout.write(f"# {name} (formula: {result.source})\n")
@@ -181,24 +183,19 @@ def _emit_results(results: list[FormulaResult], cfg: RunConfig) -> None:
               file=sys.stderr)
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
-    cfg = RunConfig(mode="boolean", output_format=args.format, out_dir=args.out)
-    return _run_and_emit(args, cfg)
-
-
-def _cmd_rho(args: argparse.Namespace) -> int:
-    cfg = RunConfig(mode="robustness", output_format=args.format, out_dir=args.out)
-    return _run_and_emit(args, cfg)
-
-
-def _run_and_emit(args: argparse.Namespace, cfg: RunConfig) -> int:
-    trace = read_trace_csv(args.trace)
-    with open(args.spec, "r") as fh:
+def _read_spec(path: str) -> list[tuple[int, str, Formula]]:
+    with open(path, "r") as fh:
         formulas = parse_formula_file(fh.read())
     if not formulas:
-        raise SclError(f"no formulas in {args.spec}")
-    results = run_monitor(trace, formulas, cfg)
-    _emit_results(results, cfg)
+        raise SclError(f"no formulas in {path}")
+    return formulas
+
+
+def _cmd_monitor(args: argparse.Namespace) -> int:
+    """``check`` and ``rho``: they differ only in ``args.mode``."""
+    trace = read_trace_csv(args.trace)
+    results = run_monitor(trace, _read_spec(args.spec), RunConfig(mode=args.mode))
+    _emit_results(results, args.mode, args.format, args.out)
     return 0 if all(r.satisfied for r in results) else 1
 
 
@@ -221,28 +218,16 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_exp_noise(args: argparse.Namespace) -> int:
     report = noise_agreement_experiment(trials=args.n, seed=args.seed,
                                         noise_std=args.noise_std)
-    payload = json.dumps(report.to_dict(), indent=2) + "\n"
-    if args.out:
-        _write_atomic(args.out, payload)
-    else:
-        sys.stdout.write(payload)
+    _write_json(report.to_dict(), args.out)
     return 0
 
 
 def _cmd_exp_falsify(args: argparse.Namespace) -> int:
-    with open(args.spec, "r") as fh:
-        formulas = parse_formula_file(fh.read())
-    if not formulas:
-        raise SclError(f"no formulas in {args.spec}")
-    _, _, formula = formulas[0]
+    _, _, formula = _read_spec(args.spec)[0]
     report = falsify_demo(formula, budget=args.budget, seed=args.seed)
     if args.witness_out:
         write_trace_csv(report.witness, args.witness_out)
-    payload = json.dumps(report.to_dict(), indent=2) + "\n"
-    if args.out:
-        _write_atomic(args.out, payload)
-    else:
-        sys.stdout.write(payload)
+    _write_json(report.to_dict(), args.out)
     return 0
 
 
@@ -252,19 +237,14 @@ def _build_parser() -> argparse.ArgumentParser:
                                               "formulas over piecewise-constant traces")
     sub = top.add_subparsers(dest="command", required=True)
 
-    check = sub.add_parser("check", help="Boolean verdicts for a spec file")
-    check.add_argument("--trace", required=True)
-    check.add_argument("--spec", required=True)
-    check.add_argument("--out", default=None, help="output directory (default: stdout)")
-    check.add_argument("--format", choices=("csv", "json"), default="csv")
-    check.set_defaults(func=_cmd_check)
-
-    rho_p = sub.add_parser("rho", help="robustness traces for a spec file")
-    rho_p.add_argument("--trace", required=True)
-    rho_p.add_argument("--spec", required=True)
-    rho_p.add_argument("--out", default=None)
-    rho_p.add_argument("--format", choices=("csv", "json"), default="csv")
-    rho_p.set_defaults(func=_cmd_rho)
+    for name, mode, text in (("check", "boolean", "Boolean verdicts for a spec file"),
+                             ("rho", "robustness", "robustness traces for a spec file")):
+        cmd = sub.add_parser(name, help=text)
+        cmd.add_argument("--trace", required=True)
+        cmd.add_argument("--spec", required=True)
+        cmd.add_argument("--out", default=None, help="output directory (default: stdout)")
+        cmd.add_argument("--format", choices=("csv", "json"), default="csv")
+        cmd.set_defaults(func=_cmd_monitor, mode=mode)
 
     gen = sub.add_parser("gen", help="generate a synthetic trace CSV")
     gen.add_argument("--kind", choices=("step-train", "sine-quantized", "glucose-like"),
@@ -310,10 +290,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SclError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (SclError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

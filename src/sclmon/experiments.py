@@ -13,7 +13,7 @@ trace by robustness at time zero, and reports the least-robust trace found.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -39,16 +39,7 @@ class NoiseAgreementReport:
     conv_formula: str
 
     def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "seed": self.seed,
-            "noise_std": self.noise_std,
-            "threshold_range": list(self.threshold_range),
-            "eventually_agreement_pct": self.eventually_agreement_pct,
-            "conv_agreement_pct": self.conv_agreement_pct,
-            "eventually_formula": self.eventually_formula,
-            "conv_formula": self.conv_formula,
-        }
+        return asdict(self)
 
 
 def noise_agreement_experiment(trials: int = 500, seed: int = 0,
@@ -101,21 +92,6 @@ class FalsifyEvaluation:
     params: GlucoseParams
     robustness: float
 
-    def to_dict(self) -> dict:
-        return {
-            "params": {
-                "baseline": self.params.baseline,
-                "meal_times": list(self.params.meal_times),
-                "meal_amplitudes": list(self.params.meal_amplitudes),
-                "meal_spread": self.params.meal_spread,
-                "dip_start": self.params.dip_start,
-                "dip_floor": self.params.dip_floor,
-                "dip_length": self.params.dip_length,
-                "dip_ramp": self.params.dip_ramp,
-            },
-            "robustness": self.robustness,
-        }
-
 
 @dataclass(frozen=True)
 class FalsifyReport:
@@ -128,12 +104,13 @@ class FalsifyReport:
     witness: PiecewiseConstantSignal = field(repr=False)
 
     def to_dict(self) -> dict:
+        """The JSON fields: the witness trace left out, ``min_robustness`` added."""
         return {
             "budget": self.budget,
             "seed": self.seed,
             "formula": self.formula,
-            "evaluations": [e.to_dict() for e in self.evaluations],
-            "best": self.best.to_dict(),
+            "evaluations": [asdict(e) for e in self.evaluations],
+            "best": asdict(self.best),
             "min_robustness": self.best.robustness,
             "falsified": self.falsified,
         }

@@ -281,17 +281,20 @@ def eval_conv_oracle(kernel: BoundedKernel, threshold: float, sig: BooleanSignal
     else:
         ts[-1] = t_end
     hs = _grid_integrals(kernel, sig, ts)
-    thetas = _thetas(hs, threshold)
-    truths = thetas >= 0.0
     crossings: list[float] = []
-    for i in np.flatnonzero(truths[1:] != truths[:-1]).tolist():
-        th0, th1 = thetas[i], thetas[i + 1]
-        if th1 == th0:
-            root = float(ts[i + 1])
-        else:
-            root = float(ts[i] + (ts[i + 1] - ts[i]) * (0.0 - th0) / (th1 - th0))
-        crossings.append(min(max(root, float(ts[i])), float(ts[i + 1])))
-    signal = _alternating(t0, t_end, bool(truths[0]), crossings)
+    for b in range(0, len(ts), _CHUNK):
+        # the cells of one block at a time, each block reading the first
+        # sample of the next, so thresholding makes no grid-sized temporary
+        thetas = _thetas(hs[b:b + _CHUNK + 1], threshold)
+        truths = thetas >= 0.0
+        if b == 0:
+            first = bool(truths[0])
+        for i in np.flatnonzero(truths[1:] != truths[:-1]).tolist():
+            th0, th1 = thetas[i], thetas[i + 1]
+            a, z = ts[b + i], ts[b + i + 1]
+            root = float(z if th1 == th0 else a + (z - a) * (0.0 - th0) / (th1 - th0))
+            crossings.append(min(max(root, float(a)), float(z)))
+    signal = _alternating(t0, t_end, first, crossings)
     # the final grid cell ends at the trace-dependent t_end, so crossings
     # interpolated inside it may move when the trace is extended
     stable = float(ts[-2]) if len(ts) >= 2 else t0

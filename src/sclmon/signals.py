@@ -228,6 +228,12 @@ class PiecewiseConstantSignal:
             raise TraceError("trace contains non-finite entries")
         if times[0] != 0.0:
             raise TraceError(f"first sample must be at time 0, got {times[0]}")
+        if np.signbit(times[0]):
+            # a first time of -0.0 is stored as the domain's start, 0.0, in
+            # a copy: the caller's array stays as it was
+            times = times.copy()
+            times[0] = 0.0
+            object.__setattr__(self, "times", times)
         if np.any(np.diff(times) <= 0):
             raise TraceError("sample times must be strictly increasing")
         if values.shape != (len(times), len(self.variables)):

@@ -73,6 +73,7 @@ class StreamingMonitor:
         if not n:
             if time != 0.0:
                 raise TraceError(f"first sample must be at time 0, got {time}")
+            time = 0.0                           # never -0.0, the domain starts at 0.0
         elif time == self._times[n - 1]:
             raise TraceError(f"duplicate timestamp {time}")
         elif time < self._times[n - 1]:

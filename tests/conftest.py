@@ -62,9 +62,9 @@ def signal_bits(sig: BooleanSignal) -> tuple[bytes, ...]:
 def plateau_traces(draw, negative_zero: bool = False):
     """A one-variable trace ``v`` on a quarter-hour grid whose samples sit at
     0 or one above or below it, and a span start ``lo`` drawn
-    from the grid, the sample times and the duration.  A trace of one
+    from the grid, the trace's sample times and the duration.  A trace of one
     sample may have duration 0.  With ``negative_zero`` the first time may
-    be -0.0."""
+    be given as -0.0, which the trace stores as 0.0."""
     times = np.cumsum([0] + draw(st.lists(st.integers(1, 3), max_size=6))) * 0.25
     if negative_zero and draw(st.booleans()):
         times[0] = -0.0
@@ -72,7 +72,7 @@ def plateau_traces(draw, negative_zero: bool = False):
     duration = float(times[-1]) + draw(st.integers(0, 3)) * 0.25
     trace = PiecewiseConstantSignal(("v",), times, np.array(values).reshape(-1, 1), duration)
     grid = draw(st.integers(0, int(duration / 0.25))) * 0.25
-    lo = draw(st.sampled_from([grid, duration] + times.tolist()))
+    lo = draw(st.sampled_from([grid, duration] + trace.times.tolist()))
     return trace, lo
 
 

@@ -91,10 +91,11 @@ class TestEvalAtom:
                 eval_atom(trace, Atom("G", other, 70.0)))
 
     @settings(max_examples=300, deadline=None)
-    @given(case=plateau_traces())
+    @given(case=plateau_traces(negative_zero=True))
     def test_complementary_on_threshold_plateaus(self, case):
         # samples sit exactly at the threshold 0, spans start anywhere up
-        # to the duration, and a one-sample trace may have duration 0
+        # to the duration, a one-sample trace may have duration 0, and the
+        # first sample time may be -0.0
         trace, lo = case
         for strict, other in (("<", ">="), (">", "<=")):
             got = eval_atom(trace, Atom("v", strict, 0.0), lo)

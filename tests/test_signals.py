@@ -19,6 +19,7 @@ from sclmon import (
     eval_atom,
     restrict_domain,
 )
+from sclmon.cli import _verdict_segments
 from sclmon.monitor import _alternating
 from sclmon.signals import sorted_unique
 from conftest import plateau_traces, random_boolean_signal, signal_bits
@@ -325,9 +326,12 @@ class TestDirectNormalForm:
         assert_normal_form_of(boolean_not(s), s.start, s.end, gaps)
 
     @settings(max_examples=200, deadline=None)
-    @given(case=plateau_traces(negative_zero=True), op=st.sampled_from([">=", ">", "<=", "<"]))
-    def test_eval_atom(self, case, op):
+    @given(data=st.data(), case=plateau_traces(negative_zero=True),
+           op=st.sampled_from([">=", ">", "<=", "<"]))
+    def test_eval_atom(self, data, case, op):
+        # a span start of -0.0 keeps its sign bit as the domain's start
         trace, lo = case
+        lo = data.draw(signed_zero(lo))
         atom = Atom("v", op, 0.0)
         assert_normal_form_of(eval_atom(trace, atom, lo), lo, trace.duration,
                               true_segments(trace, atom))
@@ -349,10 +353,43 @@ class TestDirectNormalForm:
                               t0, t_end, pairs)
 
 
+def pair_bits(pairs) -> bytes:
+    return np.array(pairs, dtype=float).reshape(-1, 2).tobytes()
+
+
+class TestVerdictSegments:
+    """The CLI's verdict segments come from the signal's own bounds."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(s=normal_signals())
+    def test_partition_of_the_domain(self, s):
+        segments = _verdict_segments(s)
+        if s.start == s.end:
+            # the degenerate domain is its one segment, true when its point is
+            assert pair_bits([segments[0][:2]]) == pair_bits([(s.start, s.end)])
+            assert segments == [(s.start, s.end, bool(s.intervals))]
+            return
+        starts, ends, truths = (list(x) for x in zip(*segments))
+        assert starts[0] == s.start and ends[-1] == s.end
+        # no gap: each segment starts on the double the previous one ends on
+        assert np.array(starts[1:]).tobytes() == np.array(ends[:-1]).tobytes()
+        assert all(a != b for a, b in zip(truths, truths[1:]))
+        assert all(b > a for a, b in zip(starts, ends))
+        # the true segments are the intervals and the false ones their
+        # complement, bit for bit
+        assert pair_bits([(a, b) for a, b, t in segments if t]) == pair_bits(s.intervals)
+        assert pair_bits([(a, b) for a, b, t in segments if not t]) == \
+            pair_bits(boolean_not(s).intervals)
+
+
 class TestPiecewiseConstantSignal:
     def test_first_sample_must_be_zero(self):
         with pytest.raises(TraceError, match="time 0"):
             PiecewiseConstantSignal(("v",), np.array([1.0]), np.array([[2.0]]), 2.0)
+        # a first time of -0.0 is stored as 0.0, in a copy of the caller's array
+        times = np.array([-0.0, 1.0])
+        trace = PiecewiseConstantSignal(("v",), times, np.array([[1.0], [2.0]]), 2.0)
+        assert not np.signbit(trace.times[0]) and np.signbit(times[0])
 
     def test_strictly_increasing_times(self):
         with pytest.raises(TraceError, match="strictly increasing"):

@@ -92,6 +92,12 @@ class TestOrderingErrors:
         sm = StreamingMonitor(parse("v >= 0"), ("v",))
         with pytest.raises(TraceError, match="time 0"):
             sm.push(1.0, [1.0])
+        # a first time of -0.0 is stored as 0.0, so no bound carries its sign
+        sm.push(-0.0, [1.0])
+        sm.push(1.0, [1.0])
+        sm.finish()
+        sm.poll()
+        assert not np.signbit(sm.resolved_signal().starts).any()
 
     def test_unknown_variable_rejected(self):
         with pytest.raises(SclError, match="variables"):

@@ -25,14 +25,25 @@ workload, pool seed 0-7 and formula it prints
 
 Every float is hashed as its exact little-endian float64 bytes.  An output
 that the library rejects (an ``SclError``) prints ``error TYPE: MESSAGE`` in
-place of its hash.  The script writes no file.
+place of its hash.
+
+For the check and rho workloads it then prints, per pool seed,
+``WORKLOAD seed=N cli-FORMAT SHA256``: the hash of the stdout, the stderr and
+the exit code of ``sclmon.cli.main([KIND, "--trace", CSV, "--spec", SPEC,
+"--format", FORMAT])``, for FORMAT ``json`` and ``csv``, so the bytes the
+command prints are compared too.  ``main`` is the CLI's stable entry point, so
+one copy of this script digests both checkouts.  The trace CSVs are written to
+a temporary directory outside both trees, which is removed on exit; the script
+writes no other file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -42,13 +53,30 @@ PERFBENCH = HERE.parent / "perfbench"
 SEEDS = range(8)
 
 
-def digest(*parts) -> str:
+def sha256_of(chunks) -> str:
+    """sha256 of byte strings, each preceded by its length."""
     h = hashlib.sha256()
-    for part in parts:
-        data = np.ascontiguousarray(np.asarray(part, dtype="<f8")).tobytes()
+    for data in chunks:
         h.update(len(data).to_bytes(8, "little"))
         h.update(data)
     return h.hexdigest()
+
+
+def digest(*parts) -> str:
+    return sha256_of(np.ascontiguousarray(np.asarray(part, dtype="<f8")).tobytes()
+                     for part in parts)
+
+
+def text_digest(*parts: str) -> str:
+    return sha256_of(part.encode() for part in parts)
+
+
+def cli_digest(sclmon_cli, kind: str, trace_path: Path, spec_path: Path, fmt: str) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = sclmon_cli.main([kind, "--trace", str(trace_path), "--spec", str(spec_path),
+                                "--format", fmt])
+    return text_digest(out.getvalue(), err.getvalue(), str(code))
 
 
 def signal_parts(sig) -> tuple:
@@ -90,6 +118,7 @@ OUTPUTS = {
 EXTRA_OUTPUTS = {"check-steps": (("rho_trace", rho_trace_digest),)}
 NESTED = "G[0,2] (<flat[0,1], 0.5> (G >= 100))"
 EXTRA_FORMULAS = {"rho-3d": (NESTED,), "stream-day": (NESTED,)}
+CLI_FORMATS = ("json", "csv")
 
 
 def main(argv: list[str]) -> int:
@@ -101,24 +130,32 @@ def main(argv: list[str]) -> int:
     sys.path.insert(0, str(PERFBENCH))
     sys.dont_write_bytecode = True              # leave no __pycache__ in either tree
     import sclmon
+    import sclmon.cli
     import workloads
 
     if Path(sclmon.__file__).resolve().parent != src / "sclmon":
         raise SystemExit(f"output_digest: imported sclmon from {sclmon.__file__}, not {src}")
-    for name, wl in workloads.WORKLOADS.items():
-        spec = (PERFBENCH / "specs" / wl.spec).read_text()
-        formulas = [f for _, _, f in sclmon.parse_formula_file(spec)]
-        formulas += [sclmon.parse(text) for text in EXTRA_FORMULAS.get(name, ())]
-        for seed in SEEDS:
-            text = wl.make_trace(seed, False).csv_text()
-            trace = sclmon.read_trace_csv(io.StringIO(text))
-            for k, f in enumerate(formulas):
-                for output, run in OUTPUTS[wl.kind] + EXTRA_OUTPUTS.get(name, ()):
-                    try:
-                        line = run(sclmon, trace, f)
-                    except sclmon.SclError as exc:   # a rejection is an output too
-                        line = f"error {type(exc).__name__}: {exc}"
-                    print(f"{name} seed={seed} formula={k} {output} {line}", flush=True)
+    with tempfile.TemporaryDirectory(prefix="output-digest-") as tmp:
+        trace_path = Path(tmp) / "trace.csv"
+        for name, wl in workloads.WORKLOADS.items():
+            spec_path = PERFBENCH / "specs" / wl.spec
+            formulas = [f for _, _, f in sclmon.parse_formula_file(spec_path.read_text())]
+            formulas += [sclmon.parse(text) for text in EXTRA_FORMULAS.get(name, ())]
+            for seed in SEEDS:
+                text = wl.make_trace(seed, False).csv_text()
+                trace = sclmon.read_trace_csv(io.StringIO(text))
+                for k, f in enumerate(formulas):
+                    for output, run in OUTPUTS[wl.kind] + EXTRA_OUTPUTS.get(name, ()):
+                        try:
+                            line = run(sclmon, trace, f)
+                        except sclmon.SclError as exc:   # a rejection is an output too
+                            line = f"error {type(exc).__name__}: {exc}"
+                        print(f"{name} seed={seed} formula={k} {output} {line}", flush=True)
+                if wl.kind in ("check", "rho"):
+                    trace_path.write_text(text)
+                    for fmt in CLI_FORMATS:
+                        line = cli_digest(sclmon.cli, wl.kind, trace_path, spec_path, fmt)
+                        print(f"{name} seed={seed} cli-{fmt} {line}", flush=True)
     return 0
 
 
