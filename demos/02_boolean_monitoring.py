@@ -9,7 +9,6 @@ Plain windowed-always (G) cannot express "for at least 3h"; it only knows
 
 from sclmon import (
     eval_conv_efficient,
-    eval_conv_oracle,
     FlatKernel,
     eval_atom,
     monitor,
@@ -38,17 +37,17 @@ strict_cov = parse("<flat[0,24], 0.125>* (v >= 180)")
 print("  strict coverage  ->",
       "satisfied" if monitor(trace, strict_cov).satisfied_at_zero else "violated")
 
-# Under the hood: the sliding evaluator steps between the events where a
-# window boundary meets a signal edge and locates threshold crossings by
-# root finding; the brute-force oracle recomputes H from scratch on a grid.
+# Under the hood: the evaluator splits the verdict span at the events where a
+# window boundary meets a signal edge.  Within one stretch between events a
+# flat window's coverage H is linear, so it is sampled at the stretch bounds
+# only and each threshold crossing is solved in closed form.
 from sclmon import Atom
 
 sig = eval_atom(trace, Atom("v", ">=", 180.0))
 kernel = FlatKernel(0.0, 24.0)
 eff = eval_conv_efficient(kernel, 0.13, sig)
-orc = eval_conv_oracle(kernel, 0.13, sig, 24.0 / 2000.0)
-print(f"\nat threshold 13% the verdict flips; both evaluators agree:")
-print(f"  efficient: true on {eff.verdict.signal.intervals}")
-print(f"  oracle:    true on {orc.verdict.signal.intervals}")
-print(f"  crossings located by the efficient evaluator: "
-      f"{[round(c, 6) for c in eff.verdict.crossings[:6]]} ...")
+print(f"\nat threshold 13% the verdict flips to false:")
+print(f"  true on {eff.verdict.signal.intervals}")
+print(f"  {len(eff.bounds)} stretch bounds, H sampled at {len(eff.times)} times: "
+      f"{[round(h, 4) for h in eff.values[:6].tolist()]} ...")
+print(f"  crossings: {[round(c, 6) for c in eff.verdict.crossings[:6]]} ...")

@@ -3,10 +3,10 @@
 The windowed operator ``<kernel[T0,T1], p>`` holds at time t when the
 kernel-weighted fraction of ``[t+T0, t+T1]`` on which its subformula holds is
 at least p; the starred form requires strictly more than p.  This package
-provides Boolean monitoring (event-aligned sliding-window evaluation, exact
-for every kernel with no integration step, checked against a brute-force
-oracle), streaming monitoring, quantitative robustness,
-a formula text syntax, trace generators and a CLI.
+provides Boolean monitoring (one event-aligned sliding-window evaluator,
+exact for every kernel with no integration step, which the tests check
+against a brute-force grid oracle of their own), streaming monitoring,
+quantitative robustness, a formula text syntax, trace generators and a CLI.
 """
 
 from .errors import HorizonError, ParseError, SclError, TraceError
@@ -34,12 +34,9 @@ from .kernels import (
     GaussianKernel,
 )
 from .monitor import (
-    ConvEvaluation,
-    MonitorConfig,
     VerdictSignal,
     eval_atom,
     eval_conv_efficient,
-    eval_conv_oracle,
     monitor,
 )
 from .parser import parse, parse_formula_file, pretty_print
@@ -65,12 +62,12 @@ from .traces import (
 
 __all__ = [
     "And", "Atom", "BooleanSignal", "BoundedKernel", "Const", "Conv",
-    "ConvDual", "ConvEvaluation", "ExponentialKernel", "FALSE", "FlatKernel",
+    "ConvDual", "ExponentialKernel", "FALSE", "FlatKernel",
     "Formula", "GaussianKernel", "GlucoseParams", "HorizonError", "Implies",
-    "MonitorConfig", "Not", "Or", "ParseError", "PiecewiseConstantSignal",
+    "Not", "Or", "ParseError", "PiecewiseConstantSignal",
     "RobustnessTrace", "SclError", "StreamingMonitor", "TRUE",
     "TraceError", "VerdictSignal", "boolean_and", "boolean_not", "boolean_or", "eval_atom",
-    "eval_conv_efficient", "eval_conv_oracle", "eventually",
+    "eval_conv_efficient", "eventually",
     "generate_glucose_like", "generate_sine_quantized", "generate_step_train",
     "globally", "horizon", "monitor", "parse", "parse_formula_file",
     "pretty_print", "read_trace_csv", "restrict_domain", "rho", "rho_trace",

@@ -1,34 +1,30 @@
 """Boolean monitoring: truth signals for formulas over piecewise-constant traces.
 
-Two evaluators compute the convolution value H(t) (kernel-weighted coverage
-of the child truth signal in the window anchored at t) and threshold it:
+One evaluator, :func:`eval_conv_efficient`, computes the convolution value
+H(t) (kernel-weighted coverage of the child truth signal in the window
+anchored at t) and thresholds it.  The verdict span is split into stretches
+bounded by the events where a window boundary meets a true-interval edge, so
+the edge set inside the window is constant per stretch.  There H is linear
+(flat kernels) or ``C + D*exp(-rate*x)`` (exponential kernels), so it is
+sampled at the stretch bounds only, and a crossing is solved in closed form.
+A Gaussian stretch is also cut where H' vanishes (:func:`_gaussian_splits`),
+so every cell is monotone and a crossing is narrowed to 1e-9 in time inside
+its cell.  No kernel needs an integration step.  The tests check it against
+a brute-force grid oracle with window integrals of its own.
 
-* :func:`eval_conv_oracle` -- brute force: H on a uniform grid via window
-  integrals, crossings by linear interpolation.  Ground truth for the other.
-* :func:`eval_conv_efficient` -- sliding window: the verdict span is split
-  into stretches bounded by the events where a window boundary meets a
-  true-interval edge, so the edge set inside the window is constant per
-  stretch.  There H is linear (flat kernels) or ``C + D*exp(-rate*x)``
-  (exponential kernels), so it is sampled at the stretch bounds only, and a
-  crossing is solved in closed form.  A Gaussian stretch is also cut where
-  H' vanishes (:func:`_gaussian_splits`), so every cell is monotone and a
-  crossing is narrowed to 1e-9 in time inside its cell.  No kernel needs
-  an integration step.
-
-Both evaluators compute every H sample as a direct window integral, in one
-pass over all samples, so H at a time depends only on that time and the
-signal, not on where evaluation began.
+Every H sample is a direct window integral, computed in one pass over all
+samples, so H at a time depends only on that time and the signal, not on
+where evaluation began.
 
 The dual operator is evaluated structurally as the complement of the
 complemented child at threshold ``1 - p``, which realizes its strict
 comparison up to sets of measure zero.
 
 Verdicts carry a ``stable_until`` time: extending the trace can never change
-the verdict before it.  Only the final stretch (or oracle grid cell)
-touches the current trace end, and only threshold-delicate content there
-can still move; everything else is reproduced bit-for-bit on any longer
-trace.  The streaming facade emits up to this boundary, which makes
-online output exactly equal to offline.
+the verdict before it.  Only the final stretch touches the current trace end,
+and only threshold-delicate content there can still move; everything else is
+reproduced bit-for-bit on any longer trace.  The streaming facade emits up to
+this boundary, which makes online output exactly equal to offline.
 
 The formula recursion is span-restricted: a node is evaluated over
 ``[lo, evaluable end]``.  :func:`monitor` is the span from 0.  A window node
@@ -79,22 +75,6 @@ _TIME_TOL = 1e-9       # crossing location tolerance
 _H_DRIFT = 1e-6        # hard bound on numerical drift of H outside [0, 1]
 _CHUNK = 1 << 16       # anchor-interval pairs per broadcast mass call
 _PROBES = np.arange(1, 16) / 16.0  # interior points of a root bracket per round
-_ORACLE_CELLS = 2000   # oracle grid cells per window width
-
-
-@dataclass
-class MonitorConfig:
-    """Knobs for :func:`monitor`: which evaluator computes convolution nodes.
-
-    ``efficient`` (default) is exact per event-aligned stretch for every
-    kernel; ``oracle`` samples H on a grid of window width / 2000.
-    """
-
-    evaluator: str = "efficient"   # efficient | oracle
-
-    def __post_init__(self) -> None:
-        if self.evaluator not in ("efficient", "oracle"):
-            raise SclError(f"unknown evaluator {self.evaluator!r}")
 
 
 @dataclass(frozen=True)
@@ -129,11 +109,9 @@ class VerdictSignal:
 class ConvEvaluation:
     """A verdict plus the H samples the evaluator actually computed.
 
-    ``bounds`` are the times from which a fresh evaluation of the same
-    signal, cut to start there, finds the same later samples and roots: the
-    stretch bounds of the efficient evaluator.  The oracle's grid is anchored
-    at its span start, which a later start would shift, so it offers none
-    and an oracle node always restarts at 0.
+    ``bounds`` are the stretch bounds: the times from which a fresh
+    evaluation of the same signal, cut to start there, finds the same later
+    samples and roots.
     """
 
     verdict: VerdictSignal
@@ -265,41 +243,6 @@ def _grid_integrals(kernel: BoundedKernel, sig: BooleanSignal,
         block[np.abs(block) <= _SNAP] = 0.0
         block[np.abs(block - 1.0) <= _SNAP] = 1.0
     return h
-
-
-def eval_conv_oracle(kernel: BoundedKernel, threshold: float, sig: BooleanSignal,
-                     grid: float) -> ConvEvaluation:
-    """Brute-force reference: H on a uniform grid, thresholded with linear
-    interpolation of the crossing times."""
-    if grid <= 0:
-        raise SclError("oracle grid must be positive")
-    t0, t_end = _verdict_span(kernel, sig)
-    n = int(math.floor((t_end - t0) / grid))
-    ts = t0 + grid * np.arange(n + 1)
-    if ts[-1] < t_end - 1e-12 * max(1.0, abs(t_end)):
-        ts = np.append(ts, t_end)
-    else:
-        ts[-1] = t_end
-    hs = _grid_integrals(kernel, sig, ts)
-    crossings: list[float] = []
-    for b in range(0, len(ts), _CHUNK):
-        # the cells of one block at a time, each block reading the first
-        # sample of the next, so thresholding makes no grid-sized temporary
-        thetas = _thetas(hs[b:b + _CHUNK + 1], threshold)
-        truths = thetas >= 0.0
-        if b == 0:
-            first = bool(truths[0])
-        for i in np.flatnonzero(truths[1:] != truths[:-1]).tolist():
-            th0, th1 = thetas[i], thetas[i + 1]
-            a, z = ts[b + i], ts[b + i + 1]
-            root = float(z if th1 == th0 else a + (z - a) * (0.0 - th0) / (th1 - th0))
-            crossings.append(min(max(root, float(a)), float(z)))
-    signal = _alternating(t0, t_end, first, crossings)
-    # the final grid cell ends at the trace-dependent t_end, so crossings
-    # interpolated inside it may move when the trace is extended
-    stable = float(ts[-2]) if len(ts) >= 2 else t0
-    verdict = VerdictSignal(signal, tuple(crossings), stable)
-    return ConvEvaluation(verdict, ts, hs, np.empty(0))
 
 
 def _narrow(positive_at: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
@@ -521,13 +464,6 @@ def eval_conv_efficient(kernel: BoundedKernel, threshold: float,
     return ConvEvaluation(verdict, times, hs, bounds)
 
 
-def _conv_dispatch(kernel: BoundedKernel, threshold: float, sig: BooleanSignal,
-                   config: MonitorConfig) -> ConvEvaluation:
-    if config.evaluator == "oracle":
-        return eval_conv_oracle(kernel, threshold, sig, kernel.width / _ORACLE_CELLS)
-    return eval_conv_efficient(kernel, threshold, sig)
-
-
 def _align(a: BooleanSignal, b: BooleanSignal) -> tuple[BooleanSignal, BooleanSignal]:
     end = min(a.end, b.end)
     if a.end != end:
@@ -596,7 +532,7 @@ class _Restart:
         self.bounds, self.sig, self.kernel, self.stable = bounds, sig, kernel, stable
 
 
-def _eval_node(trace: PiecewiseConstantSignal, f: Formula, lo: float, config: MonitorConfig,
+def _eval_node(trace: PiecewiseConstantSignal, f: Formula, lo: float,
                restarts: dict[tuple[int, ...], _Restart] | None = None, path: tuple[int, ...] = (),
                ) -> tuple[BooleanSignal, tuple[float, ...], float]:
     """Signal, crossings and ``stable_until`` of ``f`` over ``[lo, evaluable end]``.
@@ -616,11 +552,11 @@ def _eval_node(trace: PiecewiseConstantSignal, f: Formula, lo: float, config: Mo
         case Atom():
             return eval_atom(trace, f, lo), (), math.inf
         case Not(child):
-            sig, crossings, stable = _eval_node(trace, child, lo, config, restarts, path + (0,))
+            sig, crossings, stable = _eval_node(trace, child, lo, restarts, path + (0,))
             return boolean_not(sig), crossings, stable
         case Or(left, right) | And(left, right) | Implies(left, right):
-            a, _, stable_a = _eval_node(trace, left, lo, config, restarts, path + (0,))
-            b, _, stable_b = _eval_node(trace, right, lo, config, restarts, path + (1,))
+            a, _, stable_a = _eval_node(trace, left, lo, restarts, path + (0,))
+            b, _, stable_b = _eval_node(trace, right, lo, restarts, path + (1,))
             a, b = _align(a, b)
             stable = min(stable_a, stable_b)
             if isinstance(f, Or):
@@ -633,12 +569,12 @@ def _eval_node(trace: PiecewiseConstantSignal, f: Formula, lo: float, config: Mo
             if restarts is not None:
                 restart = restarts.get(path) or restarts.setdefault(path, _Restart())
             start = lo if restart is None else restart.start_for(lo)
-            sig, _, child_stable = _eval_node(trace, child, start, config, restarts, path + (0,))
+            sig, _, child_stable = _eval_node(trace, child, start, restarts, path + (0,))
             dual = isinstance(f, ConvDual)
             if dual:
                 # the dual is the complement of the complemented child at 1 - p
                 sig, threshold = boolean_not(sig), 1.0 - threshold
-            ev = _conv_dispatch(kernel, threshold, sig, config)
+            ev = eval_conv_efficient(kernel, threshold, sig)
             signal = boolean_not(ev.verdict.signal) if dual else ev.verdict.signal
             stable = min(ev.verdict.stable_until, child_stable - kernel.upper)
             if restart is not None:
@@ -649,12 +585,11 @@ def _eval_node(trace: PiecewiseConstantSignal, f: Formula, lo: float, config: Mo
     raise SclError(f"not a formula: {f!r}")
 
 
-def monitor(trace: PiecewiseConstantSignal, f: Formula,
-            config: MonitorConfig | None = None) -> VerdictSignal:
+def monitor(trace: PiecewiseConstantSignal, f: Formula) -> VerdictSignal:
     """Truth signal of ``f`` over ``[0, evaluable_end(f, duration)]``.
 
     The formula is satisfied by the trace iff the verdict holds at time 0.
     """
     evaluable_end(f, trace.duration)
-    signal, crossings, stable = _eval_node(trace, f, 0.0, config or MonitorConfig())
+    signal, crossings, stable = _eval_node(trace, f, 0.0)
     return VerdictSignal(signal, crossings, min(stable, signal.end))

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import HorizonError, SclError, TraceError
 from .formula import Formula, evaluable_end, variables
-from .monitor import MonitorConfig, _eval_node, _Restart
+from .monitor import _eval_node, _Restart
 from .signals import (
     BooleanSignal,
     PiecewiseConstantSignal,
@@ -125,8 +125,7 @@ class StreamingMonitor:
         start = 0.0 if self._emitted_to is None else self._emitted_to
         prefix = PiecewiseConstantSignal._unchecked(self.variables, self._times[:n],
                                                     self._values[:n], duration)
-        signal, _, stable = _eval_node(prefix, self.formula, start, MonitorConfig(),
-                                       self._restarts)
+        signal, _, stable = _eval_node(prefix, self.formula, start, self._restarts)
         # before the end, hold back content that a longer trace might still refine
         resolved = signal.end if finished else min(stable, signal.end)
         if resolved < start or resolved == self._emitted_to:

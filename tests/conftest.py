@@ -1,7 +1,8 @@
 """Shared helpers: random signal/kernel/formula generators and slow oracles.
 
 The oracles here are deliberately independent of the library's closed forms:
-quadrature for kernel masses, dense Riemann sums for convolution values,
+quadrature for kernel masses, dense Riemann sums for convolution values, a
+grid oracle with window integrals of its own for the Boolean verdict,
 interval geometry for the windowed always/sometime operators, and value
 enumeration for robustness.
 """
@@ -9,20 +10,34 @@ enumeration for robustness.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 from hypothesis import settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import erf, erfc
 
 from sclmon import (
+    And,
+    Atom,
     BooleanSignal,
+    Const,
     Conv,
+    ConvDual,
     ExponentialKernel,
     FlatKernel,
     GaussianKernel,
     HorizonError,
+    Implies,
+    Not,
+    Or,
     PiecewiseConstantSignal,
+    boolean_and,
+    boolean_not,
+    boolean_or,
+    eval_atom,
+    restrict_domain,
 )
 from sclmon.robustness import _MASS_SNAP, _breaks, _rho_at
 
@@ -157,6 +172,134 @@ def conv_value_riemann(kernel, sig: BooleanSignal, t: float, n: int = 200_001) -
     dens = dens / (np.sum(dens) * (xs[1] - xs[0]))
     truth = sig.values_at(mids + t)
     return float(np.sum(dens[truth]) * (xs[1] - xs[0]))
+
+
+def cumulative_weight(kernel):
+    """``x -> `` the kernel's weight of ``[lower, x]`` for window offsets x in
+    ``[lower, upper]``, exactly 0 at ``lower`` and 1 at ``upper``.
+
+    It is the raw shape's antiderivative, normalised: a clipped length for
+    flat windows, ``expm1`` for exp windows and ``erf`` for Gaussian ones,
+    with ``erfc`` of the far side when the bump's centre lies outside the
+    window, so a window in the bump's tail keeps its relative accuracy.
+    """
+    lo, hi = kernel.lower, kernel.upper
+    if isinstance(kernel, FlatKernel):
+        def raw(x):
+            return x - lo
+    elif isinstance(kernel, ExponentialKernel):
+        def raw(x):
+            return np.expm1(kernel.rate * (x - lo))
+    elif isinstance(kernel, GaussianKernel):
+        c, s = kernel.center, kernel.spread
+        if lo >= c:
+            def raw(x):
+                return -erfc((x - c) / s)
+        elif hi <= c:
+            def raw(x):
+                return erfc((c - x) / s)
+        else:
+            def raw(x):
+                return erf((x - c) / s)
+    else:
+        raise TypeError(kernel)
+    zero = raw(lo)
+    total = raw(hi) - zero
+    return lambda x: (raw(x) - zero) / total
+
+
+def window_integrals(kernel, sig: BooleanSignal, ts) -> np.ndarray:
+    """H at each anchor of ``ts``: for each true interval, the difference of
+    :func:`cumulative_weight` at its clipped ends, summed in time order.
+
+    It shares no window integral, snap or mass with the library.  As in the
+    library, an interval reaching the signal's end reaches every window's
+    end, also that of a last window which rounding put past it.
+    """
+    ts = np.asarray(ts, dtype=float)
+    weight = cumulative_weight(kernel)
+    lo, hi = kernel.lower, kernel.upper
+    starts, ends = sig.starts, sig.ends
+    if len(ends) and ends[-1] == sig.end:
+        ends = np.concatenate((ends[:-1], [np.inf]))
+    h = np.zeros(len(ts))
+    if len(ts):
+        first = ends.searchsorted(ts.min() + lo, side="left")
+        last = starts.searchsorted(ts.max() + hi, side="right")
+        for s, e in zip(starts[first:last], ends[first:last]):
+            h += weight(np.clip(e - ts, lo, hi)) - weight(np.clip(s - ts, lo, hi))
+    return h
+
+
+class GridVerdict(NamedTuple):
+    signal: BooleanSignal
+    crossings: tuple[float, ...]
+
+
+def grid_oracle(kernel, threshold: float, sig: BooleanSignal, grid: float) -> GridVerdict:
+    """Brute-force verdict of ``<kernel, threshold>`` over ``sig``.
+
+    H comes from :func:`window_integrals` every ``grid`` from the signal's
+    start and at the span's end, which replaces a last grid time within
+    1e-12 of it.  The verdict is true where H >= threshold, and each flip is
+    linearly interpolated inside its grid cell.  The grid goes in blocks,
+    each carrying the last sample of the one before, and only the truth at
+    the start and the crossings are kept, so memory does not grow with it.
+    """
+    t0 = sig.start
+    t_end = sig.end - kernel.upper
+    assert t_end >= t0 - 1e-12, "signal too short for the window"
+    t_end = max(t_end, t0)
+    n = int(math.floor((t_end - t0) / grid))
+    count = n + 1 if t0 + grid * n >= t_end - 1e-12 * max(1.0, abs(t_end)) else n + 2
+    block = 1 << 16
+    crossings: list[float] = []
+    ts, th = np.empty(0), np.empty(0)
+    for b in range(0, count, block):
+        new = t0 + grid * np.arange(b, min(b + block, count))
+        if b + block >= count:
+            new[-1] = t_end
+        ts = np.concatenate((ts[-1:], new))
+        th = np.concatenate((th[-1:], window_integrals(kernel, sig, new) - threshold))
+        truth = th >= 0.0
+        i = np.flatnonzero(truth[1:] != truth[:-1])
+        a, z = ts[i], ts[i + 1]
+        roots = a + (z - a) * (-th[i] / (th[i + 1] - th[i]))
+        crossings.extend(np.clip(roots, a, z).tolist())
+        if b == 0:
+            first = bool(truth[0])
+    cuts = [t0, *crossings, t_end][0 if first else 1:]
+    pairs = list(zip(cuts[0::2], cuts[1::2]))
+    return GridVerdict(BooleanSignal.from_intervals(t0, t_end, pairs), tuple(crossings))
+
+
+def oracle_monitor(trace: PiecewiseConstantSignal, f) -> BooleanSignal:
+    """Truth signal of ``f`` from 0 with every window node by
+    :func:`grid_oracle` at a grid of its window width / 2000.
+
+    The dual is the complement of the complemented child at ``1 - p``.
+    """
+    match f:
+        case Const(value):
+            full = BooleanSignal.always if value else BooleanSignal.never
+            return full(0.0, trace.duration)
+        case Atom():
+            return eval_atom(trace, f)
+        case Not(child):
+            return boolean_not(oracle_monitor(trace, child))
+        case Or(left, right) | And(left, right) | Implies(left, right):
+            a, b = oracle_monitor(trace, left), oracle_monitor(trace, right)
+            end = min(a.end, b.end)
+            a, b = restrict_domain(a, (0.0, end)), restrict_domain(b, (0.0, end))
+            if isinstance(f, And):
+                return boolean_and(a, b)
+            return boolean_or(boolean_not(a) if isinstance(f, Implies) else a, b)
+        case Conv(kernel, p, child):
+            return grid_oracle(kernel, p, oracle_monitor(trace, child), kernel.width / 2000).signal
+        case ConvDual(kernel, p, child):
+            inner = boolean_not(oracle_monitor(trace, child))
+            return boolean_not(grid_oracle(kernel, 1.0 - p, inner, kernel.width / 2000).signal)
+    raise TypeError(f)
 
 
 def erode(sig: BooleanSignal, lower: float, upper: float) -> BooleanSignal:

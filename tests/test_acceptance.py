@@ -24,13 +24,12 @@ from sclmon import (
     StreamingMonitor,
     boolean_not,
     eval_conv_efficient,
-    eval_conv_oracle,
     monitor,
     rho,
 )
 from sclmon.experiments import noise_agreement_experiment
-from conftest import (dilate, erode, random_boolean_signal, random_kernel, random_trace,
-                      weighted_integral_many)
+from conftest import (dilate, erode, grid_oracle, random_boolean_signal, random_kernel,
+                      random_trace, weighted_integral_many)
 
 
 def report(name: str, detail: str) -> None:
@@ -80,8 +79,9 @@ def test_criterion_2_reference_convolution_values():
 
 def test_criterion_3_oracle_equivalence_1000_triples():
     """1000 random (signal, kernel, threshold) triples, delta = width/1000,
-    oracle grid delta/2: H within 2e-12 of fresh window integrals, crossings
-    within max(delta, grid).  Runtime < 2 min."""
+    test-side grid oracle (its own window integrals) at grid delta/2: H
+    within 2e-12 of fresh window integrals, crossings within max(delta,
+    grid).  Runtime < 2 min."""
     rng = np.random.default_rng(1003)
     start = time.perf_counter()
     worst_h = 0.0
@@ -97,12 +97,12 @@ def test_criterion_3_oracle_equivalence_1000_triples():
         p = float(rng.uniform(0.05, 0.95))
         delta = width / 1000.0
         eff = eval_conv_efficient(k, p, sig)
-        orc = eval_conv_oracle(k, p, sig, delta / 2.0)
+        orc = grid_oracle(k, p, sig, delta / 2.0)
         h_ref = weighted_integral_many(k, sig, eff.times)
         worst_h = max(worst_h, float(np.max(np.abs(eff.values - h_ref))))
         tol = max(delta, delta / 2.0)
-        assert len(eff.verdict.crossings) == len(orc.verdict.crossings)
-        for a, b in zip(eff.verdict.crossings, orc.verdict.crossings):
+        assert len(eff.verdict.crossings) == len(orc.crossings)
+        for a, b in zip(eff.verdict.crossings, orc.crossings):
             worst_cross = max(worst_cross, abs(a - b) / tol)
     elapsed = time.perf_counter() - start
     assert worst_h <= 2e-12

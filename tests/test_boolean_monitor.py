@@ -1,6 +1,7 @@
-"""Boolean monitoring: atom evaluation, the two convolution evaluators,
-formula recursion, and their cross-equivalences."""
+"""Boolean monitoring: atom evaluation, the convolution evaluator against the
+test-side grid oracle, and the formula recursion."""
 
+import importlib
 import math
 
 import numpy as np
@@ -11,20 +12,18 @@ from hypothesis import strategies as st
 from sclmon import (
     Atom,
     BooleanSignal,
+    BoundedKernel,
     Conv,
     ConvDual,
     ExponentialKernel,
     FlatKernel,
     GaussianKernel,
     HorizonError,
-    MonitorConfig,
     Not,
     PiecewiseConstantSignal,
-    SclError,
     boolean_not,
     eval_atom,
     eval_conv_efficient,
-    eval_conv_oracle,
     eventually,
     globally,
     monitor,
@@ -37,14 +36,19 @@ from conftest import (
     conv_value_riemann,
     dilate,
     erode,
+    grid_oracle,
+    oracle_monitor,
     plateau_traces,
     random_boolean_signal,
     random_kernel,
     signal_bits,
     weighted_integral_many,
+    window_integrals,
 )
 
 REF = BooleanSignal.from_intervals(0.0, 1.5, [(0.3, 0.9)])
+# the module itself: the package's `monitor` names the function
+MONITOR = importlib.import_module("sclmon.monitor")
 
 
 def intervals_close(a, b, tol):
@@ -111,21 +115,21 @@ class TestEvalAtom:
 
 class TestOracle:
     def test_flat_false_at_zero(self):
-        ev = eval_conv_oracle(FlatKernel(0, 0.5), 0.5, REF, 1e-3)
-        assert ev.values[0] == pytest.approx(0.4, abs=1e-12)
-        assert not ev.verdict.value_at(0.0)
+        k = FlatKernel(0, 0.5)
+        assert window_integrals(k, REF, [0.0])[0] == pytest.approx(0.4, abs=1e-12)
+        assert not grid_oracle(k, 0.5, REF, 1e-3).signal.value_at(0.0)
 
     def test_rising_exponential_true_at_zero(self):
-        ev = eval_conv_oracle(ExponentialKernel(3, 0, 0.5), 0.5, REF, 1e-3)
-        assert ev.values[0] == pytest.approx(0.5808, abs=1e-4)
-        assert ev.verdict.value_at(0.0)
+        k = ExponentialKernel(3, 0, 0.5)
+        assert window_integrals(k, REF, [0.0])[0] == pytest.approx(0.5808, abs=1e-4)
+        assert grid_oracle(k, 0.5, REF, 1e-3).signal.value_at(0.0)
 
     def test_zero_threshold_always_true(self):
         rng = np.random.default_rng(37)
         for _ in range(20):
             b = random_boolean_signal(rng, 0.0, 5.0)
-            ev = eval_conv_oracle(FlatKernel(0, 1), 0.0, b, 0.01)
-            assert ev.verdict.signal == BooleanSignal.always(0.0, 4.0)
+            orc = grid_oracle(FlatKernel(0, 1), 0.0, b, 0.01)
+            assert orc.signal == BooleanSignal.always(0.0, 4.0)
 
     def test_matches_riemann_sum(self):
         rng = np.random.default_rng(41)
@@ -133,10 +137,8 @@ class TestOracle:
             b = random_boolean_signal(rng, 0.0, 6.0)
             k = random_kernel(rng, 0.0, float(rng.uniform(0.5, 2)))
             t = float(rng.uniform(0, 6 - k.upper))
-            ev = eval_conv_oracle(k, 0.5, b, 0.01)
-            idx = int(np.argmin(np.abs(ev.times - t)))
-            direct = conv_value_riemann(k, b, float(ev.times[idx]))
-            assert ev.values[idx] == pytest.approx(direct, abs=5e-5)
+            direct = conv_value_riemann(k, b, t)
+            assert window_integrals(k, b, [t])[0] == pytest.approx(direct, abs=5e-5)
 
 
 class TestEfficient:
@@ -262,11 +264,111 @@ class TestEfficient:
                if abs(c - 2.77) < 0.01]
         assert dip == pytest.approx([2.769999019, 2.770000981], abs=1e-8)
         near = restrict_domain(sig, (2.7699, 3.7701))
-        oracle = eval_conv_oracle(k, p, near, 1e-7).verdict.crossings
+        oracle = grid_oracle(k, p, near, 1e-7).crossings
         assert dip == pytest.approx(list(oracle), abs=2e-7)
 
 
+@st.composite
+def conv_cases(draw):
+    """A window of any shape, a threshold and a Boolean signal whose true
+    intervals and gaps may be far narrower than one oracle cell.  Half the
+    thresholds sit just off H at an event, where H can have a kink
+    extremum, so that a verdict stretch can be narrower than one cell too."""
+    width = draw(st.floats(0.5, 2.0))
+    lo = draw(st.floats(0.0, 0.3)) * width
+    hi = lo + width
+    end = hi + draw(st.floats(0.5, 1.5)) * width
+    lengths = st.one_of(st.floats(1e-6, 1e-3), st.floats(1e-3, 0.5 * width))
+    pairs = draw(st.lists(st.tuples(st.floats(0.0, end), lengths), max_size=8))
+    sig = BooleanSignal.from_intervals(0.0, end, [(a, a + n) for a, n in pairs])
+    shape = draw(st.sampled_from(["flat", "exp", "gauss"]))
+    if shape == "flat":
+        kernel = FlatKernel(lo, hi)
+    elif shape == "exp":
+        kernel = ExponentialKernel(draw(st.sampled_from([-1, 1])) * draw(st.floats(0.3, 4.0)),
+                                   lo, hi)
+    else:
+        kernel = GaussianKernel(draw(st.floats(lo - 0.3 * width, hi + 0.3 * width)),
+                                draw(st.floats(0.15, 1.5)) * width, lo, hi)
+    p = draw(st.floats(0.05, 0.95))
+    edges = np.concatenate((sig.starts, sig.ends)).tolist()
+    events = [e - x for e in edges for x in (lo, hi) if 0.0 <= e - x <= end - hi]
+    if events and draw(st.booleans()):
+        h = float(window_integrals(kernel, sig, [draw(st.sampled_from(events))])[0])
+        if 0.01 < h < 0.99:
+            p = h + draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(1e-9, 1e-5))
+    return kernel, p, sig
+
+
+def _flips(sig: BooleanSignal) -> np.ndarray:
+    """The verdict's edges inside its domain: where its truth flips."""
+    edges = np.concatenate((sig.starts, sig.ends))
+    return np.sort(edges[(edges != sig.start) & (edges != sig.end)])
+
+
+def _agree(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
+    return len(a) == len(b) and bool(np.all(np.abs(a - b) <= tol))
+
+
+def _oracle_agrees(kernel, p, sig: BooleanSignal, flips: np.ndarray, grid: float,
+                   a: float, b: float) -> bool:
+    """Whether the grid oracle finds the evaluator's ``flips`` inside the
+    anchors ``(a, b)``, each within one cell plus the evaluator's 1e-9 root
+    tolerance.  Where it does not, a feature may be narrower than one cell,
+    so the oracle runs again at 1/1000 of the grid around every flip either
+    side reports, down to a grid of 1e-9."""
+    near = restrict_domain(sig, (a, min(b + kernel.upper, sig.end)))
+    orc = _flips(grid_oracle(kernel, p, near, grid).signal)
+    mine = flips[(flips > a) & (flips < b)]
+    if _agree(mine, orc, grid + 1e-9):
+        return True
+    if grid < 1e-9:
+        return False
+    spans: list[list[float]] = []
+    for c in np.sort(np.concatenate((mine, orc))).tolist():
+        lo, hi = max(c - 2 * grid, a), min(c + 2 * grid, b)
+        if spans and lo <= spans[-1][1]:
+            spans[-1][1] = hi
+        else:
+            spans.append([lo, hi])
+    return all(_oracle_agrees(kernel, p, sig, flips, grid / 1000, lo, hi) for lo, hi in spans)
+
+
 class TestOracleEquivalence:
+    @settings(max_examples=200, deadline=None)
+    @given(case=conv_cases())
+    def test_efficient_matches_the_refined_oracle(self, case):
+        kernel, p, sig = case
+        flips = _flips(eval_conv_efficient(kernel, p, sig).verdict.signal)
+        assert _oracle_agrees(kernel, p, sig, flips, kernel.width / 2000,
+                              sig.start, sig.end - kernel.upper)
+
+    def test_oracle_shares_no_window_integral_with_the_library(self, monkeypatch):
+        # with every library mass, window integral and threshold snap made
+        # to raise, the test-side oracle still finds the evaluator's
+        # crossings, so the two sides of criterion 3 are independent
+        sig = BooleanSignal.from_intervals(0.0, 4.0, [(0.31, 0.93), (1.42, 2.57), (2.71, 3.13)])
+        kernels = (FlatKernel(0, 1), ExponentialKernel(-2, 0, 1), GaussianKernel(0.4, 0.3, 0, 1))
+        expected = [eval_conv_efficient(k, 0.4, sig).verdict.crossings for k in kernels]
+        trace = PiecewiseConstantSignal(("v",), np.array([0.0, 0.31, 0.93, 1.42, 2.57, 2.71, 3.13]),
+                                        np.array([[-1.0], [1], [-1], [1], [-1], [1], [-1]]), 4.0)
+        f = parse("<gauss(0.4, 0.3)[0,1], 0.4> (v >= 0) | !<exp(-2)[0,1], 0.6>* (v < 0)")
+        whole = monitor(trace, f).signal
+
+        def broken(*args, **kwargs):
+            raise AssertionError("library window integral used")
+        for cls in (BoundedKernel, FlatKernel, ExponentialKernel, GaussianKernel):
+            monkeypatch.setattr(cls, "mass_clipped", broken)
+        for name in ("_grid_integrals", "_thetas"):
+            monkeypatch.setattr(MONITOR, name, broken)
+        with pytest.raises(AssertionError, match="library window integral used"):
+            eval_conv_efficient(kernels[0], 0.4, sig)
+        for k, eff in zip(kernels, expected):
+            grid = k.width / 2000
+            orc = grid_oracle(k, 0.4, sig, grid).crossings
+            assert len(eff) > 0 and _agree(np.array(eff), np.array(orc), grid), (eff, orc)
+        intervals_close(oracle_monitor(trace, f).intervals, whole.intervals, 1.0 / 2000)
+
     def test_random_triples(self):
         rng = np.random.default_rng(59)
         for _ in range(60):
@@ -280,15 +382,14 @@ class TestOracleEquivalence:
             p = float(rng.uniform(0.05, 0.95))
             delta = width / 1000.0
             eff = eval_conv_efficient(k, p, b)
-            orc = eval_conv_oracle(k, p, b, delta / 2.0)
+            orc = grid_oracle(k, p, b, delta / 2.0)
             h_ref = weighted_integral_many(k, b, eff.times)
             assert np.max(np.abs(eff.values - h_ref)) <= 2e-12
             tol = max(delta, delta / 2.0)
-            assert len(eff.verdict.crossings) == len(orc.verdict.crossings)
-            for a, c in zip(eff.verdict.crossings, orc.verdict.crossings):
+            assert len(eff.verdict.crossings) == len(orc.crossings)
+            for a, c in zip(eff.verdict.crossings, orc.crossings):
                 assert abs(a - c) <= tol
-            intervals_close(eff.verdict.signal.intervals,
-                            orc.verdict.signal.intervals, tol)
+            intervals_close(eff.verdict.signal.intervals, orc.signal.intervals, tol)
 
 
 class TestIncremental:
@@ -495,8 +596,9 @@ class TestMonitor:
         # 0.1499999999996362: the true interval reaching the trace end still
         # covers all of it
         trace = PiecewiseConstantSignal(("v",), np.array([0.0]), np.array([[1.0]]), 10000.0)
-        verdict = monitor(trace, parse("G[0,0.15] (v > 0)"), MonitorConfig(evaluator))
-        assert verdict.signal == BooleanSignal.always(0.0, 10000.0 - 0.15)
+        f = parse("G[0,0.15] (v > 0)")
+        signal = monitor(trace, f).signal if evaluator == "efficient" else oracle_monitor(trace, f)
+        assert signal == BooleanSignal.always(0.0, 10000.0 - 0.15)
 
     @pytest.mark.parametrize("text", ["true", "false", "G[0,1] true", "G[0,1] false"])
     def test_constants(self, text):
@@ -508,15 +610,11 @@ class TestMonitor:
     def test_evaluator_selection(self):
         trace = _random_trace(np.random.default_rng(89), duration=4.0)
         f = parse("<exp(2)[0,1], 0.5> (v >= 0)")
-        base = monitor(trace, f, MonitorConfig(evaluator="efficient")).signal
-        other = monitor(trace, f, MonitorConfig(evaluator="oracle")).signal
+        base = monitor(trace, f).signal
+        other = oracle_monitor(trace, f)
         assert len(other.intervals) == len(base.intervals)
         for (s1, e1), (s2, e2) in zip(other.intervals, base.intervals):
             assert abs(s1 - s2) <= 2e-3 and abs(e1 - e2) <= 2e-3
-
-    def test_unknown_evaluator_rejected(self):
-        with pytest.raises(SclError, match="unknown evaluator 'incremental'"):
-            MonitorConfig(evaluator="incremental")
 
 
 def _random_trace(rng, duration):
@@ -567,7 +665,7 @@ class TestRestarts:
     @given(case=restart_cases())
     def test_restarted_span_equals_offline(self, case):
         f, trace, cuts, where = case
-        config, restarts, lo = MonitorConfig(), {}, 0.0
+        restarts, lo = {}, 0.0
         for cut, u in zip(cuts, where):
             keep = trace.times <= cut
             prefix = PiecewiseConstantSignal(("v",), trace.times[keep], trace.values[keep], cut)
@@ -575,29 +673,13 @@ class TestRestarts:
                 evaluable_end(f, cut)
             except HorizonError:
                 continue
-            sig, _, stable = _eval_node(prefix, f, lo, config, restarts)
+            sig, _, stable = _eval_node(prefix, f, lo, restarts)
             assert sig.start == lo
             lo = max(lo, lo + u * (min(stable, sig.end) - lo))
         try:
             expected = monitor(trace, f)
         except HorizonError:
             return
-        sig, _, stable = _eval_node(trace, f, lo, config, restarts)
+        sig, _, stable = _eval_node(trace, f, lo, restarts)
         assert sig == restrict_domain(expected.signal, (lo, expected.signal.end))
         assert min(stable, sig.end) == expected.stable_until
-
-    def test_oracle_node_restarts_at_zero(self):
-        # the oracle's grid is anchored at its span start, so a later start
-        # would move every H sample; it records no restart point
-        rng = np.random.default_rng(4)
-        trace = _random_trace(rng, 4.0)
-        f = parse("G[0,0.5] (<flat[0,1], 0.5> (v > 0))")
-        config, restarts = MonitorConfig(evaluator="oracle"), {}
-        for cut, lo in ((2.0, 0.0), (3.0, 0.2), (4.0, 1.1)):
-            keep = trace.times <= cut
-            prefix = PiecewiseConstantSignal(("v",), trace.times[keep], trace.values[keep], cut)
-            sig, _, stable = _eval_node(prefix, f, lo, config, restarts)
-            expected = monitor(prefix, f, config)
-            assert sig == restrict_domain(expected.signal, (lo, expected.signal.end))
-            assert min(stable, sig.end) == expected.stable_until
-        assert all(r.at == 0.0 for r in restarts.values())
