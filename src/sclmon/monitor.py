@@ -12,6 +12,12 @@ so every cell is monotone and a crossing is narrowed to 1e-9 in time inside
 its cell.  No kernel needs an integration step.  The tests check it against
 a brute-force grid oracle with window integrals of its own.
 
+A span with no event, whose child holds no truth edge strictly inside the
+windows' reach, is one stretch with H exactly 1 (a true interval covers the
+reach) or exactly 0 (none does).  :func:`_steady` decides it from the
+child's bounds, without a window integral; it is the base case of the
+event-driven evaluator, and the one a steady streaming poll mostly meets.
+
 Every H sample is a direct window integral, computed in one pass over all
 samples, so H at a time depends only on that time and the signal, not on
 where evaluation began.
@@ -120,10 +126,24 @@ class ConvEvaluation:
     bounds: np.ndarray
 
 
-def _thetas(h: np.ndarray, p: float) -> np.ndarray:
+def _thetas(h, p: float):
+    """``H - p`` for an array of H samples or for one H value, with
+    ``|H - p| <= _ZERO_BAND`` counted as exactly on the threshold (0)."""
     th = h - p
+    if isinstance(th, float):
+        return 0.0 if abs(th) <= _ZERO_BAND else th
     th[np.abs(th) <= _ZERO_BAND] = 0.0
     return th
+
+
+def _unsettled(h, th, p: float):
+    """Whether H samples (or one H value) with thetas ``th`` at the
+    trace-dependent end of a span are threshold-delicate: within 1e-11 of
+    p, unless snapped onto a p of 0 or 1, which H cannot pass."""
+    near = abs(th) <= 1e-11
+    if p in (0.0, 1.0):
+        near &= h != p
+    return near
 
 
 def _verdict_span(kernel: BoundedKernel, sig: BooleanSignal) -> tuple[float, float]:
@@ -385,6 +405,38 @@ def _gaussian_splits(kernel: GaussianKernel, sig: BooleanSignal,
     return np.concatenate(splits)
 
 
+def _steady(kernel: BoundedKernel, p: float, sig: BooleanSignal, t0: float,
+            t_end: float) -> ConvEvaluation | None:
+    """The span as one stretch with no event, when the child (at most one
+    true interval) has no edge strictly inside the windows' reach
+    ``(t0 + lower, t_end + upper)``, else ``None``.
+
+    H is then exactly 1 if the interval covers the reach and exactly 0
+    otherwise, with no window integral and no crossing; truth and
+    ``stable_until`` follow the general path's rules for that one stretch.
+    As in :func:`_grid_integrals`, an interval reaching the signal's end
+    reaches every window's end, also one that rounding put past it.
+    """
+    reach_lo = t0 + kernel.lower
+    reach_hi = min(t_end + kernel.upper, sig.end)
+    if not len(sig.starts) or sig.ends[0] <= reach_lo or sig.starts[0] >= reach_hi:
+        h = 0.0
+    elif sig.starts[0] <= reach_lo and sig.ends[0] >= reach_hi:
+        h = 1.0
+    else:
+        return None
+    th = _thetas(h, p)
+    true = th >= 0.0
+    if t0 == t_end:
+        signal = BooleanSignal._degenerate(t0, t_end, true)
+    else:
+        signal = BooleanSignal(t0, t_end, np.array([t0] if true else []),
+                               np.array([t_end] if true else []))
+    stable_until = t0 if _unsettled(h, th, p) else t_end
+    span = np.array([t0, t_end])
+    return ConvEvaluation(VerdictSignal(signal, (), stable_until), span, np.array([h, h]), span)
+
+
 def eval_conv_efficient(kernel: BoundedKernel, threshold: float,
                         sig: BooleanSignal) -> ConvEvaluation:
     """Sliding-window evaluator: event-aligned stretches, one pass.
@@ -402,6 +454,10 @@ def eval_conv_efficient(kernel: BoundedKernel, threshold: float,
     """
     p = threshold
     t0, t_end = _verdict_span(kernel, sig)
+    if len(sig.starts) <= 1:
+        steady = _steady(kernel, p, sig, t0, t_end)
+        if steady is not None:
+            return steady
     edges = np.concatenate((sig.starts, sig.ends))
     events = np.concatenate((edges - kernel.lower, edges - kernel.upper))
     events.sort()
@@ -453,10 +509,7 @@ def eval_conv_efficient(kernel: BoundedKernel, threshold: float,
     # or 1 is not: H cannot pass that bound, and a stretch whose window
     # edges are fixed keeps it there unless a crossing cell shows otherwise
     last = int(times.searchsorted(bounds[-2], side="left"))
-    near = np.abs(th[last:]) <= 1e-11
-    if p in (0.0, 1.0):
-        near &= hs[last:] != p
-    delicate = (len(cells) and cells[-1] >= last) or near.any()
+    delicate = (len(cells) and cells[-1] >= last) or _unsettled(hs[last:], th[last:], p).any()
     stable_until = float(bounds[-2]) if delicate else t_end
 
     signal = _alternating(t0, t_end, bool(th[0] >= 0.0), flips)

@@ -22,7 +22,8 @@ Robustness is evaluated as values at given times.  ``_breaks`` says where a
 node is sampled on a span: an atom at its trace samples, a convolution node
 every window width / 1000 from the span's start, with a last sample exactly
 at its end, and a connective at the union of its operands' breakpoints.
-``_rho_at`` evaluates a node exactly at any ascending times: atoms by lookup,
+``_rho_at`` evaluates a node exactly at any ascending times: atoms by lookup
+(a last sample at a positive duration holds for no time, as in the verdict),
 connectives by min/max/negation at those same times, and a convolution node
 by the coverage supremum at each time over its child, which it samples at
 the child's own breakpoints across the windows those times read.
@@ -213,7 +214,11 @@ def _rho_at(trace: PiecewiseConstantSignal, f: Formula, ts: np.ndarray) -> np.nd
         case Const(value):
             return np.full(len(ts), math.inf if value else -math.inf)
         case Atom():
-            idx = np.searchsorted(trace.times, ts, side="right") - 1
+            times = trace.times
+            # a last sample at a positive duration holds for no time, so the
+            # duration reads the segment that ends there, as the verdict does
+            last = len(times) - 2 if 0.0 < trace.duration == times[-1] else len(times) - 1
+            idx = np.minimum(np.searchsorted(times, ts, side="right") - 1, last)
             vals = trace.variable_values(f.variable)[np.maximum(idx, 0)]
             return vals - f.threshold if f.op in (">=", ">") else f.threshold - vals
         case Not(child):

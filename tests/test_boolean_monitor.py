@@ -392,6 +392,138 @@ class TestOracleEquivalence:
             intervals_close(eff.verdict.signal.intervals, orc.signal.intervals, tol)
 
 
+def steady_kernel(draw, lower: float, width: float):
+    """A flat, exp (either sign of rate) or Gaussian window, the bump
+    centred inside or outside it."""
+    upper = lower + width
+    shape = draw(st.sampled_from(["flat", "exp", "gauss"]))
+    if shape == "flat":
+        return FlatKernel(lower, upper)
+    if shape == "exp":
+        return ExponentialKernel(draw(st.sampled_from([-3.0, -0.5, 0.5, 3.0])), lower, upper)
+    center = lower + width * draw(st.sampled_from([-0.5, 0.3, 0.8, 1.5]))
+    return GaussianKernel(center, 0.3 * width, lower, upper)
+
+
+def steady_threshold(draw) -> float:
+    return draw(st.sampled_from([0.0, 1.0, 1e-12, 1.0 - 1e-12]) | st.floats(0.0, 1.0))
+
+
+def steady_span_end(draw, t0: float, upper: float) -> float:
+    """A domain end past one window, exactly one window (a one-point verdict)
+    or short of it by less than 1e-12."""
+    kind = draw(st.sampled_from(["long", "one", "short"]))
+    if kind == "long":
+        return t0 + upper + draw(st.floats(0.05, 3.0))
+    if kind == "one":
+        return t0 + upper
+    return t0 + upper - draw(st.floats(1e-14, 9e-13))
+
+
+@st.composite
+def steady_cases(draw):
+    """A window, a threshold and a child signal with no truth edge strictly
+    inside the windows' reach ``(t0 + lower, t_end + upper)``.
+
+    The child may hold intervals inside ``[t0, t0 + lower]``, the last one
+    possibly ending exactly at ``t0 + lower``, an interval from
+    ``t0 + lower`` (or from ``t0``) to the end, and one starting exactly at
+    ``t_end + upper``.
+    """
+    lower = draw(st.sampled_from([0.0, 0.25, 0.7]))
+    width = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    kernel = steady_kernel(draw, lower, width)
+    t0 = draw(st.sampled_from([0.0, 0.3, 7.1]))
+    end = steady_span_end(draw, t0, kernel.upper)
+    t_end = max(end - kernel.upper, t0)
+    reach_lo, reach_hi = t0 + lower, t_end + kernel.upper
+    pairs = []
+    if lower > 0.0:
+        cuts = sorted(draw(st.lists(st.floats(t0, reach_lo), max_size=4)))
+        if draw(st.booleans()):
+            cuts.append(reach_lo)
+        pairs += list(zip(cuts[len(cuts) % 2::2], cuts[len(cuts) % 2 + 1::2]))
+    cover = draw(st.sampled_from(["none", "from reach", "from start"]))
+    if cover != "none":
+        pairs.append((reach_lo if cover == "from reach" else t0, end))
+    if draw(st.booleans()):
+        pairs.append((reach_hi, end))
+    return kernel, steady_threshold(draw), BooleanSignal.from_intervals(t0, end, pairs)
+
+
+def steady_rule(h: float, p: float, t0: float, t_end: float) -> float:
+    """``stable_until`` of a span with no event: its start when H is within
+    1e-11 of p, unless p is 0 or 1 and H equals it; else its end."""
+    delicate = abs(h - p) <= 1e-11 and not (p in (0.0, 1.0) and h == p)
+    return t0 if delicate else t_end
+
+
+class TestSteadySpan:
+    """A child with no truth edge in the windows' reach: H is exactly 0 or
+    1 over one stretch with no crossing, the verdict is the oracle's, and
+    it is bit for bit what the general path finds.
+
+    The evaluator counts |H - p| <= 1e-12 as on the threshold (README,
+    "Design notes"), which a non-strict window passes, so the oracle runs
+    at p - 1e-12.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=steady_cases())
+    def test_closed_form_matches_the_oracle(self, case):
+        kernel, p, sig = case
+        t0, t_end = sig.start, max(sig.end - kernel.upper, sig.start)
+        reach_lo = t0 + kernel.lower
+        reach_hi = t_end + kernel.upper
+        # an interval reaching the signal's end reaches every window's end
+        h = float(any(s <= reach_lo and (e >= reach_hi or e == sig.end)
+                      for s, e in sig.intervals))
+        ev = eval_conv_efficient(kernel, p, sig)
+        assert ev.values.tolist() == [h] * len(ev.values)
+        assert ev.verdict.crossings == ()
+        assert ev.verdict.stable_until == steady_rule(h, p, t0, t_end)
+        oracle = grid_oracle(kernel, p - 1e-12, sig, kernel.width / 50)
+        assert ev.verdict.signal == oracle.signal
+        assert oracle.crossings == ()
+        # with the closed form taken out, the general path finds the same bits
+        steady = MONITOR._steady
+        MONITOR._steady = lambda *args: None
+        try:
+            general = eval_conv_efficient(kernel, p, sig)
+        finally:
+            MONITOR._steady = steady
+        assert signal_bits(general.verdict.signal) == signal_bits(ev.verdict.signal)
+        assert general.verdict.stable_until == ev.verdict.stable_until
+        assert general.bounds.tolist() == ev.bounds.tolist()
+        # it samples H at the bounds, once on a one-point Gaussian span
+        assert general.values.tolist() == [h] * len(general.values)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_constant_child_through_monitor(self, data):
+        draw = data.draw
+        width = draw(st.sampled_from([0.5, 1.0, 2.0]))
+        kernel = steady_kernel(draw, draw(st.sampled_from([0.0, 0.4])), width)
+        p = steady_threshold(draw)
+        duration = steady_span_end(draw, 0.0, kernel.upper)
+        holds = draw(st.booleans())
+        trace = PiecewiseConstantSignal(("v",), np.array([0.0, 0.5 * duration]),
+                                        np.array([[1.0], [2.0]]), duration)
+        child = Atom("v", ">=" if holds else "<", 0.0)
+        sig = eval_atom(trace, child)
+        t_end = max(duration - kernel.upper, 0.0)
+        for dual in (False, True):
+            f = (ConvDual if dual else Conv)(kernel, p, child)
+            verdict = monitor(trace, f)
+            # the dual is the complement of the complemented child at 1 - p
+            inner, q = (boolean_not(sig), 1.0 - p) if dual else (sig, p)
+            oracle = grid_oracle(kernel, q - 1e-12, inner, kernel.width / 50).signal
+            assert verdict.signal == (boolean_not(oracle) if dual else oracle)
+            assert verdict.crossings == ()
+            h = float(holds != dual)
+            assert verdict.stable_until == steady_rule(h, q, 0.0, t_end)
+
+
 class TestIncremental:
     """H at the sliding evaluator's samples against fresh window integrals."""
 

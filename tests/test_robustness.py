@@ -30,8 +30,8 @@ from sclmon import (
     rho_trace,
 )
 from sclmon import robustness
-from conftest import (_coverage_supremum, random_kernel, random_trace, rho_conv_enumeration,
-                      rho_conv_per_time)
+from conftest import (_coverage_supremum, plateau_traces, random_kernel, random_trace,
+                      rho_conv_enumeration, rho_conv_per_time)
 
 TOL = 1e-6
 
@@ -431,6 +431,41 @@ class TestSignImpliesVerdict:
             r = rho(trace, f, t)
             if r != 0.0:
                 assert (r > 0) == verdict.value_at(t), f"rho={r} at t={t} for {f}"
+
+
+class TestLastSample:
+    """A last sample at a positive duration holds for no time: at the
+    duration, ρ and the verdict read the segment that ends there."""
+
+    def test_last_sample_at_the_duration_is_not_read(self):
+        trace = PiecewiseConstantSignal(("v",), np.array([0.0, 1.0]),
+                                        np.array([[-1.0], [1.0]]), 1.0)
+        f = parse("v >= 0")
+        assert not monitor(trace, f).value_at(1.0)
+        assert rho(trace, f, 1.0) == -1.0
+        assert rho_trace(trace, f).values.tolist() == [-1.0, -1.0]
+        # a trace of zero duration keeps its one sample
+        point = PiecewiseConstantSignal(("v",), np.array([0.0]), np.array([[1.0]]), 0.0)
+        assert monitor(point, f).value_at(0.0) and rho(point, f, 0.0) == 1.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=plateau_traces(), op=st.sampled_from([">=", ">", "<=", "<"]))
+    def test_atom_rho_has_the_verdict_sign_at_every_sample_time(self, case, op):
+        trace, _ = case
+        f = Atom("v", op, 0.0)
+        verdict = monitor(trace, f).signal
+        duration = trace.duration
+        times = trace.times.tolist()
+        for t, after in zip(times + [duration], times[1:] + [duration, duration]):
+            if t == duration:
+                holds = verdict.value_at(t)
+            else:
+                # a closed true-interval also holds at its right end, so a
+                # sample time reads the verdict on the segment it starts
+                holds = verdict.value_at(0.5 * (t + after))
+            r = rho(trace, f, t)
+            assert holds == (r > 0.0 or (r == 0.0 and op in (">=", "<="))), (t, r, holds)
+        assert rho_trace(trace, f).values[-1] == rho(trace, f, duration)
 
 
 PITCH = 0.05     # sample pitch of the coverage cases' traces

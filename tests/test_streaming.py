@@ -452,3 +452,34 @@ class TestSteadyPolls:
                 if emits == 1:
                     calls.clear()
         assert emits > 100 and calls == []
+
+    @pytest.mark.parametrize("text", [
+        "<flat[0,1], 0.8> (G >= 0)",
+        "<exp(-1)[0,2], 0.9> (G <= 1000)",
+        "<gauss(0.5, 0.3)[0,1], 0.5> (G < 0)",
+    ])
+    def test_constant_child_takes_no_window_integral(self, monkeypatch, text):
+        # a child with no truth edge in the windows' reach is one stretch
+        # whose H is exactly 0 or 1, decided without a window integral
+        monitor_module = importlib.import_module("sclmon.monitor")
+        grid_integrals = monitor_module._grid_integrals
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return grid_integrals(*args)
+
+        monkeypatch.setattr(monitor_module, "_grid_integrals", spy)
+        trace = generate_glucose_like(3, duration=24.5)
+        sm = StreamingMonitor(parse(text), trace.variables)
+        emits = 0
+        for t, row in zip(trace.times.tolist(), trace.values.tolist()):
+            sm.push(t, row)
+            if sm.poll() is not None:
+                emits += 1
+                if emits == 1:
+                    calls.clear()
+        assert emits > 100 and calls == []
+        sm.finish()
+        sm.poll()
+        assert sm.resolved_signal() == monitor(trace, parse(text)).signal

@@ -1,0 +1,137 @@
+"""Cost of a steady streaming poll, per formula, on the stream-day inputs.
+
+    python3 tools/poll_cost.py ROOT
+
+``ROOT`` is a checkout whose ``src/sclmon`` is imported, so one copy of this
+script measures two checkouts alike.  The traces come from the ``perfbench/``
+next to this script, as in ``tools/output_digest.py``: pool seeds 0-7 of the
+stream-day workload, written as CSV and read back.  Each formula of the
+stream-day spec, and the nested ``G[0,2] (<flat[0,1], 0.5> (G >= 100))``, is
+pushed and polled one sample at a time.  From the first emitted slice on,
+each push+poll is one measurement.  Per formula it prints
+
+* ``p50_us`` / ``p99_us``: the median and 99th percentile of push+poll wall
+  time in microseconds, over all seeds (a timing pass with no spy);
+* ``grid_per_poll``: ``monitor._grid_integrals`` calls per poll (a second,
+  counting pass);
+* ``edge_share``: the share of window-node evaluations whose child held a
+  truth edge strictly inside the windows' reach ``(t0 + lower, t_end +
+  upper)``; only those need a window integral;
+* ``polls``: the measured polls.
+
+The timing pass runs each seed's stream three times and keeps, per poll,
+the fastest of the three, so a stray pause of the host does not count.
+The script writes no file.
+"""
+
+from __future__ import annotations
+
+import importlib
+import io
+import platform
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+REPEATS = 3
+
+
+def steady_polls(sclmon, trace, f) -> list[float]:
+    """Seconds per push+poll from the first emitted slice on (that one included)."""
+    sm = sclmon.StreamingMonitor(f, trace.variables)
+    costs, emitting = [], False
+    for t, row in zip(trace.times.tolist(), trace.values.tolist()):
+        start = time.perf_counter()
+        sm.push(t, row)
+        piece = sm.poll()
+        elapsed = time.perf_counter() - start
+        emitting = emitting or piece is not None
+        if emitting:
+            costs.append(elapsed)
+    return costs
+
+
+def counted_polls(sclmon, mon, trace, f) -> tuple[int, int, int, int]:
+    """(polls, grid integral calls, window evaluations, those with an edge in
+    reach), from the first emitted slice on."""
+    counts = {"grid": 0, "windows": 0, "edges": 0}
+    grid_integrals, evaluate = mon._grid_integrals, mon.eval_conv_efficient
+
+    def grid_spy(*args):
+        counts["grid"] += 1
+        return grid_integrals(*args)
+
+    def eval_spy(kernel, threshold, sig):
+        t0 = sig.start
+        t_end = max(sig.end - kernel.upper, t0)
+        edges = np.concatenate((sig.starts, sig.ends))
+        inside = (edges > t0 + kernel.lower) & (edges < t_end + kernel.upper)
+        counts["windows"] += 1
+        counts["edges"] += bool(inside.any())
+        return evaluate(kernel, threshold, sig)
+
+    mon._grid_integrals, mon.eval_conv_efficient = grid_spy, eval_spy
+    try:
+        sm = sclmon.StreamingMonitor(f, trace.variables)
+        polls, emitting = 0, False
+        for t, row in zip(trace.times.tolist(), trace.values.tolist()):
+            before = dict(counts)
+            sm.push(t, row)
+            piece = sm.poll()
+            emitting = emitting or piece is not None
+            if emitting:
+                polls += 1
+            else:
+                counts.update(before)
+    finally:
+        mon._grid_integrals, mon.eval_conv_efficient = grid_integrals, evaluate
+    return polls, counts["grid"], counts["windows"], counts["edges"]
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    sys.dont_write_bytecode = True              # leave no __pycache__ in either tree
+    from output_digest import NESTED, PERFBENCH, SEEDS
+
+    src = Path(argv[0]).resolve() / "src"
+    sys.path.insert(0, str(src))
+    sys.path.insert(0, str(PERFBENCH))
+    import sclmon
+    import workloads
+
+    if Path(sclmon.__file__).resolve().parent != src / "sclmon":
+        raise SystemExit(f"poll_cost: imported sclmon from {sclmon.__file__}, not {src}")
+    mon = importlib.import_module("sclmon.monitor")
+    wl = workloads.WORKLOADS["stream-day"]
+    texts = [text for _, text, _ in
+             sclmon.parse_formula_file((PERFBENCH / "specs" / wl.spec).read_text())]
+    texts.append(NESTED)
+    traces = [sclmon.read_trace_csv(io.StringIO(wl.make_trace(seed, False).csv_text()))
+              for seed in SEEDS]
+    print(f"# {platform.python_version()} numpy {np.__version__}, "
+          f"pool seeds {SEEDS.start}-{SEEDS.stop - 1}, stream-day traces")
+    print(f"{'formula':<44} {'p50_us':>8} {'p99_us':>8} {'grid_per_poll':>13} "
+          f"{'edge_share':>10} {'polls':>6}")
+    for text in texts:
+        f = sclmon.parse(text)
+        costs = []
+        for trace in traces:
+            runs = [steady_polls(sclmon, trace, f) for _ in range(REPEATS)]
+            costs.extend(np.min(np.array(runs), axis=0).tolist())
+        polls = grid = windows = edges = 0
+        for trace in traces:
+            counted = counted_polls(sclmon, mon, trace, f)
+            polls, grid, windows, edges = (a + b for a, b in
+                                           zip((polls, grid, windows, edges), counted))
+        us = np.array(costs) * 1e6
+        print(f"{text:<44} {np.median(us):8.1f} {np.percentile(us, 99):8.1f} "
+              f"{grid / polls:13.3f} {edges / windows:10.3f} {polls:6d}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))
