@@ -12,15 +12,15 @@ so every cell is monotone and a crossing is narrowed to 1e-9 in time inside
 its cell.  No kernel needs an integration step.  The tests check it against
 a brute-force grid oracle with window integrals of its own.
 
-A span with no event, whose child holds no truth edge strictly inside the
-windows' reach, is one stretch with H exactly 1 (a true interval covers the
-reach) or exactly 0 (none does).  :func:`_steady` decides it from the
-child's bounds, without a window integral; it is the base case of the
-event-driven evaluator, and the one a steady streaming poll mostly meets.
-
-Every H sample is a direct window integral, computed in one pass over all
-samples, so H at a time depends only on that time and the signal, not on
-where evaluation began.
+A stretch whose windows hold no child edge is *quiet*.  Edge x enters the
+windows at ``x - upper`` and leaves them at ``x - lower``; counted in that
+event order at the stretch's start, an odd number of passed edges means the
+windows lie in a true interval, so H there is exactly 1, else exactly 0,
+with no window integral.  :func:`_steady` applies the same rule to a span
+that is one quiet stretch, before any event is built; it is the case a
+steady streaming poll mostly meets.  Every other H sample is a direct window
+integral, computed in one pass over all samples, so H at a time depends only
+on that time and the signal, not on where evaluation began.
 
 The dual operator is evaluated structurally as the complement of the
 complemented child at threshold ``1 - p``, which realizes its strict
@@ -36,11 +36,11 @@ The formula recursion is span-restricted: a node is evaluated over
 ``[lo, evaluable end]``.  :func:`monitor` is the span from 0.  A window node
 may start its own evaluation earlier, at a *restart point* taken from an
 earlier evaluation of a shorter prefix, before what was stable there: one of
-its stretch bounds, or a point inside a stretch whose windows hold no child
-edge.  From there it finds the same later stretches, H samples and roots as
-a run from 0, so its verdict, cut to ``[lo, ...]``, equals the offline one
-bit for bit.  The streaming facade keeps these points between polls and so
-re-evaluates only the unresolved tail.
+its stretch bounds, or a point inside a quiet stretch.  From there it finds
+the same later stretches, H samples and roots as a run from 0, so its
+verdict, cut to ``[lo, ...]``, equals the offline one bit for bit.  The
+streaming facade keeps these points between polls and so re-evaluates only
+the unresolved tail.
 """
 
 from __future__ import annotations
@@ -75,7 +75,6 @@ from .signals import (
     sorted_unique,
 )
 
-_SNAP = 1e-12          # distance within which H snaps to the exact bounds 0 / 1
 _ZERO_BAND = 1e-12     # |H - p| below this counts as sitting exactly on the threshold
 _TIME_TOL = 1e-9       # crossing location tolerance
 _H_DRIFT = 1e-6        # hard bound on numerical drift of H outside [0, 1]
@@ -117,13 +116,15 @@ class ConvEvaluation:
 
     ``bounds`` are the stretch bounds: the times from which a fresh
     evaluation of the same signal, cut to start there, finds the same later
-    samples and roots.
+    samples and roots.  ``quiet`` says per stretch whether its windows hold
+    no child edge, so that H is exactly 0 or 1 all through it.
     """
 
     verdict: VerdictSignal
     times: np.ndarray
     values: np.ndarray
     bounds: np.ndarray
+    quiet: np.ndarray | tuple[bool, ...]
 
 
 def _thetas(h, p: float):
@@ -139,7 +140,8 @@ def _thetas(h, p: float):
 def _unsettled(h, th, p: float):
     """Whether H samples (or one H value) with thetas ``th`` at the
     trace-dependent end of a span are threshold-delicate: within 1e-11 of
-    p, unless snapped onto a p of 0 or 1, which H cannot pass."""
+    p, unless exactly on a p of 0 or 1 (a quiet stretch's H), which H
+    cannot pass."""
     near = abs(th) <= 1e-11
     if p in (0.0, 1.0):
         near &= h != p
@@ -194,16 +196,14 @@ _COMPARE = {">=": np.greater_equal, ">": np.greater, "<=": np.less_equal, "<": n
 def eval_atom(trace: PiecewiseConstantSignal, atom: Atom, lo: float = 0.0) -> BooleanSignal:
     """Truth signal of a threshold comparison over ``[lo, duration]``.
 
-    It reads the samples from the last one at or before ``lo`` on, so its
-    cost is that of the span, not of the trace.  On a one-point span at the
-    duration, the point's truth is that of the segment ending there, or, on
-    a trace of zero duration, that of its one sample.
+    It reads the samples from the one whose segment holds ``lo`` on
+    (:meth:`PiecewiseConstantSignal.segment_index`), so its cost is that of
+    the span, not of the trace.
     """
     lo, duration = float(lo), trace.duration
     if not lo <= duration:
         raise SclError(f"atom span [{lo}, {duration}] is empty")
-    side = "right" if lo < duration else "left"
-    first = max(int(trace.times.searchsorted(lo, side=side)) - 1, 0)
+    first = max(int(trace.segment_index(lo)), 0)
     times = trace.times[first:]
     true = _COMPARE[atom.op](trace.variable_values(atom.variable)[first:], atom.threshold)
     if lo == duration:
@@ -222,8 +222,7 @@ def eval_atom(trace: PiecewiseConstantSignal, atom: Atom, lo: float = 0.0) -> Bo
 
 def _grid_integrals(kernel: BoundedKernel, sig: BooleanSignal,
                     ts: np.ndarray) -> np.ndarray:
-    """Window integrals of ``sig`` at the anchors ``ts``, snapped to exact
-    0 / 1.
+    """Window integrals of ``sig`` at the anchors ``ts``.
 
     Each value is a plain running sum, in time order, of the masses of the
     intervals in its window's reach.  Anchors go in blocks of at most
@@ -259,9 +258,6 @@ def _grid_integrals(kernel: BoundedKernel, sig: BooleanSignal,
                                          (ends[idx] - anchor).clip(lo, hi))
             h[b + i:b + j] = np.bincount(pair, masses, minlength=j - i)
             i, pairs = j, upto
-        block = h[b:b + _CHUNK]
-        block[np.abs(block) <= _SNAP] = 0.0
-        block[np.abs(block - 1.0) <= _SNAP] = 1.0
     return h
 
 
@@ -366,7 +362,7 @@ def _slope_zeros(u: np.ndarray, sigma: np.ndarray, span: float) -> np.ndarray:
     return zeros
 
 
-def _gaussian_splits(kernel: GaussianKernel, sig: BooleanSignal,
+def _gaussian_splits(kernel: GaussianKernel, edges: np.ndarray,
                      bounds: np.ndarray) -> np.ndarray:
     """Times inside the stretches between ``bounds`` where H' vanishes.
 
@@ -375,12 +371,12 @@ def _gaussian_splits(kernel: GaussianKernel, sig: BooleanSignal,
     (+ for starts), up to a positive factor ``sum sigma_j exp(-(u_j - w)^2)``
     with ``w = (t - a)/spread`` and ``u_j = (x_j - a - center)/spread``.
     Edges farther than ``_ERFC_ZERO`` spreads from the bump over the whole
-    stretch move no mass a double can hold and are dropped.
+    stretch move no mass a double can hold and are dropped.  ``edges`` are
+    the child's interval starts and ends, interleaved in time order.
     """
     a, b = bounds[:-1], bounds[1:]
     s, c = kernel.spread, kernel.center
-    edges = np.column_stack((sig.starts, sig.ends)).ravel()
-    sigma = np.tile([1.0, -1.0], len(sig.starts))
+    sigma = np.tile([1.0, -1.0], len(edges) // 2)
     mid = 0.5 * (a + b)
     reach = _ERFC_ZERO * s
     first = np.searchsorted(edges, np.maximum(mid + kernel.lower, a + c - reach), side="right")
@@ -407,24 +403,24 @@ def _gaussian_splits(kernel: GaussianKernel, sig: BooleanSignal,
 
 def _steady(kernel: BoundedKernel, p: float, sig: BooleanSignal, t0: float,
             t_end: float) -> ConvEvaluation | None:
-    """The span as one stretch with no event, when the child (at most one
-    true interval) has no edge strictly inside the windows' reach
-    ``(t0 + lower, t_end + upper)``, else ``None``.
+    """The span as one quiet stretch, when the child, of at most one true
+    interval (more would take a search), has no edge in its windows.
 
-    H is then exactly 1 if the interval covers the reach and exactly 0
-    otherwise, with no window integral and no crossing; truth and
-    ``stable_until`` follow the general path's rules for that one stretch.
-    As in :func:`_grid_integrals`, an interval reaching the signal's end
-    reaches every window's end, also one that rounding put past it.
+    It is the general path's count in its event coordinates and margins:
+    each counted edge has passed (left the windows by ``t0 + 1e-15``) or is
+    ahead (enters them later, and not before ``t_end - 1e-15``).  H is 1
+    after an odd count of passed edges, else 0; truth and ``stable_until``
+    follow the general path.  Any other child gives ``None``.
     """
-    reach_lo = t0 + kernel.lower
-    reach_hi = min(t_end + kernel.upper, sig.end)
-    if not len(sig.starts) or sig.ends[0] <= reach_lo or sig.starts[0] >= reach_hi:
-        h = 0.0
-    elif sig.starts[0] <= reach_lo and sig.ends[0] >= reach_hi:
-        h = 1.0
-    else:
-        return None
+    h, at, late = 0.0, t0 + 1e-15, t_end - 1e-15
+    if len(sig.starts):
+        start, end = sig.starts[0], sig.ends[0]
+        for x in (start,) if end == sig.end else (start, end):
+            enter = x - kernel.upper
+            if x - kernel.lower <= at:
+                h = 1.0 - h
+            elif enter <= at or enter < late:
+                return None
     th = _thetas(h, p)
     true = th >= 0.0
     if t0 == t_end:
@@ -434,7 +430,8 @@ def _steady(kernel: BoundedKernel, p: float, sig: BooleanSignal, t0: float,
                                np.array([t_end] if true else []))
     stable_until = t0 if _unsettled(h, th, p) else t_end
     span = np.array([t0, t_end])
-    return ConvEvaluation(VerdictSignal(signal, (), stable_until), span, np.array([h, h]), span)
+    verdict = VerdictSignal(signal, (), stable_until)
+    return ConvEvaluation(verdict, span, np.array([h, h]), span, (True,))
 
 
 def eval_conv_efficient(kernel: BoundedKernel, threshold: float,
@@ -442,15 +439,16 @@ def eval_conv_efficient(kernel: BoundedKernel, threshold: float,
     """Sliding-window evaluator: event-aligned stretches, one pass.
 
     Stretches end where a window boundary meets a true-interval edge, so the
-    edges inside the window are fixed within one.  A flat or exponential
-    stretch is one cell, since H is monotone there; a Gaussian stretch is
-    cut where H' vanishes (:func:`_gaussian_splits`), so every cell is
-    monotone.  H at every cell end is a direct window integral, all computed
-    up front.  A cell whose ends flip sign, or of which exactly one end sits
-    on the threshold, holds one crossing: an end on the threshold is the
-    root, other roots are closed form for flat and exponential windows and
-    narrowed to 1e-9 in time for Gaussian ones.  The truth flips at the
-    roots of the flip cells only.
+    edges inside the window are fixed within one.  A quiet stretch, whose
+    windows hold none, has H exactly 0 or 1 at both ends.  A flat or
+    exponential stretch is one cell, since H is monotone there; a Gaussian
+    stretch is cut where H' vanishes (:func:`_gaussian_splits`), so every
+    cell is monotone.  H at every other cell end is a direct window
+    integral, all computed up front.  A cell whose ends flip sign, or of
+    which exactly one end sits on the threshold, holds one crossing: an end
+    on the threshold is the root, other roots are closed form for flat and
+    exponential windows and narrowed to 1e-9 in time for Gaussian ones.
+    The truth flips at the roots of the flip cells only.
     """
     p = threshold
     t0, t_end = _verdict_span(kernel, sig)
@@ -458,21 +456,42 @@ def eval_conv_efficient(kernel: BoundedKernel, threshold: float,
         steady = _steady(kernel, p, sig, t0, t_end)
         if steady is not None:
             return steady
-    edges = np.concatenate((sig.starts, sig.ends))
-    events = np.concatenate((edges - kernel.lower, edges - kernel.upper))
+    # the child's edges in time order; edge x lies strictly inside the
+    # window anchored at t for x - upper < t < x - lower
+    edges = np.empty(2 * len(sig.starts))
+    edges[0::2], edges[1::2] = sig.starts, sig.ends
+    enter, leave = edges - kernel.upper, edges - kernel.lower
+    events = np.concatenate((leave, enter))
     events.sort()
     # the events strictly inside the span, each once
     inner = events[events.searchsorted(t0 + 1e-15, side="right"):
                    events.searchsorted(t_end - 1e-15, side="left")]
-    bounds = np.concatenate(([t0], inner, [t_end]))
+    bounds = np.concatenate(([t0 + 1e-15], inner, [t_end]))
     bounds = bounds[np.concatenate(([True], bounds[1:-1] != bounds[:-2], [True]))]
+    # count at each stretch's start, stretch 0's at t0 + 1e-15 as cut; an
+    # interval reaching the signal's end has no end edge, as in _grid_integrals
+    n = len(edges) - int(len(edges) > 0 and sig.ends[-1] == sig.end)
+    passed = leave[:n].searchsorted(bounds[:-1], side="right")
+    quiet = enter[:n].searchsorted(bounds[:-1], side="right") == passed
+    bounds[0] = t0
     gaussian = isinstance(kernel, GaussianKernel)
-    if gaussian:
-        times = sorted_unique(np.concatenate([bounds, _gaussian_splits(kernel, sig, bounds)]))
-    else:
-        times = bounds
+    times = (sorted_unique(np.concatenate([bounds, _gaussian_splits(kernel, edges, bounds)]))
+             if gaussian else bounds)
 
-    hs = _grid_integrals(kernel, sig, times)
+    # a quiet stretch's H at both its bounds: 1 after an odd count of passed
+    # edges, where the windows lie in a true interval, else 0
+    k = quiet.nonzero()[0]
+    left, right = k, k + 1
+    if gaussian:
+        at = times.searchsorted(bounds)
+        left, right = at[left], at[right]
+    hs = np.empty(len(times))
+    hs[left] = hs[right] = passed[k] % 2.0
+    exact = np.zeros(len(times), dtype=bool)
+    exact[left] = exact[right] = True
+    anchors = times[~exact]
+    if len(anchors):
+        hs[~exact] = _grid_integrals(kernel, sig, anchors)
     if hs.min() < -_H_DRIFT or hs.max() > 1.0 + _H_DRIFT:
         raise SclError("convolution value drifted out of [0, 1]")
     th = _thetas(hs, p)
@@ -505,7 +524,7 @@ def eval_conv_efficient(kernel: BoundedKernel, threshold: float,
 
     # the last stretch ends at the trace-dependent t_end, and a longer trace
     # solves its crossings from a later end sample; anything
-    # threshold-delicate there is not final yet.  H snapped onto a p of 0
+    # threshold-delicate there is not final yet.  H exactly on a p of 0
     # or 1 is not: H cannot pass that bound, and a stretch whose window
     # edges are fixed keeps it there unless a crossing cell shows otherwise
     last = int(times.searchsorted(bounds[-2], side="left"))
@@ -514,7 +533,7 @@ def eval_conv_efficient(kernel: BoundedKernel, threshold: float,
 
     signal = _alternating(t0, t_end, bool(th[0] >= 0.0), flips)
     verdict = VerdictSignal(signal, tuple(crossings), stable_until)
-    return ConvEvaluation(verdict, times, hs, bounds)
+    return ConvEvaluation(verdict, times, hs, bounds, quiet)
 
 
 def _align(a: BooleanSignal, b: BooleanSignal) -> tuple[BooleanSignal, BooleanSignal]:
@@ -528,8 +547,8 @@ def _align(a: BooleanSignal, b: BooleanSignal) -> tuple[BooleanSignal, BooleanSi
 
 class _Restart:
     """Where a window node's next evaluation starts: at ``at``, the restart
-    point it last chose, until its last evaluation (from ``lo``, of the
-    child ``sig``, with stretch ``bounds``, stable until ``stable``) offers
+    point it last chose, until its last evaluation (from ``lo``, with
+    stretch ``bounds`` and ``quiet`` flags, stable until ``stable``) offers
     a later one.
 
     A restart point lies at or before what the node must produce now, more
@@ -537,10 +556,13 @@ class _Restart:
     a run from 0 does) and before what was stable then (so the child edges
     its stretch comes from are final).  It is a stretch bound, never a
     Gaussian H' split, or, inside a quiet stretch, the ``lo`` of the last
-    evaluation or of this one, where the node's output is wanted from.
+    evaluation or of this one, where the node's output is wanted from: H is
+    the same exact 0 or 1 all through such a stretch, so a run may start
+    anywhere in it.  (Before the stable point it is not the delicate last
+    stretch, so that run's ``stable_until`` does not move either.)
     """
 
-    __slots__ = ("at", "lo", "bounds", "sig", "kernel", "stable")
+    __slots__ = ("at", "lo", "bounds", "quiet", "stable")
 
     def __init__(self) -> None:
         self.at = self.lo = 0.0
@@ -554,35 +576,13 @@ class _Restart:
             limit = min(float(bounds[k + 1]), self.stable)
             if start + 1e-15 < limit:
                 inner = [t for t in (lo, self.lo) if start < t and t + 1e-15 < limit]
-                self.at = inner[0] if inner and self._quiet(k) else start
+                self.at = inner[0] if inner and self.quiet[k] else start
                 break
         self.lo = lo
         return self.at
 
-    def _quiet(self, k: int) -> bool:
-        """Whether no window anchored inside stretch k holds a child edge.
-
-        Then every H sample there is the same snapped 0 or 1, so the stretch
-        has no crossing and a run may start anywhere in it.  (Before the
-        stable point it is not the delicate last stretch, so that run's
-        ``stable_until`` does not move either.)  The stretch's midpoint is
-        tested, so one too short for the test to stand clear of rounding is
-        not quiet.
-        """
-        a, b = self.bounds[k], self.bounds[k + 1]
-        if not b - a > 1e-9 * (1.0 + abs(b)):
-            return False
-        mid = 0.5 * (a + b)
-        lower, upper = mid + self.kernel.lower, mid + self.kernel.upper
-        for edges in (self.sig.starts, self.sig.ends):
-            i = int(edges.searchsorted(lower, side="right"))
-            if i < len(edges) and edges[i] < upper:
-                return False
-        return True
-
-    def record(self, bounds: np.ndarray, sig: BooleanSignal, kernel: BoundedKernel,
-               stable: float) -> None:
-        self.bounds, self.sig, self.kernel, self.stable = bounds, sig, kernel, stable
+    def record(self, ev: ConvEvaluation, stable: float) -> None:
+        self.bounds, self.quiet, self.stable = ev.bounds, ev.quiet, stable
 
 
 def _eval_node(trace: PiecewiseConstantSignal, f: Formula, lo: float,
@@ -631,7 +631,7 @@ def _eval_node(trace: PiecewiseConstantSignal, f: Formula, lo: float,
             signal = boolean_not(ev.verdict.signal) if dual else ev.verdict.signal
             stable = min(ev.verdict.stable_until, child_stable - kernel.upper)
             if restart is not None:
-                restart.record(ev.bounds, sig, kernel, stable)
+                restart.record(ev, stable)
             if start < lo:
                 signal = restrict_domain(signal, (lo, signal.end))
             return signal, ev.verdict.crossings, stable

@@ -214,12 +214,7 @@ def _rho_at(trace: PiecewiseConstantSignal, f: Formula, ts: np.ndarray) -> np.nd
         case Const(value):
             return np.full(len(ts), math.inf if value else -math.inf)
         case Atom():
-            times = trace.times
-            # a last sample at a positive duration holds for no time, so the
-            # duration reads the segment that ends there, as the verdict does
-            last = len(times) - 2 if 0.0 < trace.duration == times[-1] else len(times) - 1
-            idx = np.minimum(np.searchsorted(times, ts, side="right") - 1, last)
-            vals = trace.variable_values(f.variable)[np.maximum(idx, 0)]
+            vals = trace.variable_values(f.variable)[trace.segment_index(ts)]
             return vals - f.threshold if f.op in (">=", ">") else f.threshold - vals
         case Not(child):
             return -_rho_at(trace, child, ts)

@@ -265,11 +265,16 @@ class PiecewiseConstantSignal:
                 f"unknown variable {variable!r}; trace has {list(self.variables)}"
             ) from None
 
+    def segment_index(self, t):
+        """Per time in ``[0, duration]``, the latest sample at or before it;
+        but a last sample at a positive duration holds for no time."""
+        last = len(self.times) - (2 if 0.0 < self.duration == self.times[-1] else 1)
+        return np.minimum(self.times.searchsorted(t, side="right") - 1, last)
+
     def value_at(self, t: float, variable: str) -> float:
         if not 0 <= t <= self.duration:
             raise SclError(f"time {t} outside trace domain [0, {self.duration}]")
-        idx = int(np.searchsorted(self.times, t, side="right")) - 1
-        return float(self.values[idx, self.column(variable)])
+        return float(self.values[self.segment_index(t), self.column(variable)])
 
     def variable_values(self, variable: str) -> np.ndarray:
         return self.values[:, self.column(variable)]

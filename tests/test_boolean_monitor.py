@@ -344,7 +344,7 @@ class TestOracleEquivalence:
                               sig.start, sig.end - kernel.upper)
 
     def test_oracle_shares_no_window_integral_with_the_library(self, monkeypatch):
-        # with every library mass, window integral and threshold snap made
+        # with every library mass, window integral and threshold band made
         # to raise, the test-side oracle still finds the evaluator's
         # crossings, so the two sides of criterion 3 are independent
         sig = BooleanSignal.from_intervals(0.0, 4.0, [(0.31, 0.93), (1.42, 2.57), (2.71, 3.13)])
@@ -522,6 +522,48 @@ class TestSteadySpan:
             assert verdict.crossings == ()
             h = float(holds != dual)
             assert verdict.stable_until == steady_rule(h, q, 0.0, t_end)
+
+
+class TestQuietStretches:
+    """A stretch whose windows hold no child edge is quiet: H is exactly 0
+    or 1 there, taken from the edges' order, with no window integral."""
+
+    def test_quiet_stretches_take_no_window_integral(self, monkeypatch):
+        anchors = []
+        grid_integrals = MONITOR._grid_integrals
+
+        def spy(kernel, sig, ts):
+            anchors.extend(ts.tolist())
+            return grid_integrals(kernel, sig, ts)
+        monkeypatch.setattr(MONITOR, "_grid_integrals", spy)
+        rng = np.random.default_rng(61)
+        checked = 0
+        for _ in range(60):
+            sig = random_boolean_signal(rng, 0.0, float(rng.uniform(3.0, 9.0)), 6)
+            lower = float(rng.choice([0.0, 0.25]))
+            upper = lower + float(rng.uniform(0.2, 1.5))
+            for kernel in (FlatKernel(lower, upper), ExponentialKernel(2.0, lower, upper),
+                           ExponentialKernel(-1.5, lower, upper),
+                           GaussianKernel(lower + 0.4 * (upper - lower), 0.3, lower, upper)):
+                anchors.clear()
+                ev = eval_conv_efficient(kernel, float(rng.uniform(0, 1)), sig)
+                # edge x is strictly inside the window anchored at t for
+                # x - upper < t < x - lower; an interval reaching the
+                # signal's end reaches every window's end, so that end is no edge
+                ends = sig.ends[:-1] if len(sig.ends) and sig.ends[-1] == sig.end else sig.ends
+                edges = np.concatenate((sig.starts, ends))
+                enter, leave = edges - upper, edges - lower
+                for a, b in zip(ev.bounds[:-1].tolist(), ev.bounds[1:].tolist()):
+                    if np.any((enter < b) & (leave > a)):
+                        continue
+                    checked += 1
+                    assert a not in anchors and b not in anchors
+                    at = ev.times.searchsorted([a, b])
+                    h = ev.values[at]
+                    assert h[0] == h[1] and h[0] in (0.0, 1.0)
+                    # the windows lie in a true interval or in a gap
+                    assert abs(window_integrals(kernel, sig, [0.5 * (a + b)])[0] - h[0]) < 1e-12
+        assert checked > 500
 
 
 class TestIncremental:
@@ -813,5 +855,30 @@ class TestRestarts:
         except HorizonError:
             return
         sig, _, stable = _eval_node(trace, f, lo, restarts)
+        assert sig == restrict_domain(expected.signal, (lo, expected.signal.end))
+        assert min(stable, sig.end) == expected.stable_until
+
+    @pytest.mark.parametrize("text", [
+        "<flat[0,1], 0.5> (v >= 0)",
+        "<exp(1.5)[0,1], 0.4> (v >= 0)",
+        "<exp(-2)[0,1], 0.6>* (v >= 0)",
+        "<gauss(0.5, 0.3)[0,1], 0.5> (v >= 0)",
+        "G[0,1] (v < 0)",
+    ])
+    def test_restart_inside_a_short_quiet_stretch(self, text):
+        # the child flips at 0.5 and at 1.5 + 1e-10, 1e-10 more than the
+        # window apart, so no window anchored in (0.5, 0.5 + 1e-10) holds an
+        # edge: a quiet stretch much shorter than 1e-9 * (1 + its end)
+        gap = 1e-10
+        times = np.array([0.0, 0.5, 1.5 + gap, 2.25, 3.0])
+        values = np.array([[1.0], [-1.0], [1.0], [-1.0], [1.0]])
+        trace = PiecewiseConstantSignal(("v",), times, values, 4.0)
+        f = parse(text)
+        restarts = {}
+        _eval_node(PiecewiseConstantSignal(("v",), times, values, 3.0), f, 0.0, restarts)
+        lo = 0.5 + gap / 2
+        sig, _, stable = _eval_node(trace, f, lo, restarts)
+        assert restarts[()].at == lo
+        expected = monitor(trace, f)
         assert sig == restrict_domain(expected.signal, (lo, expected.signal.end))
         assert min(stable, sig.end) == expected.stable_until

@@ -427,18 +427,21 @@ class TestPiecewiseConstantSignal:
 
     def test_pointwise_sampling_matches_membership(self):
         rng = np.random.default_rng(23)
-        times = np.concatenate([[0.0], np.sort(rng.uniform(0, 10, 40))])
+        times = np.concatenate([[0.0], np.sort(rng.uniform(0, 10, 40)), [10.0]])
         times = np.unique(times)
         vals = rng.uniform(-1, 1, (len(times), 1))
+        # the last sample, at the duration, holds for no time: its value's
+        # sign must not be what the duration reads
+        vals[-1] = -vals[-2]
         trace = PiecewiseConstantSignal(("v",), times, vals, 10.0)
 
         from sclmon import Atom, eval_atom
         atom = Atom("v", ">=", 0.0)
         truth = eval_atom(trace, atom)
-        ts = rng.uniform(0, 10, 10_000)
+        ts = np.append(rng.uniform(0, 10, 10_000), 10.0)
         member = truth.values_at(ts)
         direct = np.array([trace.value_at(t, "v") >= 0.0 for t in ts])
-        # boundary times are measure-zero; random samples never hit them
+        # inner boundary times are measure-zero; random samples never hit them
         assert np.array_equal(member, direct)
 
     def test_unknown_variable(self):

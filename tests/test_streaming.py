@@ -229,7 +229,7 @@ class TestOfflineEquivalence:
             assert feed_and_collect(f, trace) == monitor(trace, f).signal
 
     @pytest.mark.parametrize("text", [
-        "G[0,1] (v >= 0.5)",                # full-coverage plateaus (H snaps to 1)
+        "G[0,1] (v >= 0.5)",                # full-coverage plateaus (quiet: H exactly 1)
         "<flat[0,2], 0.5> (v >= 0.5)",      # H sits exactly on the threshold
         "<flat[0,2], 0.5>* (v >= 0.5)",     # strict version of the same plateau
     ])

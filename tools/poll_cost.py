@@ -14,9 +14,11 @@ each push+poll is one measurement.  Per formula it prints
   time in microseconds, over all seeds (a timing pass with no spy);
 * ``grid_per_poll``: ``monitor._grid_integrals`` calls per poll (a second,
   counting pass);
+* ``anchors_per_poll``: the window integrals those calls take per poll,
+  one per anchor;
 * ``edge_share``: the share of window-node evaluations whose child held a
   truth edge strictly inside the windows' reach ``(t0 + lower, t_end +
-  upper)``; only those need a window integral;
+  upper)``; only those can need a window integral;
 * ``polls``: the measured polls.
 
 The timing pass runs each seed's stream three times and keeps, per poll,
@@ -53,15 +55,16 @@ def steady_polls(sclmon, trace, f) -> list[float]:
     return costs
 
 
-def counted_polls(sclmon, mon, trace, f) -> tuple[int, int, int, int]:
-    """(polls, grid integral calls, window evaluations, those with an edge in
-    reach), from the first emitted slice on."""
-    counts = {"grid": 0, "windows": 0, "edges": 0}
+def counted_polls(sclmon, mon, trace, f) -> tuple[int, int, int, int, int]:
+    """(polls, grid integral calls, their anchors, window evaluations, those
+    with an edge in reach), from the first emitted slice on."""
+    counts = {"grid": 0, "anchors": 0, "windows": 0, "edges": 0}
     grid_integrals, evaluate = mon._grid_integrals, mon.eval_conv_efficient
 
-    def grid_spy(*args):
+    def grid_spy(kernel, sig, ts):
         counts["grid"] += 1
-        return grid_integrals(*args)
+        counts["anchors"] += len(ts)
+        return grid_integrals(kernel, sig, ts)
 
     def eval_spy(kernel, threshold, sig):
         t0 = sig.start
@@ -87,7 +90,7 @@ def counted_polls(sclmon, mon, trace, f) -> tuple[int, int, int, int]:
                 counts.update(before)
     finally:
         mon._grid_integrals, mon.eval_conv_efficient = grid_integrals, evaluate
-    return polls, counts["grid"], counts["windows"], counts["edges"]
+    return polls, counts["grid"], counts["anchors"], counts["windows"], counts["edges"]
 
 
 def main(argv: list[str]) -> int:
@@ -115,21 +118,19 @@ def main(argv: list[str]) -> int:
     print(f"# {platform.python_version()} numpy {np.__version__}, "
           f"pool seeds {SEEDS.start}-{SEEDS.stop - 1}, stream-day traces")
     print(f"{'formula':<44} {'p50_us':>8} {'p99_us':>8} {'grid_per_poll':>13} "
-          f"{'edge_share':>10} {'polls':>6}")
+          f"{'anchors_per_poll':>16} {'edge_share':>10} {'polls':>6}")
     for text in texts:
         f = sclmon.parse(text)
         costs = []
         for trace in traces:
             runs = [steady_polls(sclmon, trace, f) for _ in range(REPEATS)]
             costs.extend(np.min(np.array(runs), axis=0).tolist())
-        polls = grid = windows = edges = 0
-        for trace in traces:
-            counted = counted_polls(sclmon, mon, trace, f)
-            polls, grid, windows, edges = (a + b for a, b in
-                                           zip((polls, grid, windows, edges), counted))
+        polls, grid, anchors, windows, edges = np.sum(
+            [counted_polls(sclmon, mon, trace, f) for trace in traces], axis=0).tolist()
         us = np.array(costs) * 1e6
         print(f"{text:<44} {np.median(us):8.1f} {np.percentile(us, 99):8.1f} "
-              f"{grid / polls:13.3f} {edges / windows:10.3f} {polls:6d}", flush=True)
+              f"{grid / polls:13.3f} {anchors / polls:16.3f} {edges / windows:10.3f} "
+              f"{polls:6d}", flush=True)
     return 0
 
 
