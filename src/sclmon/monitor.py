@@ -18,9 +18,12 @@ event order at the stretch's start, an odd number of passed edges means the
 windows lie in a true interval, so H there is exactly 1, else exactly 0,
 with no window integral.  :func:`_steady` applies the same rule to a span
 that is one quiet stretch, before any event is built; it is the case a
-steady streaming poll mostly meets.  Every other H sample is a direct window
-integral, computed in one pass over all samples, so H at a time depends only
-on that time and the signal, not on where evaluation began.
+steady streaming poll mostly meets.  At a p of 0 or 1 (``G``, ``F``) the
+edges decide every sample: H is exactly 0 or 1 where no edge lies strictly
+inside the window, else strictly between, and the evaluator then writes 0.5
+for it, with no window integral or H' split.  Every other H sample is a
+direct window integral, computed in one pass over all samples, so H at a
+time depends only on that time and the signal, not on where evaluation began.
 
 The dual operator is evaluated structurally as the complement of the
 complemented child at threshold ``1 - p``, which realizes its strict
@@ -137,15 +140,10 @@ def _thetas(h, p: float):
     return th
 
 
-def _unsettled(h, th, p: float):
-    """Whether H samples (or one H value) with thetas ``th`` at the
-    trace-dependent end of a span are threshold-delicate: within 1e-11 of
-    p, unless exactly on a p of 0 or 1 (a quiet stretch's H), which H
-    cannot pass."""
-    near = abs(th) <= 1e-11
-    if p in (0.0, 1.0):
-        near &= h != p
-    return near
+def _unsettled(th, p: float):
+    """Whether thetas ``th`` (an array, or one value) at a span's
+    trace-dependent end are delicate: within 1e-11 of a p inside (0, 1)."""
+    return (abs(th) <= 1e-11) & (0.0 < p < 1.0)
 
 
 def _verdict_span(kernel: BoundedKernel, sig: BooleanSignal) -> tuple[float, float]:
@@ -376,7 +374,6 @@ def _gaussian_splits(kernel: GaussianKernel, edges: np.ndarray,
     """
     a, b = bounds[:-1], bounds[1:]
     s, c = kernel.spread, kernel.center
-    sigma = np.tile([1.0, -1.0], len(edges) // 2)
     mid = 0.5 * (a + b)
     reach = _ERFC_ZERO * s
     first = np.searchsorted(edges, np.maximum(mid + kernel.lower, a + c - reach), side="right")
@@ -389,14 +386,15 @@ def _gaussian_splits(kernel: GaussianKernel, edges: np.ndarray,
     seg = np.cumsum(count) - count
     owner = np.repeat(busy, count)
     idx = np.arange(int(count.sum())) - np.repeat(seg - first[busy], count)
+    sigma = 1.0 - 2.0 * (idx % 2)     # + for a start, at an even index
     u = (edges[idx] - a[owner] - c) / s
     span = (b - a) / s
-    sure = _one_signed(u, sigma[idx], 0.0, span[owner], seg)
+    sure = _one_signed(u, sigma, 0.0, span[owner], seg)
     splits = [np.empty(0)]
     for i in np.flatnonzero(~sure).tolist():
         j = busy[i]
         part = slice(seg[i], seg[i] + count[i])
-        w = _slope_zeros(u[part], sigma[idx[part]], float(span[j]))
+        w = _slope_zeros(u[part], sigma[part], float(span[j]))
         splits.append(np.clip(a[j] + s * w, a[j], b[j]))
     return np.concatenate(splits)
 
@@ -428,7 +426,7 @@ def _steady(kernel: BoundedKernel, p: float, sig: BooleanSignal, t0: float,
     else:
         signal = BooleanSignal(t0, t_end, np.array([t0] if true else []),
                                np.array([t_end] if true else []))
-    stable_until = t0 if _unsettled(h, th, p) else t_end
+    stable_until = t0 if _unsettled(th, p) else t_end
     span = np.array([t0, t_end])
     verdict = VerdictSignal(signal, (), stable_until)
     return ConvEvaluation(verdict, span, np.array([h, h]), span, (True,))
@@ -440,15 +438,16 @@ def eval_conv_efficient(kernel: BoundedKernel, threshold: float,
 
     Stretches end where a window boundary meets a true-interval edge, so the
     edges inside the window are fixed within one.  A quiet stretch, whose
-    windows hold none, has H exactly 0 or 1 at both ends.  A flat or
-    exponential stretch is one cell, since H is monotone there; a Gaussian
-    stretch is cut where H' vanishes (:func:`_gaussian_splits`), so every
-    cell is monotone.  H at every other cell end is a direct window
-    integral, all computed up front.  A cell whose ends flip sign, or of
-    which exactly one end sits on the threshold, holds one crossing: an end
-    on the threshold is the root, other roots are closed form for flat and
-    exponential windows and narrowed to 1e-9 in time for Gaussian ones.
-    The truth flips at the roots of the flip cells only.
+    windows hold none, has H exactly 0 or 1 at both ends; at a p of 0 or 1
+    the edges decide every sample.  A flat or exponential stretch is one
+    cell, since H is monotone there; at other p a Gaussian stretch is cut
+    where H' vanishes (:func:`_gaussian_splits`), so every cell is monotone.
+    H at every other cell end is a direct window integral, all computed up
+    front.  A cell whose ends flip sign, or of which exactly one end sits on
+    the threshold, holds one crossing: an end on the threshold is the root,
+    other roots are closed form for flat and exponential windows and
+    narrowed to 1e-9 in time for Gaussian ones.  The truth flips at the
+    roots of the flip cells only.
     """
     p = threshold
     t0, t_end = _verdict_span(kernel, sig)
@@ -474,7 +473,7 @@ def eval_conv_efficient(kernel: BoundedKernel, threshold: float,
     passed = leave[:n].searchsorted(bounds[:-1], side="right")
     quiet = enter[:n].searchsorted(bounds[:-1], side="right") == passed
     bounds[0] = t0
-    gaussian = isinstance(kernel, GaussianKernel)
+    gaussian = isinstance(kernel, GaussianKernel) and 0.0 < p < 1.0
     times = (sorted_unique(np.concatenate([bounds, _gaussian_splits(kernel, edges, bounds)]))
              if gaussian else bounds)
 
@@ -489,9 +488,15 @@ def eval_conv_efficient(kernel: BoundedKernel, threshold: float,
     hs[left] = hs[right] = passed[k] % 2.0
     exact = np.zeros(len(times), dtype=bool)
     exact[left] = exact[right] = True
-    anchors = times[~exact]
-    if len(anchors):
-        hs[~exact] = _grid_integrals(kernel, sig, anchors)
+    rest = times[~exact]
+    if p in (0.0, 1.0):
+        # so is H where no edge lies strictly inside the window; any other H
+        # lies strictly between 0 and 1, on the far side of p: 0.5 stands in
+        passed = leave[:n].searchsorted(rest, side="right")
+        clear = enter[:n].searchsorted(rest, side="left") == passed
+        hs[~exact] = np.where(clear, passed % 2.0, 0.5)
+    elif len(rest):
+        hs[~exact] = _grid_integrals(kernel, sig, rest)
     if hs.min() < -_H_DRIFT or hs.max() > 1.0 + _H_DRIFT:
         raise SclError("convolution value drifted out of [0, 1]")
     th = _thetas(hs, p)
@@ -517,18 +522,17 @@ def eval_conv_efficient(kernel: BoundedKernel, threshold: float,
             for i in solve.tolist():
                 roots[i] = x0[i] + _stretch_root(kernel, x1[i] - x0[i], th0[i], th1[i])
         for root in roots.tolist():
-            if not crossings or abs(root - crossings[-1]) > _ZERO_BAND:
+            if not crossings or root != crossings[-1]:
                 crossings.append(root)
         # the truth (theta >= 0) flips where one end is negative
         flips = roots[np.minimum(th0, th1) < 0.0]
 
     # the last stretch ends at the trace-dependent t_end, and a longer trace
-    # solves its crossings from a later end sample; anything
-    # threshold-delicate there is not final yet.  H exactly on a p of 0
-    # or 1 is not: H cannot pass that bound, and a stretch whose window
-    # edges are fixed keeps it there unless a crossing cell shows otherwise
+    # solves its crossings from a later end sample; anything threshold-
+    # delicate there is not final yet, which at a p of 0 or 1, where the
+    # edges decide H, is only a cell holding a crossing
     last = int(times.searchsorted(bounds[-2], side="left"))
-    delicate = (len(cells) and cells[-1] >= last) or _unsettled(hs[last:], th[last:], p).any()
+    delicate = (len(cells) and cells[-1] >= last) or _unsettled(th[last:], p).any()
     stable_until = float(bounds[-2]) if delicate else t_end
 
     signal = _alternating(t0, t_end, bool(th[0] >= 0.0), flips)

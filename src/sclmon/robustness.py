@@ -7,16 +7,16 @@ robustness at t is the supremum of all levels r such that the kernel-weighted
 coverage of ``{inner robustness > r}`` still meets the threshold.  Over a
 piecewise-constant inner signal that coverage only drops where r passes one of
 the window's segment values, so the supremum is one of them: the
-kernel-weighted threshold-quantile of the window.  It is returned exactly,
-with no tolerance, by one rule: the highest level, searched from the top,
-whose coverage summed over the window's segments in time order reaches the
-threshold.  A coverage node takes its times in blocks, one broadcast mass
-call per block of windows; a running sum of each window's masses, sorted by
-level, settles every level that lies clear of the threshold by more than
-that sum's rounding, and only the close ones above the first sure level take
-the time-ordered sum.  So every value is the one a per-time evaluation
-gives, bit for bit, whatever the block and whatever the order in which the
-levels were sorted.
+kernel-weighted threshold-quantile of the window, returned exactly.  At a
+threshold of 0 it is +inf; at 1 it is the lowest value held for a positive
+time in the window, a segment from a to b being held at t when
+``a - upper < t < b - lower``, the monitor's own test for an edge strictly
+inside.  Neither takes a mass.  Any other threshold is met by one rule: the
+highest level, searched from the top, whose coverage summed over the
+window's segments in time order reaches it.  A coverage node takes the
+masses of a block of windows in one call, and settles most levels by a
+running sum sorted by level, yet every value is the one a per-time
+evaluation gives, bit for bit (:func:`_coverage_suprema`).
 
 Robustness is evaluated as values at given times.  ``_breaks`` says where a
 node is sampled on a span: an atom at its trace samples, a convolution node
@@ -58,7 +58,6 @@ from .formula import (
 from .kernels import BoundedKernel
 from .signals import PiecewiseConstantSignal, sorted_unique
 
-_MASS_SNAP = 1e-9  # coverage sums get snapped onto the exact bounds 0 / 1
 _RHO_CELLS = 1000  # a coverage node samples its span every window width / _RHO_CELLS
 _BLOCK = 8192      # (time, segment) pairs per mass call of a coverage node: bounds its memory
 
@@ -77,20 +76,10 @@ class RobustnessTrace:
             raise SclError("times and values must have equal length")
 
 
-def _reaches(totals, threshold: float):
-    """Elementwise ``total >= threshold``, each total within ``_MASS_SNAP``
-    of 0 or of 1 counted as that bound.  A threshold farther than that from
-    both bounds is reached by a snapped total exactly when by the total."""
-    if not 2 * _MASS_SNAP < threshold < 1.0 - 2 * _MASS_SNAP:
-        totals = np.where(np.abs(totals) <= _MASS_SNAP, 0.0, totals)
-        totals = np.where(np.abs(totals - 1.0) <= _MASS_SNAP, 1.0, totals)
-    return totals >= threshold
-
-
 def _covers(threshold: float, masses: np.ndarray, seg_vals: np.ndarray, level: float) -> bool:
     """Whether the window's segments at or above ``level`` reach the
     threshold: one masked sum of their masses in time order."""
-    return bool(_reaches(np.sum(masses[seg_vals >= level]), threshold))
+    return bool(np.sum(masses[seg_vals >= level]) >= threshold)
 
 
 def _block_suprema(kernel: BoundedKernel, threshold: float, cuts: np.ndarray,
@@ -128,8 +117,8 @@ def _block_suprema(kernel: BoundedKernel, threshold: float, cuts: np.ndarray,
     np.cumsum(masses.ravel()[order], axis=1, out=run[:, 1:])
     slack = (4.0 * np.finfo(float).eps * count * np.sum(np.abs(masses), axis=1))[:, None]
     last = np.append(vals[:, :-1] != vals[:, 1:], np.ones((len(ts), 1), bool), axis=1)
-    sure = last & _reaches(run - slack, threshold)
-    close = last & _reaches(run + slack, threshold) & ~sure
+    sure = last & (run - slack >= threshold)
+    close = last & (run + slack >= threshold) & ~sure
 
     # the first level that surely covers, unless a close one above it does
     first_sure = np.where(sure.any(axis=1), np.argmax(sure, axis=1), width + 1)
@@ -151,11 +140,12 @@ def _coverage_suprema(kernel: BoundedKernel, threshold: float, cuts: np.ndarray,
     at each of the ascending times ``ts``, evaluated a block of windows at a time.
 
     The inner robustness is ``values[k]`` from ``cuts[k]`` up to the next
-    cut; each window starts at or after ``cuts[0]`` and is clipped at
-    ``end``.  For r just below a level u the set {inner > r} is
-    {inner >= u}, so the supremum is the highest level, +inf included, whose
-    coverage reaches the threshold (``_covers``: one masked sum in time
-    order), else -inf.
+    cut, the last up to ``end``; each window starts at or after ``cuts[0]``
+    and is clipped at ``end``.  For r just below a level u the set
+    {inner > r} is {inner >= u}, so the supremum is the highest level, +inf
+    included, whose coverage reaches the threshold (``_covers``: one masked
+    sum in time order), else -inf.  A threshold of 0 or 1 takes the module
+    docstring's rule instead, with no mass.
 
     A block holds the times whose windows, padded to the block's widest,
     make at most ``_BLOCK`` (time, segment) pairs (a wider window goes
@@ -170,6 +160,18 @@ def _coverage_suprema(kernel: BoundedKernel, threshold: float, cuts: np.ndarray,
     covers, are decided by ``_covers``, from the top down.  So a value
     depends on its time alone, not on the block that took it in.
     """
+    if threshold == 0.0:
+        return np.full(len(ts), math.inf)
+    if threshold == 1.0:
+        # the lowest of the m segments starting before the end that are held
+        # at t, one from a to b when a - upper < t < b - lower (the monitor's test)
+        m = int(cuts.searchsorted(end, side="left"))
+        first = (np.append(cuts[1:m], end) - kernel.lower).searchsorted(ts, side="right")
+        stop = (cuts[:m] - kernel.upper).searchsorted(ts, side="left")
+        low = np.minimum.reduceat(np.append(values[:m], math.inf), np.c_[first, stop].ravel())
+        low = np.where(first < stop, low[::2], math.inf)
+        negative = np.cumsum(np.append(0, (values[:m] == 0.0) & np.signbit(values[:m])))
+        return np.where(low == 0.0, np.where(negative[stop] > negative[first], -0.0, 0.0), low)
     lo = ts + kernel.lower
     hi = np.minimum(ts + kernel.upper, end)
     first = np.searchsorted(cuts, lo, side="right") - 1
@@ -225,11 +227,10 @@ def _rho_at(trace: PiecewiseConstantSignal, f: Formula, ts: np.ndarray) -> np.nd
         case Implies(left, right):
             return np.maximum(-_rho_at(trace, left, ts), _rho_at(trace, right, ts))
         case Conv(kernel, threshold, child):
-            end = ts[-1] + kernel.upper
-            cuts = _breaks(trace, child, ts[0] + kernel.lower, end)
+            cuts = _breaks(trace, child, ts[0] + kernel.lower, ts[-1] + kernel.upper)
             values = _rho_at(trace, child, cuts)
-            end = min(end, trace.duration)  # the trace ends here; windows clip to it
-            return _coverage_suprema(kernel, threshold, cuts, values, end, ts)
+            # the trace ends at its duration; windows clip to it
+            return _coverage_suprema(kernel, threshold, cuts, values, trace.duration, ts)
         case ConvDual(kernel, threshold, child):
             return _rho_at(trace, Not(Conv(kernel, 1.0 - threshold, Not(child))), ts)
     raise SclError(f"not a formula: {f!r}")

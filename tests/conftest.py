@@ -39,7 +39,7 @@ from sclmon import (
     eval_atom,
     restrict_domain,
 )
-from sclmon.robustness import _MASS_SNAP, _breaks, _rho_at
+from sclmon.robustness import _breaks, _rho_at
 
 # Property tests draw the same examples on every run, so a commit passes or
 # fails the suite the same way each time; per-test settings keep their counts.
@@ -354,31 +354,38 @@ def _coverage_supremum(kernel, threshold: float, cuts: np.ndarray,
                        values: np.ndarray, end: float, t: float) -> float:
     """sup { r | kernel-weighted measure of {inner > r} in the window >= threshold }.
 
-    The inner robustness is ``values[k]`` from ``cuts[k]`` up to the next cut;
-    the window at ``t`` starts at or after ``cuts[0]`` and is clipped at ``end``.
-    For r just below a level u the set {inner > r} is {inner >= u}, so the
-    supremum is the highest level u, +inf included, whose coverage(u) reaches
-    the threshold, else -inf: the levels are tried from the top, and
-    coverage(u) is one masked sum in time order, snapped onto 0 / 1.  Level 0
-    is -0.0 when any of the window's zeros is.
+    The inner robustness is ``values[k]`` from ``cuts[k]`` up to the next cut,
+    the last one up to ``end``; the window at ``t`` starts at or after
+    ``cuts[0]`` and is clipped at ``end``.  For r just below a level u the set
+    {inner > r} is {inner >= u}, so the supremum is the highest level u, +inf
+    included, whose coverage(u) reaches the threshold, else -inf: the levels
+    are tried from the top.  A threshold of 0 is always reached.  One of 1 is
+    reached when every segment held for a positive time in the window is at
+    or above u: a segment from a to b that starts before ``end`` is held when
+    ``a - upper < t < b - lower``, the monitor's test for an edge strictly
+    inside.  Any other coverage(u) is one masked sum of masses in time order.
+    Level 0 is -0.0 when any of the window's zeros is.
     """
-    lo, hi = t + kernel.lower, min(t + kernel.upper, end)
-    i = int(np.searchsorted(cuts, lo, side="right")) - 1
-    j = int(np.searchsorted(cuts, hi, side="left"))
-    seg = np.concatenate([[lo], cuts[i + 1:j], [hi]])
-    seg_vals = values[i:j] if j > i else values[i:i + 1]
-    masses = np.asarray(kernel.mass_clipped(
-        np.clip(seg[:-1] - t, kernel.lower, kernel.upper),
-        np.clip(seg[1:] - t, kernel.lower, kernel.upper),
-    ), dtype=float)
+    if threshold in (0.0, 1.0):
+        ends = np.append(cuts[1:], end)
+        held = (cuts - kernel.upper < t) & (t < ends - kernel.lower) & (cuts < end)
+        seg_vals = values[held]
 
-    def covers(level: float) -> bool:
-        total = float(np.sum(masses[seg_vals >= level]))
-        if abs(total) <= _MASS_SNAP:
-            total = 0.0
-        elif abs(total - 1.0) <= _MASS_SNAP:
-            total = 1.0
-        return total >= threshold
+        def covers(level: float) -> bool:
+            return threshold == 0.0 or bool(np.all(seg_vals >= level))
+    else:
+        lo, hi = t + kernel.lower, min(t + kernel.upper, end)
+        i = int(np.searchsorted(cuts, lo, side="right")) - 1
+        j = int(np.searchsorted(cuts, hi, side="left"))
+        seg = np.concatenate([[lo], cuts[i + 1:j], [hi]])
+        seg_vals = values[i:j] if j > i else values[i:i + 1]
+        masses = np.asarray(kernel.mass_clipped(
+            np.clip(seg[:-1] - t, kernel.lower, kernel.upper),
+            np.clip(seg[1:] - t, kernel.lower, kernel.upper),
+        ), dtype=float)
+
+        def covers(level: float) -> bool:
+            return float(np.sum(masses[seg_vals >= level])) >= threshold
 
     for level in [math.inf, *np.unique(seg_vals[np.isfinite(seg_vals)])[::-1].tolist()]:
         if covers(level):
@@ -395,9 +402,7 @@ def rho_conv_per_time(trace: PiecewiseConstantSignal, f: Conv, ts: np.ndarray) -
     its own mass call and its own time-ordered decision, so this is the
     per-time evaluation that the library's blocked one must equal bit for bit.
     """
-    end = ts[-1] + f.kernel.upper
-    cuts = _breaks(trace, f.child, ts[0] + f.kernel.lower, end)
+    cuts = _breaks(trace, f.child, ts[0] + f.kernel.lower, ts[-1] + f.kernel.upper)
     values = _rho_at(trace, f.child, cuts)
-    end = min(end, trace.duration)
-    return np.array([_coverage_supremum(f.kernel, f.threshold, cuts, values, end, t)
-                     for t in ts])
+    return np.array([_coverage_supremum(f.kernel, f.threshold, cuts, values,
+                                        trace.duration, t) for t in ts])

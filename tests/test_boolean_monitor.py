@@ -566,6 +566,45 @@ class TestQuietStretches:
         assert checked > 500
 
 
+class TestFullAndEmptyWindows:
+    """At a p of 0 or 1 the window's edges alone decide H: it is exactly 1
+    or 0 at an instant whose window holds no child edge strictly inside,
+    and strictly between them anywhere else."""
+
+    def test_no_window_integral_and_no_gaussian_split(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a window at a p of 0 or 1 took a window integral or split")
+        monkeypatch.setattr(MONITOR, "_grid_integrals", refuse)
+        monkeypatch.setattr(MONITOR, "_gaussian_splits", refuse)
+        rng = np.random.default_rng(67)
+        busy = 0
+        for _ in range(30):
+            sig = random_boolean_signal(rng, 0.0, float(rng.uniform(3.0, 9.0)), 6)
+            upper = float(rng.uniform(0.2, 1.5))
+            for kernel in (FlatKernel(0.0, upper), ExponentialKernel(-1.5, 0.0, upper),
+                           GaussianKernel(0.4 * upper, 0.3, 0.0, upper)):
+                for p in (0.0, 1.0):
+                    ev = eval_conv_efficient(kernel, p, sig)
+                    busy += int(np.sum(ev.values == 0.5))
+        assert busy > 100
+        with pytest.raises(AssertionError, match="window integral"):
+            eval_conv_efficient(FlatKernel(0.0, 1.0), 0.5, REF)
+
+    def test_a_window_that_is_full_at_one_instant_touches_g(self):
+        # v > 0 exactly on [1, 2]: only the window anchored at 1 is full
+        trace = PiecewiseConstantSignal(("v",), np.array([0.0, 1.0, 2.0]),
+                                        np.array([[-1.0], [1.0], [-1.0]]), 3.0)
+        verdict = monitor(trace, parse("G[0,1] (v > 0)"))
+        assert verdict.crossings == (1.0,) and verdict.signal.intervals == ()
+
+    def test_a_window_full_at_the_span_start_touches_p_1(self):
+        # the child holds on [0, 2], the window [0, 2] is full at 0 only
+        trace = PiecewiseConstantSignal(("v",), np.array([0.0, 2.0]),
+                                        np.array([[1.0], [-1.0]]), 4.0)
+        verdict = monitor(trace, parse("<exp(-1)[0,2], 1> (v > 0)"))
+        assert verdict.crossings == (0.0,) and verdict.signal.intervals == ()
+
+
 class TestIncremental:
     """H at the sliding evaluator's samples against fresh window integrals."""
 

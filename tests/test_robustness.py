@@ -433,6 +433,88 @@ class TestSignImpliesVerdict:
                 assert (r > 0) == verdict.value_at(t), f"rho={r} at t={t} for {f}"
 
 
+@st.composite
+def dipped_traces(draw):
+    """A random 3 h trace with one to three dips or spikes, each 1e-15 to
+    1e-8 wide, to -3 or 3, beyond every atom threshold drawn here."""
+    trace = random_trace(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), 3.0, 12)
+    times, values = trace.times.tolist(), trace.values[:, 0].tolist()
+    for _ in range(draw(st.integers(1, 3))):
+        x = 3.0 * draw(st.floats(0.0, 1.0))
+        end = x + 10.0 ** draw(st.floats(-15.0, -8.0))
+        i = int(np.searchsorted(times, x, side="right")) - 1
+        if times[i] < x and end < (times[i + 1] if i + 1 < len(times) else 3.0):
+            times[i + 1:i + 1] = [x, end]
+            values[i + 1:i + 1] = [draw(st.sampled_from([-3.0, 3.0])), values[i]]
+    return PiecewiseConstantSignal(("v",), np.array(times), np.array(values)[:, None], 3.0)
+
+
+@st.composite
+def full_or_empty_formulas(draw):
+    """A window at a p of 0 or 1 over an atom: ``G``, ``F``, ``!G``, an
+    exponential or Gaussian window at 1, a flat dual at 1 or a flat window at 0."""
+    child = Atom("v", draw(st.sampled_from([">=", "<=", ">", "<"])), draw(st.floats(-1.5, 1.5)))
+    lo = draw(st.floats(0.0, 0.5))
+    hi = lo + draw(st.floats(0.2, 1.0))
+    kind = draw(st.sampled_from(["G", "F", "!G", "exp", "gauss", "flat*", "flat0"]))
+    if kind == "exp":
+        rate = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.3, 4.0))
+        return Conv(ExponentialKernel(rate, lo, hi), 1.0, child)
+    if kind == "gauss":
+        bump = GaussianKernel(draw(st.floats(lo, hi)), draw(st.floats(0.1, 1.5)), lo, hi)
+        return Conv(bump, 1.0, child)
+    return {"G": globally(lo, hi, child), "F": eventually(lo, hi, child),
+            "!G": Not(globally(lo, hi, child)), "flat*": ConvDual(FlatKernel(lo, hi), 1.0, child),
+            "flat0": Conv(FlatKernel(lo, hi), 0.0, child)}[kind]
+
+
+class TestFullAndEmptyWindows:
+    """At a p of 0 or 1, ρ and the verdict read one predicate: a segment is
+    held at t when it starts less than ``upper`` after t and ends more than
+    ``lower`` after it, tested in the monitor's event coordinates, so a dip
+    however narrow decides both alike."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(f=full_or_empty_formulas(), trace=dipped_traces(),
+           fractions=st.lists(st.floats(0.0, 1.0), min_size=8, max_size=16))
+    def test_sign_of_rho_is_the_verdict(self, f, trace, fractions):
+        verdict = monitor(trace, f).signal
+        for t in (verdict.end * x for x in fractions):
+            r = rho(trace, f, t)
+            if r != 0.0:
+                assert (r > 0) == verdict.value_at(t), f"rho={r} at t={t} for {f}"
+
+    @pytest.mark.parametrize("width", [5e-10, 1e-10, 5e-12, 1e-13])
+    def test_a_narrow_dip_decides_g_and_f(self, width):
+        trace = PiecewiseConstantSignal(("v",), np.array([0.0, 0.5, 0.5 + width]),
+                                        np.array([[1.0], [-1.0], [1.0]]), 3.0)
+        g, f = parse("G[0,1] (v > 0)"), parse("F[0,1] (v < 0)")
+        assert not monitor(trace, g).value_at(0.0) and rho(trace, g, 0.0) == -1.0
+        assert monitor(trace, f).value_at(0.0) and rho(trace, f, 0.0) == 1.0
+
+    def test_a_window_end_rounded_onto_a_dip_start_holds_the_dip(self):
+        # t + 2 rounds to 8.084, where the dip starts, but 8.084 - 2 < t: the
+        # dip enters the windows before t, so the verdict is false at t
+        trace = PiecewiseConstantSignal(("v",), np.array([0.0, 8.084, 8.1]),
+                                        np.array([[1.0], [-1.0], [1.0]]), 10.0)
+        f, t = parse("G[0,2] (v > 0)"), 6.0840000000000005
+        assert t + 2.0 == 8.084 and 8.084 - 2.0 < t
+        assert not monitor(trace, f).value_at(t) and rho(trace, f, t) == -1.0
+
+    def test_no_mass_call(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a window at a p of 0 or 1 took a mass call")
+        for shape in (FlatKernel, ExponentialKernel, GaussianKernel):
+            monkeypatch.setattr(shape, "mass_clipped", refuse)
+        trace = random_trace(np.random.default_rng(73), 3.0, 40)
+        for text in ("G[0,1] (v > 0)", "F[0.2,0.7] (v < 0.5)", "<exp(-1)[0,2], 1> (v >= 0)",
+                     "<gauss(0.5,0.3)[0,1], 1>* (v <= 1)", "<flat[0,0.4], 0> (v > 1)",
+                     "G[0,1] (<flat[0,0.5], 1> (v > -1))"):
+            rho_trace(trace, parse(text))
+        with pytest.raises(AssertionError, match="mass call"):
+            rho_trace(trace, parse("<flat[0,1], 0.5> (v > 0)"))
+
+
 class TestLastSample:
     """A last sample at a positive duration holds for no time: at the
     duration, ρ and the verdict read the segment that ends there."""
@@ -519,7 +601,8 @@ class TestBlockedCoverage:
 
     def test_no_mass_call_exceeds_the_block(self, monkeypatch):
         # each outer window holds 10,001 inner samples, and the 21 windows
-        # together about 26 blocks' worth of pairs
+        # together about 26 blocks' worth of pairs; the outer threshold lies
+        # inside (0, 1), since one of 0 or 1 takes no mass call
         sizes = []
         mass_clipped = FlatKernel.mass_clipped
 
@@ -529,7 +612,7 @@ class TestBlockedCoverage:
 
         monkeypatch.setattr(FlatKernel, "mass_clipped", spy)
         trace = random_trace(np.random.default_rng(71), 11.2, 60)
-        f = parse("G[0,10] (<flat[0,1], 0.5> (v > 0))")
+        f = parse("<flat[0,10], 0.5> (<flat[0,1], 0.5> (v > 0))")
         ts = rho_trace(trace, f).times
         assert len(ts) == 21 and sum(sizes) > 20 * robustness._BLOCK
         assert max(sizes) <= robustness._BLOCK

@@ -12,16 +12,20 @@ workload, pool seed 0-7 and formula it prints
 * ``monitor``: the ``monitor()`` verdict's domain and interval bounds, its
   crossings and ``stable_until`` (check and stream specs);
 * ``rho_trace``: the ``rho_trace`` times and values (rho spec, and the
-  check-steps spec, whose exponential windows, ``F`` and dense square-wave
-  ties the rho spec lacks).  The rho-3d traces also get the nested
-  ``G[0,2] (<flat[0,1], 0.5> (G >= 100))`` as one more formula, after the
-  spec's, so a coverage node under another is digested too;
+  check-steps and stream specs, whose exponential windows, ``F`` and dense
+  square-wave ties the rho spec lacks);
 * ``stream``: ``StreamingMonitor.resolved_signal()`` after pushing and polling
   the trace one sample at a time, then ``finish`` and a last poll (stream
-  spec).  The stream-day traces also get the same nested formula, after the
-  spec's, so a nested stream's end is digested too;
+  spec);
 * ``stream7``: the same, polled after every 7th sample only, so each poll
   restarts from further back than a per-sample poll does.
+
+Some workloads get formulas of their own after the spec's (``EXTRA_FORMULAS``):
+the nested ``G[0,2] (<flat[0,1], 0.5> (G >= 100))`` on rho-3d and stream-day,
+so a coverage node under another and a nested stream's end are digested too,
+and windows at a threshold of 0 or 1 of every kernel shape, whose verdict and
+robustness are decided by the window's edges alone, on check-steps, rho-3d and
+stream-day.
 
 Every float is hashed as its exact little-endian float64 bytes.  An output
 that the library rejects (an ``SclError``) prints ``error TYPE: MESSAGE`` in
@@ -115,9 +119,18 @@ OUTPUTS = {
     "stream": (("monitor", monitor_digest), ("stream", stream_digest),
                ("stream7", stream7_digest)),
 }
-EXTRA_OUTPUTS = {"check-steps": (("rho_trace", rho_trace_digest),)}
+EXTRA_OUTPUTS = {"check-steps": (("rho_trace", rho_trace_digest),),
+                 "stream-day": (("rho_trace", rho_trace_digest),)}
 NESTED = "G[0,2] (<flat[0,1], 0.5> (G >= 100))"
-EXTRA_FORMULAS = {"rho-3d": (NESTED,), "stream-day": (NESTED,)}
+# a threshold of 0 or 1 on each kernel shape, through the dual too
+FULL_OR_EMPTY = ("<exp(-1)[0,2], 1> (G >= 70)", "<gauss(1,0.4)[0,2], 1>* (G >= 180)",
+                 "G[0,2] (<flat[0,1], 1> (G >= 100))")
+EXTRA_FORMULAS = {
+    "check-steps": ("<exp(2)[0,1], 1> (v >= 0.5)", "<gauss(0.5,0.2)[0,1], 1>* (v >= 0.5)",
+                    "<flat[0,0.2], 0> (v >= 0.5)"),
+    "rho-3d": (NESTED, *FULL_OR_EMPTY),
+    "stream-day": (NESTED, *FULL_OR_EMPTY),
+}
 CLI_FORMATS = ("json", "csv")
 
 
