@@ -2,28 +2,33 @@
 
 One evaluator, :func:`eval_conv_efficient`, computes the convolution value
 H(t) (kernel-weighted coverage of the child truth signal in the window
-anchored at t) and thresholds it.  The verdict span is split into stretches
-bounded by the events where a window boundary meets a true-interval edge, so
-the edge set inside the window is constant per stretch.  There H is linear
-(flat kernels) or ``C + D*exp(-rate*x)`` (exponential kernels), so it is
-sampled at the stretch bounds only, and a crossing is solved in closed form.
-A Gaussian stretch is also cut where H' vanishes (:func:`_gaussian_splits`),
-so every cell is monotone and a crossing is narrowed to 1e-9 in time inside
-its cell.  No kernel needs an integration step.  The tests check it against
-a brute-force grid oracle with window integrals of its own.
+anchored at t) and compares it with the threshold p as computed, with no
+tolerance band.  The verdict span is split into stretches bounded by the
+events where a window boundary meets a true-interval edge, strictly inside
+the span, so the edge set inside the window is constant per stretch.  There H
+is linear (flat kernels) or ``C + D*exp(-rate*x)`` (exponential kernels), so
+it is sampled at the stretch bounds only, and a crossing is solved in closed
+form.  A Gaussian stretch is also cut where H' vanishes
+(:func:`_gaussian_splits`), so every cell is monotone and a crossing is
+narrowed to 1e-9 in time inside its cell.  No kernel needs an integration
+step.  The tests check it against a brute-force grid oracle with window
+integrals of its own.
 
 A stretch whose windows hold no child edge is *quiet*.  Edge x enters the
 windows at ``x - upper`` and leaves them at ``x - lower``; counted in that
 event order at the stretch's start, an odd number of passed edges means the
-windows lie in a true interval, so H there is exactly 1, else exactly 0,
-with no window integral.  :func:`_steady` applies the same rule to a span
-that is one quiet stretch, before any event is built; it is the case a
-steady streaming poll mostly meets.  At a p of 0 or 1 (``G``, ``F``) the
-edges decide every sample: H is exactly 0 or 1 where no edge lies strictly
-inside the window, else strictly between, and the evaluator then writes 0.5
-for it, with no window integral or H' split.  Every other H sample is a
-direct window integral, computed in one pass over all samples, so H at a
-time depends only on that time and the signal, not on where evaluation began.
+windows lie in a true interval, so H there is exactly 1, else exactly 0, with
+no window integral.  Every such test is one comparison in event coordinates:
+edge x is strictly inside the window anchored at t iff
+``x - upper < t < x - lower``, the test robustness uses at a p of 0 or 1.
+:func:`_steady` applies the same rule to a span that is one quiet stretch,
+before any event is built; it is the case a steady streaming poll mostly
+meets.  At a p of 0 or 1 (``G``, ``F``) the edges decide every sample: H is
+exactly 0 or 1 where no edge lies strictly inside the window, else strictly
+between, and the evaluator then writes 0.5 for it, with no window integral or
+H' split.  Every other H sample is a direct window integral, computed in one
+pass over all samples, so H at a time depends only on that time and the
+signal, not on where evaluation began.
 
 The dual operator is evaluated structurally as the complement of the
 complemented child at threshold ``1 - p``, which realizes its strict
@@ -78,7 +83,6 @@ from .signals import (
     sorted_unique,
 )
 
-_ZERO_BAND = 1e-12     # |H - p| below this counts as sitting exactly on the threshold
 _TIME_TOL = 1e-9       # crossing location tolerance
 _H_DRIFT = 1e-6        # hard bound on numerical drift of H outside [0, 1]
 _CHUNK = 1 << 16       # anchor-interval pairs per broadcast mass call
@@ -130,16 +134,6 @@ class ConvEvaluation:
     quiet: np.ndarray | tuple[bool, ...]
 
 
-def _thetas(h, p: float):
-    """``H - p`` for an array of H samples or for one H value, with
-    ``|H - p| <= _ZERO_BAND`` counted as exactly on the threshold (0)."""
-    th = h - p
-    if isinstance(th, float):
-        return 0.0 if abs(th) <= _ZERO_BAND else th
-    th[np.abs(th) <= _ZERO_BAND] = 0.0
-    return th
-
-
 def _unsettled(th, p: float):
     """Whether thetas ``th`` (an array, or one value) at a span's
     trace-dependent end are delicate: within 1e-11 of a p inside (0, 1)."""
@@ -166,19 +160,12 @@ def _alternating(t0: float, t_end: float, first: bool,
     zero-length interval, which is dropped, and a kept interval whose start
     coincides with the previous kept one's end is merged into it.
     """
-    cuts = np.concatenate(([t0], flips, [t_end]))
+    cuts = np.concatenate(([t0], flips, [t_end]))[0 if first else 1:]
     if t0 == t_end:
         # the point is true when a pair of cuts holds it
-        pairs = cuts[0 if first else 1:]
-        n = len(pairs) // 2
+        n = len(cuts) // 2
         return BooleanSignal._degenerate(
-            t0, t_end, np.any((pairs[0:2 * n:2] <= t0) & (t0 <= pairs[1:2 * n:2])))
-    # from_intervals' clip selections: a flip below t0 (above t_end) becomes
-    # t0 (t_end); the flips are sorted, so these are a prefix (suffix)
-    inner = cuts[1:-1]
-    inner[:inner.searchsorted(t0, side="left")] = t0
-    inner[inner.searchsorted(t_end, side="right"):] = t_end
-    cuts = cuts[0 if first else 1:]
+            t0, t_end, np.any((cuts[0:2 * n:2] <= t0) & (t0 <= cuts[1:2 * n:2])))
     n = len(cuts) // 2
     starts, ends = cuts[0:2 * n:2], cuts[1:2 * n:2]
     kept = ends > starts
@@ -404,22 +391,21 @@ def _steady(kernel: BoundedKernel, p: float, sig: BooleanSignal, t0: float,
     """The span as one quiet stretch, when the child, of at most one true
     interval (more would take a search), has no edge in its windows.
 
-    It is the general path's count in its event coordinates and margins:
-    each counted edge has passed (left the windows by ``t0 + 1e-15``) or is
-    ahead (enters them later, and not before ``t_end - 1e-15``).  H is 1
-    after an odd count of passed edges, else 0; truth and ``stable_until``
-    follow the general path.  Any other child gives ``None``.
+    It is the general path's count in its event coordinates: each counted
+    edge x has passed (``x - lower <= t0``) or is ahead
+    (``x - upper >= t_end``).  H is 1 after an odd count of passed edges,
+    else 0; truth and ``stable_until`` follow the general path.  Any other
+    child gives ``None``.
     """
-    h, at, late = 0.0, t0 + 1e-15, t_end - 1e-15
+    h = 0.0
     if len(sig.starts):
         start, end = sig.starts[0], sig.ends[0]
         for x in (start,) if end == sig.end else (start, end):
-            enter = x - kernel.upper
-            if x - kernel.lower <= at:
+            if x - kernel.lower <= t0:
                 h = 1.0 - h
-            elif enter <= at or enter < late:
+            elif x - kernel.upper < t_end:
                 return None
-    th = _thetas(h, p)
+    th = h - p
     true = th >= 0.0
     if t0 == t_end:
         signal = BooleanSignal._degenerate(t0, t_end, true)
@@ -437,17 +423,19 @@ def eval_conv_efficient(kernel: BoundedKernel, threshold: float,
     """Sliding-window evaluator: event-aligned stretches, one pass.
 
     Stretches end where a window boundary meets a true-interval edge, so the
-    edges inside the window are fixed within one.  A quiet stretch, whose
-    windows hold none, has H exactly 0 or 1 at both ends; at a p of 0 or 1
-    the edges decide every sample.  A flat or exponential stretch is one
-    cell, since H is monotone there; at other p a Gaussian stretch is cut
-    where H' vanishes (:func:`_gaussian_splits`), so every cell is monotone.
-    H at every other cell end is a direct window integral, all computed up
-    front.  A cell whose ends flip sign, or of which exactly one end sits on
-    the threshold, holds one crossing: an end on the threshold is the root,
-    other roots are closed form for flat and exponential windows and
-    narrowed to 1e-9 in time for Gaussian ones.  The truth flips at the
-    roots of the flip cells only.
+    edges inside the window are fixed within one: the bounds are the span's
+    ends and the events strictly inside it, and each stretch counts its
+    edges at its start.  A quiet stretch, whose windows hold none, has H
+    exactly 0 or 1 at both ends; at a p of 0 or 1 the edges decide every
+    sample.  A flat or exponential stretch is one cell, since H is monotone
+    there; at other p a Gaussian stretch is cut where H' vanishes
+    (:func:`_gaussian_splits`), so every cell is monotone.  H at every other
+    cell end is a direct window integral, all computed up front.  Each
+    sample is compared with p as computed.  A cell whose ends flip sign, or
+    of which exactly one end sits on the threshold, holds one crossing: an
+    end on the threshold is the root, other roots are closed form for flat
+    and exponential windows and narrowed to 1e-9 in time for Gaussian ones.
+    The truth flips at the roots of the flip cells only.
     """
     p = threshold
     t0, t_end = _verdict_span(kernel, sig)
@@ -463,16 +451,15 @@ def eval_conv_efficient(kernel: BoundedKernel, threshold: float,
     events = np.concatenate((leave, enter))
     events.sort()
     # the events strictly inside the span, each once
-    inner = events[events.searchsorted(t0 + 1e-15, side="right"):
-                   events.searchsorted(t_end - 1e-15, side="left")]
-    bounds = np.concatenate(([t0 + 1e-15], inner, [t_end]))
+    inner = events[events.searchsorted(t0, side="right"):
+                   events.searchsorted(t_end, side="left")]
+    bounds = np.concatenate(([t0], inner, [t_end]))
     bounds = bounds[np.concatenate(([True], bounds[1:-1] != bounds[:-2], [True]))]
-    # count at each stretch's start, stretch 0's at t0 + 1e-15 as cut; an
-    # interval reaching the signal's end has no end edge, as in _grid_integrals
+    # count at each stretch's start; an interval reaching the signal's end
+    # has no end edge, as in _grid_integrals
     n = len(edges) - int(len(edges) > 0 and sig.ends[-1] == sig.end)
     passed = leave[:n].searchsorted(bounds[:-1], side="right")
     quiet = enter[:n].searchsorted(bounds[:-1], side="right") == passed
-    bounds[0] = t0
     gaussian = isinstance(kernel, GaussianKernel) and 0.0 < p < 1.0
     times = (sorted_unique(np.concatenate([bounds, _gaussian_splits(kernel, edges, bounds)]))
              if gaussian else bounds)
@@ -499,7 +486,7 @@ def eval_conv_efficient(kernel: BoundedKernel, threshold: float,
         hs[~exact] = _grid_integrals(kernel, sig, rest)
     if hs.min() < -_H_DRIFT or hs.max() > 1.0 + _H_DRIFT:
         raise SclError("convolution value drifted out of [0, 1]")
-    th = _thetas(hs, p)
+    th = hs - p
     # a cell whose ends differ in sign holds a crossing: a flip of the
     # truth, or a one-sided touch of the threshold, an exact-equality
     # plateau edge, which belongs in the crossings too
@@ -515,8 +502,7 @@ def eval_conv_efficient(kernel: BoundedKernel, threshold: float,
         solve = (th0 * th1 < 0.0).nonzero()[0]
         if gaussian:
             def positive(xs):
-                h = _grid_integrals(kernel, sig, xs.ravel())
-                return _thetas(h, p).reshape(xs.shape) >= 0.0
+                return _grid_integrals(kernel, sig, xs.ravel()).reshape(xs.shape) >= p
             roots[solve] = _narrow(positive, x0[solve], x1[solve], th0[solve] >= 0.0)
         else:
             for i in solve.tolist():
@@ -555,15 +541,16 @@ class _Restart:
     stretch ``bounds`` and ``quiet`` flags, stable until ``stable``) offers
     a later one.
 
-    A restart point lies at or before what the node must produce now, more
-    than 1e-15 before the next bound (so a run from it keeps that bound, as
-    a run from 0 does) and before what was stable then (so the child edges
-    its stretch comes from are final).  It is a stretch bound, never a
-    Gaussian H' split, or, inside a quiet stretch, the ``lo`` of the last
-    evaluation or of this one, where the node's output is wanted from: H is
-    the same exact 0 or 1 all through such a stretch, so a run may start
-    anywhere in it.  (Before the stable point it is not the delicate last
-    stretch, so that run's ``stable_until`` does not move either.)
+    A restart point lies at or before what the node must produce now,
+    strictly before the next bound (so a run from it keeps that bound, an
+    event strictly inside its span, as a run from 0 does) and before what
+    was stable then (so the child edges its stretch comes from are final).
+    It is a stretch bound, never a Gaussian H' split, or, inside a quiet
+    stretch, the ``lo`` of the last evaluation or of this one, where the
+    node's output is wanted from: H is the same exact 0 or 1 all through
+    such a stretch, so a run may start anywhere in it.  (Before the stable
+    point it is not the delicate last stretch, so that run's
+    ``stable_until`` does not move either.)
     """
 
     __slots__ = ("at", "lo", "bounds", "quiet", "stable")
@@ -578,8 +565,8 @@ class _Restart:
         for k in range(k, -1, -1):
             start = float(bounds[k])
             limit = min(float(bounds[k + 1]), self.stable)
-            if start + 1e-15 < limit:
-                inner = [t for t in (lo, self.lo) if start < t and t + 1e-15 < limit]
+            if start < limit:
+                inner = [t for t in (lo, self.lo) if start < t < limit]
                 self.at = inner[0] if inner and self.quiet[k] else start
                 break
         self.lo = lo

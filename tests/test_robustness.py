@@ -21,6 +21,7 @@ from sclmon import (
     Not,
     Or,
     PiecewiseConstantSignal,
+    StreamingMonitor,
     eventually,
     globally,
     horizon,
@@ -468,6 +469,17 @@ def full_or_empty_formulas(draw):
             "flat0": Conv(FlatKernel(lo, hi), 0.0, child)}[kind]
 
 
+def streamed(f, trace):
+    """The stream's resolved signal, pushed and polled sample by sample."""
+    sm = StreamingMonitor(f, trace.variables)
+    for t, row in zip(trace.times.tolist(), trace.values.tolist()):
+        sm.push(t, row)
+        sm.poll()
+    sm.finish(trace.duration)
+    sm.poll()
+    return sm.resolved_signal()
+
+
 class TestFullAndEmptyWindows:
     """At a p of 0 or 1, ρ and the verdict read one predicate: a segment is
     held at t when it starts less than ``upper`` after t and ends more than
@@ -491,6 +503,32 @@ class TestFullAndEmptyWindows:
         g, f = parse("G[0,1] (v > 0)"), parse("F[0,1] (v < 0)")
         assert not monitor(trace, g).value_at(0.0) and rho(trace, g, 0.0) == -1.0
         assert monitor(trace, f).value_at(0.0) and rho(trace, f, 0.0) == 1.0
+
+    @pytest.mark.parametrize("width", [1e-16, 5e-16, 9e-16])
+    def test_a_dip_within_an_ulp_of_the_span_start_decides_the_verdict(self, width):
+        # the dip leaves the windows an ulp or so after 0, inside the first
+        # stretch, which is counted at the span start itself
+        trace = PiecewiseConstantSignal(("v",), np.array([0.0, width]),
+                                        np.array([[-1.0], [1.0]]), 3.0)
+        for text, holds in (("G[0,1] (v > 0)", False), ("<exp(-1)[0,1], 1> (v > 0)", False),
+                            ("<gauss(0.5,0.2)[0,1], 1> (v > 0)", False),
+                            ("F[0,1] (v < 0)", True)):
+            f = parse(text)
+            verdict = monitor(trace, f).signal
+            r = rho(trace, f, 0.0)
+            assert verdict.value_at(0.0) == holds and (r > 0) == holds and r != 0.0, text
+            assert streamed(f, trace) == verdict
+
+    def test_a_dip_within_an_ulp_of_the_span_end_decides_the_verdict(self):
+        # 3 - 5e-16 rounds to 3 - 4.4e-16; the dip enters the window at the
+        # span end 2.0 before 2.0
+        trace = PiecewiseConstantSignal(("v",), np.array([0.0, 3.0 - 5e-16]),
+                                        np.array([[1.0], [-1.0]]), 3.0)
+        f = parse("G[0,1] (v > 0)")
+        verdict = monitor(trace, f).signal
+        assert verdict.end == 2.0 and not verdict.value_at(2.0)
+        assert rho(trace, f, 2.0) == -1.0
+        assert streamed(f, trace) == verdict
 
     def test_a_window_end_rounded_onto_a_dip_start_holds_the_dip(self):
         # t + 2 rounds to 8.084, where the dip starts, but 8.084 - 2 < t: the

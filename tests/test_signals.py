@@ -340,9 +340,10 @@ class TestDirectNormalForm:
     @given(data=st.data())
     def test_alternating(self, data):
         # flips on the quarter grid coincide with each other and with both
-        # ends, and may lie up to two steps outside the span
+        # ends; they lie in the span, as every root the evaluator flips at
+        # lies in one of its cells
         lo, hi = data.draw(zero_based_domains())
-        steps = data.draw(st.lists(st.integers(int(lo / _QUARTER) - 2, int(hi / _QUARTER) + 2),
+        steps = data.draw(st.lists(st.integers(int(lo / _QUARTER), int(hi / _QUARTER)),
                                    max_size=8))
         flips = [data.draw(signed_zero(k * _QUARTER)) for k in sorted(steps)]
         t0, t_end = data.draw(signed_zero(lo)), data.draw(signed_zero(hi))
