@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .errors import HorizonError, SclError
-from .kernels import BoundedKernel, FlatKernel
+from .kernels import BoundedKernel, ExponentialKernel, FlatKernel, GaussianKernel
 
 _COMPARISONS = (">=", "<=", ">", "<")
 
@@ -75,6 +75,9 @@ class Implies:
 
 
 def _check_conv_args(kernel: BoundedKernel, threshold: float) -> None:
+    if not isinstance(kernel, (FlatKernel, ExponentialKernel, GaussianKernel)):
+        raise SclError(f"convolution kernel must be a FlatKernel, ExponentialKernel or "
+                       f"GaussianKernel, got {type(kernel).__name__}")
     if not (0.0 <= threshold <= 1.0):
         raise SclError(f"convolution threshold must be in [0, 1], got {threshold}")
     if kernel.lower < 0:

@@ -13,11 +13,10 @@ side of the centre is an ``erfc`` difference taken on the far side, so a
 window deep in the bump's tail keeps its relative accuracy instead of
 cancelling to zero.
 
-New shapes can be added by subclassing :class:`BoundedKernel` and
-implementing ``density_clipped`` and ``mass_clipped``; the validated
-``mass`` and the window checks are inherited.  Window integrals of a
-Boolean signal live with the evaluators in :mod:`sclmon.monitor`.  The
-formula file grammar only covers the three shapes below.
+The three shapes below are the only ones: the evaluators solve each in
+closed form or by its own H' splits, so a formula rejects any other kernel.
+Window integrals of a Boolean signal live with the evaluators in
+:mod:`sclmon.monitor`.
 """
 
 from __future__ import annotations
@@ -285,4 +284,5 @@ class GaussianKernel(BoundedKernel):
         return np.exp(-self._u(x) ** 2) / z
 
     def mass_clipped(self, a, b):
-        return _erf_difference(self._u(a), self._u(b)) / self._erf_span
+        # an erf difference over a few ulps can round below zero
+        return np.maximum(_erf_difference(self._u(a), self._u(b)) / self._erf_span, 0.0)

@@ -14,21 +14,19 @@ narrowed to 1e-9 in time inside its cell.  No kernel needs an integration
 step.  The tests check it against a brute-force grid oracle with window
 integrals of its own.
 
-A stretch whose windows hold no child edge is *quiet*.  Edge x enters the
-windows at ``x - upper`` and leaves them at ``x - lower``; counted in that
-event order at the stretch's start, an odd number of passed edges means the
-windows lie in a true interval, so H there is exactly 1, else exactly 0, with
-no window integral.  Every such test is one comparison in event coordinates:
-edge x is strictly inside the window anchored at t iff
-``x - upper < t < x - lower``, the test robustness uses at a p of 0 or 1.
-:func:`_steady` applies the same rule to a span that is one quiet stretch,
-before any event is built; it is the case a steady streaming poll mostly
-meets.  At a p of 0 or 1 (``G``, ``F``) the edges decide every sample: H is
-exactly 0 or 1 where no edge lies strictly inside the window, else strictly
-between, and the evaluator then writes 0.5 for it, with no window integral or
-H' split.  Every other H sample is a direct window integral, computed in one
-pass over all samples, so H at a time depends only on that time and the
-signal, not on where evaluation began.
+One rule, for every p and kernel, decides where H is exactly 0 or 1.  Edge x
+enters the windows at ``x - upper`` and leaves them at ``x - lower``; it lies
+strictly inside the window anchored at t iff ``x - upper < t < x - lower``,
+the test robustness uses at a p of 0 or 1.  Where no edge does, an odd count
+of passed edges means the window lies in a true interval, so H is exactly 1,
+else exactly 0, with no window integral.  That holds all through a *quiet*
+stretch, whose windows hold no child edge; :func:`_steady` applies it to a
+span that is one quiet stretch, before any event is built, the case a steady
+streaming poll mostly meets.  Any other H lies strictly between 0 and 1.  At
+a p of 0 or 1 (``G``, ``F``) the evaluator writes 0.5 for it, with no window
+integral or H' split; at other p it is a direct window integral, computed in
+one pass over all such samples, so H at a time depends only on that time and
+the signal, not on where evaluation began.
 
 The dual operator is evaluated structurally as the complement of the
 complemented child at threshold ``1 - p``, which realizes its strict
@@ -36,7 +34,9 @@ comparison up to sets of measure zero.
 
 Verdicts carry a ``stable_until`` time: extending the trace can never change
 the verdict before it.  Only the final stretch touches the current trace end,
-and only threshold-delicate content there can still move; everything else is
+and only what a window integral decides there can still move: at 0 < p < 1, a
+cell holding a crossing or an integrated sample within 1e-11 of p.  An exact
+sample is final, so at a p of 0 or 1 nothing is held back; everything else is
 reproduced bit-for-bit on any longer trace.  The streaming facade emits up to
 this boundary, which makes online output exactly equal to offline.
 
@@ -132,12 +132,6 @@ class ConvEvaluation:
     values: np.ndarray
     bounds: np.ndarray
     quiet: np.ndarray | tuple[bool, ...]
-
-
-def _unsettled(th, p: float):
-    """Whether thetas ``th`` (an array, or one value) at a span's
-    trace-dependent end are delicate: within 1e-11 of a p inside (0, 1)."""
-    return (abs(th) <= 1e-11) & (0.0 < p < 1.0)
 
 
 def _verdict_span(kernel: BoundedKernel, sig: BooleanSignal) -> tuple[float, float]:
@@ -394,8 +388,8 @@ def _steady(kernel: BoundedKernel, p: float, sig: BooleanSignal, t0: float,
     It is the general path's count in its event coordinates: each counted
     edge x has passed (``x - lower <= t0``) or is ahead
     (``x - upper >= t_end``).  H is 1 after an odd count of passed edges,
-    else 0; truth and ``stable_until`` follow the general path.  Any other
-    child gives ``None``.
+    else 0, exact all through the span, so it is stable to ``t_end``, as on
+    the general path.  Any other child gives ``None``.
     """
     h = 0.0
     if len(sig.starts):
@@ -405,16 +399,14 @@ def _steady(kernel: BoundedKernel, p: float, sig: BooleanSignal, t0: float,
                 h = 1.0 - h
             elif x - kernel.upper < t_end:
                 return None
-    th = h - p
-    true = th >= 0.0
+    true = h >= p
     if t0 == t_end:
         signal = BooleanSignal._degenerate(t0, t_end, true)
     else:
         signal = BooleanSignal(t0, t_end, np.array([t0] if true else []),
                                np.array([t_end] if true else []))
-    stable_until = t0 if _unsettled(th, p) else t_end
     span = np.array([t0, t_end])
-    verdict = VerdictSignal(signal, (), stable_until)
+    verdict = VerdictSignal(signal, (), t_end)
     return ConvEvaluation(verdict, span, np.array([h, h]), span, (True,))
 
 
@@ -425,13 +417,13 @@ def eval_conv_efficient(kernel: BoundedKernel, threshold: float,
     Stretches end where a window boundary meets a true-interval edge, so the
     edges inside the window are fixed within one: the bounds are the span's
     ends and the events strictly inside it, and each stretch counts its
-    edges at its start.  A quiet stretch, whose windows hold none, has H
-    exactly 0 or 1 at both ends; at a p of 0 or 1 the edges decide every
-    sample.  A flat or exponential stretch is one cell, since H is monotone
-    there; at other p a Gaussian stretch is cut where H' vanishes
-    (:func:`_gaussian_splits`), so every cell is monotone.  H at every other
-    cell end is a direct window integral, all computed up front.  Each
-    sample is compared with p as computed.  A cell whose ends flip sign, or
+    edges at its start to tell whether it is quiet.  A flat or exponential
+    stretch is one cell, since H is monotone there; at other p a Gaussian
+    stretch is cut where H' vanishes (:func:`_gaussian_splits`), so every
+    cell is monotone.  At every cell end whose window holds no edge strictly
+    inside, H is exactly 0 or 1 from the edge counts; elsewhere it is 0.5 at
+    a p of 0 or 1 and else a direct window integral, all computed up front.
+    Each sample is compared with p as computed.  A cell whose ends flip sign, or
     of which exactly one end sits on the threshold, holds one crossing: an
     end on the threshold is the root, other roots are closed form for flat
     and exponential windows and narrowed to 1e-9 in time for Gaussian ones.
@@ -455,8 +447,8 @@ def eval_conv_efficient(kernel: BoundedKernel, threshold: float,
                    events.searchsorted(t_end, side="left")]
     bounds = np.concatenate(([t0], inner, [t_end]))
     bounds = bounds[np.concatenate(([True], bounds[1:-1] != bounds[:-2], [True]))]
-    # count at each stretch's start; an interval reaching the signal's end
-    # has no end edge, as in _grid_integrals
+    # count at each stretch's start, for _Restart's quiet flags; an interval
+    # reaching the signal's end has no end edge, as in _grid_integrals
     n = len(edges) - int(len(edges) > 0 and sig.ends[-1] == sig.end)
     passed = leave[:n].searchsorted(bounds[:-1], side="right")
     quiet = enter[:n].searchsorted(bounds[:-1], side="right") == passed
@@ -464,26 +456,17 @@ def eval_conv_efficient(kernel: BoundedKernel, threshold: float,
     times = (sorted_unique(np.concatenate([bounds, _gaussian_splits(kernel, edges, bounds)]))
              if gaussian else bounds)
 
-    # a quiet stretch's H at both its bounds: 1 after an odd count of passed
-    # edges, where the windows lie in a true interval, else 0
-    k = quiet.nonzero()[0]
-    left, right = k, k + 1
-    if gaussian:
-        at = times.searchsorted(bounds)
-        left, right = at[left], at[right]
-    hs = np.empty(len(times))
-    hs[left] = hs[right] = passed[k] % 2.0
-    exact = np.zeros(len(times), dtype=bool)
-    exact[left] = exact[right] = True
-    rest = times[~exact]
+    # where no edge lies strictly inside the window, H is exactly 1 after an
+    # odd count of passed edges (the window lies in a true interval), else
+    # exactly 0.  Any other H lies strictly between 0 and 1: on the far side
+    # of a p of 0 or 1, where 0.5 stands in, else a window integral
+    passed = leave[:n].searchsorted(times, side="right")
+    integrated = enter[:n].searchsorted(times, side="left") != passed
+    hs = passed % 2.0
     if p in (0.0, 1.0):
-        # so is H where no edge lies strictly inside the window; any other H
-        # lies strictly between 0 and 1, on the far side of p: 0.5 stands in
-        passed = leave[:n].searchsorted(rest, side="right")
-        clear = enter[:n].searchsorted(rest, side="left") == passed
-        hs[~exact] = np.where(clear, passed % 2.0, 0.5)
-    elif len(rest):
-        hs[~exact] = _grid_integrals(kernel, sig, rest)
+        hs[integrated] = 0.5
+    elif integrated.any():
+        hs[integrated] = _grid_integrals(kernel, sig, times[integrated])
     if hs.min() < -_H_DRIFT or hs.max() > 1.0 + _H_DRIFT:
         raise SclError("convolution value drifted out of [0, 1]")
     th = hs - p
@@ -514,11 +497,13 @@ def eval_conv_efficient(kernel: BoundedKernel, threshold: float,
         flips = roots[np.minimum(th0, th1) < 0.0]
 
     # the last stretch ends at the trace-dependent t_end, and a longer trace
-    # solves its crossings from a later end sample; anything threshold-
-    # delicate there is not final yet, which at a p of 0 or 1, where the
-    # edges decide H, is only a cell holding a crossing
+    # solves its crossings from a later end sample; at 0 < p < 1 a cell there
+    # holding a crossing, or an integrated sample within 1e-11 of p, is not
+    # final yet.  At a p of 0 or 1 every root is an exact sample on p, final
     last = int(times.searchsorted(bounds[-2], side="left"))
-    delicate = (len(cells) and cells[-1] >= last) or _unsettled(th[last:], p).any()
+    delicate = 0.0 < p < 1.0 and (
+        (len(cells) > 0 and cells[-1] >= last)
+        or (abs(th[last:][integrated[last:]]) <= 1e-11).any())
     stable_until = float(bounds[-2]) if delicate else t_end
 
     signal = _alternating(t0, t_end, bool(th[0] >= 0.0), flips)

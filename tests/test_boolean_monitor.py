@@ -451,10 +451,10 @@ def steady_cases(draw):
 
 
 def steady_rule(h: float, p: float, t0: float, t_end: float) -> float:
-    """``stable_until`` of a span with no event: its start when H is within
-    1e-11 of p, unless p is 0 or 1 and H equals it; else its end."""
-    delicate = abs(h - p) <= 1e-11 and not (p in (0.0, 1.0) and h == p)
-    return t0 if delicate else t_end
+    """``stable_until`` of a span with no event: its end, whatever H and p,
+    since H there is exactly 0 or 1 from the edges and no longer trace can
+    move it."""
+    return t_end
 
 
 def steady_edges(kernel, sig: BooleanSignal, t0: float, t_end: float):
@@ -546,8 +546,10 @@ class TestSteadySpan:
 
 
 class TestQuietStretches:
-    """A stretch whose windows hold no child edge is quiet: H is exactly 0
-    or 1 there, taken from the edges' order, with no window integral."""
+    """Where no child edge lies strictly inside the window anchored at a
+    sample, H there is exactly 0 or 1, taken from the edges' order, with no
+    window integral: all through a quiet stretch, and at any other sample
+    whose window edges sit on child edges."""
 
     def test_quiet_stretches_take_no_window_integral(self, monkeypatch):
         anchors = []
@@ -558,16 +560,27 @@ class TestQuietStretches:
             return grid_integrals(kernel, sig, ts)
         monkeypatch.setattr(MONITOR, "_grid_integrals", spy)
         rng = np.random.default_rng(61)
-        checked = 0
+        grid = np.random.default_rng(62)
+        cases = []
         for _ in range(60):
             sig = random_boolean_signal(rng, 0.0, float(rng.uniform(3.0, 9.0)), 6)
             lower = float(rng.choice([0.0, 0.25]))
-            upper = lower + float(rng.uniform(0.2, 1.5))
+            cases.append((sig, lower, lower + float(rng.uniform(0.2, 1.5)), rng))
+        # domain ends, interval bounds and windows on a 1/8 grid, so edges
+        # sit on window bounds
+        for _ in range(60):
+            eighths = int(grid.integers(24, 73))
+            cuts = np.unique(grid.integers(0, eighths + 1, 2 * int(grid.integers(1, 7)))) / 8.0
+            sig = BooleanSignal.from_intervals(0.0, eighths / 8.0, zip(cuts[0::2], cuts[1::2]))
+            lower = float(grid.choice([0.0, 0.25]))
+            cases.append((sig, lower, lower + int(grid.integers(2, 13)) / 8.0, grid))
+        checked = edge_free = 0
+        for sig, lower, upper, draw in cases:
             for kernel in (FlatKernel(lower, upper), ExponentialKernel(2.0, lower, upper),
                            ExponentialKernel(-1.5, lower, upper),
                            GaussianKernel(lower + 0.4 * (upper - lower), 0.3, lower, upper)):
                 anchors.clear()
-                ev = eval_conv_efficient(kernel, float(rng.uniform(0, 1)), sig)
+                ev = eval_conv_efficient(kernel, float(draw.uniform(0, 1)), sig)
                 # edge x is strictly inside the window anchored at t for
                 # x - upper < t < x - lower; an interval reaching the
                 # signal's end reaches every window's end, so that end is no edge
@@ -584,7 +597,15 @@ class TestQuietStretches:
                     assert h[0] == h[1] and h[0] in (0.0, 1.0)
                     # the windows lie in a true interval or in a gap
                     assert abs(window_integrals(kernel, sig, [0.5 * (a + b)])[0] - h[0]) < 1e-12
-        assert checked > 500
+                # so does every sample whose window holds no edge strictly inside
+                for t, h in zip(ev.times.tolist(), ev.values.tolist()):
+                    if np.any((enter < t) & (t < leave)):
+                        continue
+                    edge_free += 1
+                    assert t not in anchors
+                    assert h == np.count_nonzero(leave <= t) % 2.0
+                    assert abs(window_integrals(kernel, sig, [t])[0] - h) < 1e-12
+        assert checked > 500 and edge_free > 2000
 
 
 class TestFullAndEmptyWindows:
@@ -866,8 +887,20 @@ RESTART_FORMULAS = [
     "G[0,0.5] (<flat[0,1], 0.5> (v > 0))",
     "F[0,0.75] (<exp(-1)[0,0.5], 0.5> (v >= 0) & G[0,0.25] (v > -1))",
     "G[0,1] (v >= -0.5) -> !F[0.25,0.75] (v >= 1)",
-    "<flat[0,1], 5e-12> (v >= 0)",    # H = 0 lies within 1e-11 of p: delicate
+    "<flat[0,1], 5e-12> (v >= 0)",    # a small integrated H lies within 1e-11 of p
 ]
+
+
+def coarse_trace(draw) -> PiecewiseConstantSignal:
+    """A trace whose times and values sit on coarse grids as often as not."""
+    n = draw(st.integers(2, 30))
+    steps = draw(st.lists(st.one_of(st.sampled_from([0.125, 0.25, 0.5]),
+                                    st.floats(0.01, 0.6)), min_size=n - 1, max_size=n - 1))
+    times = np.concatenate(([0.0], np.cumsum(steps)))
+    values = draw(st.lists(st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 1.0]),
+                                     st.floats(-1.5, 1.5)), min_size=n, max_size=n))
+    return PiecewiseConstantSignal(("v",), times, np.array(values).reshape(-1, 1),
+                                   float(times[-1]) + 0.25)
 
 
 @st.composite
@@ -875,15 +908,8 @@ def restart_cases(draw):
     """A trace whose times and values sit on coarse grids as often as not, a
     formula, the ends of three ever longer prefixes of it, and for each where
     in its stable span the next evaluation must start."""
-    n = draw(st.integers(2, 30))
-    steps = draw(st.lists(st.one_of(st.sampled_from([0.125, 0.25, 0.5]),
-                                    st.floats(0.01, 0.6)), min_size=n - 1, max_size=n - 1))
-    times = np.concatenate(([0.0], np.cumsum(steps)))
-    values = draw(st.lists(st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 1.0]),
-                                     st.floats(-1.5, 1.5)), min_size=n, max_size=n))
-    trace = PiecewiseConstantSignal(("v",), times, np.array(values).reshape(-1, 1),
-                                    float(times[-1]) + 0.25)
-    cuts = sorted(draw(st.lists(st.sampled_from(times.tolist()), min_size=3, max_size=3)))
+    trace = coarse_trace(draw)
+    cuts = sorted(draw(st.lists(st.sampled_from(trace.times.tolist()), min_size=3, max_size=3)))
     where = draw(st.lists(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
                           min_size=3, max_size=3))
     return parse(draw(st.sampled_from(RESTART_FORMULAS))), trace, cuts, where
@@ -942,3 +968,65 @@ class TestRestarts:
         expected = monitor(trace, f)
         assert sig == restrict_domain(expected.signal, (lo, expected.signal.end))
         assert min(stable, sig.end) == expected.stable_until
+
+
+# (formula, whether every window in it has a p of 0 or 1)
+FINAL_FORMULAS = [
+    ("G[0,1] (v >= 0)", True),
+    ("F[0.25,1] (v > 0.5)", True),
+    ("<exp(-2)[0,1], 1> (v > 0)", True),
+    ("<gauss(0.5, 0.3)[0,1], 0>* (v <= 0)", True),
+    ("G[0,0.5] (F[0.25,1] (v >= 0))", True),
+    ("F[0,0.75] (G[0,0.5] (v > -0.5) | <exp(1)[0,0.5], 0> (v >= 1))", True),
+    ("G[0,0.5] (<flat[0,1], 0.5> (v > 0))", False),
+    ("<flat[0,1], 5e-12> (v >= 0)", False),
+    ("<exp(1.5)[0,1], 0.999999999995> (v >= 0)", False),
+    ("F[0,0.5] (<gauss(0.25, 0.2)[0,1], 0.999999999999>* (v < 0.5))", False),
+]
+
+
+@st.composite
+def final_cases(draw):
+    """A trace whose times and values sit on coarse grids as often as not, a
+    formula and the durations of three prefixes of it, each at a sample or
+    between two."""
+    trace = coarse_trace(draw)
+    cuts = draw(st.lists(st.one_of(st.sampled_from(trace.times.tolist()),
+                                   st.floats(0.0, trace.duration)), min_size=3, max_size=3))
+    return draw(st.sampled_from(FINAL_FORMULAS)), trace, cuts
+
+
+class TestFinalToEnd:
+    """A prefix verdict is final up to its ``stable_until``: the full trace's
+    verdict agrees with it there, crossings included.  A formula whose
+    windows all have a p of 0 or 1 (``G``, ``F``) holds nothing back, so
+    its ``stable_until`` is its prefix verdict's end; a p within 1e-11 of 0
+    or 1 holds back only what a window integral decides."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=final_cases())
+    def test_prefix_verdict_is_final_to_its_stable_point(self, case):
+        (text, exact), trace, cuts = case
+        f = parse(text)
+        try:
+            full = monitor(trace, f)
+        except HorizonError:
+            return
+        for cut in cuts:
+            try:
+                evaluable_end(f, cut)
+            except HorizonError:
+                continue
+            keep = trace.times <= cut
+            part = monitor(PiecewiseConstantSignal(("v",), trace.times[keep],
+                                                   trace.values[keep], cut), f)
+            stable = part.stable_until
+            if exact:
+                assert stable == part.signal.end
+            # a one-point domain keeps a point of truth that an interval
+            # signal drops, so only a stable span of positive length is compared
+            if stable > 0.0:
+                assert (restrict_domain(part.signal, (0.0, stable))
+                        == restrict_domain(full.signal, (0.0, stable)))
+            assert ([c for c in part.crossings if c < stable]
+                    == [c for c in full.crossings if c < stable])

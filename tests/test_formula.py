@@ -7,6 +7,7 @@ from sclmon import (
     And,
     Atom,
     BooleanSignal,
+    BoundedKernel,
     Conv,
     ConvDual,
     FlatKernel,
@@ -104,6 +105,19 @@ class TestValidation:
     def test_atom_comparison_checked(self):
         with pytest.raises(SclError):
             Atom("v", "==", 1.0)
+
+    @pytest.mark.parametrize("op", [Conv, ConvDual])
+    def test_kernel_of_another_shape_rejected(self, op):
+        # the evaluators know three shapes only; a subclass of the base
+        # class is refused by name, not failed on deep in the monitor
+        class Triangle(BoundedKernel):
+            lower, upper = 0.0, 1.0
+
+            def mass_clipped(self, a, b):
+                return np.asarray(b, dtype=float) ** 2 - np.asarray(a, dtype=float) ** 2
+
+        with pytest.raises(SclError, match="got Triangle"):
+            op(Triangle(), 0.5, G70)
 
 
 def test_variables_in_first_use_order():

@@ -6,9 +6,10 @@
 script measures two checkouts alike.  The traces come from the ``perfbench/``
 next to this script, as in ``tools/output_digest.py``: pool seeds 0-7 of the
 stream-day workload, written as CSV and read back.  Each formula of the
-stream-day spec, and the nested ``G[0,2] (<flat[0,1], 0.5> (G >= 100))``, is
-pushed and polled one sample at a time.  From the first emitted slice on,
-each push+poll is one measurement.  Per formula it prints
+stream-day spec, ``F[0,2] (G >= 180)`` and the nested
+``G[0,2] (<flat[0,1], 0.5> (G >= 100))`` is pushed and polled one sample at
+a time.  From the first emitted slice on, each push+poll is one
+measurement.  Per formula it prints
 
 * ``p50_us`` / ``p99_us``: the median and 99th percentile of push+poll wall
   time in microseconds, over all seeds (a timing pass with no spy);
@@ -19,6 +20,11 @@ each push+poll is one measurement.  Per formula it prints
 * ``edge_share``: the share of window-node evaluations whose child held a
   truth edge strictly inside the windows' reach ``(t0 + lower, t_end +
   upper)``; only those can need a window integral;
+* ``lag_h_max``: the largest delay of the emitted verdict beyond the
+  formula's horizon, in hours: pushed time - horizon - emitted_to after
+  each push+poll, maximised over the last three quarters of each replay
+  and over all seeds (counting pass).  0 means every poll emitted all that
+  the horizon lets it;
 * ``polls``: the measured polls.
 
 The timing pass runs each seed's stream three times and keeps, per poll,
@@ -55,9 +61,10 @@ def steady_polls(sclmon, trace, f) -> list[float]:
     return costs
 
 
-def counted_polls(sclmon, mon, trace, f) -> tuple[int, int, int, int, int]:
+def counted_polls(sclmon, mon, trace, f) -> tuple[tuple[int, int, int, int, int], float]:
     """(polls, grid integral calls, their anchors, window evaluations, those
-    with an edge in reach), from the first emitted slice on."""
+    with an edge in reach), from the first emitted slice on, and the lag
+    beyond the horizon, maximised over the last three quarters of the replay."""
     counts = {"grid": 0, "anchors": 0, "windows": 0, "edges": 0}
     grid_integrals, evaluate = mon._grid_integrals, mon.eval_conv_efficient
 
@@ -78,8 +85,9 @@ def counted_polls(sclmon, mon, trace, f) -> tuple[int, int, int, int, int]:
     mon._grid_integrals, mon.eval_conv_efficient = grid_spy, eval_spy
     try:
         sm = sclmon.StreamingMonitor(f, trace.variables)
-        polls, emitting = 0, False
-        for t, row in zip(trace.times.tolist(), trace.values.tolist()):
+        horizon, settled = sclmon.horizon(f), len(trace.times) // 4
+        polls, emitting, emitted_to, lag = 0, False, 0.0, 0.0
+        for i, (t, row) in enumerate(zip(trace.times.tolist(), trace.values.tolist())):
             before = dict(counts)
             sm.push(t, row)
             piece = sm.poll()
@@ -88,9 +96,14 @@ def counted_polls(sclmon, mon, trace, f) -> tuple[int, int, int, int, int]:
                 polls += 1
             else:
                 counts.update(before)
+            if piece is not None:
+                emitted_to = piece.end
+            if i >= settled:
+                lag = max(lag, t - horizon - emitted_to)
     finally:
         mon._grid_integrals, mon.eval_conv_efficient = grid_integrals, evaluate
-    return polls, counts["grid"], counts["anchors"], counts["windows"], counts["edges"]
+    counted = polls, counts["grid"], counts["anchors"], counts["windows"], counts["edges"]
+    return counted, lag
 
 
 def main(argv: list[str]) -> int:
@@ -112,25 +125,25 @@ def main(argv: list[str]) -> int:
     wl = workloads.WORKLOADS["stream-day"]
     texts = [text for _, text, _ in
              sclmon.parse_formula_file((PERFBENCH / "specs" / wl.spec).read_text())]
-    texts.append(NESTED)
+    texts += ["F[0,2] (G >= 180)", NESTED]
     traces = [sclmon.read_trace_csv(io.StringIO(wl.make_trace(seed, False).csv_text()))
               for seed in SEEDS]
     print(f"# {platform.python_version()} numpy {np.__version__}, "
           f"pool seeds {SEEDS.start}-{SEEDS.stop - 1}, stream-day traces")
     print(f"{'formula':<44} {'p50_us':>8} {'p99_us':>8} {'grid_per_poll':>13} "
-          f"{'anchors_per_poll':>16} {'edge_share':>10} {'polls':>6}")
+          f"{'anchors_per_poll':>16} {'edge_share':>10} {'lag_h_max':>9} {'polls':>6}")
     for text in texts:
         f = sclmon.parse(text)
         costs = []
         for trace in traces:
             runs = [steady_polls(sclmon, trace, f) for _ in range(REPEATS)]
             costs.extend(np.min(np.array(runs), axis=0).tolist())
-        polls, grid, anchors, windows, edges = np.sum(
-            [counted_polls(sclmon, mon, trace, f) for trace in traces], axis=0).tolist()
+        counted, lags = zip(*(counted_polls(sclmon, mon, trace, f) for trace in traces))
+        polls, grid, anchors, windows, edges = np.sum(counted, axis=0).tolist()
         us = np.array(costs) * 1e6
         print(f"{text:<44} {np.median(us):8.1f} {np.percentile(us, 99):8.1f} "
               f"{grid / polls:13.3f} {anchors / polls:16.3f} {edges / windows:10.3f} "
-              f"{polls:6d}", flush=True)
+              f"{max(lags):9.2f} {polls:6d}", flush=True)
     return 0
 
 
