@@ -2,9 +2,8 @@
 
 Every kernel integrates to one over its window and is strictly positive on
 the open window.  Window integrals are closed-form (flat and exponential via
-``expm1``, the Gaussian bump via ``erf``/``erfc``), so kernel error is
-negligible against all monitor tolerances; the test suite cross-checks them
-against adaptive quadrature.
+``expm1``, the Gaussian bump via ``erf``/``erfc``), so kernel error stays at
+rounding level; the test suite cross-checks them against adaptive quadrature.
 
 ``erf`` and ``erfc`` are the module's own vectorised numpy versions of
 Cody's rational Chebyshev approximations, accurate to a few ulp, so the

@@ -10,9 +10,9 @@ is linear (flat kernels) or ``C + D*exp(-rate*x)`` (exponential kernels), so
 it is sampled at the stretch bounds only, and a crossing is solved in closed
 form.  A Gaussian stretch is also cut where H' vanishes
 (:func:`_gaussian_splits`), so every cell is monotone and a crossing is
-narrowed to 1e-9 in time inside its cell.  No kernel needs an integration
-step.  The tests check it against a brute-force grid oracle with window
-integrals of its own.
+narrowed inside its cell to the double where H meets p.  No kernel needs an
+integration step.  The tests check it against a brute-force grid oracle
+with window integrals of its own.
 
 One rule, for every p and kernel, decides where H is exactly 0 or 1.  Edge x
 enters the windows at ``x - upper`` and leaves them at ``x - lower``; it lies
@@ -83,10 +83,9 @@ from .signals import (
     sorted_unique,
 )
 
-_TIME_TOL = 1e-9       # crossing location tolerance
 _H_DRIFT = 1e-6        # hard bound on numerical drift of H outside [0, 1]
 _CHUNK = 1 << 16       # anchor-interval pairs per broadcast mass call
-_PROBES = np.arange(1, 16) / 16.0  # interior points of a root bracket per round
+_PROBES = np.arange(1, 128) / 128.0  # interior points of a root bracket per round
 
 
 @dataclass(frozen=True)
@@ -95,8 +94,9 @@ class VerdictSignal:
 
     ``crossings`` are the times where the convolution value of a windowed
     root, seen through any ``!``, met its threshold (exact-equality plateau
-    edges included); such a verdict only flips there or at the domain
-    bounds.  An atom or a connective at the root reports none.
+    edges included; a Gaussian one is the double with H >= p next to one
+    below p); such a verdict only flips there or at the domain bounds.  An
+    atom or a connective at the root reports none.
     ``stable_until`` bounds the prefix that cannot change when the trace is
     extended (see module docstring).
     """
@@ -204,11 +204,10 @@ def _grid_integrals(kernel: BoundedKernel, sig: BooleanSignal,
     """Window integrals of ``sig`` at the anchors ``ts``.
 
     Each value is a plain running sum, in time order, of the masses of the
-    intervals in its window's reach.  Anchors go in blocks of at most
-    ``_CHUNK``, and a block's anchor-interval pairs through one broadcast
-    mass call per run of anchors holding at most ``_CHUNK`` pairs, so memory
-    stays bounded, a value depends only on its anchor, not on the run that
-    took it in, and prefixes of a growing trace stay bit-identical.
+    intervals in its window's reach.  Anchor-interval pairs go through one
+    broadcast mass call per run of anchors holding at most ``_CHUNK`` pairs,
+    so memory stays bounded, a value depends only on its anchor, not on the
+    run that took it in, and prefixes of a growing trace stay bit-identical.
     """
     starts, ends = sig.starts, sig.ends
     if len(ends) and ends[-1] == sig.end:
@@ -216,27 +215,25 @@ def _grid_integrals(kernel: BoundedKernel, sig: BooleanSignal,
         # also that of a last window which rounding put past it
         ends = np.concatenate((ends[:-1], [np.inf]))
     lo, hi = kernel.lower, kernel.upper
+    first = ends.searchsorted(ts + lo, side="left")
+    # never negative: an interval ending before a window starts also starts
+    # before the window ends
+    count = starts.searchsorted(ts + hi, side="right") - first
+    done = count.cumsum()
+    # pair k belongs to its anchor's interval k - shift
+    shift = done - count - first
     h = np.empty(len(ts))
-    for b in range(0, len(ts), _CHUNK):
-        at = ts[b:b + _CHUNK]
-        first = ends.searchsorted(at + lo, side="left")
-        # never negative: an interval ending before a window starts also
-        # starts before the window ends
-        count = starts.searchsorted(at + hi, side="right") - first
-        done = count.cumsum()
-        # the block's pair k belongs to its anchor's interval k - shift
-        shift = done - count - first
-        i = pairs = 0
-        while i < len(at):
-            j = max(i + 1, int(done.searchsorted(pairs + _CHUNK, side="right")))
-            n, upto = count[i:j], int(done[j - 1])
-            pair = np.arange(j - i).repeat(n)
-            idx = np.arange(pairs, upto) - shift[i:j].repeat(n)
-            anchor = at[i:j][pair]
-            masses = kernel.mass_clipped((starts[idx] - anchor).clip(lo, hi),
-                                         (ends[idx] - anchor).clip(lo, hi))
-            h[b + i:b + j] = np.bincount(pair, masses, minlength=j - i)
-            i, pairs = j, upto
+    i = pairs = 0
+    while i < len(ts):
+        j = max(i + 1, int(done.searchsorted(pairs + _CHUNK, side="right")))
+        n, upto = count[i:j], int(done[j - 1])
+        pair = np.arange(j - i).repeat(n)
+        idx = np.arange(pairs, upto) - shift[i:j].repeat(n)
+        anchor = ts[i:j][pair]
+        masses = kernel.mass_clipped((starts[idx] - anchor).clip(lo, hi),
+                                     (ends[idx] - anchor).clip(lo, hi))
+        h[i:j] = np.bincount(pair, masses, minlength=j - i)
+        i, pairs = j, upto
     return h
 
 
@@ -244,14 +241,15 @@ def _narrow(positive_at: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
             hi: np.ndarray, lo_positive: np.ndarray) -> np.ndarray:
     """Roots of brackets ``[lo, hi]`` that each hold one sign change.
 
-    Each round probes every bracket still wider than 1e-9 at ``_PROBES``
-    interior points, in one call of ``positive_at`` on the 2-d array of
-    probes, and keeps the piece where the sign first changes.  A bracket's
-    probes depend only on its own ends, so its root does not depend on the
-    other brackets of the batch.
+    Each round probes every live bracket at ``_PROBES`` interior points, in
+    one call of ``positive_at`` on the 2-d array of probes, and keeps the
+    piece where the sign first changes, until a round no longer shrinks it:
+    its ends are then adjacent doubles, and its root is the one where
+    ``positive_at`` holds.  A bracket's probes depend only on its own ends,
+    so its root does not depend on the other brackets of the batch.
     """
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    live = np.flatnonzero(hi - lo > _TIME_TOL)
+    live = np.arange(len(lo))
     while len(live):
         l, h = lo[live], hi[live]
         xs = l[:, None] + (h - l)[:, None] * _PROBES
@@ -261,9 +259,8 @@ def _narrow(positive_at: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
         lo[live] = np.where(j > 0, xs[rows, np.maximum(j - 1, 0)], l)
         hi[live] = np.where(j < len(_PROBES), xs[rows, np.minimum(j, len(_PROBES) - 1)], h)
         # a bracket down to the spacing of doubles stops shrinking
-        width = hi[live] - lo[live]
-        live = live[(width > _TIME_TOL) & (width < h - l)]
-    return 0.5 * (lo + hi)
+        live = live[hi[live] - lo[live] < h - l]
+    return np.where(lo_positive, lo, hi)
 
 
 def _stretch_root(kernel: BoundedKernel, span: float, th0: float, th1: float) -> float:
@@ -426,8 +423,9 @@ def eval_conv_efficient(kernel: BoundedKernel, threshold: float,
     Each sample is compared with p as computed.  A cell whose ends flip sign, or
     of which exactly one end sits on the threshold, holds one crossing: an
     end on the threshold is the root, other roots are closed form for flat
-    and exponential windows and narrowed to 1e-9 in time for Gaussian ones.
-    The truth flips at the roots of the flip cells only.
+    and exponential windows, and a Gaussian one is the first double with
+    H >= p on a rising crossing, the last on a falling one.  The truth
+    flips at the roots of the flip cells only.
     """
     p = threshold
     t0, t_end = _verdict_span(kernel, sig)

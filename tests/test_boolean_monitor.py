@@ -269,8 +269,8 @@ class TestEfficient:
 
 
 @st.composite
-def conv_cases(draw):
-    """A window of any shape, a threshold and a Boolean signal whose true
+def conv_cases(draw, shapes=("flat", "exp", "gauss")):
+    """A window of one of ``shapes``, a threshold and a Boolean signal whose true
     intervals and gaps may be far narrower than one oracle cell.  Half the
     thresholds sit just off H at an event, where H can have a kink
     extremum, so that a verdict stretch can be narrower than one cell too."""
@@ -281,7 +281,7 @@ def conv_cases(draw):
     lengths = st.one_of(st.floats(1e-6, 1e-3), st.floats(1e-3, 0.5 * width))
     pairs = draw(st.lists(st.tuples(st.floats(0.0, end), lengths), max_size=8))
     sig = BooleanSignal.from_intervals(0.0, end, [(a, a + n) for a, n in pairs])
-    shape = draw(st.sampled_from(["flat", "exp", "gauss"]))
+    shape = draw(st.sampled_from(shapes))
     if shape == "flat":
         kernel = FlatKernel(lo, hi)
     elif shape == "exp":
@@ -313,14 +313,13 @@ def _agree(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
 def _oracle_agrees(kernel, p, sig: BooleanSignal, flips: np.ndarray, grid: float,
                    a: float, b: float) -> bool:
     """Whether the grid oracle finds the evaluator's ``flips`` inside the
-    anchors ``(a, b)``, each within one cell plus the evaluator's 1e-9 root
-    tolerance.  Where it does not, a feature may be narrower than one cell,
-    so the oracle runs again at 1/1000 of the grid around every flip either
-    side reports, down to a grid of 1e-9."""
+    anchors ``(a, b)``, each within one cell.  Where it does not, a feature
+    may be narrower than one cell, so the oracle runs again at 1/1000 of the
+    grid around every flip either side reports, down to a grid of 1e-9."""
     near = restrict_domain(sig, (a, min(b + kernel.upper, sig.end)))
     orc = _flips(grid_oracle(kernel, p, near, grid).signal)
     mine = flips[(flips > a) & (flips < b)]
-    if _agree(mine, orc, grid + 1e-9):
+    if _agree(mine, orc, grid):
         return True
     if grid < 1e-9:
         return False
@@ -758,6 +757,22 @@ class TestGaussianCells:
         h0, h1 = ev.values[:-1, None], ev.values[1:, None]
         assert np.all(inner >= np.minimum(h0, h1) - 2e-12)
         assert np.all(inner <= np.maximum(h0, h1) + 2e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=conv_cases(shapes=("gauss",)))
+    def test_flips_straddle_p_to_the_double(self, case):
+        """Gaussian flips straddle p to the double: the evaluator's own H
+        meets p at every flip exactly where the verdict holds, and the
+        neighbouring double on the false side falls short of p."""
+        kernel, p, sig = case
+        verdict = eval_conv_efficient(kernel, p, sig).verdict.signal
+        for c in _flips(verdict).tolist():
+            true = verdict.value_at(c)
+            before, after = np.nextafter(c, -np.inf), np.nextafter(c, np.inf)
+            other = after if verdict.value_at(before) else before
+            h = MONITOR._grid_integrals(kernel, sig, np.array([c, other]))
+            assert (h[0] >= p) == true and (h[1] >= p) != true, (c, h - p)
+            assert verdict.value_at(other) != true, c
 
 
 class TestMonitor:

@@ -1,5 +1,6 @@
 """The repository's own tools run against the package sources."""
 
+import importlib.util
 import re
 import subprocess
 import sys
@@ -21,3 +22,19 @@ def test_output_digest_covers_every_workload_and_seed(monkeypatch):
     import workloads
     seen = {tuple(line.split()[:2]) for line in lines}
     assert seen == {(name, f"seed={seed}") for name in workloads.WORKLOADS for seed in range(8)}
+
+
+def test_poll_cost_counts_a_gaussian_stream():
+    # the tool spies on monitor internals by name; a renamed internal
+    # fails here instead of leaving the tool broken
+    spec = importlib.util.spec_from_file_location("poll_cost", ROOT / "tools" / "poll_cost.py")
+    poll_cost = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(poll_cost)
+    import sclmon
+    mon = importlib.import_module("sclmon.monitor")
+    grid_integrals, evaluate = mon._grid_integrals, mon.eval_conv_efficient
+    trace = sclmon.generate_glucose_like(0, duration=4.5)
+    f = sclmon.parse("<gauss(0.5,0.3)[0,1],0.5> (G >= 120)")
+    (polls, grid, *_), _ = poll_cost.counted_polls(sclmon, mon, trace, f)
+    assert polls > 0 and grid > 0
+    assert mon._grid_integrals is grid_integrals and mon.eval_conv_efficient is evaluate

@@ -6,7 +6,8 @@
 script measures two checkouts alike.  The traces come from the ``perfbench/``
 next to this script, as in ``tools/output_digest.py``: pool seeds 0-7 of the
 stream-day workload, written as CSV and read back.  Each formula of the
-stream-day spec, ``F[0,2] (G >= 180)`` and the nested
+stream-day spec, ``F[0,2] (G >= 180)``, the Gaussian
+``<gauss(0.5,0.3)[0,1],0.5> (G >= 120)`` and the nested
 ``G[0,2] (<flat[0,1], 0.5> (G >= 100))`` is pushed and polled one sample at
 a time.  From the first emitted slice on, each push+poll is one
 measurement.  Per formula it prints
@@ -14,7 +15,8 @@ measurement.  Per formula it prints
 * ``p50_us`` / ``p99_us``: the median and 99th percentile of push+poll wall
   time in microseconds, over all seeds (a timing pass with no spy);
 * ``grid_per_poll``: ``monitor._grid_integrals`` calls per poll (a second,
-  counting pass);
+  counting pass); a Gaussian window takes one more per round that narrows
+  its crossings, so this also counts its probe rounds;
 * ``anchors_per_poll``: the window integrals those calls take per poll,
   one per anchor;
 * ``edge_share``: the share of window-node evaluations whose child held a
@@ -125,7 +127,7 @@ def main(argv: list[str]) -> int:
     wl = workloads.WORKLOADS["stream-day"]
     texts = [text for _, text, _ in
              sclmon.parse_formula_file((PERFBENCH / "specs" / wl.spec).read_text())]
-    texts += ["F[0,2] (G >= 180)", NESTED]
+    texts += ["F[0,2] (G >= 180)", "<gauss(0.5,0.3)[0,1],0.5> (G >= 120)", NESTED]
     traces = [sclmon.read_trace_csv(io.StringIO(wl.make_trace(seed, False).csv_text()))
               for seed in SEEDS]
     print(f"# {platform.python_version()} numpy {np.__version__}, "
