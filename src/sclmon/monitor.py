@@ -283,9 +283,9 @@ def _stretch_root(kernel: BoundedKernel, span: float, th0: float, th1: float) ->
     return min(max(x, 0.0), span)
 
 
-def _one_signed(u: np.ndarray, sigma: np.ndarray, weight, w_hi, seg) -> np.ndarray:
+def _one_signed(u: np.ndarray, sigma: np.ndarray, weight: np.ndarray, w_hi: float) -> bool:
     """Whether ``f(w) = sum sigma_j exp(weight_j - (u_j - w)^2)`` provably
-    keeps one sign on ``[0, w_hi]``, for each run of terms starting at ``seg``.
+    keeps one sign on ``[0, w_hi]``.
 
     It does when its end values share a sign and both exceed
     ``w_hi^2/8 * max|f''|``, the most f can sag below its chord.  Since
@@ -293,19 +293,15 @@ def _one_signed(u: np.ndarray, sigma: np.ndarray, weight, w_hi, seg) -> np.ndarr
     ``d >= 1/sqrt(2)``, each term's bend is bounded at its distance d from
     the interval, taken at least ``1/sqrt(2)``.
     """
-    def total(x):
-        return np.add.reduceat(x, seg)
-
     near = np.abs(u - np.clip(u, 0.0, w_hi))
     peak = weight - near * near
-    shift = np.repeat(np.maximum.reduceat(peak, seg), np.diff(np.append(seg, len(u))))
-    f0 = total(sigma * np.exp(weight - u * u - shift))
-    f1 = total(sigma * np.exp(weight - (u - w_hi) ** 2 - shift))
+    shift = peak.max()
+    f0 = (sigma * np.exp(weight - u * u - shift)).sum()
+    f1 = (sigma * np.exp(weight - (u - w_hi) ** 2 - shift)).sum()
     d = np.maximum(near, math.sqrt(0.5))
-    bend = total((4.0 * d * d + 2.0) * np.exp(weight - d * d - shift))
-    bend *= np.broadcast_to(w_hi, u.shape)[seg] ** 2 / 8.0
-    slack = 1e-12 * total(np.exp(peak - shift))
-    return (f0 * f1 > 0.0) & (np.minimum(np.abs(f0), np.abs(f1)) > bend + slack)
+    bend = ((4.0 * d * d + 2.0) * np.exp(weight - d * d - shift)).sum() * (w_hi * w_hi / 8.0)
+    slack = 1e-12 * np.exp(peak - shift).sum()
+    return bool(f0 * f1 > 0.0 and min(abs(f0), abs(f1)) > bend + slack)
 
 
 def _slope_zeros(u: np.ndarray, sigma: np.ndarray, span: float) -> np.ndarray:
@@ -316,14 +312,13 @@ def _slope_zeros(u: np.ndarray, sigma: np.ndarray, span: float) -> np.ndarray:
     ``exp(-2 u_k w)`` and differentiating drops term k, so level k keeps
     the terms from k on, each weighted by ``prod_{i<k} 2 (u_j - u_i)``
     (kept as a log).  Zeros of level k are separated by those of level
-    k + 1; the descent stops at the first level that provably keeps one
-    sign (the caller found level 0 uncertain), and each level's zeros are
-    narrowed between the next one's.
+    k + 1; the descent stops at the first level, f itself included, that
+    provably keeps one sign or holds one term, and each level above it has
+    its zeros narrowed between the next one's.
     """
     weights = [np.zeros(len(u))]
     k = 0
-    while k < len(u) - 1 and (k == 0 or not _one_signed(u[k:], sigma[k:], weights[k],
-                                                          span, [0])[0]):
+    while k < len(u) - 1 and not _one_signed(u[k:], sigma[k:], weights[k], span):
         weights.append(weights[k][1:] + np.log(2.0 * (u[k + 1:] - u[k])))
         k += 1
     zeros = np.empty(0)
@@ -348,7 +343,9 @@ def _gaussian_splits(kernel: GaussianKernel, edges: np.ndarray,
     with ``w = (t - a)/spread`` and ``u_j = (x_j - a - center)/spread``.
     Edges farther than ``_ERFC_ZERO`` spreads from the bump over the whole
     stretch move no mass a double can hold and are dropped.  ``edges`` are
-    the child's interval starts and ends, interleaved in time order.
+    the child's interval starts and ends, interleaved in time order.  Each
+    stretch with two or more edges in reach goes to :func:`_slope_zeros` on
+    its own; one term keeps its sign.
     """
     a, b = bounds[:-1], bounds[1:]
     s, c = kernel.spread, kernel.center
@@ -356,23 +353,13 @@ def _gaussian_splits(kernel: GaussianKernel, edges: np.ndarray,
     reach = _ERFC_ZERO * s
     first = np.searchsorted(edges, np.maximum(mid + kernel.lower, a + c - reach), side="right")
     last = np.searchsorted(edges, np.minimum(mid + kernel.upper, b + c + reach), side="left")
-    count = last - first
-    busy = np.flatnonzero((count > 1) & (b > a))   # one term keeps its sign
-    if not len(busy):
-        return np.empty(0)
-    count = count[busy]
-    seg = np.cumsum(count) - count
-    owner = np.repeat(busy, count)
-    idx = np.arange(int(count.sum())) - np.repeat(seg - first[busy], count)
-    sigma = 1.0 - 2.0 * (idx % 2)     # + for a start, at an even index
-    u = (edges[idx] - a[owner] - c) / s
     span = (b - a) / s
-    sure = _one_signed(u, sigma, 0.0, span[owner], seg)
     splits = [np.empty(0)]
-    for i in np.flatnonzero(~sure).tolist():
-        j = busy[i]
-        part = slice(seg[i], seg[i] + count[i])
-        w = _slope_zeros(u[part], sigma[part], float(span[j]))
+    for j in np.flatnonzero((last - first > 1) & (b > a)).tolist():
+        i, n = int(first[j]), int(last[j])
+        sigma = 1.0 - 2.0 * (np.arange(i, n) % 2)     # + for a start, at an even index
+        u = (edges[i:n] - a[j] - c) / s
+        w = _slope_zeros(u, sigma, float(span[j]))
         splits.append(np.clip(a[j] + s * w, a[j], b[j]))
     return np.concatenate(splits)
 
@@ -423,9 +410,9 @@ def eval_conv_efficient(kernel: BoundedKernel, threshold: float,
     Each sample is compared with p as computed.  A cell whose ends flip sign, or
     of which exactly one end sits on the threshold, holds one crossing: an
     end on the threshold is the root, other roots are closed form for flat
-    and exponential windows, and a Gaussian one is the first double with
-    H >= p on a rising crossing, the last on a falling one.  The truth
-    flips at the roots of the flip cells only.
+    and exponential windows, and a Gaussian one is a double with H >= p next
+    to one with H < p, fixed by the bracket's own ends.  The truth flips at
+    the roots of the flip cells only.
     """
     p = threshold
     t0, t_end = _verdict_span(kernel, sig)
@@ -520,26 +507,25 @@ def _align(a: BooleanSignal, b: BooleanSignal) -> tuple[BooleanSignal, BooleanSi
 
 class _Restart:
     """Where a window node's next evaluation starts: at ``at``, the restart
-    point it last chose, until its last evaluation (from ``lo``, with
-    stretch ``bounds`` and ``quiet`` flags, stable until ``stable``) offers
-    a later one.
+    point it last chose, until its last evaluation (with stretch ``bounds``
+    and ``quiet`` flags, stable until ``stable``) offers a later one.
 
     A restart point lies at or before what the node must produce now,
     strictly before the next bound (so a run from it keeps that bound, an
     event strictly inside its span, as a run from 0 does) and before what
     was stable then (so the child edges its stretch comes from are final).
     It is a stretch bound, never a Gaussian H' split, or, inside a quiet
-    stretch, the ``lo`` of the last evaluation or of this one, where the
-    node's output is wanted from: H is the same exact 0 or 1 all through
-    such a stretch, so a run may start anywhere in it.  (Before the stable
-    point it is not the delicate last stretch, so that run's
-    ``stable_until`` does not move either.)
+    stretch, the ``lo`` the node's output is wanted from or, when that lies
+    at or past those limits, the double just before them: H is the same
+    exact 0 or 1 all through such a stretch, so a run may start anywhere in
+    it.  (Before the stable point it is not the delicate last stretch, so
+    that run's ``stable_until`` does not move either.)
     """
 
-    __slots__ = ("at", "lo", "bounds", "quiet", "stable")
+    __slots__ = ("at", "bounds", "quiet", "stable")
 
     def __init__(self) -> None:
-        self.at = self.lo = 0.0
+        self.at = 0.0
         self.bounds = np.zeros(1)
 
     def start_for(self, lo: float) -> float:
@@ -549,10 +535,9 @@ class _Restart:
             start = float(bounds[k])
             limit = min(float(bounds[k + 1]), self.stable)
             if start < limit:
-                inner = [t for t in (lo, self.lo) if start < t < limit]
-                self.at = inner[0] if inner and self.quiet[k] else start
+                inner = min(lo, float(np.nextafter(limit, -math.inf)))
+                self.at = inner if self.quiet[k] and start < inner else start
                 break
-        self.lo = lo
         return self.at
 
     def record(self, ev: ConvEvaluation, stable: float) -> None:

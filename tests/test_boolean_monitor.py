@@ -774,6 +774,32 @@ class TestGaussianCells:
             assert (h[0] >= p) == true and (h[1] >= p) != true, (c, h - p)
             assert verdict.value_at(other) != true, c
 
+    def test_a_bracket_narrows_alike_alone_and_in_a_batch(self, monkeypatch):
+        """A bracket's probes depend on its own ends only, so it narrows to
+        the same root double alone as in a batch; a stream, which meets a
+        crossing's bracket in other batches than one offline run does,
+        relies on that to equal the offline verdict."""
+        from sclmon import generate_step_train
+        narrow = MONITOR._narrow
+        calls = []
+
+        def spy(positive_at, lo, hi, lo_positive):
+            roots = narrow(positive_at, lo, hi, lo_positive)
+            calls.append((positive_at, lo, hi, lo_positive, roots))
+            return roots
+
+        monkeypatch.setattr(MONITOR, "_narrow", spy)
+        trace = generate_step_train(0.35, 0.3, 10.0)
+        for text in ("<gauss(0.5,0.3)[0,1], 0.3> (v >= 0.5)",
+                     "<gauss(1,0.5)[0,4], 0.3> (v >= 0.5)"):
+            monitor(trace, parse(text))
+        batches = [call for call in calls if len(call[1]) > 1]
+        assert batches
+        for positive_at, lo, hi, lo_positive, roots in batches:
+            for i in range(len(lo)):
+                alone = narrow(positive_at, lo[i:i + 1], hi[i:i + 1], lo_positive[i:i + 1])
+                assert alone[0] == roots[i], (lo[i], hi[i], alone[0] - roots[i])
+
 
 class TestMonitor:
     def test_windowed_always_on_constant_trace(self):

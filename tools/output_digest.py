@@ -23,9 +23,11 @@ workload, pool seed 0-7 and formula it prints
 Some workloads get formulas of their own after the spec's (``EXTRA_FORMULAS``):
 the nested ``G[0,2] (<flat[0,1], 0.5> (G >= 100))`` on rho-3d and stream-day,
 so a coverage node under another and a nested stream's end are digested too,
-and windows at a threshold of 0 or 1 of every kernel shape, whose verdict and
+windows at a threshold of 0 or 1 of every kernel shape, whose verdict and
 robustness are decided by the window's edges alone, on check-steps, rho-3d and
-stream-day.
+stream-day, and a Gaussian window at 0 < p < 1 on check-steps, where a stretch
+holds many edges and the H' split descends several levels, and on stream-day,
+where it is streamed.
 
 Every float is hashed as its exact little-endian float64 bytes.  An output
 that the library rejects (an ``SclError``) prints ``error TYPE: MESSAGE`` in
@@ -127,9 +129,9 @@ FULL_OR_EMPTY = ("<exp(-1)[0,2], 1> (G >= 70)", "<gauss(1,0.4)[0,2], 1>* (G >= 1
                  "G[0,2] (<flat[0,1], 1> (G >= 100))")
 EXTRA_FORMULAS = {
     "check-steps": ("<exp(2)[0,1], 1> (v >= 0.5)", "<gauss(0.5,0.2)[0,1], 1>* (v >= 0.5)",
-                    "<flat[0,0.2], 0> (v >= 0.5)"),
+                    "<flat[0,0.2], 0> (v >= 0.5)", "<gauss(0.5,0.3)[0,1], 0.3> (v >= 0.5)"),
     "rho-3d": (NESTED, *FULL_OR_EMPTY),
-    "stream-day": (NESTED, *FULL_OR_EMPTY),
+    "stream-day": (NESTED, *FULL_OR_EMPTY, "<gauss(0.5,0.3)[0,1], 0.5> (G >= 120)"),
 }
 CLI_FORMATS = ("json", "csv")
 
