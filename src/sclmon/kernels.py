@@ -5,6 +5,13 @@ the open window.  Window integrals are closed-form (flat and exponential via
 ``expm1``, the Gaussian bump via ``erf``/``erfc``), so kernel error stays at
 rounding level; the test suite cross-checks them against adaptive quadrature.
 
+Each shape has one mass primitive, ``masses(cuts)``: the masses between
+consecutive cuts along the last axis.  It evaluates ``expm1`` or ``erf``
+once per cut and differences neighbours, so the segments of a window, which
+share their cuts, cost one evaluation each, and an ``(n, 2)`` array of cuts
+gives n independent pairs.  A mass is elementwise the same expression in
+either layout, so it is the same double.
+
 ``erf`` and ``erfc`` are the module's own vectorised numpy versions of
 Cody's rational Chebyshev approximations, accurate to a few ulp, so the
 package needs nothing beyond numpy.  A Gaussian mass whose ends lie on one
@@ -135,24 +142,6 @@ def _erfc(x):
     return ((1.0 - whole) - part).reshape(x.shape)
 
 
-def _erf_difference(ua, ub):
-    """``erf(ub) - erf(ua)`` elementwise (broadcast) for ``ua <= ub``.
-
-    Both ends go through one :func:`_erf_split` call.  With both ends on
-    one side of 0 and beyond the central range this is the ``erfc``
-    difference of the far side, ``erfc(ua) - erfc(ub)`` or
-    ``erfc(-ub) - erfc(-ua)``, so a window deep in a tail keeps its
-    relative accuracy; inside the central range it is the ``erf``
-    difference, and across 0 the two ``erf`` add.
-    """
-    ua = np.asarray(ua, dtype=float)
-    ub = np.asarray(ub, dtype=float)
-    whole, part = _erf_split(np.concatenate((ua.ravel(), ub.ravel())))
-    n = ua.size
-    return ((whole[n:].reshape(ub.shape) - whole[:n].reshape(ua.shape))
-            + (part[n:].reshape(ub.shape) - part[:n].reshape(ua.shape)))
-
-
 class BoundedKernel:
     """Shared behaviour for all kernel shapes (window checks, validated mass)."""
 
@@ -164,8 +153,9 @@ class BoundedKernel:
         """Normalized density; assumes x already inside the window."""
         raise NotImplementedError
 
-    def mass_clipped(self, a, b):
-        """Window integral over [a, b]; assumes window containment, a <= b."""
+    def masses(self, cuts):
+        """Window integrals between consecutive ``cuts`` along the last axis;
+        assumes window containment and ascending cuts."""
         raise NotImplementedError
 
     # -- validated public surface ----------------------------------------
@@ -190,7 +180,7 @@ class BoundedKernel:
             )
         a = min(max(a, self.lower), self.upper)
         b = min(max(b, self.lower), self.upper)
-        return float(self.mass_clipped(a, b))
+        return float(self.masses(np.array([a, b]))[0])
 
 
 @dataclass(frozen=True)
@@ -206,8 +196,9 @@ class FlatKernel(BoundedKernel):
     def density_clipped(self, x):
         return np.full_like(np.asarray(x, dtype=float), 1.0 / self.width) if np.ndim(x) else 1.0 / self.width
 
-    def mass_clipped(self, a, b):
-        return (np.asarray(b, dtype=float) - a) / self.width
+    def masses(self, cuts):
+        c = np.asarray(cuts, dtype=float)
+        return (c[..., 1:] - c[..., :-1]) / self.width
 
 
 @dataclass(frozen=True)
@@ -236,11 +227,10 @@ class ExponentialKernel(BoundedKernel):
         r = self.rate
         return r * np.exp(r * (np.asarray(x, dtype=float) - self.lower)) / math.expm1(r * self.width)
 
-    def mass_clipped(self, a, b):
+    def masses(self, cuts):
         r = self.rate
-        den = math.expm1(r * self.width)
-        return (np.expm1(r * (np.asarray(b, dtype=float) - self.lower))
-                - np.expm1(r * (np.asarray(a, dtype=float) - self.lower))) / den
+        e = np.expm1(r * (np.asarray(cuts, dtype=float) - self.lower))
+        return (e[..., 1:] - e[..., :-1]) / math.expm1(r * self.width)
 
 
 @dataclass(frozen=True)
@@ -276,12 +266,17 @@ class GaussianKernel(BoundedKernel):
     @cached_property
     def _erf_span(self) -> float:
         """``erf(u(upper)) - erf(u(lower))``, the unnormalized window mass."""
-        return float(_erf_difference(self._u(self.lower), self._u(self.upper)))
+        whole, part = _erf_split(self._u(np.array([self.lower, self.upper])))
+        return float((whole[1] - whole[0]) + (part[1] - part[0]))
 
     def density_clipped(self, x):
         z = self.spread * (math.sqrt(math.pi) / 2.0) * self._erf_span
         return np.exp(-self._u(x) ** 2) / z
 
-    def mass_clipped(self, a, b):
+    def masses(self, cuts):
+        # one erf per cut, differenced as wholes and parts apart (_erf_split)
+        u = self._u(cuts)
+        whole, part = (x.reshape(u.shape) for x in _erf_split(u.ravel()))
+        steps = (whole[..., 1:] - whole[..., :-1]) + (part[..., 1:] - part[..., :-1])
         # an erf difference over a few ulps can round below zero
-        return np.maximum(_erf_difference(self._u(a), self._u(b)) / self._erf_span, 0.0)
+        return np.maximum(steps / self._erf_span, 0.0)

@@ -205,15 +205,17 @@ def _grid_integrals(kernel: BoundedKernel, sig: BooleanSignal,
 
     Each value is a plain running sum, in time order, of the masses of the
     intervals in its window's reach.  Anchor-interval pairs go through one
-    broadcast mass call per run of anchors holding at most ``_CHUNK`` pairs,
-    so memory stays bounded, a value depends only on its anchor, not on the
-    run that took it in, and prefixes of a growing trace stay bit-identical.
+    ``masses`` call, on an ``(n, 2)`` array of each pair's start and end,
+    per run of anchors holding at most ``_CHUNK`` pairs, so memory stays
+    bounded, a value depends only on its anchor, not on the run that took it
+    in, and prefixes of a growing trace stay bit-identical.
     """
     starts, ends = sig.starts, sig.ends
     if len(ends) and ends[-1] == sig.end:
         # the interval reaching the signal's end reaches every window's end,
         # also that of a last window which rounding put past it
         ends = np.concatenate((ends[:-1], [np.inf]))
+    bounds = np.array((starts, ends))
     lo, hi = kernel.lower, kernel.upper
     first = ends.searchsorted(ts + lo, side="left")
     # never negative: an interval ending before a window starts also starts
@@ -229,10 +231,10 @@ def _grid_integrals(kernel: BoundedKernel, sig: BooleanSignal,
         n, upto = count[i:j], int(done[j - 1])
         pair = np.arange(j - i).repeat(n)
         idx = np.arange(pairs, upto) - shift[i:j].repeat(n)
-        anchor = ts[i:j][pair]
-        masses = kernel.mass_clipped((starts[idx] - anchor).clip(lo, hi),
-                                     (ends[idx] - anchor).clip(lo, hi))
-        h[i:j] = np.bincount(pair, masses, minlength=j - i)
+        # built as (2, n), so the subtraction and clip run along the pairs,
+        # and passed to masses as its (n, 2) transpose
+        cuts = (bounds.take(idx, axis=1) - ts[i:j][pair]).clip(lo, hi)
+        h[i:j] = np.bincount(pair, kernel.masses(cuts.T)[:, 0], minlength=j - i)
         i, pairs = j, upto
     return h
 

@@ -88,27 +88,25 @@ def _block_suprema(kernel: BoundedKernel, threshold: float, cuts: np.ndarray,
     """The highest level that ``_covers`` each window ``[lo, hi]`` anchored
     at ``ts``, else -inf, where the window's segments are
     ``values[first:first + count]``: one block of ``_coverage_suprema``."""
-    lower, upper = kernel.lower, kernel.upper
     rows = np.arange(len(ts))
-    # row r: its window's segments in time order, then padding
-    seg = first[:, None] + np.arange(int(count.max()))
+    width = int(count.max())
+    # row r: its window's cuts from lo to hi as offsets from ts[r], then padding
+    at = first[:, None] + np.arange(width + 1)
+    offsets = cuts.take(at, mode="clip") - ts[:, None]
+    offsets[:, 0] = lo - ts
+    offsets[rows, count] = hi - ts
+    np.clip(offsets, kernel.lower, kernel.upper, out=offsets)
+    seg = at[:, :-1]
     pad = seg >= (first + count)[:, None]
-    a = cuts.take(seg, mode="clip") - ts[:, None]
-    a[:, 0] = lo - ts
-    b = np.empty_like(a)
-    b[:, :-1] = a[:, 1:]
-    b[rows, count - 1] = hi - ts
-    a, b = np.clip(a, lower, upper).ravel(), np.clip(b, lower, upper).ravel()
-    masses = np.empty(a.shape)
-    for s in range(0, len(a), _BLOCK):      # several calls only for one window wider than a block
-        masses[s:s + _BLOCK] = kernel.mass_clipped(a[s:s + _BLOCK], b[s:s + _BLOCK])
-    masses = np.where(pad, 0.0, masses.reshape(pad.shape))
+    masses = np.empty(pad.shape)
+    for s in range(0, width, _BLOCK):       # several calls only for one window wider than a block
+        masses[:, s:s + _BLOCK] = kernel.masses(offsets[:, s:s + _BLOCK + 1])
+    masses = np.where(pad, 0.0, masses)
     seg_vals = np.where(pad, -np.inf, values.take(seg, mode="clip"))
 
     # the same entries by level, highest first, behind an empty +inf entry;
     # a level's coverage is the running sum at its last entry, and differs
     # from the time-ordered sum of the same masses by less than slack
-    width = pad.shape[1]
     order = np.argsort(-seg_vals, axis=1) + (rows * width)[:, None]
     vals = np.empty((len(ts), width + 1))
     vals[:, 0] = np.inf
@@ -148,13 +146,15 @@ def _coverage_suprema(kernel: BoundedKernel, threshold: float, cuts: np.ndarray,
     docstring's rule instead, with no mass.
 
     A block holds the times whose windows, padded to the block's widest,
-    make at most ``_BLOCK`` (time, segment) pairs (a wider window goes
-    alone), and gets its masses from one broadcast ``mass_clipped`` call.  A
-    mass is elementwise the same expression as in a call for its window
-    alone, so it is the same double.  Each window's masses are then sorted
-    by level, highest first, and summed in that order.  That running sum
-    differs from the time-ordered one by at most the rounding of n
-    additions, n the window's segment count, so a level whose running sum
+    make at most ``_BLOCK`` (time, segment) pairs, and gets its masses from
+    one ``masses`` call on a matrix of cuts, a row per window from its start
+    to its end, so erf or expm1 is taken once per cut.  A wider window goes
+    alone, its row cut into calls of ``_BLOCK`` segments that share their
+    boundary cut.  A mass is elementwise the same expression as in a call
+    for its window alone, so it is the same double.  Each window's masses
+    are then sorted by level, highest first, and summed in that order.  That
+    running sum differs from the time-ordered one by at most the rounding of
+    n additions, n the window's segment count, so a level whose running sum
     decides alike with that slack added and taken away needs no other sum.
     Only the levels that are that close, above the first that surely
     covers, are decided by ``_covers``, from the top down.  So a value

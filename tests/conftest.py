@@ -140,9 +140,10 @@ def kernel_mass_quadrature(kernel, a: float, b: float, tol: float = 1e-10) -> fl
 def weighted_integral_many(kernel, sig: BooleanSignal, ts: np.ndarray) -> np.ndarray:
     """Kernel-weighted true time of ``sig`` in the window anchored at each of ``ts``.
 
-    One broadcast ``mass_clipped`` over intervals x anchors, summed in
-    numpy's own order, so it checks the monitor's blocked, time-ordered
-    window integrals against an independent sum at every sample.
+    One broadcast ``masses`` call over an (intervals, anchors, 2) array of
+    start-end pairs, summed in numpy's own order, so it checks the monitor's
+    blocked, time-ordered window integrals against an independent sum at
+    every sample.
     """
     ts = np.asarray(ts, dtype=float)
     if len(ts) == 0:
@@ -157,7 +158,7 @@ def weighted_integral_many(kernel, sig: BooleanSignal, ts: np.ndarray) -> np.nda
         return np.zeros(len(ts))
     a = np.clip(sig.starts[:, None] - ts[None, :], kernel.lower, kernel.upper)
     b = np.clip(sig.ends[:, None] - ts[None, :], kernel.lower, kernel.upper)
-    masses = np.asarray(kernel.mass_clipped(a, b))
+    masses = np.asarray(kernel.masses(np.stack((a, b), axis=-1))[..., 0])
     # drop interval rows that never intersect any window: keeps the sums
     # bit-stable when a longer trace appends out-of-reach intervals
     masses = masses[masses.any(axis=1)]
@@ -379,10 +380,10 @@ def _coverage_supremum(kernel, threshold: float, cuts: np.ndarray,
         j = int(np.searchsorted(cuts, hi, side="left"))
         seg = np.concatenate([[lo], cuts[i + 1:j], [hi]])
         seg_vals = values[i:j] if j > i else values[i:i + 1]
-        masses = np.asarray(kernel.mass_clipped(
+        masses = np.asarray(kernel.masses(np.stack((
             np.clip(seg[:-1] - t, kernel.lower, kernel.upper),
             np.clip(seg[1:] - t, kernel.lower, kernel.upper),
-        ), dtype=float)
+        ), axis=-1))[:, 0], dtype=float)
 
         def covers(level: float) -> bool:
             return float(np.sum(masses[seg_vals >= level])) >= threshold

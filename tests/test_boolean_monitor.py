@@ -357,7 +357,7 @@ class TestOracleEquivalence:
         def broken(*args, **kwargs):
             raise AssertionError("library window integral used")
         for cls in (BoundedKernel, FlatKernel, ExponentialKernel, GaussianKernel):
-            monkeypatch.setattr(cls, "mass_clipped", broken)
+            monkeypatch.setattr(cls, "masses", broken)
         monkeypatch.setattr(MONITOR, "_grid_integrals", broken)
         with pytest.raises(AssertionError, match="library window integral used"):
             eval_conv_efficient(kernels[0], 0.4, sig)

@@ -113,8 +113,9 @@ class TestValidation:
         class Triangle(BoundedKernel):
             lower, upper = 0.0, 1.0
 
-            def mass_clipped(self, a, b):
-                return np.asarray(b, dtype=float) ** 2 - np.asarray(a, dtype=float) ** 2
+            def masses(self, cuts):
+                c = np.asarray(cuts, dtype=float) ** 2
+                return c[..., 1:] - c[..., :-1]
 
         with pytest.raises(SclError, match="got Triangle"):
             op(Triangle(), 0.5, G70)

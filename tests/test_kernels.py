@@ -103,7 +103,36 @@ class TestIntegral:
             k = random_kernel(rng, lo, lo + float(rng.uniform(0.5, 3)))
             a = rng.uniform(k.lower, k.upper, 200)
             b = np.minimum(a + np.spacing(a) * rng.integers(0, 5, 200), k.upper)
-            assert np.all(k.mass_clipped(a, b) >= 0.0), k
+            assert np.all(k.masses(np.stack((a, b), axis=-1)) >= 0.0), k
+
+    def test_a_cut_row_equals_its_pairs(self):
+        # a window's segments share their cuts: a row of cuts gives each
+        # segment the double its own (start, end) pair gives, alone or in a
+        # batch of rows, and pairs give it in either memory order (the
+        # monitor passes a transposed (2, n) array); rows hold equal cuts,
+        # ulp-adjacent cuts and cuts on the window bounds
+        rng = np.random.default_rng(29)
+        shapes = set()
+        for _ in range(120):
+            lo = float(rng.uniform(-1, 1))
+            k = random_kernel(rng, lo, lo + float(rng.uniform(0.5, 3)))
+            shapes.add(type(k))
+            rows = rng.uniform(k.lower, k.upper, (3, 60))
+            rows[rng.random(rows.shape) < 0.05] = k.lower
+            rows[rng.random(rows.shape) < 0.05] = k.upper
+            rows.sort(axis=1)
+            twin = rng.random((3, 59)) < 0.1
+            rows[:, 1:][twin] = rows[:, :-1][twin]
+            ulp = rng.random((3, 59)) < 0.2
+            rows[:, 1:][ulp] = np.minimum(np.nextafter(rows[:, :-1][ulp], np.inf), k.upper)
+            rows.sort(axis=1)
+            batch = k.masses(rows)
+            for row, got in zip(rows, batch):
+                pairs = k.masses(np.stack((row[:-1], row[1:]), axis=-1))[:, 0]
+                assert k.masses(np.array((row[:-1], row[1:])).T)[:, 0].tobytes() == pairs.tobytes()
+                assert k.masses(row).tobytes() == pairs.tobytes(), k
+                assert got.tobytes() == pairs.tobytes(), k
+        assert shapes == {FlatKernel, ExponentialKernel, GaussianKernel}
 
 
 class TestWeightedIntegral:

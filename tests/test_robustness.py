@@ -543,7 +543,7 @@ class TestFullAndEmptyWindows:
         def refuse(*args):
             raise AssertionError("a window at a p of 0 or 1 took a mass call")
         for shape in (FlatKernel, ExponentialKernel, GaussianKernel):
-            monkeypatch.setattr(shape, "mass_clipped", refuse)
+            monkeypatch.setattr(shape, "masses", refuse)
         trace = random_trace(np.random.default_rng(73), 3.0, 40)
         for text in ("G[0,1] (v > 0)", "F[0.2,0.7] (v < 0.5)", "<exp(-1)[0,2], 1> (v >= 0)",
                      "<gauss(0.5,0.3)[0,1], 1>* (v <= 1)", "<flat[0,0.4], 0> (v > 1)",
@@ -637,20 +637,26 @@ class TestBlockedCoverage:
         got = robustness._rho_at(trace, f, ts)
         assert got.tobytes() == rho_conv_per_time(trace, f, ts).tobytes()
 
-    def test_no_mass_call_exceeds_the_block(self, monkeypatch):
-        # each outer window holds 10,001 inner samples, and the 21 windows
-        # together about 26 blocks' worth of pairs; the outer threshold lies
-        # inside (0, 1), since one of 0 or 1 takes no mass call
+    @pytest.mark.parametrize("outer", ["flat[0,10]", "exp(-0.3)[0,10]", "gauss(5,3)[0,10]"])
+    def test_no_mass_call_exceeds_the_block(self, monkeypatch, outer):
+        # each outer window holds 10,001 inner samples, more than one block,
+        # so its cut row is split across calls that share their boundary
+        # cut, and the 21 windows together about 26 blocks' worth of pairs;
+        # the outer threshold lies inside (0, 1), since one of 0 or 1 takes
+        # no mass call
+        f = parse(f"<{outer}, 0.5> (<flat[0,1], 0.5> (v > 0))")
+        shape = type(f.kernel)
         sizes = []
-        mass_clipped = FlatKernel.mass_clipped
+        masses = shape.masses
 
-        def spy(kernel, a, b):
-            sizes.append(np.size(a))
-            return mass_clipped(kernel, a, b)
+        def spy(kernel, cuts):
+            # segments in the call: cuts per row minus one, times rows
+            *rows, n = np.shape(cuts)
+            sizes.append(math.prod(rows) * (n - 1))
+            return masses(kernel, cuts)
 
-        monkeypatch.setattr(FlatKernel, "mass_clipped", spy)
+        monkeypatch.setattr(shape, "masses", spy)
         trace = random_trace(np.random.default_rng(71), 11.2, 60)
-        f = parse("<flat[0,10], 0.5> (<flat[0,1], 0.5> (v > 0))")
         ts = rho_trace(trace, f).times
         assert len(ts) == 21 and sum(sizes) > 20 * robustness._BLOCK
         assert max(sizes) <= robustness._BLOCK
@@ -711,5 +717,5 @@ class TestCloseCalls:
         # t = 0 rounds to about -3e-17; the mass is clamped to exactly 0
         kernel = GaussianKernel(0.8331712317715084, 1.0074478304357815, 0.0, 1.0)
         sliver = np.array([0.1842712324618229, 0.18427123246182298])
-        assert kernel.mass_clipped(sliver[:1], sliver[1:])[0] == 0.0
+        assert kernel.masses(sliver)[0] == 0.0
         self._check(monkeypatch, kernel, np.union1d(self.CUTS, sliver))
