@@ -53,6 +53,7 @@ the unresolved tail.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -145,6 +146,13 @@ def _verdict_span(kernel: BoundedKernel, sig: BooleanSignal) -> tuple[float, flo
     return t0, max(t_end, t0)
 
 
+def _framed(first: float, inner: np.ndarray, last: float) -> np.ndarray:
+    """The array ``[first, *inner, last]``."""
+    out = np.empty(len(inner) + 2)
+    out[0], out[1:-1], out[-1] = first, inner, last
+    return out
+
+
 def _alternating(t0: float, t_end: float, first: bool,
                  flips: np.ndarray | list[float]) -> BooleanSignal:
     """Truth signal over ``[t0, t_end]`` that starts as ``first`` and flips
@@ -154,19 +162,20 @@ def _alternating(t0: float, t_end: float, first: bool,
     zero-length interval, which is dropped, and a kept interval whose start
     coincides with the previous kept one's end is merged into it.
     """
-    cuts = np.concatenate(([t0], flips, [t_end]))[0 if first else 1:]
-    if t0 == t_end:
-        # the point is true when a pair of cuts holds it
-        n = len(cuts) // 2
-        return BooleanSignal._degenerate(
-            t0, t_end, np.any((cuts[0:2 * n:2] <= t0) & (t0 <= cuts[1:2 * n:2])))
+    cuts = _framed(t0, flips, t_end)[0 if first else 1:]
     n = len(cuts) // 2
     starts, ends = cuts[0:2 * n:2], cuts[1:2 * n:2]
+    if t0 == t_end:
+        # the point is true when a pair of cuts holds it
+        return BooleanSignal._degenerate(t0, t_end, np.any((starts <= t0) & (t0 <= ends)))
     kept = ends > starts
     starts, ends = starts[kept], ends[kept]
-    apart = starts[1:] > ends[:-1]
-    return BooleanSignal(t0, t_end, np.concatenate((starts[:1], starts[1:][apart])),
-                         np.concatenate((ends[:-1][apart], ends[-1:])))
+    # a run opens at the first start and at each one apart from the end
+    # before it, and closes at the end before the next run and at the last
+    opens = np.empty(len(starts) + 1, dtype=bool)
+    opens[0] = opens[-1] = True
+    np.greater(starts[1:], ends[:-1], out=opens[1:-1])
+    return BooleanSignal(t0, t_end, starts[opens[:-1]], ends[opens[1:]])
 
 
 _COMPARE = {">=": np.greater_equal, ">": np.greater, "<=": np.less_equal, "<": np.less}
@@ -184,19 +193,21 @@ def eval_atom(trace: PiecewiseConstantSignal, atom: Atom, lo: float = 0.0) -> Bo
         raise SclError(f"atom span [{lo}, {duration}] is empty")
     first = max(int(trace.segment_index(lo)), 0)
     times = trace.times[first:]
-    true = _COMPARE[atom.op](trace.variable_values(atom.variable)[first:], atom.threshold)
+    values = trace.variable_values(atom.variable)[first:]
+    compare = _COMPARE[atom.op]
     if lo == duration:
-        return BooleanSignal._degenerate(lo, duration, true[0])
+        return BooleanSignal._degenerate(lo, duration, compare(values[0], atom.threshold))
     # a last sample at the duration starts no segment
     bounds = np.concatenate((times, [duration])) if times[-1] < duration else times
-    true = true[:len(bounds) - 1]
-    # each run of true segments is one interval, from its first segment's
-    # start to its last one's end; only the first can start before lo
-    edges = (np.concatenate(([False], true)) != np.concatenate((true, [False]))).nonzero()[0]
-    starts, ends = bounds[edges[0::2]], bounds[edges[1::2]]
-    if len(starts) and lo > starts[0]:
-        starts[0] = lo
-    return BooleanSignal(lo, duration, starts, ends)
+    # each run of true segments, between false pads, is one interval, from
+    # its first segment's start to its last one's end; only the first can
+    # start before lo
+    true = np.zeros(len(bounds) + 1, dtype=bool)
+    compare(values[:len(bounds) - 1], atom.threshold, out=true[1:-1])
+    cuts = bounds[np.not_equal(true[1:], true[:-1]).nonzero()[0]]
+    if len(cuts) and lo > cuts[0]:
+        cuts[0] = lo
+    return BooleanSignal(lo, duration, cuts[0::2], cuts[1::2])
 
 
 def _grid_integrals(kernel: BoundedKernel, sig: BooleanSignal,
@@ -210,20 +221,22 @@ def _grid_integrals(kernel: BoundedKernel, sig: BooleanSignal,
     bounded, a value depends only on its anchor, not on the run that took it
     in, and prefixes of a growing trace stay bit-identical.
     """
-    starts, ends = sig.starts, sig.ends
-    if len(ends) and ends[-1] == sig.end:
+    bounds = np.array((sig.starts, sig.ends))
+    if len(sig.ends) and sig.ends[-1] == sig.end:
         # the interval reaching the signal's end reaches every window's end,
         # also that of a last window which rounding put past it
-        ends = np.concatenate((ends[:-1], [np.inf]))
-    bounds = np.array((starts, ends))
+        bounds[1, -1] = np.inf
+    starts, ends = bounds[0], bounds[1]
     lo, hi = kernel.lower, kernel.upper
     first = ends.searchsorted(ts + lo, side="left")
+    last = starts.searchsorted(ts + hi, side="right")
     # never negative: an interval ending before a window starts also starts
     # before the window ends
-    count = starts.searchsorted(ts + hi, side="right") - first
+    count = last - first
     done = count.cumsum()
-    # pair k belongs to its anchor's interval k - shift
-    shift = done - count - first
+    # pair k belongs to its anchor's interval k - shift: the pairs of
+    # anchor a end at done[a], with its interval last[a] - 1
+    shift = done - last
     h = np.empty(len(ts))
     i = pairs = 0
     while i < len(ts):
@@ -385,15 +398,11 @@ def _steady(kernel: BoundedKernel, p: float, sig: BooleanSignal, t0: float,
                 h = 1.0 - h
             elif x - kernel.upper < t_end:
                 return None
-    true = h >= p
-    if t0 == t_end:
-        signal = BooleanSignal._degenerate(t0, t_end, true)
-    else:
-        signal = BooleanSignal(t0, t_end, np.array([t0] if true else []),
-                               np.array([t_end] if true else []))
-    span = np.array([t0, t_end])
-    verdict = VerdictSignal(signal, (), t_end)
-    return ConvEvaluation(verdict, span, np.array([h, h]), span, (True,))
+    # true all through (on a degenerate span, at its point) or never
+    span = np.array((t0, t_end))
+    k = int(h >= p)
+    verdict = VerdictSignal(BooleanSignal(t0, t_end, span[:k], span[1:1 + k]), (), t_end)
+    return ConvEvaluation(verdict, span, np.array((h, h)), span, (True,))
 
 
 def eval_conv_efficient(kernel: BoundedKernel, threshold: float,
@@ -432,30 +441,37 @@ def eval_conv_efficient(kernel: BoundedKernel, threshold: float,
     # the events strictly inside the span, each once
     inner = events[events.searchsorted(t0, side="right"):
                    events.searchsorted(t_end, side="left")]
-    bounds = np.concatenate(([t0], inner, [t_end]))
-    bounds = bounds[np.concatenate(([True], bounds[1:-1] != bounds[:-2], [True]))]
-    # count at each stretch's start, for _Restart's quiet flags; an interval
-    # reaching the signal's end has no end edge, as in _grid_integrals
-    n = len(edges) - int(len(edges) > 0 and sig.ends[-1] == sig.end)
-    passed = leave[:n].searchsorted(bounds[:-1], side="right")
-    quiet = enter[:n].searchsorted(bounds[:-1], side="right") == passed
+    bounds = _framed(t0, inner, t_end)
+    kept = np.empty(len(bounds), dtype=bool)
+    kept[0] = kept[-1] = True
+    np.not_equal(bounds[1:-1], bounds[:-2], out=kept[1:-1])
+    bounds = bounds[kept]
     gaussian = isinstance(kernel, GaussianKernel) and 0.0 < p < 1.0
     times = (sorted_unique(np.concatenate([bounds, _gaussian_splits(kernel, edges, bounds)]))
              if gaussian else bounds)
 
-    # where no edge lies strictly inside the window, H is exactly 1 after an
-    # odd count of passed edges (the window lies in a true interval), else
-    # exactly 0.  Any other H lies strictly between 0 and 1: on the far side
-    # of a p of 0 or 1, where 0.5 stands in, else a window integral
-    passed = leave[:n].searchsorted(times, side="right")
-    integrated = enter[:n].searchsorted(times, side="left") != passed
+    # an interval reaching the signal's end has no end edge, as in
+    # _grid_integrals.  Where no edge lies strictly inside the window, H is
+    # exactly 1 after an odd count of passed edges (the window lies in a
+    # true interval), else exactly 0.  Any other H lies strictly between 0
+    # and 1: on the far side of a p of 0 or 1, where 0.5 stands in, else a
+    # window integral, the only samples that can drift
+    n = len(edges) - int(len(edges) > 0 and sig.ends[-1] == sig.end)
+    enter, leave = enter[:n], leave[:n]
+    passed = leave.searchsorted(times, side="right")
+    integrated = enter.searchsorted(times, side="left") != passed
     hs = passed % 2.0
     if p in (0.0, 1.0):
         hs[integrated] = 0.5
     elif integrated.any():
-        hs[integrated] = _grid_integrals(kernel, sig, times[integrated])
-    if hs.min() < -_H_DRIFT or hs.max() > 1.0 + _H_DRIFT:
-        raise SclError("convolution value drifted out of [0, 1]")
+        h = _grid_integrals(kernel, sig, times[integrated])
+        if h.min() < -_H_DRIFT or h.max() > 1.0 + _H_DRIFT:
+            raise SclError("convolution value drifted out of [0, 1]")
+        hs[integrated] = h
+    # the count at each stretch's start, for _Restart's quiet flags
+    firsts = bounds[:-1]
+    passed = passed[:-1] if times is bounds else leave.searchsorted(firsts, side="right")
+    quiet = enter.searchsorted(firsts, side="right") == passed
     th = hs - p
     # a cell whose ends differ in sign holds a crossing: a flip of the
     # truth, or a one-sided touch of the threshold, an exact-equality
@@ -465,8 +481,9 @@ def eval_conv_efficient(kernel: BoundedKernel, threshold: float,
     crossings: list[float] = []
     flips = np.empty(0)
     if len(cells):
-        x0, x1 = times[cells], times[cells + 1]
-        th0, th1 = th[cells], th[cells + 1]
+        after = cells + 1
+        x0, x1 = times[cells], times[after]
+        th0, th1 = th[cells], th[after]
         # an end on the threshold is the root
         roots = np.where(th0 == 0.0, x0, x1)
         solve = (th0 * th1 < 0.0).nonzero()[0]
@@ -528,22 +545,23 @@ class _Restart:
 
     def __init__(self) -> None:
         self.at = 0.0
-        self.bounds = np.zeros(1)
+        self.bounds = [0.0]
 
     def start_for(self, lo: float) -> float:
         bounds = self.bounds
-        k = int(bounds[:-1].searchsorted(lo, side="right")) - 1
+        k = bisect.bisect_right(bounds, lo, 0, len(bounds) - 1) - 1
         for k in range(k, -1, -1):
-            start = float(bounds[k])
-            limit = min(float(bounds[k + 1]), self.stable)
+            start = bounds[k]
+            limit = min(bounds[k + 1], self.stable)
             if start < limit:
-                inner = min(lo, float(np.nextafter(limit, -math.inf)))
+                inner = min(lo, math.nextafter(limit, -math.inf))
                 self.at = inner if self.quiet[k] and start < inner else start
                 break
         return self.at
 
     def record(self, ev: ConvEvaluation, stable: float) -> None:
-        self.bounds, self.quiet, self.stable = ev.bounds, ev.quiet, stable
+        # Python floats, which start_for compares and steps without numpy
+        self.bounds, self.quiet, self.stable = ev.bounds.tolist(), ev.quiet, stable
 
 
 def _eval_node(trace: PiecewiseConstantSignal, f: Formula, lo: float,

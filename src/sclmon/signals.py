@@ -48,8 +48,8 @@ class BooleanSignal:
     ends: np.ndarray
 
     def __post_init__(self) -> None:
-        self.starts.flags.writeable = False
-        self.ends.flags.writeable = False
+        self.starts.setflags(write=False)
+        self.ends.setflags(write=False)
 
     @staticmethod
     def from_intervals(
@@ -169,7 +169,8 @@ def restrict_domain(sig: BooleanSignal, interval: tuple[float, float]) -> Boolea
     """Intersect with ``interval`` and shrink the domain to it.
 
     The intervals kept are those ending after ``lo`` and starting before
-    ``hi``; only the first start and the last end can need clipping.
+    ``hi``; only the first start and the last end can need clipping.  The
+    signal's own domain, to the sign of a zero bound, gives the signal back.
     """
     lo, hi = interval
     if not sig.start <= lo <= hi <= sig.end:
@@ -177,16 +178,22 @@ def restrict_domain(sig: BooleanSignal, interval: tuple[float, float]) -> Boolea
             f"restriction [{lo}, {hi}] outside signal domain [{sig.start}, {sig.end}]"
         )
     lo, hi = float(lo), float(hi)
+    if (lo == sig.start and hi == sig.end
+            and math.copysign(1.0, lo) == math.copysign(1.0, sig.start)
+            and math.copysign(1.0, hi) == math.copysign(1.0, sig.end)):
+        return sig
     if lo == hi:
         return BooleanSignal._degenerate(lo, hi, sig.value_at(lo))
-    i = int(sig.ends.searchsorted(lo, side="right"))
-    j = int(sig.starts.searchsorted(hi, side="left"))
+    i = sig.ends.searchsorted(lo, side="right")
+    j = sig.starts.searchsorted(hi, side="left")
     starts, ends = sig.starts[i:j], sig.ends[i:j]
     # the selections of from_intervals, so a -0.0 bound stays what it was
     if len(starts) and lo > starts[0]:
-        starts = np.concatenate(([lo], starts[1:]))
+        starts = starts.copy()
+        starts[0] = lo
     if len(ends) and hi < ends[-1]:
-        ends = np.concatenate((ends[:-1], [hi]))
+        ends = ends.copy()
+        ends[-1] = hi
     return BooleanSignal(lo, hi, starts, ends)
 
 
@@ -252,9 +259,8 @@ class PiecewiseConstantSignal:
         """A trace over arrays that were checked as they were filled, taken
         as they are: no copy and no check (a stream's buffers, per poll)."""
         trace = object.__new__(cls)
-        for name, value in (("variables", variables), ("times", times),
-                            ("values", values), ("duration", duration)):
-            object.__setattr__(trace, name, value)
+        # the fields, set as the frozen dataclass's own __init__ would
+        vars(trace).update(variables=variables, times=times, values=values, duration=duration)
         return trace
 
     def column(self, variable: str) -> int:
@@ -268,8 +274,10 @@ class PiecewiseConstantSignal:
     def segment_index(self, t):
         """Per time in ``[0, duration]``, the latest sample at or before it;
         but a last sample at a positive duration holds for no time."""
-        last = len(self.times) - (2 if 0.0 < self.duration == self.times[-1] else 1)
-        return np.minimum(self.times.searchsorted(t, side="right") - 1, last)
+        # searched among the samples that start a segment, the last of them
+        # answers every later time
+        segments = len(self.times) - (1 if 0.0 < self.duration == self.times[-1] else 0)
+        return self.times[:segments].searchsorted(t, side="right") - 1
 
     def value_at(self, t: float, variable: str) -> float:
         if not 0 <= t <= self.duration:

@@ -1,6 +1,7 @@
 """Interval algebra: normalization, Boolean combinations, restriction."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,11 +13,15 @@ from sclmon import (
     BooleanSignal,
     PiecewiseConstantSignal,
     SclError,
+    StreamingMonitor,
     TraceError,
+    VerdictSignal,
     boolean_and,
     boolean_not,
     boolean_or,
     eval_atom,
+    monitor,
+    parse,
     restrict_domain,
 )
 from sclmon.cli import _verdict_segments
@@ -84,6 +89,33 @@ class TestRestrictDomain:
         s = sig(0, 1, (0.3, 0.9))
         assert restrict_domain(s, (0.0, 1.0)) == s
 
+    @pytest.mark.parametrize("s", [
+        sig(0, 1, (0.3, 0.9)),
+        sig(-0.0, 1.0, (-0.0, 0.5)),
+        sig(-0.0, 0.0),
+        sig(-0.0, -0.0, (-0.0, -0.0)),
+        sig(0.5, 0.5, (0.5, 0.5)),
+        sig(0.5, 0.5),
+        sig(-1.0, -0.0, (-0.5, -0.0)),
+    ])
+    def test_own_domain_keeps_every_bit(self, s):
+        assert signal_bits(restrict_domain(s, s.domain)) == signal_bits(s)
+
+    @settings(max_examples=100, deadline=None)
+    @given(s=st.deferred(lambda: normal_signals()))
+    def test_own_domain_keeps_every_bit_of_any_signal(self, s):
+        assert signal_bits(restrict_domain(s, s.domain)) == signal_bits(s)
+
+    def test_a_zero_bound_takes_the_requested_sign(self):
+        # equal to the domain but for the sign of a zero: the bound is the
+        # one asked for, and the edges keep their own bits
+        s = sig(-0.0, 1.0, (-0.0, 0.5))
+        assert signal_bits(restrict_domain(s, (0.0, 1.0))) == \
+            signal_bits(BooleanSignal(0.0, 1.0, np.array([-0.0]), np.array([0.5])))
+        s = sig(0.0, 0.0, (0.0, 0.0))
+        assert signal_bits(restrict_domain(s, (-0.0, -0.0))) == \
+            signal_bits(BooleanSignal(-0.0, -0.0, np.array([-0.0]), np.array([-0.0])))
+
     def test_restriction_missing_the_intervals(self):
         assert restrict_domain(sig(0, 1, (0.3, 0.9)), (0.95, 1.0)).intervals == ()
 
@@ -98,6 +130,67 @@ class TestRestrictDomain:
     def test_nan_time_rejected(self):
         with pytest.raises(SclError, match="time nan outside signal domain"):
             sig(0, 1, (0.2, 0.4)).value_at(math.nan)
+
+
+def public_records():
+    """A signal and verdict from each public producer: ``monitor`` on a
+    child with edges in reach and on one without, ``eval_atom``,
+    ``from_intervals``, ``restrict_domain`` to a part and to the whole
+    domain, ``boolean_not`` and a stream's polls and assembled output."""
+    window = parse("<flat[0,1], 0.5> (v >= 0)")
+    edged = PiecewiseConstantSignal(("v",), np.array([0.0, 1.0, 2.0]),
+                                    np.array([1.0, -1.0, 1.0]), 4.0)
+    constant = PiecewiseConstantSignal(("v",), np.array([0.0]), np.array([1.0]), 4.0)
+    verdicts = [monitor(edged, window), monitor(constant, window)]
+    s = sig(0, 4, (1.0, 2.0), (3.0, 4.0))
+    stream = StreamingMonitor(window, ("v",))
+    pieces = []
+    for t, v in ((0.0, 1.0), (1.0, -1.0), (2.0, 1.0), (3.0, 1.0), (4.0, 1.0)):
+        stream.push(t, [v])
+        pieces.append(stream.poll())
+    signals = [verdict.signal for verdict in verdicts] + [
+        eval_atom(edged, Atom("v", ">=", 0.0), 0.5), s, restrict_domain(s, (0.5, 3.5)),
+        restrict_domain(s, s.domain), boolean_not(s), stream.resolved_signal(),
+        *(piece for piece in pieces if piece is not None)]
+    return signals, verdicts
+
+
+class TestPublicRecords:
+    """However a signal was built, it keeps the record contract: read-only
+    arrays, fields that cannot be assigned, value equality, the dataclass
+    repr and keyword construction."""
+
+    def test_arrays_are_read_only(self):
+        signals, _ = public_records()
+        assert len(signals) > 8
+        for s in signals:
+            for arr in (s.starts, s.ends):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[:] = 0.0
+
+    def test_fields_cannot_be_assigned(self):
+        signals, verdicts = public_records()
+        for record in signals + verdicts:
+            for field in fields(record):
+                with pytest.raises(AttributeError):
+                    setattr(record, field.name, getattr(record, field.name))
+
+    def test_equality_repr_and_keyword_construction(self):
+        signals, verdicts = public_records()
+        for s in signals:
+            copy = BooleanSignal(start=s.start, end=s.end, starts=s.starts.copy(),
+                                 ends=s.ends.copy())
+            assert copy == s and repr(copy) == repr(s)
+            assert s != BooleanSignal(s.start, s.end + 1.0, s.starts, s.ends)
+        for v in verdicts:
+            copy = VerdictSignal(signal=v.signal, crossings=v.crossings,
+                                 stable_until=v.stable_until)
+            assert copy == v and repr(copy) == repr(v)
+        s = BooleanSignal(start=0.0, end=2.0, starts=np.array([0.5]), ends=np.array([1.0]))
+        assert s == sig(0, 2, (0.5, 1.0))
+        assert repr(s) == "BooleanSignal(start=0.0, end=2.0, starts=array([0.5]), ends=array([1.]))"
+        assert repr(VerdictSignal(s, (0.5,), 1.5)) == \
+            f"VerdictSignal(signal={s!r}, crossings=(0.5,), stable_until=1.5)"
 
 
 class TestProperties:

@@ -35,6 +35,19 @@ def test_poll_cost_counts_a_gaussian_stream():
     grid_integrals, evaluate = mon._grid_integrals, mon.eval_conv_efficient
     trace = sclmon.generate_glucose_like(0, duration=4.5)
     f = sclmon.parse("<gauss(0.5,0.3)[0,1],0.5> (G >= 120)")
-    (polls, grid, *_), _ = poll_cost.counted_polls(sclmon, mon, trace, f)
+    (polls, grid, *_), _, busy = poll_cost.counted_polls(sclmon, mon, trace, f)
     assert polls > 0 and grid > 0
+    # every counted poll falls in one class, and the stream has both
+    assert len(busy) == polls and 0 < sum(busy) < polls
     assert mon._grid_integrals is grid_integrals and mon.eval_conv_efficient is evaluate
+
+
+def test_stream_ab_compares_this_tree_with_itself():
+    done = subprocess.run([sys.executable, str(ROOT / "tools" / "stream_ab.py"), str(ROOT),
+                           str(ROOT), "--pairs", "1"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert re.fullmatch(r"\s*0\s+parent\s+[0-9.]+\s+[0-9.]+", lines[2]), lines
+    assert [line.split()[0] for line in lines[3:5]] == ["parent", "change"]
+    assert re.fullmatch(r"change won [01] of 1 pairs", lines[-1]), lines

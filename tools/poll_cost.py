@@ -1,4 +1,4 @@
-"""Cost of a steady streaming poll, per formula, on the stream-day inputs.
+"""Cost of a streaming poll, steady and busy apart, per formula, on the stream-day inputs.
 
     python3 tools/poll_cost.py ROOT
 
@@ -10,24 +10,31 @@ stream-day spec, ``F[0,2] (G >= 180)``, the Gaussian
 ``<gauss(0.5,0.3)[0,1],0.5> (G >= 120)`` and the nested
 ``G[0,2] (<flat[0,1], 0.5> (G >= 100))`` is pushed and polled one sample at
 a time.  From the first emitted slice on, each push+poll is one
-measurement.  Per formula it prints
+measurement.  A poll is *busy* when one of its window-node evaluations
+found a child truth edge strictly inside the windows' reach ``(t0 + lower,
+t_end + upper)``, so that it can need the evaluator's general path and a
+window integral, and *steady* otherwise, when every window is decided in
+closed form.  The counting pass classifies each poll by its index, and the
+timing pass's poll with the same index falls in that class.  Per formula it
+prints
 
-* ``p50_us`` / ``p99_us``: the median and 99th percentile of push+poll wall
-  time in microseconds, over all seeds (a timing pass with no spy);
+* ``steady_p50_us`` / ``steady_p99_us`` and ``busy_p50_us`` /
+  ``busy_p99_us``: the median and 99th percentile of push+poll wall time in
+  microseconds, per class, over all seeds (a timing pass with no spy);
 * ``grid_per_poll``: ``monitor._grid_integrals`` calls per poll (a second,
   counting pass); a Gaussian window takes one more per round that narrows
   its crossings, so this also counts its probe rounds;
 * ``anchors_per_poll``: the window integrals those calls take per poll,
   one per anchor;
 * ``edge_share``: the share of window-node evaluations whose child held a
-  truth edge strictly inside the windows' reach ``(t0 + lower, t_end +
-  upper)``; only those can need a window integral;
+  truth edge in the windows' reach; only those can need a window integral;
 * ``lag_h_max``: the largest delay of the emitted verdict beyond the
   formula's horizon, in hours: pushed time - horizon - emitted_to after
   each push+poll, maximised over the last three quarters of each replay
   and over all seeds (counting pass).  0 means every poll emitted all that
   the horizon lets it;
-* ``polls``: the measured polls.
+* ``steady`` / ``busy`` / ``polls``: the measured polls per class and in
+  all.
 
 The timing pass runs each seed's stream three times and keeps, per poll,
 the fastest of the three, so a stray pause of the host does not count.
@@ -38,6 +45,7 @@ from __future__ import annotations
 
 import importlib
 import io
+import math
 import platform
 import sys
 import time
@@ -48,7 +56,7 @@ import numpy as np
 REPEATS = 3
 
 
-def steady_polls(sclmon, trace, f) -> list[float]:
+def timed_polls(sclmon, trace, f) -> list[float]:
     """Seconds per push+poll from the first emitted slice on (that one included)."""
     sm = sclmon.StreamingMonitor(f, trace.variables)
     costs, emitting = [], False
@@ -63,10 +71,12 @@ def steady_polls(sclmon, trace, f) -> list[float]:
     return costs
 
 
-def counted_polls(sclmon, mon, trace, f) -> tuple[tuple[int, int, int, int, int], float]:
+def counted_polls(sclmon, mon, trace, f,
+                  ) -> tuple[tuple[int, int, int, int, int], float, list[bool]]:
     """(polls, grid integral calls, their anchors, window evaluations, those
-    with an edge in reach), from the first emitted slice on, and the lag
-    beyond the horizon, maximised over the last three quarters of the replay."""
+    with an edge in reach), from the first emitted slice on; the lag beyond
+    the horizon, maximised over the last three quarters of the replay; and
+    per poll counted, whether it was busy."""
     counts = {"grid": 0, "anchors": 0, "windows": 0, "edges": 0}
     grid_integrals, evaluate = mon._grid_integrals, mon.eval_conv_efficient
 
@@ -88,7 +98,7 @@ def counted_polls(sclmon, mon, trace, f) -> tuple[tuple[int, int, int, int, int]
     try:
         sm = sclmon.StreamingMonitor(f, trace.variables)
         horizon, settled = sclmon.horizon(f), len(trace.times) // 4
-        polls, emitting, emitted_to, lag = 0, False, 0.0, 0.0
+        polls, emitting, emitted_to, lag, busy = 0, False, 0.0, 0.0, []
         for i, (t, row) in enumerate(zip(trace.times.tolist(), trace.values.tolist())):
             before = dict(counts)
             sm.push(t, row)
@@ -96,6 +106,7 @@ def counted_polls(sclmon, mon, trace, f) -> tuple[tuple[int, int, int, int, int]
             emitting = emitting or piece is not None
             if emitting:
                 polls += 1
+                busy.append(counts["edges"] > before["edges"])
             else:
                 counts.update(before)
             if piece is not None:
@@ -105,7 +116,12 @@ def counted_polls(sclmon, mon, trace, f) -> tuple[tuple[int, int, int, int, int]
     finally:
         mon._grid_integrals, mon.eval_conv_efficient = grid_integrals, evaluate
     counted = polls, counts["grid"], counts["anchors"], counts["windows"], counts["edges"]
-    return counted, lag
+    return counted, lag, busy
+
+
+def quantiles(us: np.ndarray) -> tuple[float, float]:
+    """Median and 99th percentile, NaN for a class with no poll."""
+    return tuple(np.percentile(us, (50, 99)).tolist()) if len(us) else (math.nan, math.nan)
 
 
 def main(argv: list[str]) -> int:
@@ -132,20 +148,25 @@ def main(argv: list[str]) -> int:
               for seed in SEEDS]
     print(f"# {platform.python_version()} numpy {np.__version__}, "
           f"pool seeds {SEEDS.start}-{SEEDS.stop - 1}, stream-day traces")
-    print(f"{'formula':<44} {'p50_us':>8} {'p99_us':>8} {'grid_per_poll':>13} "
-          f"{'anchors_per_poll':>16} {'edge_share':>10} {'lag_h_max':>9} {'polls':>6}")
+    print(f"{'formula':<44} {'steady_p50_us':>13} {'steady_p99_us':>13} {'busy_p50_us':>11} "
+          f"{'busy_p99_us':>11} {'grid_per_poll':>13} {'anchors_per_poll':>16} "
+          f"{'edge_share':>10} {'lag_h_max':>9} {'steady':>6} {'busy':>6} {'polls':>6}")
     for text in texts:
         f = sclmon.parse(text)
         costs = []
         for trace in traces:
-            runs = [steady_polls(sclmon, trace, f) for _ in range(REPEATS)]
+            runs = [timed_polls(sclmon, trace, f) for _ in range(REPEATS)]
             costs.extend(np.min(np.array(runs), axis=0).tolist())
-        counted, lags = zip(*(counted_polls(sclmon, mon, trace, f) for trace in traces))
+        counted, lags, busy = zip(*(counted_polls(sclmon, mon, trace, f) for trace in traces))
         polls, grid, anchors, windows, edges = np.sum(counted, axis=0).tolist()
-        us = np.array(costs) * 1e6
-        print(f"{text:<44} {np.median(us):8.1f} {np.percentile(us, 99):8.1f} "
+        us, busy = np.array(costs) * 1e6, np.concatenate(busy).astype(bool)
+        if len(us) != len(busy):
+            raise SystemExit(f"poll_cost: the passes measured {len(us)} and {len(busy)} polls")
+        (s50, s99), (b50, b99) = quantiles(us[~busy]), quantiles(us[busy])
+        print(f"{text:<44} {s50:13.1f} {s99:13.1f} {b50:11.1f} {b99:11.1f} "
               f"{grid / polls:13.3f} {anchors / polls:16.3f} {edges / windows:10.3f} "
-              f"{max(lags):9.2f} {polls:6d}", flush=True)
+              f"{max(lags):9.2f} {int((~busy).sum()):6d} {int(busy.sum()):6d} {polls:6d}",
+              flush=True)
     return 0
 
 
