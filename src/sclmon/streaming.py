@@ -118,11 +118,15 @@ class StreamingMonitor:
             return None
         finished = self._duration is not None
         duration = self._duration if finished else float(self._times[n - 1])
-        try:
-            evaluable_end(self.formula, duration)
-        except HorizonError:
-            return None
-        start = 0.0 if self._emitted_to is None else self._emitted_to
+        start = self._emitted_to
+        if start is None:
+            # after an emission no check is needed: the horizon was met on a
+            # shorter prefix, and evaluable_end only grows with the duration
+            try:
+                evaluable_end(self.formula, duration)
+            except HorizonError:
+                return None
+            start = 0.0
         prefix = PiecewiseConstantSignal._unchecked(self.variables, self._times[:n],
                                                     self._values[:n], duration)
         signal, _, stable = _eval_node(prefix, self.formula, start, self._restarts)
