@@ -42,13 +42,14 @@ this boundary, which makes online output exactly equal to offline.
 
 The formula recursion is span-restricted: a node is evaluated over
 ``[lo, evaluable end]``.  :func:`monitor` is the span from 0.  A window node
-may start its own evaluation earlier, at a *restart point* taken from an
-earlier evaluation of a shorter prefix, before what was stable there: one of
-its stretch bounds, or a point inside a quiet stretch.  From there it finds
-the same later stretches, H samples and roots as a run from 0, so its
-verdict, cut to ``[lo, ...]``, equals the offline one bit for bit.  The
-streaming facade keeps these points between polls and so re-evaluates only
-the unresolved tail.
+may start its own evaluation at a *restart point* taken from an earlier
+evaluation of a shorter prefix: that evaluation's span end, when ``lo`` is
+that end and its last stretch was quiet and stable to it, or else a point
+before what was stable there, one of its stretch bounds or a point inside a
+quiet stretch.  From there it finds the same later stretches, H samples and
+roots as a run from 0, so its verdict, cut to ``[lo, ...]`` when it started
+earlier, equals the offline one bit for bit.  The streaming facade keeps
+these points between polls and so re-evaluates only the unresolved tail.
 """
 
 from __future__ import annotations
@@ -106,6 +107,15 @@ class VerdictSignal:
     crossings: tuple[float, ...] = ()
     stable_until: float = math.inf
 
+    @classmethod
+    def _unchecked(cls, signal: BooleanSignal, crossings: tuple[float, ...],
+                   stable_until: float) -> "VerdictSignal":
+        """A verdict taken as it is, with no dataclass ``__init__`` (the
+        evaluator's own, per poll)."""
+        verdict = object.__new__(cls)
+        vars(verdict).update(signal=signal, crossings=crossings, stable_until=stable_until)
+        return verdict
+
     @property
     def domain(self) -> tuple[float, float]:
         return self.signal.domain
@@ -133,6 +143,15 @@ class ConvEvaluation:
     values: np.ndarray
     bounds: np.ndarray
     quiet: np.ndarray | tuple[bool, ...]
+
+    @classmethod
+    def _unchecked(cls, verdict: VerdictSignal, times: np.ndarray, values: np.ndarray,
+                   bounds: np.ndarray, quiet: np.ndarray | tuple[bool, ...],
+                   ) -> "ConvEvaluation":
+        """An evaluation taken as it is, with no dataclass ``__init__``."""
+        ev = object.__new__(cls)
+        vars(ev).update(verdict=verdict, times=times, values=values, bounds=bounds, quiet=quiet)
+        return ev
 
 
 def _verdict_span(kernel: BoundedKernel, sig: BooleanSignal) -> tuple[float, float]:
@@ -175,7 +194,10 @@ def _alternating(t0: float, t_end: float, first: bool,
     opens = np.empty(len(starts) + 1, dtype=bool)
     opens[0] = opens[-1] = True
     np.greater(starts[1:], ends[:-1], out=opens[1:-1])
-    return BooleanSignal(t0, t_end, starts[opens[:-1]], ends[opens[1:]])
+    starts, ends = starts[opens[:-1]], ends[opens[1:]]
+    starts.setflags(write=False)
+    ends.setflags(write=False)
+    return BooleanSignal._unchecked(t0, t_end, starts, ends)
 
 
 _COMPARE = {">=": np.greater_equal, ">": np.greater, "<=": np.less_equal, "<": np.less}
@@ -207,7 +229,9 @@ def eval_atom(trace: PiecewiseConstantSignal, atom: Atom, lo: float = 0.0) -> Bo
     cuts = bounds[np.not_equal(true[1:], true[:-1]).nonzero()[0]]
     if len(cuts) and lo > cuts[0]:
         cuts[0] = lo
-    return BooleanSignal(lo, duration, cuts[0::2], cuts[1::2])
+    # read-only once, and so are its two views
+    cuts.setflags(write=False)
+    return BooleanSignal._unchecked(lo, duration, cuts[0::2], cuts[1::2])
 
 
 def _grid_integrals(kernel: BoundedKernel, sig: BooleanSignal,
@@ -400,9 +424,11 @@ def _steady(kernel: BoundedKernel, p: float, sig: BooleanSignal, t0: float,
                 return None
     # true all through (on a degenerate span, at its point) or never
     span = np.array((t0, t_end))
+    span.setflags(write=False)
     k = int(h >= p)
-    verdict = VerdictSignal(BooleanSignal(t0, t_end, span[:k], span[1:1 + k]), (), t_end)
-    return ConvEvaluation(verdict, span, np.array((h, h)), span, (True,))
+    signal = BooleanSignal._unchecked(t0, t_end, span[:k], span[1:1 + k])
+    verdict = VerdictSignal._unchecked(signal, (), t_end)
+    return ConvEvaluation._unchecked(verdict, span, np.array((h, h)), span, (True,))
 
 
 def eval_conv_efficient(kernel: BoundedKernel, threshold: float,
@@ -511,8 +537,8 @@ def eval_conv_efficient(kernel: BoundedKernel, threshold: float,
     stable_until = float(bounds[-2]) if delicate else t_end
 
     signal = _alternating(t0, t_end, bool(th[0] >= 0.0), flips)
-    verdict = VerdictSignal(signal, tuple(crossings), stable_until)
-    return ConvEvaluation(verdict, times, hs, bounds, quiet)
+    verdict = VerdictSignal._unchecked(signal, tuple(crossings), stable_until)
+    return ConvEvaluation._unchecked(verdict, times, hs, bounds, quiet)
 
 
 def _align(a: BooleanSignal, b: BooleanSignal) -> tuple[BooleanSignal, BooleanSignal]:
@@ -529,16 +555,32 @@ class _Restart:
     point it last chose, until its last evaluation (with stretch ``bounds``
     and ``quiet`` flags, stable until ``stable``) offers a later one.
 
-    A restart point lies at or before what the node must produce now,
-    strictly before the next bound (so a run from it keeps that bound, an
-    event strictly inside its span, as a run from 0 does) and before what
-    was stable then (so the child edges its stretch comes from are final).
-    It is a stretch bound, never a Gaussian H' split, or, inside a quiet
-    stretch, the ``lo`` the node's output is wanted from or, when that lies
-    at or past those limits, the double just before them: H is the same
-    exact 0 or 1 all through such a stretch, so a run may start anywhere in
-    it.  (Before the stable point it is not the delicate last stretch, so
-    that run's ``stable_until`` does not move either.)
+    A restart point lies at or before what the node must produce now, the
+    ``lo`` it is asked for, and is one of two kinds.
+
+    *The previous span end* ``t_end``, when ``lo`` is that end, the last
+    stretch was quiet and it was stable up to ``t_end``: the case of a poll
+    after one that emitted all it evaluated.  The child was then final up
+    to its old end c, so a longer trace changes it only at or after c, and
+    each new edge x enters the windows at ``x - upper``, at or after
+    ``c - upper = t_end`` (the same subtraction), and leaves them later.  No
+    event then falls strictly inside the old last stretch.  On the longer
+    trace ``t_end`` is therefore an event, which a run from 0 keeps as a
+    stretch bound, or a point inside a stretch whose windows still hold no
+    edge, a quiet one.  From either, a run finds the same stretches, H
+    samples and roots as a run from 0, and its verdict needs no cut.
+
+    *Otherwise*, a point strictly before the next bound (so a run from it
+    keeps that bound, an event strictly inside its span, as a run from 0
+    does) and before what was stable then (so the child edges its stretch
+    comes from are final): a busy last stretch, whose windows hold an edge,
+    or one held back at 0 < p < 1, keeps this rule.  It is a stretch bound,
+    never a Gaussian H' split, or, inside a quiet stretch, the ``lo`` the
+    node's output is wanted from or, when that lies at or past those
+    limits, the double just before them: H is the same exact 0 or 1 all
+    through such a stretch, so a run may start anywhere in it.  (Before the
+    stable point it is not the delicate last stretch, so that run's
+    ``stable_until`` does not move either.)
     """
 
     __slots__ = ("at", "bounds", "quiet", "stable")
@@ -546,9 +588,13 @@ class _Restart:
     def __init__(self) -> None:
         self.at = 0.0
         self.bounds = [0.0]
+        self.stable = -math.inf                  # nothing evaluated yet
 
     def start_for(self, lo: float) -> float:
         bounds = self.bounds
+        if lo == bounds[-1] and lo <= self.stable and self.quiet[-1]:
+            self.at = lo
+            return lo
         k = bisect.bisect_right(bounds, lo, 0, len(bounds) - 1) - 1
         for k in range(k, -1, -1):
             start = bounds[k]

@@ -51,6 +51,17 @@ class BooleanSignal:
         self.starts.setflags(write=False)
         self.ends.setflags(write=False)
 
+    @classmethod
+    def _unchecked(cls, start: float, end: float, starts: np.ndarray,
+                   ends: np.ndarray) -> "BooleanSignal":
+        """A signal over normal, already read-only arrays, taken as they are:
+        no copy, no check and no flag set (the package's own operations,
+        whose arrays are fresh ones they marked or views of such)."""
+        sig = object.__new__(cls)
+        # the fields, set as the frozen dataclass's own __init__ would
+        vars(sig).update(start=start, end=end, starts=starts, ends=ends)
+        return sig
+
     @staticmethod
     def from_intervals(
         start: float, end: float,
@@ -87,14 +98,18 @@ class BooleanSignal:
         # interval starts beyond every end before it
         reach = np.concatenate(([-np.inf], np.maximum.accumulate(e)[:-1]))
         opens = np.flatnonzero(s > reach)
-        return BooleanSignal(start, end, s[opens], np.maximum.reduceat(e, opens))
+        s, e = s[opens], np.maximum.reduceat(e, opens)
+        s.setflags(write=False)
+        e.setflags(write=False)
+        return BooleanSignal._unchecked(start, end, s, e)
 
     @staticmethod
     def _degenerate(start: float, end: float, true: bool) -> "BooleanSignal":
         """The degenerate domain ``[start, end]``, ``start == end``: a point
         interval when true at the point, else nothing."""
         point = np.full(int(true), start)
-        return BooleanSignal(start, end, point, point)
+        point.setflags(write=False)
+        return BooleanSignal._unchecked(start, end, point, point)
 
     @staticmethod
     def always(start: float, end: float) -> "BooleanSignal":
@@ -143,9 +158,11 @@ def boolean_not(sig: BooleanSignal) -> BooleanSignal:
         return BooleanSignal._degenerate(start, end, not len(starts))
     gap_starts = np.concatenate(([start], ends))
     gap_ends = np.concatenate((starts, [end]))
+    gap_starts.setflags(write=False)
+    gap_ends.setflags(write=False)
     i = 0 if gap_ends[0] > start else 1
     j = len(gap_ends) if end > gap_starts[-1] else len(gap_ends) - 1
-    return BooleanSignal(start, end, gap_starts[i:j], gap_ends[i:j])
+    return BooleanSignal._unchecked(start, end, gap_starts[i:j], gap_ends[i:j])
 
 
 def _require_same_domain(a: BooleanSignal, b: BooleanSignal) -> None:
@@ -186,15 +203,18 @@ def restrict_domain(sig: BooleanSignal, interval: tuple[float, float]) -> Boolea
         return BooleanSignal._degenerate(lo, hi, sig.value_at(lo))
     i = sig.ends.searchsorted(lo, side="right")
     j = sig.starts.searchsorted(hi, side="left")
+    # views of the signal's read-only arrays, read-only themselves
     starts, ends = sig.starts[i:j], sig.ends[i:j]
     # the selections of from_intervals, so a -0.0 bound stays what it was
     if len(starts) and lo > starts[0]:
         starts = starts.copy()
         starts[0] = lo
+        starts.setflags(write=False)
     if len(ends) and hi < ends[-1]:
         ends = ends.copy()
         ends[-1] = hi
-    return BooleanSignal(lo, hi, starts, ends)
+        ends.setflags(write=False)
+    return BooleanSignal._unchecked(lo, hi, starts, ends)
 
 
 def sorted_unique(x: np.ndarray) -> np.ndarray:
@@ -225,9 +245,15 @@ class PiecewiseConstantSignal:
         values = np.asarray(self.values, dtype=float)
         if values.ndim == 1:
             values = values.reshape(-1, 1)
+        try:
+            # a float, so every domain end derived from it is one
+            duration = float(self.duration)
+        except (TypeError, ValueError):
+            raise TraceError(f"duration must be a number, got {self.duration!r}") from None
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "variables", tuple(self.variables))
+        object.__setattr__(self, "duration", duration)
         if times.ndim != 1 or len(times) == 0:
             raise TraceError("trace needs at least one sample")
         check_unique_variables(self.variables)
@@ -248,9 +274,9 @@ class PiecewiseConstantSignal:
                 f"value matrix shape {values.shape} does not match "
                 f"{len(times)} samples x {len(self.variables)} variables"
             )
-        if not math.isfinite(self.duration) or self.duration < times[-1]:
+        if not math.isfinite(duration) or duration < times[-1]:
             raise TraceError(
-                f"duration {self.duration} shorter than last sample time {times[-1]}"
+                f"duration {duration} shorter than last sample time {times[-1]}"
             )
 
     @classmethod

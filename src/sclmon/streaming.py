@@ -4,18 +4,21 @@ Samples go into growing numpy buffers, each checked once as it is pushed.
 A poll evaluates the formula over the known prefix from where output was
 last emitted, by the offline monitor's own span-restricted recursion: every
 window node starts from its restart point, at or before what it must
-produce now, which the previous poll left (see ``monitor._Restart``).  So a
-poll re-reads only the unresolved tail, plus the stretch each window node
-straddles, and never copies or re-checks the prefix.  It emits the newly
-resolved slice.  Before :meth:`StreamingMonitor.finish` a slice ends at the
-verdict's ``stable_until``, before which no longer trace can change it;
-after, at the verdict's own end.  A run from a restart point finds the same
-stretches, H samples and roots as a run from 0, so the concatenated output
-equals the offline verdict on the full trace exactly, down to the double its
-domain ends at.  A poll on a prefix shorter than the formula's horizon (decided
-before anything is evaluated), one whose hold-back lies below time 0 (a
-nested window's early polls), and one that finds nothing past what was
-already emitted return ``None``.
+produce now, which the previous poll left (see ``monitor._Restart``).
+After a poll that emitted all it evaluated and whose last stretch was
+quiet, that is the span end it emitted to, so the poll needs no cut;
+otherwise it is a stretch bound, or a point inside a quiet stretch, before
+it.  So a poll re-reads only the unresolved tail, plus at most the stretch
+each window node straddles, and never copies or re-checks the prefix.  It
+emits the newly resolved slice.  Before :meth:`StreamingMonitor.finish` a
+slice ends at the verdict's ``stable_until``, before which no longer trace
+can change it; after, at the verdict's own end.  A run from a restart point
+finds the same stretches, H samples and roots as a run from 0, so the
+concatenated output equals the offline verdict on the full trace exactly,
+down to the double its domain ends at.  A poll on a prefix shorter than the
+formula's horizon (decided before anything is evaluated), one whose
+hold-back lies below time 0 (a nested window's early polls), and one that
+finds nothing past what was already emitted return ``None``.
 """
 
 from __future__ import annotations

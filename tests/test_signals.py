@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from sclmon import (
     Atom,
     BooleanSignal,
+    FlatKernel,
     PiecewiseConstantSignal,
     SclError,
     StreamingMonitor,
@@ -20,6 +21,7 @@ from sclmon import (
     boolean_not,
     boolean_or,
     eval_atom,
+    eval_conv_efficient,
     monitor,
     parse,
     restrict_domain,
@@ -136,21 +138,30 @@ def public_records():
     """A signal and verdict from each public producer: ``monitor`` on a
     child with edges in reach and on one without, ``eval_atom``,
     ``from_intervals``, ``restrict_domain`` to a part and to the whole
-    domain, ``boolean_not`` and a stream's polls and assembled output."""
+    domain, ``boolean_not`` and a stream's polls and assembled output.
+    Also the evaluator's own records, built without the dataclass
+    ``__init__``: its verdicts and their signals on the general path and on
+    a steady span, and the pieces of a stream whose polls restart at the
+    previous span end."""
     window = parse("<flat[0,1], 0.5> (v >= 0)")
     edged = PiecewiseConstantSignal(("v",), np.array([0.0, 1.0, 2.0]),
                                     np.array([1.0, -1.0, 1.0]), 4.0)
     constant = PiecewiseConstantSignal(("v",), np.array([0.0]), np.array([1.0]), 4.0)
-    verdicts = [monitor(edged, window), monitor(constant, window)]
+    atom = Atom("v", ">=", 0.0)
+    verdicts = [monitor(edged, window), monitor(constant, window)] + [
+        eval_conv_efficient(FlatKernel(0.0, 1.0), 0.5, eval_atom(trace, atom)).verdict
+        for trace in (edged, constant)]
     s = sig(0, 4, (1.0, 2.0), (3.0, 4.0))
-    stream = StreamingMonitor(window, ("v",))
     pieces = []
-    for t, v in ((0.0, 1.0), (1.0, -1.0), (2.0, 1.0), (3.0, 1.0), (4.0, 1.0)):
-        stream.push(t, [v])
-        pieces.append(stream.poll())
+    for values in ((1.0, -1.0, 1.0, 1.0, 1.0), (1.0,) * 5):
+        stream = StreamingMonitor(window, ("v",))
+        for t, v in enumerate(values):
+            stream.push(float(t), [v])
+            pieces.append(stream.poll())
+        pieces.append(stream.resolved_signal())
     signals = [verdict.signal for verdict in verdicts] + [
-        eval_atom(edged, Atom("v", ">=", 0.0), 0.5), s, restrict_domain(s, (0.5, 3.5)),
-        restrict_domain(s, s.domain), boolean_not(s), stream.resolved_signal(),
+        eval_atom(edged, atom, 0.5), s, restrict_domain(s, (0.5, 3.5)),
+        restrict_domain(s, s.domain), boolean_not(s),
         *(piece for piece in pieces if piece is not None)]
     return signals, verdicts
 
@@ -191,6 +202,20 @@ class TestPublicRecords:
         assert repr(s) == "BooleanSignal(start=0.0, end=2.0, starts=array([0.5]), ends=array([1.]))"
         assert repr(VerdictSignal(s, (0.5,), 1.5)) == \
             f"VerdictSignal(signal={s!r}, crossings=(0.5,), stable_until=1.5)"
+
+    def test_internal_constructors_fill_every_field(self):
+        # a record built without __init__ holds exactly its fields, and an
+        # evaluation, unexported, is as frozen as the public records
+        signals, verdicts = public_records()
+        edged = PiecewiseConstantSignal(("v",), np.array([0.0, 1.0]), np.array([1.0, -1.0]), 3.0)
+        evaluations = [eval_conv_efficient(FlatKernel(0.0, 1.0), 0.5,
+                                           eval_atom(edged, Atom("v", ">=", 0.0), lo))
+                       for lo in (0.0, 1.5)]
+        for record in signals + verdicts + evaluations:
+            assert list(vars(record)) == [field.name for field in fields(record)]
+        for ev in evaluations:
+            with pytest.raises(AttributeError):
+                ev.quiet = ev.quiet
 
 
 class TestProperties:
@@ -501,6 +526,23 @@ class TestPiecewiseConstantSignal:
     def test_value_shape_mismatch_rejected(self):
         with pytest.raises(TraceError, match=r"shape \(2, 2\) does not match"):
             PiecewiseConstantSignal(("v",), np.array([0.0, 1.0]), np.zeros((2, 2)), 2.0)
+
+    def test_int_duration_gives_float_domain_ends(self):
+        # the duration is a float from construction on, so an atom's verdict
+        # ends at 4.0 as a window's ends at 3.0, not at the int 4
+        trace = PiecewiseConstantSignal(("v",), np.array([0.0, 1.0]),
+                                        np.array([[1.0], [-1.0]]), 4)
+        assert type(trace.duration) is float
+        atom = monitor(trace, parse("v >= 0")).signal
+        window = monitor(trace, parse("<flat[0,1],0.5> (v >= 0)")).signal
+        assert repr(atom) == \
+            "BooleanSignal(start=0.0, end=4.0, starts=array([0.]), ends=array([1.]))"
+        assert repr(window) == \
+            "BooleanSignal(start=0.0, end=3.0, starts=array([0.]), ends=array([0.5]))"
+
+    def test_duration_must_be_a_number(self):
+        with pytest.raises(TraceError, match="duration must be a number, got None"):
+            PiecewiseConstantSignal(("v",), np.array([0.0]), np.array([[1.0]]), None)
 
     def test_duration_before_last_sample_rejected(self):
         with pytest.raises(TraceError, match="shorter than last sample time"):

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sclmon import (
+    Conv,
+    ConvDual,
     HorizonError,
     PiecewiseConstantSignal,
     SclError,
@@ -19,6 +21,7 @@ from sclmon import (
     monitor,
     parse,
 )
+from conftest import signal_bits
 
 
 def feed_and_collect(formula, trace, poll_every=1):
@@ -347,6 +350,91 @@ class TestRestartedPolls:
         assert sm.poll() is None
 
 
+EDGE_AT_END_FORMULAS = [
+    "<flat[0,1], 0>* (v >= 0)",
+    "<flat[0,1], 0.5> (v >= 0)",
+    "<flat[0,1], 1> (v >= 0)",
+    "<exp(-1.5)[0.25,1.25], 0>* (v >= 0)",
+    "<exp(2)[0,1], 0.5> (v >= 0)",
+    "<exp(-1)[0,1.5], 1> (v >= 0)",
+    "<gauss(0.5, 0.3)[0,1], 0>* (v >= 0)",
+    "<gauss(0.5, 0.3)[0,1], 0.5> (v >= 0)",
+    "<gauss(0.25, 0.2)[0.25,1], 1> (v >= 0)",
+    "F[0,0.5] (G[0,1] (v >= 0))",
+    "G[0,0.5] (<flat[0,1], 0.5> (v >= 0))",
+]
+
+
+def run_trace(pitch, runs, true_first, extra=0.0):
+    """Samples every ``pitch`` on which ``v >= 0`` holds for runs of
+    ``runs`` samples each, alternately true (``v`` 1 or, on the threshold,
+    0) and false, and which ends ``extra`` after its last sample."""
+    n = sum(runs)
+    truth = np.repeat((np.arange(len(runs)) % 2 == 0) == true_first, runs)
+    values = np.where(truth, np.where(np.arange(n) % 3 == 0, 0.0, 1.0), -1.0)
+    times = np.arange(n) * pitch
+    return PiecewiseConstantSignal(("v",), times, values.reshape(-1, 1), float(times[-1]) + extra)
+
+
+@st.composite
+def edge_at_end_cases(draw):
+    """A run trace on a coarse or a CGM pitch, and a formula."""
+    pitch = draw(st.sampled_from([0.125, 0.25, 1.0 / 12.0, 0.3]))
+    runs = draw(st.lists(st.integers(1, 16), min_size=2, max_size=6))
+    trace = run_trace(pitch, runs, draw(st.booleans()), draw(st.sampled_from([0.0, 0.25, 1.0])))
+    return parse(draw(st.sampled_from(EDGE_AT_END_FORMULAS))), trace
+
+
+class TestEdgeAtPreviousEnd:
+    """A poll after one that emitted all it evaluated restarts a window node
+    at its previous span end.  Polled after every push, a sample that flips
+    the child lands a new child edge at the previous duration, so its enter
+    event ``duration - upper`` sits exactly on that span end, which is then
+    an event of the longer trace.  The stream still equals offline
+    ``monitor`` bit for bit."""
+
+    @staticmethod
+    def stream(f, trace):
+        """The resolved signal of a push and poll per sample, and the number
+        of polls whose root window restarted at its previous span end,
+        in all and right after the child flipped at the previous duration."""
+        sm = StreamingMonitor(f, ("v",))
+        truth = trace.values[:, 0] >= 0.0
+        at_end = on_edge = 0
+        for i, (t, row) in enumerate(zip(trace.times.tolist(), trace.values.tolist())):
+            sm.push(t, row)
+            restart, lo = sm._restarts.get(()), sm._emitted_to
+            end = restart.bounds[-1] if restart is not None else None
+            sm.poll()
+            if lo is not None and lo == end == restart.at:
+                at_end += 1
+                on_edge += bool(i >= 2 and truth[i - 1] != truth[i - 2])
+        sm.finish(trace.duration)
+        sm.poll()
+        return sm.resolved_signal(), at_end, on_edge
+
+    @pytest.mark.parametrize("text", EDGE_AT_END_FORMULAS)
+    def test_cgm_runs_restart_on_the_new_edge(self, text):
+        f = parse(text)
+        trace = run_trace(1.0 / 12.0, [30, 1, 2, 13, 30, 5, 24, 12, 40], True, 0.25)
+        got, at_end, on_edge = self.stream(f, trace)
+        assert signal_bits(got) == signal_bits(monitor(trace, f).signal)
+        assert at_end > 0
+        if not isinstance(f.child, (Conv, ConvDual)):
+            assert on_edge > 0
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=edge_at_end_cases())
+    def test_stream_equals_offline_bit_for_bit(self, case):
+        f, trace = case
+        try:
+            expected = monitor(trace, f).signal
+        except HorizonError:
+            return
+        got, _, _ = self.stream(f, trace)
+        assert signal_bits(got) == signal_bits(expected)
+
+
 class TestBoundedPolls:
     """A poll reads the trace from its restart points on, not from 0."""
 
@@ -480,6 +568,52 @@ class TestSteadyPolls:
                 if emits == 1:
                     calls.clear()
         assert emits > 100 and calls == []
+        sm.finish()
+        sm.poll()
+        assert sm.resolved_signal() == monitor(trace, parse(text)).signal
+
+    @pytest.mark.parametrize("text", [
+        "<flat[0,1], 0.8> (G >= 70)",
+        "<exp(-1)[0,2], 0.9> (G <= 180)",
+        "G[0,2] (<flat[0,1], 0.5> (G >= 100))",
+    ])
+    def test_steady_poll_cuts_nothing(self, monkeypatch, text):
+        # a poll whose window nodes all took the steady span restarted each
+        # at the span end it last emitted to, so no verdict needs a cut
+        monitor_module = importlib.import_module("sclmon.monitor")
+        restrict, steady = monitor_module.restrict_domain, monitor_module._steady
+        cuts, spans = [], []
+
+        def restrict_spy(*args):
+            cuts.append(args)
+            return restrict(*args)
+
+        def steady_spy(*args):
+            ev = steady(*args)
+            spans[-1] = ev is not None
+            return ev
+
+        def evaluate_spy(*args):
+            spans.append(False)             # until _steady takes the span
+            return evaluate(*args)
+
+        evaluate = monitor_module.eval_conv_efficient
+        monkeypatch.setattr(monitor_module, "restrict_domain", restrict_spy)
+        monkeypatch.setattr(monitor_module, "_steady", steady_spy)
+        monkeypatch.setattr(monitor_module, "eval_conv_efficient", evaluate_spy)
+        trace = generate_glucose_like(3, duration=24.5)
+        sm = StreamingMonitor(parse(text), trace.variables)
+        steady_polls = emits = 0
+        for t, row in zip(trace.times.tolist(), trace.values.tolist()):
+            sm.push(t, row)
+            cuts.clear()
+            spans.clear()
+            if sm.poll() is not None:
+                emits += 1
+            if emits > 1 and spans and all(spans):
+                steady_polls += 1
+                assert cuts == []
+        assert steady_polls > 100
         sm.finish()
         sm.poll()
         assert sm.resolved_signal() == monitor(trace, parse(text)).signal
