@@ -24,32 +24,29 @@ stretch, whose windows hold no child edge; :func:`_steady` applies it to a
 span that is one quiet stretch, before any event is built, the case a steady
 streaming poll mostly meets.  Any other H lies strictly between 0 and 1.  At
 a p of 0 or 1 (``G``, ``F``) the evaluator writes 0.5 for it, with no window
-integral or H' split; at other p it is a direct window integral, computed in
-one pass over all such samples, so H at a time depends only on that time and
-the signal, not on where evaluation began.
+integral or H' split, so every root is an exact sample on p.  At other p a
+busy stretch is solved on its *extent*: from its start a to the first leave
+event after a, against the child *held* from the window anchored at a on
+(the edges that have entered by a, the last value kept).  Its H samples,
+H' zeros and roots are then functions of a and of edges that a longer trace
+cannot move, never of where the trace ends; the roots up to the stretch's
+end are kept, and the sample at each real stretch bound decides the truth
+there.  So every verdict is final up to its own end, at every p.
 
 The dual operator is evaluated structurally as the complement of the
 complemented child at threshold ``1 - p``, which realizes its strict
 comparison up to sets of measure zero.
 
-Verdicts carry a ``stable_until`` time: extending the trace can never change
-the verdict before it.  Only the final stretch touches the current trace end,
-and only what a window integral decides there can still move: at 0 < p < 1, a
-cell holding a crossing or an integrated sample within 1e-11 of p.  An exact
-sample is final, so at a p of 0 or 1 nothing is held back; everything else is
-reproduced bit-for-bit on any longer trace.  The streaming facade emits up to
-this boundary, which makes online output exactly equal to offline.
-
 The formula recursion is span-restricted: a node is evaluated over
 ``[lo, evaluable end]``.  :func:`monitor` is the span from 0.  A window node
 may start its own evaluation at a *restart point* taken from an earlier
 evaluation of a shorter prefix: that evaluation's span end, when ``lo`` is
-that end and its last stretch was quiet and stable to it, or else a point
-before what was stable there, one of its stretch bounds or a point inside a
-quiet stretch.  From there it finds the same later stretches, H samples and
-roots as a run from 0, so its verdict, cut to ``[lo, ...]`` when it started
-earlier, equals the offline one bit for bit.  The streaming facade keeps
-these points between polls and so re-evaluates only the unresolved tail.
+that end and its last stretch was quiet, or else one of its stretch bounds
+or a point inside a quiet stretch before its next bound.  From there it
+finds the same later stretches, H samples and roots as a run from 0, so its
+verdict, cut to ``[lo, ...]`` when it started earlier, equals the offline
+one bit for bit.  The streaming facade keeps these points between polls and
+so re-evaluates only the unresolved tail.
 """
 
 from __future__ import annotations
@@ -98,22 +95,20 @@ class VerdictSignal:
     root, seen through any ``!``, met its threshold (exact-equality plateau
     edges included; a Gaussian one is the double with H >= p next to one
     below p); such a verdict only flips there or at the domain bounds.  An
-    atom or a connective at the root reports none.
-    ``stable_until`` bounds the prefix that cannot change when the trace is
-    extended (see module docstring).
+    atom or a connective at the root reports none.  Both are final up to
+    the verdict's end: a longer trace reproduces them there bit for bit
+    (see module docstring).
     """
 
     signal: BooleanSignal
     crossings: tuple[float, ...] = ()
-    stable_until: float = math.inf
 
     @classmethod
-    def _unchecked(cls, signal: BooleanSignal, crossings: tuple[float, ...],
-                   stable_until: float) -> "VerdictSignal":
+    def _unchecked(cls, signal: BooleanSignal, crossings: tuple[float, ...]) -> "VerdictSignal":
         """A verdict taken as it is, with no dataclass ``__init__`` (the
         evaluator's own, per poll)."""
         verdict = object.__new__(cls)
-        vars(verdict).update(signal=signal, crossings=crossings, stable_until=stable_until)
+        vars(verdict).update(signal=signal, crossings=crossings)
         return verdict
 
     @property
@@ -130,12 +125,15 @@ class VerdictSignal:
 
 @dataclass(frozen=True)
 class ConvEvaluation:
-    """A verdict plus the H samples the evaluator actually computed.
+    """A verdict plus the H samples the evaluator took inside its span.
 
-    ``bounds`` are the stretch bounds: the times from which a fresh
-    evaluation of the same signal, cut to start there, finds the same later
-    samples and roots.  ``quiet`` says per stretch whether its windows hold
-    no child edge, so that H is exactly 0 or 1 all through it.
+    ``times`` are the stretch bounds and the Gaussian H' zeros inside the
+    stretches, with H there in ``values``; samples at extent ends, and zeros
+    past a stretch's end, are left out.  ``bounds`` are the stretch bounds:
+    the times from which a fresh evaluation of the same signal, cut to start
+    there, finds the same later samples and roots.  ``quiet`` says per
+    stretch whether its windows hold no child edge, so that H is exactly 0
+    or 1 all through it.
     """
 
     verdict: VerdictSignal
@@ -181,9 +179,13 @@ def _alternating(t0: float, t_end: float, first: bool,
     zero-length interval, which is dropped, and a kept interval whose start
     coincides with the previous kept one's end is merged into it.
     """
+    if not len(flips):
+        # true all through (on a degenerate span, at its point) or never
+        span = np.array((t0, t_end) if first else ())
+        span.setflags(write=False)
+        return BooleanSignal._unchecked(t0, t_end, span[:1], span[1:])
     cuts = _framed(t0, flips, t_end)[0 if first else 1:]
-    n = len(cuts) // 2
-    starts, ends = cuts[0:2 * n:2], cuts[1:2 * n:2]
+    starts, ends = cuts[:len(cuts) // 2 * 2].reshape(-1, 2).T
     if t0 == t_end:
         # the point is true when a pair of cuts holds it
         return BooleanSignal._degenerate(t0, t_end, np.any((starts <= t0) & (t0 <= ends)))
@@ -234,28 +236,34 @@ def eval_atom(trace: PiecewiseConstantSignal, atom: Atom, lo: float = 0.0) -> Bo
     return BooleanSignal._unchecked(lo, duration, cuts[0::2], cuts[1::2])
 
 
-def _grid_integrals(kernel: BoundedKernel, sig: BooleanSignal,
-                    ts: np.ndarray) -> np.ndarray:
-    """Window integrals of ``sig`` at the anchors ``ts``.
+def _grid_integrals(kernel: BoundedKernel, sig: BooleanSignal, ts: np.ndarray,
+                    reach: np.ndarray) -> np.ndarray:
+    """Window integrals at the anchors ``ts`` of ``sig`` as it stands after
+    its first ``reach`` edges.
 
-    Each value is a plain running sum, in time order, of the masses of the
-    intervals in its window's reach.  Anchor-interval pairs go through one
-    ``masses`` call, on an ``(n, 2)`` array of each pair's start and end,
-    per run of anchors holding at most ``_CHUNK`` pairs, so memory stays
-    bounded, a value depends only on its anchor, not on the run that took it
-    in, and prefixes of a growing trace stay bit-identical.
+    The edges are the interval starts and ends in time order, and anchor i
+    reads the first ``reach[i]`` of them, holding the value after the last:
+    an interval whose end it does not read holds on to ``inf``, as does one
+    reaching the signal's end, which reaches every window's end.  The edges
+    that have entered the window anchored at t (``x - upper <= t``) are the
+    signal itself over that window.  Each value is a plain running sum, in
+    time order, of the masses of the intervals in its window's reach.
+    Anchor-interval pairs go through one ``masses`` call, on an ``(n, 2)``
+    array of each pair's start and end, per run of anchors holding at most
+    ``_CHUNK`` pairs, so memory stays bounded, a value depends only on its
+    anchor and reach, not on the run that took it in, and prefixes of a
+    growing trace stay bit-identical.
     """
     bounds = np.array((sig.starts, sig.ends))
     if len(sig.ends) and sig.ends[-1] == sig.end:
-        # the interval reaching the signal's end reaches every window's end,
-        # also that of a last window which rounding put past it
         bounds[1, -1] = np.inf
-    starts, ends = bounds[0], bounds[1]
     lo, hi = kernel.lower, kernel.upper
-    first = ends.searchsorted(ts + lo, side="left")
-    last = starts.searchsorted(ts + hi, side="right")
-    # never negative: an interval ending before a window starts also starts
-    # before the window ends
+    first = bounds[1].searchsorted(ts + lo, side="left")
+    # interval k's end is edge 2k + 1: an anchor reads the ends of its first
+    # reach // 2 intervals and the start of one more when reach is odd
+    closed, last = reach >> 1, (reach + 1) >> 1
+    # never negative: an interval ending before a window starts also entered
+    # before it
     count = last - first
     done = count.cumsum()
     # pair k belongs to its anchor's interval k - shift: the pairs of
@@ -270,29 +278,35 @@ def _grid_integrals(kernel: BoundedKernel, sig: BooleanSignal,
         idx = np.arange(pairs, upto) - shift[i:j].repeat(n)
         # built as (2, n), so the subtraction and clip run along the pairs,
         # and passed to masses as its (n, 2) transpose
-        cuts = (bounds.take(idx, axis=1) - ts[i:j][pair]).clip(lo, hi)
+        cut = bounds.take(idx, axis=1)
+        cut[1][idx >= closed[i:j].repeat(n)] = np.inf
+        cuts = (cut - ts[i:j][pair]).clip(lo, hi)
         h[i:j] = np.bincount(pair, kernel.masses(cuts.T)[:, 0], minlength=j - i)
         i, pairs = j, upto
     return h
 
 
-def _narrow(positive_at: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
-            hi: np.ndarray, lo_positive: np.ndarray) -> np.ndarray:
+def _narrow(positive_at: Callable[[np.ndarray, np.ndarray], np.ndarray], lo: np.ndarray,
+            hi: np.ndarray, lo_positive: np.ndarray, after: float | np.ndarray = -math.inf,
+            upto: float | np.ndarray = math.inf) -> np.ndarray:
     """Roots of brackets ``[lo, hi]`` that each hold one sign change.
 
     Each round probes every live bracket at ``_PROBES`` interior points, in
-    one call of ``positive_at`` on the 2-d array of probes, and keeps the
-    piece where the sign first changes, until a round no longer shrinks it:
-    its ends are then adjacent doubles, and its root is the one where
-    ``positive_at`` holds.  A bracket's probes depend only on its own ends,
-    so its root does not depend on the other brackets of the batch.
+    one call of ``positive_at`` on the 2-d array of probes and the indices
+    of their brackets, and keeps the piece where the sign first changes,
+    until a round no longer shrinks it: its ends are then adjacent doubles,
+    and its root is the one where ``positive_at`` holds.  Only a root in
+    ``[after, upto]`` is wanted: a bracket lying wholly before ``after`` or
+    wholly past ``upto`` stops, with its root on that side.  A bracket's
+    probes depend only on its own ends, so its root, and where it stops, do
+    not depend on the other brackets of the batch.
     """
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
     live = np.arange(len(lo))
-    while len(live):
+    while len(live := live[((hi >= after) & (lo <= upto))[live]]):
         l, h = lo[live], hi[live]
         xs = l[:, None] + (h - l)[:, None] * _PROBES
-        changed = positive_at(xs) != lo_positive[live, None]
+        changed = positive_at(xs, live) != lo_positive[live, None]
         j = np.where(changed.any(axis=1), changed.argmax(axis=1), len(_PROBES))
         rows = np.arange(len(live))
         lo[live] = np.where(j > 0, xs[rows, np.maximum(j - 1, 0)], l)
@@ -303,22 +317,17 @@ def _narrow(positive_at: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
 
 
 def _stretch_root(kernel: BoundedKernel, span: float, th0: float, th1: float) -> float:
-    """Offset of the crossing inside one stretch of a flat or exponential
+    """Offset of the crossing inside one extent of a flat or exponential
     window, where H(t + x) is linear or ``C + D*exp(-rate*x)`` in x.
 
-    ``th0`` and ``th1`` are theta at the stretch ends, nonzero and of
-    opposite sign.
+    ``th0`` and ``th1`` are theta at the extent's ends, nonzero and of
+    opposite sign.  An extent is at most one window wide, whose exponent the
+    kernel bounds, so ``expm1`` cannot overflow.
     """
     if isinstance(kernel, FlatKernel):
         x = span * (-th0 / (th1 - th0))
-    elif kernel.rate > 0.0:
-        rate = kernel.rate
-        x = -math.log1p(-th0 / (th1 - th0) * math.expm1(-rate * span)) / rate
     else:
-        # measured from the far end the exponent stays non-positive, so
-        # expm1 cannot overflow however long the stretch
-        rate = kernel.rate
-        x = span - math.log1p(-th1 / (th0 - th1) * math.expm1(rate * span)) / rate
+        x = -math.log1p(-th0 / (th1 - th0) * math.expm1(-kernel.rate * span)) / kernel.rate
     return min(max(x, 0.0), span)
 
 
@@ -353,8 +362,11 @@ def _slope_zeros(u: np.ndarray, sigma: np.ndarray, span: float) -> np.ndarray:
     (kept as a log).  Zeros of level k are separated by those of level
     k + 1; the descent stops at the first level, f itself included, that
     provably keeps one sign or holds one term, and each level above it has
-    its zeros narrowed between the next one's.
+    its zeros narrowed between the next one's.  Terms at one u, edges that
+    rounding put at one place, are summed first, so the u are distinct.
     """
+    at = np.flatnonzero(np.concatenate(([True], u[1:] != u[:-1])))
+    u, sigma = u[at], np.add.reduceat(sigma, at)
     weights = [np.zeros(len(u))]
     k = 0
     while k < len(u) - 1 and not _one_signed(u[k:], sigma[k:], weights[k], span):
@@ -362,7 +374,7 @@ def _slope_zeros(u: np.ndarray, sigma: np.ndarray, span: float) -> np.ndarray:
         k += 1
     zeros = np.empty(0)
     for k in range(k - 1, -1, -1):
-        def positive(w, k=k):
+        def positive(w, rows=None, k=k):
             a = weights[k] - (u[k:] - w[..., None]) ** 2
             return (sigma[k:] * np.exp(a - a.max(axis=-1, keepdims=True))).sum(axis=-1) >= 0.0
         ends = np.concatenate(([0.0], zeros, [span]))
@@ -372,47 +384,49 @@ def _slope_zeros(u: np.ndarray, sigma: np.ndarray, span: float) -> np.ndarray:
     return zeros
 
 
-def _gaussian_splits(kernel: GaussianKernel, edges: np.ndarray,
-                     bounds: np.ndarray) -> np.ndarray:
-    """Times inside the stretches between ``bounds`` where H' vanishes.
+def _gaussian_splits(kernel: GaussianKernel, edges: np.ndarray, a: np.ndarray,
+                     e: np.ndarray, first: np.ndarray, last: np.ndarray,
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Times strictly inside the extents ``[a, e]`` where the held H' vanishes,
+    and the index of the extent each lies in.
 
-    In a stretch from a the window's edges are fixed, so H'(t) is
-    ``sum +-K(x_j - t)`` over the true-interval edges x_j inside the window
-    (+ for starts), up to a positive factor ``sum sigma_j exp(-(u_j - w)^2)``
-    with ``w = (t - a)/spread`` and ``u_j = (x_j - a - center)/spread``.
-    Edges farther than ``_ERFC_ZERO`` spreads from the bump over the whole
-    stretch move no mass a double can hold and are dropped.  ``edges`` are
-    the child's interval starts and ends, interleaved in time order.  Each
-    stretch with two or more edges in reach goes to :func:`_slope_zeros` on
-    its own; one term keeps its sign.
+    Over an extent the window holds the edges ``edges[first:last]`` (+ for
+    a start, at an even index), so H'(t) is ``sum +-K(x_j - t)`` over them,
+    up to a positive factor ``sum sigma_j exp(-(u_j - w)^2)`` with
+    ``w = (t - a)/spread`` and ``u_j = (x_j - a - center)/spread``.  Edges
+    farther than ``_ERFC_ZERO`` spreads from the bump over the whole extent
+    move no mass a double can hold and are dropped.  Each extent with two or
+    more edges in reach goes to :func:`_slope_zeros` on its own; one term
+    keeps its sign.
     """
-    a, b = bounds[:-1], bounds[1:]
     s, c = kernel.spread, kernel.center
-    mid = 0.5 * (a + b)
     reach = _ERFC_ZERO * s
-    first = np.searchsorted(edges, np.maximum(mid + kernel.lower, a + c - reach), side="right")
-    last = np.searchsorted(edges, np.minimum(mid + kernel.upper, b + c + reach), side="left")
-    span = (b - a) / s
-    splits = [np.empty(0)]
-    for j in np.flatnonzero((last - first > 1) & (b > a)).tolist():
+    first = np.maximum(first, np.searchsorted(edges, a + c - reach, side="right"))
+    last = np.minimum(last, np.searchsorted(edges, e + c + reach, side="left"))
+    span = (e - a) / s
+    splits, owner = [np.empty(0)], [np.empty(0, dtype=np.intp)]
+    for j in np.flatnonzero(last - first > 1).tolist():
         i, n = int(first[j]), int(last[j])
         sigma = 1.0 - 2.0 * (np.arange(i, n) % 2)     # + for a start, at an even index
         u = (edges[i:n] - a[j] - c) / s
-        w = _slope_zeros(u, sigma, float(span[j]))
-        splits.append(np.clip(a[j] + s * w, a[j], b[j]))
-    return np.concatenate(splits)
+        x = a[j] + s * _slope_zeros(u, sigma, float(span[j]))
+        x = x[(x > a[j]) & (x < e[j])]
+        splits.append(x)
+        owner.append(np.full(len(x), j))
+    return np.concatenate(splits), np.concatenate(owner)
 
 
 def _steady(kernel: BoundedKernel, p: float, sig: BooleanSignal, t0: float,
-            t_end: float) -> ConvEvaluation | None:
+            t_end: float, lo: float) -> ConvEvaluation | None:
     """The span as one quiet stretch, when the child, of at most one true
-    interval (more would take a search), has no edge in its windows.
+    interval (more would take a search), has no edge in its windows; the
+    verdict over ``[lo, t_end]``.
 
     It is the general path's count in its event coordinates: each counted
     edge x has passed (``x - lower <= t0``) or is ahead
     (``x - upper >= t_end``).  H is 1 after an odd count of passed edges,
-    else 0, exact all through the span, so it is stable to ``t_end``, as on
-    the general path.  Any other child gives ``None``.
+    else 0, exact all through the span, as on the general path.  Any other
+    child gives ``None``.
     """
     h = 0.0
     if len(sig.starts):
@@ -423,38 +437,51 @@ def _steady(kernel: BoundedKernel, p: float, sig: BooleanSignal, t0: float,
             elif x - kernel.upper < t_end:
                 return None
     # true all through (on a degenerate span, at its point) or never
-    span = np.array((t0, t_end))
+    span = np.array((t0, lo, t_end))
     span.setflags(write=False)
     k = int(h >= p)
-    signal = BooleanSignal._unchecked(t0, t_end, span[:k], span[1:1 + k])
-    verdict = VerdictSignal._unchecked(signal, (), t_end)
-    return ConvEvaluation._unchecked(verdict, span, np.array((h, h)), span, (True,))
+    verdict = VerdictSignal._unchecked(
+        BooleanSignal._unchecked(lo, t_end, span[1:1 + k], span[2:2 + k]), ())
+    return ConvEvaluation._unchecked(verdict, span[::2], np.array((h, h)), span[::2], (True,))
 
 
-def eval_conv_efficient(kernel: BoundedKernel, threshold: float,
-                        sig: BooleanSignal) -> ConvEvaluation:
-    """Sliding-window evaluator: event-aligned stretches, one pass.
+def eval_conv_efficient(kernel: BoundedKernel, threshold: float, sig: BooleanSignal,
+                        lo: float | None = None) -> ConvEvaluation:
+    """Sliding-window evaluator: event-aligned stretches, one pass; the
+    verdict over ``[lo, t_end]``, from the span start by default.
 
     Stretches end where a window boundary meets a true-interval edge, so the
     edges inside the window are fixed within one: the bounds are the span's
     ends and the events strictly inside it, and each stretch counts its
-    edges at its start to tell whether it is quiet.  A flat or exponential
-    stretch is one cell, since H is monotone there; at other p a Gaussian
-    stretch is cut where H' vanishes (:func:`_gaussian_splits`), so every
-    cell is monotone.  At every cell end whose window holds no edge strictly
-    inside, H is exactly 0 or 1 from the edge counts; elsewhere it is 0.5 at
-    a p of 0 or 1 and else a direct window integral, all computed up front.
-    Each sample is compared with p as computed.  A cell whose ends flip sign, or
-    of which exactly one end sits on the threshold, holds one crossing: an
-    end on the threshold is the root, other roots are closed form for flat
-    and exponential windows, and a Gaussian one is a double with H >= p next
-    to one with H < p, fixed by the bracket's own ends.  The truth flips at
-    the roots of the flip cells only.
+    edges at its start to tell whether it is quiet.  H is sampled at every
+    bound: exactly 0 or 1 from the edge counts where the window holds no
+    edge strictly inside, elsewhere 0.5 at a p of 0 or 1 and else a direct
+    window integral, all computed up front.  At a p of 0 or 1, and on a
+    quiet stretch, a stretch is one cell between its bounds.  At other p a
+    busy stretch from a is solved on its *extent* ``[a, E]``, E the first
+    leave event after a, against the child held from a on
+    (:func:`_grid_integrals`), which is the child itself up to the
+    stretch's end: H is also sampled at E, and a Gaussian extent is cut
+    where the held H' vanishes (:func:`_gaussian_splits`), so every cell is
+    monotone.  Each sample is compared with p as computed.  A cell whose
+    ends flip sign, or of which exactly one end sits on the threshold, holds
+    one crossing: an end on the threshold is the root, other roots are
+    closed form for flat and exponential windows, and a Gaussian one is a
+    double with H >= p next to one with H < p, fixed by the bracket's own
+    ends.  Roots up to their stretch's end are kept, and the truth flips at
+    those of flip cells.  The sample at each inner bound decides the truth
+    there: where the truth a stretch's roots leave at its end differs from
+    it, which only rounding can do, the flip sits at that bound.  So the
+    truth at ``lo`` takes only the stretch holding it, and a Gaussian root
+    is narrowed only as far as the verdict needs it, in that stretch or a
+    later one and not before ``lo`` (:func:`_narrow`); the evaluation,
+    bounds and samples included, still covers the whole span.
     """
     p = threshold
     t0, t_end = _verdict_span(kernel, sig)
+    lo = t0 if lo is None else lo
     if len(sig.starts) <= 1:
-        steady = _steady(kernel, p, sig, t0, t_end)
+        steady = _steady(kernel, p, sig, t0, t_end, lo)
         if steady is not None:
             return steady
     # the child's edges in time order; edge x lies strictly inside the
@@ -462,19 +489,11 @@ def eval_conv_efficient(kernel: BoundedKernel, threshold: float,
     edges = np.empty(2 * len(sig.starts))
     edges[0::2], edges[1::2] = sig.starts, sig.ends
     enter, leave = edges - kernel.upper, edges - kernel.lower
-    events = np.concatenate((leave, enter))
-    events.sort()
     # the events strictly inside the span, each once
-    inner = events[events.searchsorted(t0, side="right"):
-                   events.searchsorted(t_end, side="left")]
-    bounds = _framed(t0, inner, t_end)
-    kept = np.empty(len(bounds), dtype=bool)
-    kept[0] = kept[-1] = True
-    np.not_equal(bounds[1:-1], bounds[:-2], out=kept[1:-1])
-    bounds = bounds[kept]
-    gaussian = isinstance(kernel, GaussianKernel) and 0.0 < p < 1.0
-    times = (sorted_unique(np.concatenate([bounds, _gaussian_splits(kernel, edges, bounds)]))
-             if gaussian else bounds)
+    events = sorted_unique(np.concatenate((leave, enter)))
+    bounds = _framed(t0, events[events.searchsorted(t0, side="right"):
+                                events.searchsorted(t_end, side="left")], t_end)
+    a, b = bounds[:-1], bounds[1:]
 
     # an interval reaching the signal's end has no end edge, as in
     # _grid_integrals.  Where no edge lies strictly inside the window, H is
@@ -483,62 +502,92 @@ def eval_conv_efficient(kernel: BoundedKernel, threshold: float,
     # and 1: on the far side of a p of 0 or 1, where 0.5 stands in, else a
     # window integral, the only samples that can drift
     n = len(edges) - int(len(edges) > 0 and sig.ends[-1] == sig.end)
-    enter, leave = enter[:n], leave[:n]
-    passed = leave.searchsorted(times, side="right")
-    integrated = enter.searchsorted(times, side="left") != passed
+    edges, enter, leave = edges[:n], enter[:n], leave[:n]
+    passed = leave.searchsorted(bounds, side="right")
+    integrated = enter.searchsorted(bounds, side="left") != passed
+    # the edges that have entered the window anchored at each bound, which
+    # are all a window integral there reads
+    entered = enter.searchsorted(bounds, side="right")
+    quiet = entered[:-1] == passed[:-1]
     hs = passed % 2.0
+    # the stretch holding lo: the truth there takes it from the sample at its
+    # start, and an earlier stretch's roots are not wanted
+    k0 = min(int(bounds.searchsorted(lo, side="right")) - 1, len(a) - 1)
+    held = owner = np.empty(0, dtype=np.intp)
+    splits = h_splits = np.empty(0)
     if p in (0.0, 1.0):
+        # every cell is a stretch, between samples, and its root an exact
+        # sample on p
         hs[integrated] = 0.5
-    elif integrated.any():
-        h = _grid_integrals(kernel, sig, times[integrated])
-        if h.min() < -_H_DRIFT or h.max() > 1.0 + _H_DRIFT:
-            raise SclError("convolution value drifted out of [0, 1]")
-        hs[integrated] = h
-    # the count at each stretch's start, for _Restart's quiet flags
-    firsts = bounds[:-1]
-    passed = passed[:-1] if times is bounds else leave.searchsorted(firsts, side="right")
-    quiet = enter.searchsorted(firsts, side="right") == passed
-    th = hs - p
-    # a cell whose ends differ in sign holds a crossing: a flip of the
-    # truth, or a one-sided touch of the threshold, an exact-equality
-    # plateau edge, which belongs in the crossings too
-    sign = np.sign(th)
-    cells = (sign[1:] != sign[:-1]).nonzero()[0]
-    crossings: list[float] = []
-    flips = np.empty(0)
-    if len(cells):
-        after = cells + 1
-        x0, x1 = times[cells], times[after]
-        th0, th1 = th[cells], th[after]
-        # an end on the threshold is the root
-        roots = np.where(th0 == 0.0, x0, x1)
-        solve = (th0 * th1 < 0.0).nonzero()[0]
-        if gaussian:
-            def positive(xs):
-                return _grid_integrals(kernel, sig, xs.ravel()).reshape(xs.shape) >= p
-            roots[solve] = _narrow(positive, x0[solve], x1[solve], th0[solve] >= 0.0)
-        else:
-            for i in solve.tolist():
-                roots[i] = x0[i] + _stretch_root(kernel, x1[i] - x0[i], th0[i], th1[i])
-        for root in roots.tolist():
-            if not crossings or root != crossings[-1]:
-                crossings.append(root)
-        # the truth (theta >= 0) flips where one end is negative
-        flips = roots[np.minimum(th0, th1) < 0.0]
+        stretch, x0, x1, h0, h1 = np.arange(k0, len(a)), a[k0:], b[k0:], hs[k0:-1], hs[k0 + 1:]
+    else:
+        # a quiet stretch holds no crossing; a busy one's extent ends where
+        # the first of the edges in its windows, edges[passed:entered],
+        # leaves, and the held H there is exact when all of them have left
+        held = (~quiet[k0:]).nonzero()[0] + k0
+        first, last = passed[held], entered[held]
+        ext, h_ext = leave[first], last % 2.0
+        open_ = leave.searchsorted(ext, side="right") < last
+        if isinstance(kernel, GaussianKernel) and len(held):
+            splits, owner = _gaussian_splits(kernel, edges, a[held], ext, first, last)
+        anchors = np.concatenate((bounds[integrated], splits, ext[open_]))
+        if len(anchors):
+            h = _grid_integrals(kernel, sig, anchors,
+                                np.concatenate((entered[integrated], last[owner], last[open_])))
+            if h.min() < -_H_DRIFT or h.max() > 1.0 + _H_DRIFT:
+                raise SclError("convolution value drifted out of [0, 1]")
+            k, m = np.count_nonzero(integrated), len(splits)
+            hs[integrated], h_splits, h_ext[open_] = h[:k], h[k:k + m], h[k + m:]
+        # each busy stretch's cell runs over its extent, cut at its H' zeros
+        stretch, x0, x1, h0, h1 = held, a[held], ext, hs[held], h_ext
+        if len(splits):
+            x0, h0 = np.insert(x0, owner + 1, splits), np.insert(h0, owner + 1, h_splits)
+            x1, h1, stretch = (np.insert(v, owner, w) for v, w in
+                               ((x1, splits), (h1, h_splits), (stretch, held[owner])))
+    th0, th1, limit = h0 - p, h1 - p, b[stretch]
+    # a cell starting inside its stretch whose ends differ in sign holds a
+    # crossing: a flip of the truth, or a one-sided touch of the threshold,
+    # an exact-equality plateau edge, which belongs in the crossings too
+    cells = (x0 < limit) & (np.sign(th0) != np.sign(th1))
+    # an end on the threshold is the root
+    roots = np.where(th0 == 0.0, x0, x1)
+    solve = (cells & (th0 * th1 < 0.0)).nonzero()[0]
+    if isinstance(kernel, GaussianKernel):
+        reach = entered[stretch[solve]]
 
-    # the last stretch ends at the trace-dependent t_end, and a longer trace
-    # solves its crossings from a later end sample; at 0 < p < 1 a cell there
-    # holding a crossing, or an integrated sample within 1e-11 of p, is not
-    # final yet.  At a p of 0 or 1 every root is an exact sample on p, final
-    last = int(times.searchsorted(bounds[-2], side="left"))
-    delicate = 0.0 < p < 1.0 and (
-        (len(cells) > 0 and cells[-1] >= last)
-        or (abs(th[last:][integrated[last:]]) <= 1e-11).any())
-    stable_until = float(bounds[-2]) if delicate else t_end
-
-    signal = _alternating(t0, t_end, bool(th[0] >= 0.0), flips)
-    verdict = VerdictSignal._unchecked(signal, tuple(crossings), stable_until)
-    return ConvEvaluation._unchecked(verdict, times, hs, bounds, quiet)
+        def positive(xs, rows):
+            return _grid_integrals(kernel, sig, xs.ravel(),
+                                   reach[rows].repeat(xs.shape[1])).reshape(xs.shape) >= p
+        roots[solve] = _narrow(positive, x0[solve], x1[solve], th0[solve] >= 0.0,
+                               lo, limit[solve])
+    else:
+        for i in solve.tolist():
+            roots[i] = x0[i] + _stretch_root(kernel, x1[i] - x0[i], th0[i], th1[i])
+    # the roots up to their stretch's end; the truth (theta >= 0) flips at
+    # those where one end is negative
+    kept = cells & (roots <= limit)
+    flip = kept & (np.minimum(th0, th1) < 0.0)
+    roots, flips = roots[kept], roots[flip]
+    # the sample at the real bound ending a stretch solved on its extent
+    # decides the truth there; where the truth its roots leave differs from
+    # it, which only rounding can do, the flip sits at that bound
+    flipped = stretch[flip].tolist()
+    late = [float(b[k]) for k in held.tolist() if k < len(a) - 1 and (
+        (hs[k] >= p) != (flipped.count(k) % 2 == 1)) != (hs[k + 1] >= p)]
+    if late:
+        roots, flips = (np.sort(np.concatenate((v, late))) for v in (roots, flips))
+    # a root before lo is only known to lie there
+    before = int(flips.searchsorted(lo))
+    crossings = tuple(dict.fromkeys(roots[roots.searchsorted(lo):].tolist()))
+    verdict = VerdictSignal._unchecked(
+        _alternating(lo, t_end, bool(hs[k0] >= p) != (before % 2 == 1), flips[before:]), crossings)
+    times, values = bounds, hs
+    if len(splits):
+        # the H' zeros inside their stretch, before its end bound
+        inside = (splits < b[held[owner]]).nonzero()[0]
+        times, values = (np.insert(v, held[owner[inside]] + 1, w[inside])
+                         for v, w in ((bounds, splits), (hs, h_splits)))
+    return ConvEvaluation._unchecked(verdict, times, values, bounds, quiet)
 
 
 def _align(a: BooleanSignal, b: BooleanSignal) -> tuple[BooleanSignal, BooleanSignal]:
@@ -553,113 +602,99 @@ def _align(a: BooleanSignal, b: BooleanSignal) -> tuple[BooleanSignal, BooleanSi
 class _Restart:
     """Where a window node's next evaluation starts: at ``at``, the restart
     point it last chose, until its last evaluation (with stretch ``bounds``
-    and ``quiet`` flags, stable until ``stable``) offers a later one.
+    and ``quiet`` flags) offers a later one.
 
     A restart point lies at or before what the node must produce now, the
     ``lo`` it is asked for, and is one of two kinds.
 
-    *The previous span end* ``t_end``, when ``lo`` is that end, the last
-    stretch was quiet and it was stable up to ``t_end``: the case of a poll
-    after one that emitted all it evaluated.  The child was then final up
-    to its old end c, so a longer trace changes it only at or after c, and
-    each new edge x enters the windows at ``x - upper``, at or after
-    ``c - upper = t_end`` (the same subtraction), and leaves them later.  No
-    event then falls strictly inside the old last stretch.  On the longer
-    trace ``t_end`` is therefore an event, which a run from 0 keeps as a
-    stretch bound, or a point inside a stretch whose windows still hold no
-    edge, a quiet one.  From either, a run finds the same stretches, H
-    samples and roots as a run from 0, and its verdict needs no cut.
+    *The previous span end* ``t_end``, when ``lo`` is that end and the last
+    stretch was quiet: the case of a poll after one that emitted all it
+    evaluated.  The child was final up to its old end c, so a longer trace
+    changes it only at or after c, and each new edge x enters the windows at
+    ``x - upper``, at or after ``c - upper = t_end`` (the same subtraction),
+    and leaves them later.  No event then falls strictly inside the old
+    last stretch.  On the longer trace ``t_end`` is therefore an event,
+    which a run from 0 keeps as a stretch bound, or a point inside a stretch
+    whose windows still hold no edge, a quiet one.  From either, a run finds
+    the same stretches, H samples and roots as a run from 0, and its
+    verdict needs no cut.
 
-    *Otherwise*, a point strictly before the next bound (so a run from it
-    keeps that bound, an event strictly inside its span, as a run from 0
-    does) and before what was stable then (so the child edges its stretch
-    comes from are final): a busy last stretch, whose windows hold an edge,
-    or one held back at 0 < p < 1, keeps this rule.  It is a stretch bound,
-    never a Gaussian H' split, or, inside a quiet stretch, the ``lo`` the
-    node's output is wanted from or, when that lies at or past those
-    limits, the double just before them: H is the same exact 0 or 1 all
-    through such a stretch, so a run may start anywhere in it.  (Before the
-    stable point it is not the delicate last stretch, so that run's
-    ``stable_until`` does not move either.)
+    *Otherwise*, a point strictly before the next bound, so that a run from
+    it keeps that bound, an event strictly inside its span, as a run from 0
+    does.  It is a stretch bound, never a Gaussian H' split, so a busy
+    stretch's roots come from the same start a; or, inside a quiet stretch,
+    the ``lo`` the node's output is wanted from or, when that lies at or
+    past the next bound, the double just before it: H is the same exact 0 or
+    1 all through such a stretch, so a run may start anywhere in it.
     """
 
-    __slots__ = ("at", "bounds", "quiet", "stable")
+    __slots__ = ("at", "bounds", "quiet")
 
     def __init__(self) -> None:
-        self.at = 0.0
-        self.bounds = [0.0]
-        self.stable = -math.inf                  # nothing evaluated yet
+        # nothing evaluated yet
+        self.at, self.bounds, self.quiet = 0.0, [0.0], (False,)
 
     def start_for(self, lo: float) -> float:
         bounds = self.bounds
-        if lo == bounds[-1] and lo <= self.stable and self.quiet[-1]:
-            self.at = lo
-            return lo
         k = bisect.bisect_right(bounds, lo, 0, len(bounds) - 1) - 1
-        for k in range(k, -1, -1):
-            start = bounds[k]
-            limit = min(bounds[k + 1], self.stable)
-            if start < limit:
-                inner = min(lo, math.nextafter(limit, -math.inf))
-                self.at = inner if self.quiet[k] and start < inner else start
-                break
+        if lo == bounds[-1] and self.quiet[-1]:
+            self.at = lo
+        # the bounds ascend strictly but on a one-point span, which keeps
+        # the point chosen before
+        elif k >= 0 and bounds[k] < bounds[k + 1]:
+            inner = min(lo, math.nextafter(bounds[k + 1], -math.inf))
+            self.at = inner if self.quiet[k] and bounds[k] < inner else bounds[k]
         return self.at
 
-    def record(self, ev: ConvEvaluation, stable: float) -> None:
+    def record(self, ev: ConvEvaluation) -> None:
         # Python floats, which start_for compares and steps without numpy
-        self.bounds, self.quiet, self.stable = ev.bounds.tolist(), ev.quiet, stable
+        self.bounds, self.quiet = ev.bounds.tolist(), ev.quiet
 
 
 def _eval_node(trace: PiecewiseConstantSignal, f: Formula, lo: float,
                restarts: dict[tuple[int, ...], _Restart] | None = None, path: tuple[int, ...] = (),
-               ) -> tuple[BooleanSignal, tuple[float, ...], float]:
-    """Signal, crossings and ``stable_until`` of ``f`` over ``[lo, evaluable end]``.
+               ) -> tuple[BooleanSignal, tuple[float, ...]]:
+    """Signal and crossings of ``f`` over ``[lo, evaluable end]``.
 
     An atom reads the trace from its last sample at or before ``lo``; ``!``
     and the connectives pass ``lo`` on; a window node asks its child for its
     own span, which starts at ``lo`` (windows look forward), or at its
     restart point when ``restarts`` holds one for its ``path`` (child 0,
-    left 0, right 1 from the root), and cuts its verdict to ``[lo, ...]``.
+    left 0, right 1 from the root), and takes its verdict from ``lo``.
     Each window node's evaluation is recorded in ``restarts`` for the next
     call.
     """
     match f:
         case Const(value):
-            full = BooleanSignal.always if value else BooleanSignal.never
-            return full(lo, trace.duration), (), math.inf
+            return (BooleanSignal.always if value else BooleanSignal.never)(lo, trace.duration), ()
         case Atom():
-            return eval_atom(trace, f, lo), (), math.inf
+            return eval_atom(trace, f, lo), ()
         case Not(child):
-            sig, crossings, stable = _eval_node(trace, child, lo, restarts, path + (0,))
-            return boolean_not(sig), crossings, stable
+            sig, crossings = _eval_node(trace, child, lo, restarts, path + (0,))
+            return boolean_not(sig), crossings
         case Or(left, right) | And(left, right) | Implies(left, right):
-            a, _, stable_a = _eval_node(trace, left, lo, restarts, path + (0,))
-            b, _, stable_b = _eval_node(trace, right, lo, restarts, path + (1,))
+            a, _ = _eval_node(trace, left, lo, restarts, path + (0,))
+            b, _ = _eval_node(trace, right, lo, restarts, path + (1,))
             a, b = _align(a, b)
-            stable = min(stable_a, stable_b)
             if isinstance(f, Or):
-                return boolean_or(a, b), (), stable
+                return boolean_or(a, b), ()
             if isinstance(f, And):
-                return boolean_and(a, b), (), stable
-            return boolean_or(boolean_not(a), b), (), stable
+                return boolean_and(a, b), ()
+            return boolean_or(boolean_not(a), b), ()
         case Conv(kernel, threshold, child) | ConvDual(kernel, threshold, child):
-            restart = None
-            if restarts is not None:
-                restart = restarts.get(path) or restarts.setdefault(path, _Restart())
+            restart = None if restarts is None else (
+                restarts.get(path) or restarts.setdefault(path, _Restart()))
             start = lo if restart is None else restart.start_for(lo)
-            sig, _, child_stable = _eval_node(trace, child, start, restarts, path + (0,))
+            sig, _ = _eval_node(trace, child, start, restarts, path + (0,))
             dual = isinstance(f, ConvDual)
             if dual:
                 # the dual is the complement of the complemented child at 1 - p
                 sig, threshold = boolean_not(sig), 1.0 - threshold
-            ev = eval_conv_efficient(kernel, threshold, sig)
-            signal = boolean_not(ev.verdict.signal) if dual else ev.verdict.signal
-            stable = min(ev.verdict.stable_until, child_stable - kernel.upper)
+            ev = eval_conv_efficient(kernel, threshold, sig, lo)
             if restart is not None:
-                restart.record(ev, stable)
-            if start < lo:
-                signal = restrict_domain(signal, (lo, signal.end))
-            return signal, ev.verdict.crossings, stable
+                restart.record(ev)
+            signal = boolean_not(ev.verdict.signal) if dual else ev.verdict.signal
+            return signal, ev.verdict.crossings
     raise SclError(f"not a formula: {f!r}")
 
 
@@ -669,5 +704,4 @@ def monitor(trace: PiecewiseConstantSignal, f: Formula) -> VerdictSignal:
     The formula is satisfied by the trace iff the verdict holds at time 0.
     """
     evaluable_end(f, trace.duration)
-    signal, crossings, stable = _eval_node(trace, f, 0.0)
-    return VerdictSignal(signal, crossings, min(stable, signal.end))
+    return VerdictSignal(*_eval_node(trace, f, 0.0))

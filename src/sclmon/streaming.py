@@ -5,20 +5,18 @@ A poll evaluates the formula over the known prefix from where output was
 last emitted, by the offline monitor's own span-restricted recursion: every
 window node starts from its restart point, at or before what it must
 produce now, which the previous poll left (see ``monitor._Restart``).
-After a poll that emitted all it evaluated and whose last stretch was
-quiet, that is the span end it emitted to, so the poll needs no cut;
-otherwise it is a stretch bound, or a point inside a quiet stretch, before
-it.  So a poll re-reads only the unresolved tail, plus at most the stretch
-each window node straddles, and never copies or re-checks the prefix.  It
-emits the newly resolved slice.  Before :meth:`StreamingMonitor.finish` a
-slice ends at the verdict's ``stable_until``, before which no longer trace
-can change it; after, at the verdict's own end.  A run from a restart point
-finds the same stretches, H samples and roots as a run from 0, so the
+Where the node's last stretch was quiet, that is the span end the previous
+poll emitted to; otherwise it is a stretch bound, or a point inside a quiet
+stretch, before it, and the node takes its verdict from the poll's start.
+So a poll re-reads only the unresolved tail, plus at most the stretch each
+window node straddles, and never copies or re-checks the prefix.  It emits
+the newly resolved slice, up to the verdict's end: a verdict is final to
+its end, so no longer trace can change it there.  A run from a restart
+point finds the same stretches, H samples and roots as a run from 0, so the
 concatenated output equals the offline verdict on the full trace exactly,
 down to the double its domain ends at.  A poll on a prefix shorter than the
-formula's horizon (decided before anything is evaluated), one whose
-hold-back lies below time 0 (a nested window's early polls), and one that
-finds nothing past what was already emitted return ``None``.
+formula's horizon (decided before anything is evaluated) and one that finds
+nothing past what was already emitted return ``None``.
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ from .signals import (
     BooleanSignal,
     PiecewiseConstantSignal,
     check_unique_variables,
-    restrict_domain,
 )
 
 
@@ -96,6 +93,8 @@ class StreamingMonitor:
 
     def finish(self, duration: float | None = None) -> None:
         """Mark end-of-stream; the final value holds up to ``duration``."""
+        if self._duration is not None:
+            raise SclError("stream already finished")
         if not self._n:
             raise SclError("cannot finish an empty stream")
         last = float(self._times[self._n - 1])
@@ -119,8 +118,7 @@ class StreamingMonitor:
         n = self._n
         if not n:
             return None
-        finished = self._duration is not None
-        duration = self._duration if finished else float(self._times[n - 1])
+        duration = self._duration if self._duration is not None else float(self._times[n - 1])
         start = self._emitted_to
         if start is None:
             # after an emission no check is needed: the horizon was met on a
@@ -132,13 +130,10 @@ class StreamingMonitor:
             start = 0.0
         prefix = PiecewiseConstantSignal._unchecked(self.variables, self._times[:n],
                                                     self._values[:n], duration)
-        signal, _, stable = _eval_node(prefix, self.formula, start, self._restarts)
-        # before the end, hold back content that a longer trace might still refine
-        resolved = signal.end if finished else min(stable, signal.end)
-        if resolved < start or resolved == self._emitted_to:
+        piece, _ = _eval_node(prefix, self.formula, start, self._restarts)
+        if piece.end == self._emitted_to:
             return None
-        piece = restrict_domain(signal, (start, resolved))
-        self._emitted_to = resolved
+        self._emitted_to = piece.end
         self._pieces.append(piece)
         return piece
 

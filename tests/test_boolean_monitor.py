@@ -449,13 +449,6 @@ def steady_cases(draw):
     return kernel, steady_threshold(draw), BooleanSignal.from_intervals(t0, end, pairs)
 
 
-def steady_rule(h: float, p: float, t0: float, t_end: float) -> float:
-    """``stable_until`` of a span with no event: its end, whatever H and p,
-    since H there is exactly 0 or 1 from the edges and no longer trace can
-    move it."""
-    return t_end
-
-
 def steady_edges(kernel, sig: BooleanSignal, t0: float, t_end: float):
     """The count of child edges passed at ``t0``, or ``None`` when an edge
     is neither passed nor ahead, in event coordinates: edge x is passed
@@ -497,13 +490,12 @@ class TestSteadySpan:
         passed = steady_edges(kernel, sig, t0, t_end)
         if passed is None:
             if len(sig.starts) <= 1:
-                assert MONITOR._steady(kernel, p, sig, t0, t_end) is None
+                assert MONITOR._steady(kernel, p, sig, t0, t_end, t0) is None
             return
         # H is 1 after an odd count of passed edges, else 0
         h = passed % 2.0
         assert ev.values.tolist() == [h] * len(ev.values)
         assert ev.verdict.crossings == ()
-        assert ev.verdict.stable_until == steady_rule(h, p, t0, t_end)
         assert oracle.crossings == ()
         # with the closed form taken out, the general path finds the same bits
         steady = MONITOR._steady
@@ -513,7 +505,7 @@ class TestSteadySpan:
         finally:
             MONITOR._steady = steady
         assert signal_bits(general.verdict.signal) == signal_bits(ev.verdict.signal)
-        assert general.verdict.stable_until == ev.verdict.stable_until
+        assert general.verdict.crossings == ev.verdict.crossings
         assert general.bounds.tolist() == ev.bounds.tolist()
         # it samples H at the bounds, once on a one-point Gaussian span
         assert general.values.tolist() == [h] * len(general.values)
@@ -540,8 +532,7 @@ class TestSteadySpan:
             oracle = grid_oracle(kernel, q, inner, kernel.width / 50).signal
             assert verdict.signal == (boolean_not(oracle) if dual else oracle)
             assert verdict.crossings == ()
-            h = float(holds != dual)
-            assert verdict.stable_until == steady_rule(h, q, 0.0, t_end)
+            assert verdict.domain == (0.0, t_end)
 
 
 class TestQuietStretches:
@@ -554,9 +545,9 @@ class TestQuietStretches:
         anchors = []
         grid_integrals = MONITOR._grid_integrals
 
-        def spy(kernel, sig, ts):
+        def spy(kernel, sig, ts, reach):
             anchors.extend(ts.tolist())
-            return grid_integrals(kernel, sig, ts)
+            return grid_integrals(kernel, sig, ts, reach)
         monkeypatch.setattr(MONITOR, "_grid_integrals", spy)
         rng = np.random.default_rng(61)
         grid = np.random.default_rng(62)
@@ -701,7 +692,10 @@ def prefix_cases(draw, shape):
                               lo, hi)
     else:
         k = GaussianKernel(draw(st.floats(lo, hi)), draw(st.floats(0.1, 1.5)), lo, hi)
-    return sig, k, draw(grid_or_float(0.125, 0.875)), draw(grid_or_float(hi, 6.0))
+    # the prefix may end on a child edge
+    edges = [x for x in cuts if x >= hi]
+    cut = draw(st.one_of(grid_or_float(hi, 6.0), *([st.sampled_from(edges)] if edges else [])))
+    return sig, k, draw(grid_or_float(0.125, 0.875)), cut
 
 
 def _shared_h_agrees(part, full, part_sig, k):
@@ -720,7 +714,8 @@ def _shared_h_agrees(part, full, part_sig, k):
 class TestPrefixStability:
     """H at a sample is a direct window integral, so it does not depend on
     where evaluation began or ended, and a prefix of the signal reproduces
-    the full verdict bit for bit up to its ``stable_until``."""
+    the full verdict and its crossings bit for bit up to its own end, at
+    every p."""
 
     @pytest.mark.parametrize("shape", ["flat", "exp", "gauss"])
     @settings(max_examples=40, deadline=None)
@@ -733,12 +728,14 @@ class TestPrefixStability:
         full = eval_conv_efficient(k, p, sig)
         part = eval_conv_efficient(k, p, prefix)
 
-        stable = part.verdict.stable_until
+        end = part.verdict.signal.end
         # a one-point domain keeps a point of truth that an interval signal
-        # drops, so only a stable span of positive length is compared
-        if stable > 0.0:
-            assert (restrict_domain(part.verdict.signal, (0.0, stable))
-                    == restrict_domain(full.verdict.signal, (0.0, stable)))
+        # drops, so only a span of positive length is compared
+        if end > 0.0:
+            assert (part.verdict.signal
+                    == restrict_domain(full.verdict.signal, (0.0, end)))
+        assert ([c for c in part.verdict.crossings if c < end]
+                == [c for c in full.verdict.crossings if c < end])
         assert _shared_h_agrees(part, full, prefix, k)
         assert _shared_h_agrees(eval_conv_efficient(k, p, window), full, window, k)
 
@@ -770,7 +767,11 @@ class TestGaussianCells:
             true = verdict.value_at(c)
             before, after = np.nextafter(c, -np.inf), np.nextafter(c, np.inf)
             other = after if verdict.value_at(before) else before
-            h = MONITOR._grid_integrals(kernel, sig, np.array([c, other]))
+            # the edges that have entered the windows anchored there
+            at = np.array([c, other])
+            edges = np.column_stack((sig.starts, sig.ends)).ravel()
+            reach = (edges - kernel.upper).searchsorted(at, side="right")
+            h = MONITOR._grid_integrals(kernel, sig, at, reach)
             assert (h[0] >= p) == true and (h[1] >= p) != true, (c, h - p)
             assert verdict.value_at(other) != true, c
 
@@ -778,14 +779,16 @@ class TestGaussianCells:
         """A bracket's probes depend on its own ends only, so it narrows to
         the same root double alone as in a batch; a stream, which meets a
         crossing's bracket in other batches than one offline run does,
-        relies on that to equal the offline verdict."""
+        relies on that to equal the offline verdict.  A root the verdict
+        wants is the one the bracket narrowed all the way finds."""
         from sclmon import generate_step_train
         narrow = MONITOR._narrow
         calls = []
 
-        def spy(positive_at, lo, hi, lo_positive):
-            roots = narrow(positive_at, lo, hi, lo_positive)
-            calls.append((positive_at, lo, hi, lo_positive, roots))
+        def spy(positive_at, lo, hi, lo_positive, after=-np.inf, upto=np.inf):
+            after, upto = np.broadcast_to(after, lo.shape), np.broadcast_to(upto, lo.shape)
+            roots = narrow(positive_at, lo, hi, lo_positive, after, upto)
+            calls.append((positive_at, lo, hi, lo_positive, after, upto, roots))
             return roots
 
         monkeypatch.setattr(MONITOR, "_narrow", spy)
@@ -795,10 +798,17 @@ class TestGaussianCells:
             monitor(trace, parse(text))
         batches = [call for call in calls if len(call[1]) > 1]
         assert batches
-        for positive_at, lo, hi, lo_positive, roots in batches:
+        for positive_at, lo, hi, lo_positive, after, upto, roots in batches:
             for i in range(len(lo)):
-                alone = narrow(positive_at, lo[i:i + 1], hi[i:i + 1], lo_positive[i:i + 1])
-                assert alone[0] == roots[i], (lo[i], hi[i], alone[0] - roots[i])
+                one = slice(i, i + 1)
+
+                def alone(xs, rows, i=i):
+                    # positive_at reads its brackets' indices in the batch
+                    return positive_at(xs, rows + i)
+                root = narrow(alone, lo[one], hi[one], lo_positive[one], after[one], upto[one])
+                assert root[0] == roots[i], (lo[i], hi[i], root[0] - roots[i])
+                if after[i] <= roots[i] <= upto[i]:
+                    assert narrow(alone, lo[one], hi[one], lo_positive[one])[0] == roots[i]
 
 
 class TestMonitor:
@@ -928,7 +938,8 @@ RESTART_FORMULAS = [
     "G[0,0.5] (<flat[0,1], 0.5> (v > 0))",
     "F[0,0.75] (<exp(-1)[0,0.5], 0.5> (v >= 0) & G[0,0.25] (v > -1))",
     "G[0,1] (v >= -0.5) -> !F[0.25,0.75] (v >= 1)",
-    "<flat[0,1], 5e-12> (v >= 0)",    # a small integrated H lies within 1e-11 of p
+    "<flat[0,1], 5e-12> (v >= 0)",    # a small integrated H lies next to p
+    "<flat[0,0.5], 0.5> (<exp(1)[0,1], 0.25> (v >= 0))",
 ]
 
 
@@ -948,7 +959,7 @@ def coarse_trace(draw) -> PiecewiseConstantSignal:
 def restart_cases(draw):
     """A trace whose times and values sit on coarse grids as often as not, a
     formula, the ends of three ever longer prefixes of it, and for each where
-    in its stable span the next evaluation must start."""
+    in its verdict's span the next evaluation must start."""
     trace = coarse_trace(draw)
     cuts = sorted(draw(st.lists(st.sampled_from(trace.times.tolist()), min_size=3, max_size=3)))
     where = draw(st.lists(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
@@ -960,7 +971,7 @@ class TestRestarts:
     """A window node evaluated from a restart point that an evaluation of a
     shorter prefix recorded finds the same stretches, H samples and roots as
     a run from 0: the verdict equals the offline one cut to its span, and so
-    does ``stable_until``, bit for bit."""
+    do the crossings after its start, bit for bit."""
 
     @settings(max_examples=100, deadline=None)
     @given(case=restart_cases())
@@ -974,16 +985,16 @@ class TestRestarts:
                 evaluable_end(f, cut)
             except HorizonError:
                 continue
-            sig, _, stable = _eval_node(prefix, f, lo, restarts)
+            sig, _ = _eval_node(prefix, f, lo, restarts)
             assert sig.start == lo
-            lo = max(lo, lo + u * (min(stable, sig.end) - lo))
+            lo = max(lo, lo + u * (sig.end - lo))
         try:
             expected = monitor(trace, f)
         except HorizonError:
             return
-        sig, _, stable = _eval_node(trace, f, lo, restarts)
+        sig, crossings = _eval_node(trace, f, lo, restarts)
         assert sig == restrict_domain(expected.signal, (lo, expected.signal.end))
-        assert min(stable, sig.end) == expected.stable_until
+        assert [c for c in crossings if c > lo] == [c for c in expected.crossings if c > lo]
 
     @pytest.mark.parametrize("text", [
         "<flat[0,1], 0.5> (v >= 0)",
@@ -1004,33 +1015,43 @@ class TestRestarts:
         restarts = {}
         _eval_node(PiecewiseConstantSignal(("v",), times, values, 3.0), f, 0.0, restarts)
         lo = 0.5 + gap / 2
-        sig, _, stable = _eval_node(trace, f, lo, restarts)
+        sig, crossings = _eval_node(trace, f, lo, restarts)
         assert restarts[()].at == lo
         expected = monitor(trace, f)
         assert sig == restrict_domain(expected.signal, (lo, expected.signal.end))
-        assert min(stable, sig.end) == expected.stable_until
+        assert [c for c in crossings if c > lo] == [c for c in expected.crossings if c > lo]
 
 
-# (formula, whether every window in it has a p of 0 or 1)
 FINAL_FORMULAS = [
-    ("G[0,1] (v >= 0)", True),
-    ("F[0.25,1] (v > 0.5)", True),
-    ("<exp(-2)[0,1], 1> (v > 0)", True),
-    ("<gauss(0.5, 0.3)[0,1], 0>* (v <= 0)", True),
-    ("G[0,0.5] (F[0.25,1] (v >= 0))", True),
-    ("F[0,0.75] (G[0,0.5] (v > -0.5) | <exp(1)[0,0.5], 0> (v >= 1))", True),
-    ("G[0,0.5] (<flat[0,1], 0.5> (v > 0))", False),
-    ("<flat[0,1], 5e-12> (v >= 0)", False),
-    ("<exp(1.5)[0,1], 0.999999999995> (v >= 0)", False),
-    ("F[0,0.5] (<gauss(0.25, 0.2)[0,1], 0.999999999999>* (v < 0.5))", False),
+    "G[0,1] (v >= 0)",
+    "F[0.25,1] (v > 0.5)",
+    "<exp(-2)[0,1], 1> (v > 0)",
+    "<gauss(0.5, 0.3)[0,1], 0>* (v <= 0)",
+    "G[0,0.5] (F[0.25,1] (v >= 0))",
+    "F[0,0.75] (G[0,0.5] (v > -0.5) | <exp(1)[0,0.5], 0> (v >= 1))",
+    "G[0,0.5] (<flat[0,1], 0.5> (v > 0))",
+    "<flat[0,1], 5e-12> (v >= 0)",
+    "<exp(1.5)[0,1], 0.999999999995> (v >= 0)",
+    "F[0,0.5] (<gauss(0.25, 0.2)[0,1], 0.999999999999>* (v < 0.5))",
+    # 0 < p < 1 on each kernel shape; a flat window's coverage of a child on
+    # the traces' 1/8 grid sits on p on whole plateaus
+    "<flat[0,1], 0.5> (v >= 0)",
+    "<flat[0.25,1.25], 0.375>* (v > 0)",
+    "<exp(-2)[0.25,1.25], 0.4> (v > 0)",
+    "<exp(1.5)[0,1], 0.6>* (v <= 0.5)",
+    "<gauss(0.5, 0.3)[0,1], 0.5> (v >= 0)",
+    "<gauss(0.25, 0.1)[0.25,1], 0.3>* (v > 0)",
+    # a window at 0 < p < 1 nested under another
+    "<flat[0,0.5], 0.5> (<exp(1)[0,1], 0.25> (v >= 0))",
+    "<gauss(0.5, 0.2)[0,0.75], 0.4> (<flat[0,0.5], 0.5> (v > 0))",
 ]
 
 
 @st.composite
 def final_cases(draw):
     """A trace whose times and values sit on coarse grids as often as not, a
-    formula and the durations of three prefixes of it, each at a sample or
-    between two."""
+    formula and the durations of three prefixes of it, each at a sample,
+    where the atom's truth edges lie, or between two."""
     trace = coarse_trace(draw)
     cuts = draw(st.lists(st.one_of(st.sampled_from(trace.times.tolist()),
                                    st.floats(0.0, trace.duration)), min_size=3, max_size=3))
@@ -1038,16 +1059,13 @@ def final_cases(draw):
 
 
 class TestFinalToEnd:
-    """A prefix verdict is final up to its ``stable_until``: the full trace's
-    verdict agrees with it there, crossings included.  A formula whose
-    windows all have a p of 0 or 1 (``G``, ``F``) holds nothing back, so
-    its ``stable_until`` is its prefix verdict's end; a p within 1e-11 of 0
-    or 1 holds back only what a window integral decides."""
+    """A prefix verdict is final up to its own end, at every p: the full
+    trace's verdict agrees with it there, crossings included."""
 
     @settings(max_examples=150, deadline=None)
     @given(case=final_cases())
     def test_prefix_verdict_is_final_to_its_stable_point(self, case):
-        (text, exact), trace, cuts = case
+        text, trace, cuts = case
         f = parse(text)
         try:
             full = monitor(trace, f)
@@ -1061,13 +1079,10 @@ class TestFinalToEnd:
             keep = trace.times <= cut
             part = monitor(PiecewiseConstantSignal(("v",), trace.times[keep],
                                                    trace.values[keep], cut), f)
-            stable = part.stable_until
-            if exact:
-                assert stable == part.signal.end
+            end = part.signal.end
             # a one-point domain keeps a point of truth that an interval
-            # signal drops, so only a stable span of positive length is compared
-            if stable > 0.0:
-                assert (restrict_domain(part.signal, (0.0, stable))
-                        == restrict_domain(full.signal, (0.0, stable)))
-            assert ([c for c in part.crossings if c < stable]
-                    == [c for c in full.crossings if c < stable])
+            # signal drops, so only a span of positive length is compared
+            if end > 0.0:
+                assert part.signal == restrict_domain(full.signal, (0.0, end))
+            assert ([c for c in part.crossings if c < end]
+                    == [c for c in full.crossings if c < end])

@@ -194,14 +194,12 @@ class TestPublicRecords:
             assert copy == s and repr(copy) == repr(s)
             assert s != BooleanSignal(s.start, s.end + 1.0, s.starts, s.ends)
         for v in verdicts:
-            copy = VerdictSignal(signal=v.signal, crossings=v.crossings,
-                                 stable_until=v.stable_until)
+            copy = VerdictSignal(signal=v.signal, crossings=v.crossings)
             assert copy == v and repr(copy) == repr(v)
         s = BooleanSignal(start=0.0, end=2.0, starts=np.array([0.5]), ends=np.array([1.0]))
         assert s == sig(0, 2, (0.5, 1.0))
         assert repr(s) == "BooleanSignal(start=0.0, end=2.0, starts=array([0.5]), ends=array([1.]))"
-        assert repr(VerdictSignal(s, (0.5,), 1.5)) == \
-            f"VerdictSignal(signal={s!r}, crossings=(0.5,), stable_until=1.5)"
+        assert repr(VerdictSignal(s, (0.5,))) == f"VerdictSignal(signal={s!r}, crossings=(0.5,))"
 
     def test_internal_constructors_fill_every_field(self):
         # a record built without __init__ holds exactly its fields, and an

@@ -21,6 +21,7 @@ from sclmon import (
     monitor,
     parse,
 )
+from sclmon.formula import evaluable_end
 from conftest import signal_bits
 
 
@@ -143,6 +144,22 @@ class TestOrderingErrors:
         sm.finish()
         with pytest.raises(SclError, match="already finished"):
             sm.push(1.0, [1.0])
+
+    def test_second_finish_rejected(self):
+        # a shorter second duration would end the trace before the span the
+        # last poll emitted to
+        f = parse("<flat[0,1], 0.5> (v >= 0)")
+        sm = StreamingMonitor(f, ("v",))
+        for t in range(4):
+            sm.push(float(t), [1.0])
+        sm.finish(10.0)
+        assert sm.poll().domain == (0.0, 9.0)
+        for duration in (5.0, 10.0, 12.0, None):
+            with pytest.raises(SclError, match="stream already finished"):
+                sm.finish(duration)
+        assert sm.poll() is None
+        assert sm.resolved_signal() == monitor(
+            PiecewiseConstantSignal(("v",), np.arange(4.0), np.ones((4, 1)), 10.0), f).signal
 
     def test_wrong_row_length_rejected(self):
         sm = StreamingMonitor(parse("v >= 0"), ("v",))
@@ -286,6 +303,7 @@ STREAM_FORMULAS = [
     "G[0,0.75] (v >= -0.5) | F[0,1] (v >= 0.5)",
     "G[0,0.5] (<flat[0,1], 0.5> (v > 0))",
     "!<flat[0.25,1], 0.5> (v < 0) & G[0,1] (v >= -1)",
+    "<flat[0,0.5], 0.5> (<exp(1)[0,1], 0.25> (v >= 0))",
 ]
 
 
@@ -308,7 +326,8 @@ def stream_cases(draw):
 
 class TestRestartedPolls:
     """A poll evaluates from where it last emitted, each window node from its
-    restart point; the output stays the offline verdict bit for bit."""
+    restart point; the output stays the offline verdict bit for bit, and
+    each poll emits all that its prefix's horizon lets it, at every p."""
 
     @settings(max_examples=80, deadline=None)
     @given(case=stream_cases())
@@ -323,9 +342,53 @@ class TestRestartedPolls:
             sm.push(t, row)
             if poll:
                 sm.poll()
+                try:
+                    end = evaluable_end(f, t)
+                except HorizonError:
+                    continue
+                assert sm.resolved_signal().end == end
         sm.finish(trace.duration)
         sm.poll()
         assert sm.resolved_signal() == expected
+
+    def test_a_gaussian_stream_narrows_each_crossing_at_most_twice(self, monkeypatch):
+        """A busy last stretch is solved again from its start on each poll,
+        but a crossing's bracket is narrowed to the double only where the
+        verdict wants its root: one lying past the stretch's end, or before
+        the poll's start, stops after a round.  So the stream narrows about
+        as many brackets to the double as the offline run has crossings,
+        twice for one lying exactly on a poll's end, where the next starts."""
+        monitor_module = importlib.import_module("sclmon.monitor")
+        narrow = monitor_module._narrow
+        wanted, early = [], []
+
+        def spy(positive_at, lo, hi, lo_positive, after=-np.inf, upto=np.inf):
+            rounds = np.zeros(len(lo), dtype=int)
+
+            def counted(xs, rows):
+                rounds[rows] += 1
+                return positive_at(xs, rows)
+            roots = narrow(counted, lo, hi, lo_positive, after, upto)
+            inside = (roots >= after) & (roots <= upto)
+            wanted.append(int(np.count_nonzero(inside)))
+            early.extend(rounds[~inside].tolist())
+            return roots
+
+        monkeypatch.setattr(monitor_module, "_narrow", spy)
+        f = parse("<gauss(0.5,0.3)[0,1],0.5> (G >= 120)")
+        trace = generate_glucose_like(0, duration=24.5)
+        offline = monitor(trace, f)
+        assert sum(wanted) == len(offline.crossings) == 4
+        wanted.clear()
+        sm = StreamingMonitor(f, trace.variables)
+        for t, row in zip(trace.times.tolist(), trace.values.tolist()):
+            sm.push(t, row)
+            sm.poll()
+        sm.finish()
+        sm.poll()
+        assert sm.resolved_signal() == offline.signal
+        assert sum(wanted) <= 2 * len(offline.crossings)
+        assert early and max(early) <= 1
 
     def test_full_coverage_window_emits_as_it_goes(self):
         # H sits on p = 1, which it cannot pass: nothing there is

@@ -1,6 +1,7 @@
 """The repository's own tools run against the package sources."""
 
 import importlib.util
+import io
 import re
 import subprocess
 import sys
@@ -40,6 +41,24 @@ def test_poll_cost_counts_a_gaussian_stream():
     # every counted poll falls in one class, and the stream has both
     assert len(busy) == polls and 0 < sum(busy) < polls
     assert mon._grid_integrals is grid_integrals and mon.eval_conv_efficient is evaluate
+
+
+def test_poll_cost_lag_beyond_the_horizon_is_at_most_one_pitch(monkeypatch):
+    # every verdict is final to its end, so each poll emits up to the
+    # horizon: on the stream-day trace of pool seed 0 the flat formula's lag
+    # reads at most one 5-minute sample pitch, busy polls included
+    spec = importlib.util.spec_from_file_location("poll_cost", ROOT / "tools" / "poll_cost.py")
+    poll_cost = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(poll_cost)
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import sclmon
+    import workloads
+    mon = importlib.import_module("sclmon.monitor")
+    text = workloads.WORKLOADS["stream-day"].make_trace(0, False).csv_text()
+    trace = sclmon.read_trace_csv(io.StringIO(text))
+    _, lag, busy = poll_cost.counted_polls(sclmon, mon, trace,
+                                           sclmon.parse("<flat[0,1], 0.8> (G >= 70)"))
+    assert any(busy) and 0.0 <= lag <= 5 / 60
 
 
 def test_stream_ab_compares_this_tree_with_itself():

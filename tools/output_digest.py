@@ -9,8 +9,8 @@ inputs; ``diff`` of their outputs then lists every output that moved.  For each
 workload, pool seed 0-7 and formula it prints
 ``WORKLOAD seed=N formula=K OUTPUT SHA256``, where OUTPUT is
 
-* ``monitor``: the ``monitor()`` verdict's domain and interval bounds, its
-  crossings and ``stable_until`` (check and stream specs);
+* ``monitor``: the ``monitor()`` verdict's domain and interval bounds and its
+  crossings (check and stream specs);
 * ``rho_trace``: the ``rho_trace`` times and values (rho spec, and the
   check-steps and stream specs, whose exponential windows, ``F`` and dense
   square-wave ties the rho spec lacks);
@@ -91,7 +91,7 @@ def signal_parts(sig) -> tuple:
 
 def monitor_digest(sclmon, trace, f) -> str:
     verdict = sclmon.monitor(trace, f)
-    return digest(*signal_parts(verdict.signal), verdict.crossings, [verdict.stable_until])
+    return digest(*signal_parts(verdict.signal), verdict.crossings)
 
 
 def rho_trace_digest(sclmon, trace, f) -> str:

@@ -80,19 +80,19 @@ def counted_polls(sclmon, mon, trace, f,
     counts = {"grid": 0, "anchors": 0, "windows": 0, "edges": 0}
     grid_integrals, evaluate = mon._grid_integrals, mon.eval_conv_efficient
 
-    def grid_spy(kernel, sig, ts):
+    def grid_spy(kernel, sig, ts, *reach):
         counts["grid"] += 1
         counts["anchors"] += len(ts)
-        return grid_integrals(kernel, sig, ts)
+        return grid_integrals(kernel, sig, ts, *reach)
 
-    def eval_spy(kernel, threshold, sig):
+    def eval_spy(kernel, threshold, sig, *lo):
         t0 = sig.start
         t_end = max(sig.end - kernel.upper, t0)
         edges = np.concatenate((sig.starts, sig.ends))
         inside = (edges > t0 + kernel.lower) & (edges < t_end + kernel.upper)
         counts["windows"] += 1
         counts["edges"] += bool(inside.any())
-        return evaluate(kernel, threshold, sig)
+        return evaluate(kernel, threshold, sig, *lo)
 
     mon._grid_integrals, mon.eval_conv_efficient = grid_spy, eval_spy
     try:
