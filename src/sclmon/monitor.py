@@ -179,13 +179,9 @@ def _alternating(t0: float, t_end: float, first: bool,
     zero-length interval, which is dropped, and a kept interval whose start
     coincides with the previous kept one's end is merged into it.
     """
-    if not len(flips):
-        # true all through (on a degenerate span, at its point) or never
-        span = np.array((t0, t_end) if first else ())
-        span.setflags(write=False)
-        return BooleanSignal._unchecked(t0, t_end, span[:1], span[1:])
     cuts = _framed(t0, flips, t_end)[0 if first else 1:]
-    starts, ends = cuts[:len(cuts) // 2 * 2].reshape(-1, 2).T
+    n = len(cuts) // 2
+    starts, ends = cuts[0:2 * n:2], cuts[1:2 * n:2]
     if t0 == t_end:
         # the point is true when a pair of cuts holds it
         return BooleanSignal._degenerate(t0, t_end, np.any((starts <= t0) & (t0 <= ends)))
@@ -570,17 +566,17 @@ def eval_conv_efficient(kernel: BoundedKernel, threshold: float, sig: BooleanSig
     roots, flips = roots[kept], roots[flip]
     # the sample at the real bound ending a stretch solved on its extent
     # decides the truth there; where the truth its roots leave differs from
-    # it, which only rounding can do, the flip sits at that bound
-    flipped = stretch[flip].tolist()
-    late = [float(b[k]) for k in held.tolist() if k < len(a) - 1 and (
-        (hs[k] >= p) != (flipped.count(k) % 2 == 1)) != (hs[k + 1] >= p)]
-    if late:
+    # it, which only rounding can do, the flip sits at that bound.  A quiet
+    # stretch holds no flip and ends on its own exact sample, so it passes
+    truth, odd = hs >= p, np.bincount(stretch[flip], minlength=len(a)) % 2 == 1
+    late = b[k0:-1][(truth[k0:-2] != odd[k0:-1]) != truth[k0 + 1:-1]]
+    if len(late):
         roots, flips = (np.sort(np.concatenate((v, late))) for v in (roots, flips))
     # a root before lo is only known to lie there
     before = int(flips.searchsorted(lo))
     crossings = tuple(dict.fromkeys(roots[roots.searchsorted(lo):].tolist()))
     verdict = VerdictSignal._unchecked(
-        _alternating(lo, t_end, bool(hs[k0] >= p) != (before % 2 == 1), flips[before:]), crossings)
+        _alternating(lo, t_end, bool(truth[k0]) != (before % 2 == 1), flips[before:]), crossings)
     times, values = bounds, hs
     if len(splits):
         # the H' zeros inside their stretch, before its end bound
